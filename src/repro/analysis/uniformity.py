@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from ..errors import CampaignError
 
@@ -39,6 +38,10 @@ def coverage_histogram(
     t_max: float = None,
 ) -> UniformityReport:
     """Bin injection times and chi-square-test uniformity (Fig. 5)."""
+    # the package's only SciPy use: ~0.6 s of import, paid here rather
+    # than by every ``import repro``
+    from scipy import stats
+
     t = np.asarray(list(times), dtype=float)
     if t.size == 0:
         raise CampaignError("no injection times recorded")

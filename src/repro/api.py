@@ -80,8 +80,8 @@ class Session:
         self.mode = mode
         self.seed = seed
         self.artifact_dir = artifact_dir
-        self.framework = FaultPropagationFramework.for_app(
-            app, **(params or {}))
+        self.framework = FaultPropagationFramework(
+            app, params, artifact_dir=artifact_dir)
         #: the most recent campaign (run or resumed), for :meth:`fps`
         self.last_campaign: Optional[CampaignResult] = None
 

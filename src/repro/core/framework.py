@@ -17,14 +17,15 @@ registers the source as an app on the fly.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from pathlib import Path
+from typing import Dict, Optional, Sequence, Union
 
 from ..analysis.classify import Outcome
 from ..analysis.stats import COBreakdown, co_breakdown
 from ..analysis.uniformity import UniformityReport, coverage_histogram
-from ..apps.registry import APP_BUILDERS, AppSpec, get_app, register_app
+from ..apps.registry import APP_BUILDERS, AppSpec, register_app
 from ..errors import CampaignError
-from ..inject.campaign import CampaignResult, run_campaign
+from ..inject.campaign import CampaignResult, _prepared, run_campaign
 from ..inject.profiler import PreparedApp
 from ..models.estimator import CMLEstimator
 from ..models.fps import FPSResult, compute_fps
@@ -34,11 +35,15 @@ from .config import RunConfig
 class FaultPropagationFramework:
     """End-to-end driver for one application."""
 
-    def __init__(self, app_name: str, params: Optional[dict] = None) -> None:
+    def __init__(self, app_name: str, params: Optional[dict] = None, *,
+                 artifact_dir: Union[str, Path, None] = None) -> None:
         if app_name not in APP_BUILDERS:
             raise CampaignError(f"unknown app {app_name!r}")
         self.app_name = app_name
         self.params = dict(params or {})
+        #: shared golden-artifact directory :meth:`prepared` loads from
+        #: and saves to (None: REPRO_ARTIFACT_DIR or disabled)
+        self.artifact_dir = artifact_dir
         self._prepared: Dict[str, PreparedApp] = {}
 
     # ------------------------------------------------------------------
@@ -75,9 +80,16 @@ class FaultPropagationFramework:
     # Build + golden
     # ------------------------------------------------------------------
     def prepared(self, mode: str = "blackbox") -> PreparedApp:
+        """The app compiled and golden-profiled in ``mode``.
+
+        Resolved through the process-wide prepared cache campaigns use,
+        so ``prepared()`` followed by a campaign prepares once; the
+        framework keeps its own reference, which outlives that bounded
+        cache's evictions."""
         pa = self._prepared.get(mode)
         if pa is None:
-            pa = PreparedApp(get_app(self.app_name, **self.params), mode)
+            pa = _prepared(self.app_name, tuple(sorted(self.params.items())),
+                           mode, artifact_dir=self.artifact_dir)
             self._prepared[mode] = pa
         return pa
 

@@ -337,6 +337,19 @@ def _run_trial(args) -> TrialResult:
     return tr
 
 
+def _book(timings: Dict[str, float], stage: str, program, t1: float,
+          cg1: float) -> None:
+    """Close the stage window opened at ``t1`` / ``cg1``.
+
+    ``cg1`` is ``program.tier2_codegen_s`` read when the window opened:
+    tier-2 variants compile on first entry, i.e. inside whichever window
+    happens to enter them, so that share moves to ``tier2_codegen`` and
+    the stage rows stay disjoint."""
+    codegen = program.tier2_codegen_s - cg1
+    timings["tier2_codegen"] += codegen
+    timings[stage] = max(0.0, time.perf_counter() - t1 - codegen)
+
+
 def _fork_cursor(pa: PreparedApp):
     """Worker-local golden cursor, lazily built per prepared app."""
     cursor = getattr(pa, "_fork_cursor", None)
@@ -359,17 +372,18 @@ def _fork_trial(pa, fork_epoch, faults, inj_seed, keep_series,
     """
     cursor = _fork_cursor(pa)
     cursor.set_tier2(tier2)
-    t1 = time.perf_counter()
+    program = pa.program
+    t1, cg1 = time.perf_counter(), program.tier2_codegen_s
     with obs_rt.span("fork_advance", fork_epoch=fork_epoch):
         forked_at = cursor.advance_to(fork_epoch)
-    timings["fork_advance"] = time.perf_counter() - t1
-    t1 = time.perf_counter()
+    _book(timings, "fork_advance", program, t1, cg1)
+    t1, cg1 = time.perf_counter(), program.tier2_codegen_s
     with obs_rt.span("execute", fork=True, fork_epoch=fork_epoch):
         result, pages = cursor.fork_run(
             faults, inj_seed=inj_seed, wall_timeout=wall_timeout,
             cml_stream=stream, prune=fingerprints,
         )
-    timings["execute"] = time.perf_counter() - t1
+    _book(timings, "execute", program, t1, cg1)
     with obs_rt.span("classify"):
         tr = _summarise(pa, result, faults, keep_series)
     tr.forked_at_cycle = forked_at
@@ -414,19 +428,21 @@ def _lane_trial(pa, fork_epoch, faults, inj_seed, keep_series,
     """
     cursor = _fork_cursor(pa)
     cursor.set_tier2(tier2)
-    t1 = time.perf_counter()
+    t1, cg1 = time.perf_counter(), pa.program.tier2_codegen_s
     with obs_rt.span("execute", lane=True, fork_epoch=fork_epoch):
         result, row, forked_at = cursor.lane_run(
             fork_epoch, faults, width=width, inj_seed=inj_seed,
             wall_timeout=wall_timeout, cml_stream=stream,
             prune=fingerprints,
         )
-    total = time.perf_counter() - t1
+    _book(timings, "execute", pa.program, t1, cg1)
     # book the shared positioning (window open + stream advance to the
-    # cut + lane capture) apart from the trial's own run, exactly like
-    # the scalar tier splits fork_advance out of execute
+    # cut + lane capture, net of codegen like every window) apart from
+    # the trial's own run, exactly like the scalar tier splits
+    # fork_advance out of execute
     timings["lane_advance"] = cursor.last_lane_advance_s
-    timings["execute"] = max(0.0, total - cursor.last_lane_advance_s)
+    timings["execute"] = max(
+        0.0, timings["execute"] - cursor.last_lane_advance_s)
     with obs_rt.span("classify"):
         tr = _summarise(pa, result, faults, keep_series)
     tr.forked_at_cycle = forked_at
@@ -472,7 +488,6 @@ def _execute_trial(args, stream) -> TrialResult:
     t0 = time.perf_counter()
     with obs_rt.span("arm", faults=len(faults)):
         pa = _prepared(app_name, params, mode, snapshot_stride, artifact_dir)
-        cg0 = pa.tier2_codegen_s
         pa.ensure_tier2(tier2_on)
         config = pa.run_config()
         store = pa.snapshots
@@ -480,12 +495,13 @@ def _execute_trial(args, stream) -> TrialResult:
     fingerprints = pa.fingerprints if prune_on else None
     prep_s = time.perf_counter() - t0
     wc = pa.world_cache
-    # tier2_codegen is nonzero only on the worker's first trial per
-    # prepared app (install_plan is idempotent), so the health total is
-    # the per-worker codegen cost, not trials x codegen
+    program = pa.program
+    # tier2_codegen is what this trial spent compiling the trace variants
+    # it was first in its process to enter, taken out of the window that
+    # entered them (see _book), so the health total is the codegen cost
+    # over all workers and goes to zero as the ladders fill
     timings = {"artifact_load": prep_s, "snapshot_restore": 0.0,
-               "clone": 0.0, "execute": 0.0,
-               "tier2_codegen": pa.tier2_codegen_s - cg0}
+               "clone": 0.0, "execute": 0.0, "tier2_codegen": 0.0}
     run_tier2 = None if tier2_on else False
     if fork_epoch > 0 and lanes >= 2:
         try:
@@ -525,14 +541,14 @@ def _execute_trial(args, stream) -> TrialResult:
             timings.pop("fork_advance", None)
             timings["execute"] = 0.0
     if snap is None:
-        t1 = time.perf_counter()
+        t1, cg1 = time.perf_counter(), program.tier2_codegen_s
         with obs_rt.span("execute", fast_forward=False):
             result = run_job(
-                pa.program, config, faults=faults, inj_seed=inj_seed,
+                program, config, faults=faults, inj_seed=inj_seed,
                 wall_timeout=wall_timeout, cml_stream=stream,
                 prune=fingerprints, tier2=run_tier2,
             )
-        timings["execute"] = time.perf_counter() - t1
+        _book(timings, "execute", program, t1, cg1)
         with obs_rt.span("classify"):
             tr = _summarise(pa, result, faults, keep_series)
         tr.stage_timings = timings
@@ -540,19 +556,20 @@ def _execute_trial(args, stream) -> TrialResult:
 
     restore0 = wc.restore_s if wc is not None else 0.0
     clone0 = wc.clone_s if wc is not None else 0.0
-    t1 = time.perf_counter()
+    t1, cg1 = time.perf_counter(), program.tier2_codegen_s
     with obs_rt.span("execute", fast_forward=True, snapshot_cycle=snap.cycle):
         result = run_job(
-            pa.program, config, faults=faults, inj_seed=inj_seed,
+            program, config, faults=faults, inj_seed=inj_seed,
             wall_timeout=wall_timeout, restore_from=snap, world_cache=wc,
             cml_stream=stream, prune=fingerprints, tier2=run_tier2,
         )
-    run_s = time.perf_counter() - t1
+    _book(timings, "execute", program, t1, cg1)
     if wc is not None:
         timings["snapshot_restore"] = wc.restore_s - restore0
         timings["clone"] = wc.clone_s - clone0
     timings["execute"] = max(
-        0.0, run_s - timings["snapshot_restore"] - timings["clone"]
+        0.0, timings["execute"] - timings["snapshot_restore"]
+        - timings["clone"]
     )
     with obs_rt.span("classify"):
         tr = _summarise(pa, result, faults, keep_series)
@@ -1095,13 +1112,6 @@ def run_campaign(
             journal_writer.close()
     health.requested_workers = requested_workers
     health.artifacts_quarantined = len(QUARANTINE_LOG) - quarantined_before
-    # The driver's own codegen cost (serial trials see a zero delta in
-    # _execute_trial because the program is already installed; fork-start
-    # workers inherit it COW and skip codegen entirely).
-    if pa.tier2_codegen_s:
-        health.stage_timings["tier2_codegen"] = (
-            health.stage_timings.get("tier2_codegen", 0.0)
-            + pa.tier2_codegen_s)
     metrics = observer.finalize(health) if observer is not None else None
 
     return CampaignResult(

@@ -339,6 +339,7 @@ class GoldenCursor:
         caller re-runs the trial on the scalar fork tier.
         """
         t0 = time.perf_counter()
+        cg0 = self.pa.program.tier2_codegen_s
         win = self._lane
         if win is not None and (win["epoch"] != fork_epoch
                                 or win["used"] >= win["stack"].width):
@@ -408,9 +409,12 @@ class GoldenCursor:
             raise
         win["used"] = lane + 1
         # shared positioning cost — window open + stream advance to the
-        # cut + lane capture — reported apart from the trial's own run,
+        # cut + lane capture, net of the trace variants the advance was
+        # first to enter — reported apart from the trial's own run,
         # exactly like the scalar tier's fork_advance stage
-        self.last_lane_advance_s = time.perf_counter() - t0
+        self.last_lane_advance_s = (
+            time.perf_counter() - t0
+            - (self.pa.program.tier2_codegen_s - cg0))
         trial_cut = sched._cut
         try:
             for mm in machines:

@@ -75,10 +75,11 @@ class CampaignHealth:
     wall_time_s: float = 0.0
     #: cumulative wall seconds per trial execution stage, summed over
     #: every trial (artifact_load / snapshot_restore / clone / execute /
-    #: tier2_codegen — the last is paid once per worker: trace
-    #: installation is idempotent, so only the first trial on each
-    #: worker contributes a nonzero value); resumed trials contribute
-    #: their journaled timings, so --resume keeps the totals cumulative
+    #: tier2_codegen — the last is what trials spent compiling trace
+    #: variants they were first in their process to enter, taken out of
+    #: the stage that entered them so the rows stay disjoint); resumed
+    #: trials contribute their journaled timings, so --resume keeps the
+    #: totals cumulative
     stage_timings: Dict[str, float] = field(default_factory=dict)
 
     @property

@@ -129,8 +129,6 @@ class PreparedApp:
         self.tier2_plan: Optional[dict] = None
         #: where the installed plan came from: "artifact" or "derived"
         self.tier2_plan_source: Optional[str] = None
-        #: wall seconds spent on tier-2 codegen (install_plan)
-        self.tier2_codegen_s = 0.0
         if art is not None:
             self.golden: GoldenProfile = art.golden
             self.snapshots: Optional[SnapshotStore] = art.snapshot_store()
@@ -196,8 +194,11 @@ class PreparedApp:
         return current_settings().tier2_cap or self.config.quantum
 
     def ensure_tier2(self, enabled: bool = True) -> int:
-        """Codegen + install the tier-2 trace plan into the program.
+        """Install the tier-2 trace plan into the program.
 
+        Installation validates the plan and fills the dispatch ladders;
+        each variant is codegenned on its first entry, so the cost shows
+        up in ``program.tier2_codegen_s`` as trials run, not here.
         Idempotent per compiled program (repeat calls are free), so both
         the campaign driver and every worker can call it unconditionally.
         The plan comes from the golden artifact when one matched
@@ -224,10 +225,7 @@ class PreparedApp:
                 self.program, self.golden.edge_profile, cap)
             self.tier2_plan = plan
             self.tier2_plan_source = "derived"
-        t0 = time.perf_counter()
-        installed = vm_tier2.install_plan(self.program, plan)
-        self.tier2_codegen_s += time.perf_counter() - t0
-        return installed
+        return vm_tier2.install_plan(self.program, plan)
 
     # ------------------------------------------------------------------
     # Persisted verification marker (see repro.inject.artifacts)

@@ -273,16 +273,20 @@ class Scheduler:
         once per job result and zeroed — a paused golden advance keeps
         accumulating and is drained by the run that finishes on those
         machines."""
-        enters = deopts = cycles = 0
+        enters = deopts = cycles = compiled = 0
         for m in self.machines:
             enters += m.t2_enters
             deopts += m.t2_deopts
             cycles += m.t2_cycles_acc
+            compiled += m.t2_compiled
             m.t2_enters = m.t2_deopts = m.t2_cycles_acc = 0
+            m.t2_compiled = 0
         if enters or deopts or cycles:
             _obs.inc("repro_tier2_enters_total", enters)
             _obs.inc("repro_tier2_deopts_total", deopts)
             _obs.inc("repro_tier2_cycles_total", cycles)
+        if compiled:
+            _obs.inc("repro_tier2_variants_compiled_total", compiled)
 
     # ------------------------------------------------------------------
     # Convergence pruning

@@ -79,6 +79,8 @@ DESCRIPTIONS: Dict[str, str] = {
         "Mid-segment deoptimisations back to tier-1 (guard exits).",
     "repro_tier2_cycles_total":
         "Virtual cycles executed inside compiled tier-2 segments.",
+    "repro_tier2_variants_compiled_total":
+        "Tier-2 trace variants compiled on their first entry.",
     "worldcache_pages":
         "Resident memory pages held by the worker's warm-world cache.",
     "repro_shadow_entries":

@@ -94,15 +94,17 @@ class CompiledFunction:
         #: valid while ``machine.inj_next == 0``.
         self.seg_armed: List[List[Optional[Tuple[Callable, int]]]] = []
         self.seg_free: List[List[Optional[Tuple[Callable, int]]]] = []
-        #: tier-2 trace map, indexed by block: ``(trace_closure, max_len)``
-        #: for blocks that head a compiled golden trace, None elsewhere.
-        #: Populated in place by :func:`repro.vm.tier2.install_plan` (so
-        #: machines built before installation see the traces); only
-        #: consulted at ip 0 while ``machine.inj_next == 0``.  ``tier2_off``
-        #: stays all-None forever — the run loop selects it when tier-2 is
-        #: disabled, mirroring the seg_armed/seg_free selection.
-        self.tier2: List[Optional[Tuple[Callable, int]]] = []
-        self.tier2_off: List[Optional[Tuple[Callable, int]]] = []
+        #: tier-2 trace map, indexed by block: a descending-length ladder
+        #: of ``(trace_closure, max_len, marked)`` variants for blocks
+        #: that head a golden trace, None elsewhere.  Populated in place
+        #: by :func:`repro.vm.tier2.install_plan` (so machines built
+        #: before installation see the traces) with closures that compile
+        #: themselves on first entry and swap the result into their slot.
+        #: ``tier2_off`` stays all-None forever — the run loop selects it
+        #: when tier-2 is disabled, mirroring the seg_armed/seg_free
+        #: selection.
+        self.tier2: List[Optional[Tuple[Tuple[Callable, int, int], ...]]] = []
+        self.tier2_off: List[None] = []
 
 
 class CompiledProgram:
@@ -110,7 +112,7 @@ class CompiledProgram:
 
     __slots__ = ("module", "functions", "fpm_mode", "taint_mode",
                  "num_inject_sites", "site_table", "tier2_installed",
-                 "tier2_traces")
+                 "tier2_traces", "tier2_compiled", "tier2_codegen_s")
 
     def __init__(self, module: Module) -> None:
         self.module = module
@@ -125,6 +127,11 @@ class CompiledProgram:
         #: trace count for observability)
         self.tier2_installed = False
         self.tier2_traces = 0
+        #: ladder variants compiled so far and the wall seconds that took —
+        #: variants compile on their first entry, so both grow while trials
+        #: run; callers timing a window read the seconds before and after
+        self.tier2_compiled = 0
+        self.tier2_codegen_s = 0.0
 
     def __getitem__(self, name: str) -> CompiledFunction:
         return self.functions[name]

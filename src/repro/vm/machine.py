@@ -182,6 +182,8 @@ class Machine:
         self.t2_enters = 0
         self.t2_deopts = 0
         self.t2_cycles_acc = 0
+        #: ladder variants this machine compiled by entering them first
+        self.t2_compiled = 0
 
     # ------------------------------------------------------------------
     # Setup
@@ -274,7 +276,8 @@ class Machine:
         Dispatch is three-level: at a block head (ip 0) the tier-2 trace
         map is consulted first — each head holds a ladder of compiled
         golden-trace variants (descending length) and the longest one
-        whose maximum length fits in the remaining budget runs; elsewhere
+        whose maximum length fits in the remaining budget runs (compiling
+        itself first if this is its first entry in the process); elsewhere
         the per-block segment map is consulted — a fused superinstruction
         executes only when it fits in the remaining budget (so epoch
         structure, and with it CML sampling and MPI interleaving, is

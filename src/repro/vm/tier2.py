@@ -11,11 +11,14 @@ edge counts (``machine.edge_profile``).  :func:`derive_plan` then walks
 each function from every block head along the *majority* edge of each
 branch, concatenating straight-line members across block boundaries
 (loop back-edges included, i.e. hot loops unroll) into trace plans.
-:func:`install_plan` codegens each plan into one ``exec``-compiled
-function — registers as locals, memory operations inlined against the
-flat buffers, cycle accounting folded into a single per-trace increment
-— and installs it into the per-block ``CompiledFunction.tier2`` map the
-run loop consults at block heads.
+:func:`install_plan` validates each plan against the module and installs
+a ladder of prefix variants per head into the per-block
+``CompiledFunction.tier2`` map the run loop consults at block heads.  A
+variant is codegenned — one ``exec``-compiled function, registers as
+locals, memory operations inlined against the flat buffers, cycle
+accounting folded into a single per-trace increment — the first time the
+run loop enters it: a campaign enters fewer than half of what a plan
+installs, and each process pays only for the code it runs.
 
 Deopt guards, and how each maps onto the machine contract:
 
@@ -44,7 +47,7 @@ Deopt guards, and how each maps onto the machine contract:
 
 Plans (not code objects) are JSON-safe dicts so they ride golden
 artifacts across workers: installation from a cached plan re-runs only
-codegen, never profiling or planning.
+validation, never profiling or planning.
 """
 
 from __future__ import annotations
@@ -52,12 +55,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import re
+import time
+import warnings
 
 from ..ir import Br, CondBr, FpmLoad, FpmStore, Register, Ret
 from .compiler import (
     _FUSE_MAX,
     _PURE_KINDS,
     _TERM_KINDS,
+    SIG_JUMP,
     CompiledProgram,
     _compile_entry,
     _injectable_operands,
@@ -398,6 +404,11 @@ def _promote(member_lines, line_meta):
     return out, loads, flushes
 
 
+def _is_marked(inst) -> bool:
+    """Does ``inst`` advance ``machine.inj_counter`` when it executes?"""
+    return inst.inject_site is not None and bool(_injectable_operands(inst))
+
+
 def _codegen(records, end, program: CompiledProgram, label: str):
     """exec-compile one trace function from its member records.
 
@@ -418,9 +429,7 @@ def _codegen(records, end, program: CompiledProgram, label: str):
     c = 0
     total_members = len(records)
     for i, (inst, kind, expected) in enumerate(records):
-        marked = (inst.inject_site is not None
-                  and bool(_injectable_operands(inst)))
-        c += 1 if marked else 0
+        c += _is_marked(inst)
         pfx.append(c)
         if kind == "pure":
             tmpl = _inline_template(inst)
@@ -502,19 +511,63 @@ def _codegen(records, end, program: CompiledProgram, label: str):
         lines.append("    return 1")
     env["_pfx"] = tuple(pfx)
     exec(compile("\n".join(lines), f"<tier2:{label}>", "exec"), env)
-    return env["trace"], total_marked
+    return env["trace"]
+
+
+def _lazy_variant(program: CompiledProgram, cfunc, func, head: int,
+                  seq: List[int], members: int):
+    """Ladder-slot closure that compiles its trace on first entry.
+
+    Called by the run loop exactly like a compiled trace.  It codegens
+    the variant, swaps the compiled closure into its slot of
+    ``cfunc.tier2[head]`` (the run loop re-reads the ladder at every
+    head entry, so machines mid-run pick it up) and runs it — a trap
+    inside that first run propagates exactly as from an installed trace.
+
+    A codegen failure is a harness fault, never an application trap: it
+    must not reach the run loop's trap clause.  The variant is dropped
+    from the ladder instead, and the closure reports a zero-cycle jump
+    to the same block head, so dispatch retries on what is left of the
+    ladder — tier-1 at worst — with no state touched.
+    """
+    def first_entry(m, f):
+        label = f"{func.name}:b{head}:m{members}"
+        t0 = time.perf_counter()
+        try:
+            records, end = _collect(func, seq, members)
+            trace = _codegen(records, end, program, label)
+        except Exception as exc:
+            trace = None
+            warnings.warn(f"tier-2 codegen failed for {label}: {exc!r}; "
+                          f"the variant runs on tier-1", stacklevel=2)
+        program.tier2_codegen_s += time.perf_counter() - t0
+        ladder = cfunc.tier2[head] or ()
+        if trace is None:
+            left = tuple(c for c in ladder if c[0] is not first_entry)
+            cfunc.tier2[head] = left or None
+            m.tier2_cycles = 0
+            f.ip = 0
+            return SIG_JUMP
+        cfunc.tier2[head] = tuple(
+            (trace,) + c[1:] if c[0] is first_entry else c for c in ladder)
+        program.tier2_compiled += 1
+        m.t2_compiled += 1
+        return trace(m, f)
+    return first_entry
 
 
 def install_plan(program: CompiledProgram, plan: Optional[dict]) -> int:
-    """Codegen ``plan`` and install its traces into ``program``.
+    """Validate ``plan`` and install its traces into ``program``.
 
     Mutates each :class:`CompiledFunction`'s ``tier2`` list in place, so
     machines constructed before installation pick the traces up on their
-    next ``run``.  Idempotent: a program is installed at most once per
-    process.  Invalid or stale plan entries (module drift, unknown
-    functions, out-of-range blocks) are skipped, never raised — a bad
-    plan degrades to tier-1, it must not kill a campaign.  Returns the
-    number of traces installed.
+    next ``run``.  Every plan entry is walked against the module and its
+    marked-instruction total counted here; codegen waits for a variant's
+    first entry (:func:`_lazy_variant`).  Idempotent: a program is
+    installed at most once per process.  Invalid or stale plan entries
+    (module drift, unknown functions, out-of-range blocks) are skipped,
+    never raised — a bad plan degrades to tier-1, it must not kill a
+    campaign.  Returns the number of traces installed.
     """
     if program.tier2_installed:
         return program.tier2_traces
@@ -543,11 +596,9 @@ def install_plan(program: CompiledProgram, plan: Optional[dict]) -> int:
             while True:
                 walked = _collect(func, seq, m2)
                 if walked is not None:
-                    records, end = walked
-                    closure, marked = _codegen(
-                        records, end, program,
-                        f"{tr['func']}:b{head}:m{m2}")
-                    variants.append((closure, m2, marked))
+                    marked = sum(_is_marked(rec[0]) for rec in walked[0])
+                    variants.append((_lazy_variant(
+                        program, cfunc, func, head, seq, m2), m2, marked))
                 if m2 <= _MIN_MEMBERS:
                     break
                 m2 = max(m2 // 2, _MIN_MEMBERS)

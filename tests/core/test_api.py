@@ -41,6 +41,32 @@ def test_session_golden_matches_framework():
     assert s.golden().cycles == fw.prepared("fpm").golden.cycles
 
 
+def test_session_golden_and_campaign_prepare_once(tmp_path, monkeypatch):
+    from repro.inject import artifacts, campaign as campaign_mod
+
+    built = []
+    real_init = campaign_mod.PreparedApp.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(campaign_mod.PreparedApp, "__init__", counting_init)
+    campaign_mod._PREPARED_CACHE.clear()
+    s = repro.Session("matvec", mode="fpm", artifact_dir=str(tmp_path))
+    s.golden()
+    pa = s.framework.prepared("fpm")
+    # golden() honours the session's artifact_dir (it used to build a
+    # bare PreparedApp and leave the directory empty)
+    assert artifacts.artifact_path(*pa.artifact_ref).exists()
+    run_campaign("matvec", trials=4, mode="fpm", seed=9,
+                 artifact_dir=str(tmp_path))
+    (key, cached), = campaign_mod._PREPARED_CACHE.items()
+    assert key[:3] == ("matvec", (), "fpm")
+    assert cached is pa
+    assert len(built) == 1
+
+
 def test_session_fps_uses_last_campaign():
     s = repro.Session("matvec", mode="fpm", seed=1)
     with pytest.raises(CampaignError, match="no campaign"):

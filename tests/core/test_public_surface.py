@@ -8,6 +8,9 @@ cycle through a module ``__getattr__`` that warns.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +42,33 @@ class TestPublicSurface:
     def test_all_is_sorted_and_duplicate_free(self):
         assert sorted(repro.__all__) == list(repro.__all__)
         assert len(set(repro.__all__)) == len(repro.__all__)
+
+
+class TestImportHygiene:
+    """``import repro`` is paid by every process a campaign starts."""
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "False", \
+            "import repro pulled SciPy in; import it where it is used"
+
+    def test_coverage_histogram_p_value_unchanged(self):
+        # Fig. 5's chi-square survival function still comes from SciPy
+        import numpy as np
+
+        from repro.analysis.uniformity import coverage_histogram
+
+        times = np.random.default_rng(5).uniform(0, 1000.0, 600)
+        report = coverage_histogram(times, n_bins=40, t_max=1000.0)
+        assert report.chi2 == 58.0
+        assert report.p_value == pytest.approx(0.025617465337582773,
+                                               rel=1e-12)
 
 
 class TestDeprecationShims:

@@ -170,6 +170,18 @@ class TestStageTimings:
             total = sum(t.stage_timings[stage] for t in c.trials)
             assert agg[stage] == pytest.approx(total)
 
+    def test_tier2_codegen_is_a_per_campaign_delta(self):
+        # traces compile on first entry, so the cost belongs to the
+        # campaign (and trial) that entered them — a repeat of the same
+        # campaign in the same process compiles nothing
+        campaign_mod._PREPARED_CACHE.clear()
+        first = run_campaign("matvec", trials=8, mode="blackbox", seed=3)
+        again = run_campaign("matvec", trials=8, mode="blackbox", seed=3)
+        assert first.health.stage_timings["tier2_codegen"] > 0.0
+        assert again.health.stage_timings["tier2_codegen"] == 0.0
+        assert first.health.stage_timings["tier2_codegen"] == pytest.approx(
+            sum(t.stage_timings["tier2_codegen"] for t in first.trials))
+
     def test_timings_round_trip_json(self):
         c = run_campaign("matvec", trials=4, mode="blackbox", seed=3,
                          snapshot_stride=150)

@@ -90,12 +90,27 @@ def assert_machines_identical(a, b):
             == [vars(e) for e in b.injection_events])
 
 
+def variants(prog):
+    """Every installed ladder slot of ``prog``, as (closure, len, marked)."""
+    return [c for cf in prog.functions.values() for cands in cf.tier2
+            if cands is not None for c in cands]
+
+
+def is_compiled(closure):
+    """Is this ladder closure an exec-compiled trace (vs a first-entry
+    stub that has not run yet)?"""
+    return closure.__code__.co_filename.startswith("<tier2:")
+
+
 def planned(source=SRC_LOOP, mode="blackbox", cap=256):
     prog = build(source, mode)
     _, edges = profile_edges(prog)
     plan = derive_plan(prog, edges, cap)
     n = install_plan(prog, plan)
     assert n > 0, "expected at least one installable trace"
+    # nothing ran since install: every parity test below enters its
+    # traces for the first time inside the run it checks
+    assert prog.tier2_compiled == 0
     return prog, plan
 
 
@@ -169,6 +184,82 @@ class TestPlanning:
                 assert 0 <= marked <= members
 
 
+class TestFirstEntryCompilation:
+    def test_install_compiles_nothing(self):
+        prog = build(SRC_LOOP)
+        _, edges = profile_edges(prog)
+        plan = derive_plan(prog, edges, 128)
+        n = install_plan(prog, plan)
+        # every planned trace validates against the module it was
+        # derived from, so the count is what eager codegen installed
+        assert n == prog.tier2_traces == len(plan["traces"])
+        assert prog.tier2_compiled == 0 and prog.tier2_codegen_s == 0.0
+        assert variants(prog)
+        assert not any(is_compiled(c[0]) for c in variants(prog))
+
+    def test_golden_run_compiles_only_what_it_enters(self):
+        prog, _ = planned()
+        installed = len(variants(prog))
+        m = run_machine(prog, budget=256)
+        assert m.t2_enters > 0
+        assert 0 < prog.tier2_compiled < installed
+        assert m.t2_compiled == prog.tier2_compiled
+        assert prog.tier2_codegen_s > 0.0
+        after = variants(prog)
+        # ladder shape is untouched: same slots, same lengths/marked
+        assert len(after) == installed
+        assert sum(is_compiled(c[0]) for c in after) == prog.tier2_compiled
+        # a second run finds everything it needs compiled
+        again = run_machine(prog, budget=256)
+        assert again.t2_compiled == 0
+        assert_machines_identical(m, again)
+
+    def test_machine_built_before_install_picks_traces_up_mid_run(self):
+        prog = build(SRC_LOOP)
+        _, edges = profile_edges(prog)
+        m = Machine(prog, 0, 1, seed=12345)
+        m.start()
+        for _ in range(3):
+            assert m.run(64) is MachineStatus.READY
+        assert m.t2_enters == 0
+        install_plan(prog, derive_plan(prog, edges, 256))
+        while m.run(64) is MachineStatus.READY:
+            pass
+        assert m.t2_enters > 0 and prog.tier2_compiled > 0
+        assert_machines_identical(m, run_machine(prog, budget=64, tier2=False))
+
+    @pytest.mark.parametrize("failing", ["all", "first"])
+    def test_codegen_failure_declines_to_tier1(self, failing, monkeypatch):
+        prog, _ = planned()
+        installed = len(variants(prog))
+        real = tier2_mod._codegen
+        calls = []
+
+        def broken(records, end, program, label):
+            calls.append(label)
+            if failing == "all" or len(calls) == 1:
+                # one of the types Machine.run classifies as an
+                # application trap — it must never get that far
+                raise ValueError("synthetic codegen failure")
+            return real(records, end, program, label)
+
+        monkeypatch.setattr(tier2_mod, "_codegen", broken)
+        with pytest.warns(UserWarning, match="tier-2 codegen failed"):
+            a = run_machine(prog, budget=256, tier2=True)
+        b = run_machine(prog, budget=256, tier2=False)
+        assert a.status is MachineStatus.DONE and a.trap is None
+        assert_machines_identical(a, b)
+        # each failed variant left its ladder; nothing is retried
+        failed = len(calls) if failing == "all" else 1
+        assert len(variants(prog)) == installed - failed
+        assert len(set(calls)) == len(calls)
+        if failing == "all":
+            assert prog.tier2_compiled == 0 and a.t2_cycles_acc == 0
+        else:
+            assert prog.tier2_compiled == len(calls) - 1
+            assert a.t2_cycles_acc > 0
+
+
 class TestExecutionParity:
     @pytest.mark.parametrize("quantum", [1, 3, 7, 16, 64, 256, 10 ** 6])
     def test_golden_parity_across_quanta(self, quantum):
@@ -216,6 +307,22 @@ class TestExecutionParity:
         a = run_machine(prog, faults, budget=256, tier2=True)
         b = run_machine(prog, faults, budget=256, tier2=False)
         assert_machines_identical(a, b)
+
+    @pytest.mark.parametrize("source,bit", [(SRC_DIV, 60), (SRC_LOOP, 62),
+                                            (SRC_LOOP, 0)])
+    def test_first_entry_deopt_parity(self, source, bit):
+        # a fresh program per faulty run: the trace that traps (or takes
+        # the minority edge) was compiled by that very entry, so the
+        # raise crosses the first-entry stub's frame — fused_skew and
+        # the guard exits must still land on the tier-1 virtual cycle
+        total = run_machine(build(source), budget=256).inj_counter
+        for occ in range(2, total + 1, max(1, total // 12)):
+            prog, _ = planned(source)
+            faults = [FaultSpec(rank=0, occurrence=occ, bit=bit)]
+            a = run_machine(prog, faults, budget=256, tier2=True)
+            assert prog.tier2_compiled > 0
+            b = run_machine(prog, faults, budget=256, tier2=False)
+            assert_machines_identical(a, b)
 
     def test_branch_divergence_deopt_parity(self):
         # faults that flip the guarded loop/if conditions exercise the
