@@ -12,26 +12,23 @@ can cite them.
 
 from __future__ import annotations
 
-import json
 import os
-import time
 from pathlib import Path
 
 import pytest
 
+from repro.core.settings import env_int
 from repro.inject import run_campaign
-from repro.inject.campaign import _env_int
-from repro.vm.snapshot import default_snapshot_stride
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def trials() -> int:
-    return _env_int("REPRO_TRIALS", 150)
+    return env_int("REPRO_TRIALS", 150)
 
 
 def workers() -> int:
-    return _env_int("REPRO_WORKERS", min(4, os.cpu_count() or 1))
+    return env_int("REPRO_WORKERS", min(4, os.cpu_count() or 1))
 
 
 SEED = 20150715  # SC '15 era
@@ -40,13 +37,11 @@ SEED = 20150715  # SC '15 era
 class CampaignCache:
     def __init__(self) -> None:
         self._cache = {}
-        self.timings: list[dict] = []
 
     def get(self, app: str, mode: str, seed: int = SEED, **kw):
         key = (app, mode, seed, tuple(sorted(kw.items())))
         if key not in self._cache:
-            t0 = time.perf_counter()
-            result = run_campaign(
+            self._cache[key] = run_campaign(
                 app,
                 trials=trials(),
                 mode=mode,
@@ -55,37 +50,12 @@ class CampaignCache:
                 keep_series=(mode == "fpm"),
                 **kw,
             )
-            wall = time.perf_counter() - t0
-            self._cache[key] = result
-            self.timings.append({
-                "app": app,
-                "mode": mode,
-                "seed": seed,
-                "trials": result.n_trials,
-                "wall_s": round(wall, 3),
-                "trials_per_s": round(result.n_trials / max(wall, 1e-9), 2),
-                "kwargs": {k: v for k, v in sorted(kw.items())},
-            })
         return self._cache[key]
 
 
 @pytest.fixture(scope="session")
 def campaigns() -> CampaignCache:
-    cache = CampaignCache()
-    yield cache
-    # Per-run campaign throughput, recorded so tentpole perf changes show
-    # up in the committed artifacts (compare against older checkouts).
-    if cache.timings:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        payload = {
-            "benchmark": "campaigns",
-            "trials_env": trials(),
-            "workers": workers(),
-            "snapshot_stride": default_snapshot_stride(),
-            "runs": cache.timings,
-        }
-        (RESULTS_DIR / "BENCH_campaigns.json").write_text(
-            json.dumps(payload, indent=2) + "\n")
+    return CampaignCache()
 
 
 @pytest.fixture(scope="session")

@@ -58,8 +58,6 @@ def _trial_to_dict(t: TrialResult) -> dict:
         d["forked_at_cycle"] = t.forked_at_cycle
     if t.pages_copied is not None:
         d["pages_copied"] = t.pages_copied
-    if t.lane is not None:
-        d["lane"] = t.lane
     if t.stage_timings:
         d["stage_timings"] = dict(t.stage_timings)
     if t.times is not None:
@@ -103,7 +101,6 @@ def _trial_from_dict(d: dict) -> TrialResult:
         pruned_at_cycle=d.get("pruned_at_cycle"),
         forked_at_cycle=d.get("forked_at_cycle"),
         pages_copied=d.get("pages_copied"),
-        lane=d.get("lane"),
         stage_timings=d.get("stage_timings"),
     )
     series = d.get("series")

@@ -79,15 +79,6 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
                         "interpret every instruction through tier-1 "
                         "dispatch (default: tier-2 on unless "
                         "REPRO_TIER2=0)")
-    p.add_argument("--lanes", type=int, default=None, metavar="N",
-                   help="lane-batched execution window width: each "
-                        "worker batches up to N same-bucket trials over "
-                        "one shared golden-stream advance (default "
-                        "REPRO_LANES/8; 0 or 1 disables)")
-    p.add_argument("--no-lanes", action="store_true",
-                   help="disable lane-batched execution and run every "
-                        "trial on the scalar fork/restore/cold ladder "
-                        "(same as --lanes 0)")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="write a schema-versioned JSONL trace of every "
                         "trial (spans, VM/MPI events, live CML streams)")
@@ -218,7 +209,6 @@ def cmd_campaign(args) -> int:
                          prune=False if args.no_prune else None,
                          fork=False if args.no_fork else None,
                          tier2=False if args.no_tier2 else None,
-                         lanes=0 if args.no_lanes else args.lanes,
                          executor=args.executor,
                          shards=args.shards)
     print(f"{c.n_trials} trials, mode={c.mode}, "
@@ -254,7 +244,6 @@ def cmd_sites(args) -> int:
                      prune=False if args.no_prune else None,
                      fork=False if args.no_fork else None,
                      tier2=False if args.no_tier2 else None,
-                     lanes=0 if args.no_lanes else args.lanes,
                      executor=args.executor, shards=args.shards)
     pa = _prepared(args.app, (), "fpm", args.snapshot_stride,
                    args.artifact_dir)
@@ -277,7 +266,6 @@ def cmd_fps(args) -> int:
                         prune=False if args.no_prune else None,
                         fork=False if args.no_fork else None,
                         tier2=False if args.no_tier2 else None,
-                        lanes=0 if args.no_lanes else args.lanes,
                         executor=args.executor, shards=args.shards)
     fps = fw.fps_factor(c)
     print(render_fps_table([fps]))

@@ -114,7 +114,6 @@ class FaultPropagationFramework:
         prune: Optional[bool] = None,
         fork: Optional[bool] = None,
         tier2: Optional[bool] = None,
-        lanes: Optional[int] = None,
         executor: Optional[str] = None,
         shards: Optional[int] = None,
     ) -> CampaignResult:
@@ -125,7 +124,7 @@ class FaultPropagationFramework:
             timeout=timeout, max_retries=max_retries, journal=journal,
             snapshot_stride=snapshot_stride, artifact_dir=artifact_dir,
             observe=observe, prune=prune, fork=fork, tier2=tier2,
-            lanes=lanes, executor=executor, shards=shards,
+            executor=executor, shards=shards,
         )
 
     def fpm_campaign(
@@ -140,7 +139,6 @@ class FaultPropagationFramework:
         prune: Optional[bool] = None,
         fork: Optional[bool] = None,
         tier2: Optional[bool] = None,
-        lanes: Optional[int] = None,
         executor: Optional[str] = None,
         shards: Optional[int] = None,
     ) -> CampaignResult:
@@ -151,7 +149,7 @@ class FaultPropagationFramework:
             timeout=timeout, max_retries=max_retries, journal=journal,
             snapshot_stride=snapshot_stride, artifact_dir=artifact_dir,
             observe=observe, prune=prune, fork=fork, tier2=tier2,
-            lanes=lanes, executor=executor, shards=shards,
+            executor=executor, shards=shards,
         )
 
     def resume_campaign(self, journal: str, **kwargs) -> CampaignResult:

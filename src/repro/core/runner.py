@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 from ..errors import SnapshotError
 from ..frontend import compile_source
 from ..mpi import JobResult, MPIRuntime, Scheduler
+from ..obs import runtime as _obs
 from ..passes import pipeline_for_mode, run_passes
 from ..vm import CompiledProgram, FaultSpec, Machine, compile_program
 from ..vm.snapshot import restore_world
@@ -51,7 +52,6 @@ def run_job(
     wall_timeout: Optional[float] = None,
     capture_snapshots=None,
     restore_from=None,
-    world_cache=None,
     cml_stream=None,
     capture_fingerprints=None,
     prune=None,
@@ -74,12 +74,8 @@ def run_job(
     from: the machines are restored instead of started, faults are armed
     on the restored state, and only the remaining tail executes — with
     results bit-identical to a cold run because the snapshot predates
-    every armed fault's occurrence (validated here).
-
-    ``world_cache`` optionally routes the restore through a
-    :class:`~repro.vm.worldcache.WorldCache`, so consecutive jobs
-    restoring the same snapshot clone a materialized warm world instead
-    of re-running the sparse reconstruction.
+    every armed fault's occurrence (validated here).  The restore is
+    timed into ``JobResult.restore_s`` and a ``snapshot_restore`` span.
 
     ``cml_stream`` attaches a :class:`~repro.obs.cml.CMLStream` to the
     job's propagation trace (FPM/taint modes): every scheduler sample —
@@ -133,6 +129,7 @@ def run_job(
     runtime.attach(machines)
     start_epoch = 0
     initial_trace = None
+    restore_s = 0.0
     if restore_from is not None:
         counters = restore_from.inj_counters
         for s in faults:
@@ -148,14 +145,16 @@ def run_job(
                     f"(counter {counters[s.rank]}); fast-forward would skip "
                     f"the fault"
                 )
-        if world_cache is not None:
-            start_epoch, initial_trace = world_cache.restore(
-                restore_from, machines, runtime
-            )
-        else:
-            start_epoch, initial_trace = restore_world(
-                restore_from, machines, runtime
-            )
+        t0 = time.perf_counter()
+        start_epoch, initial_trace = restore_world(
+            restore_from, machines, runtime
+        )
+        restore_s = time.perf_counter() - t0
+        rec = _obs.current()
+        if rec is not None:
+            _obs.span_record("snapshot_restore", t0 - rec.t0, restore_s,
+                             cycle=restore_from.cycle)
+            _obs.inc("repro_world_restores_total")
         for m in machines:
             if faults:
                 m.arm_faults(faults, seed=inj_seed)
@@ -187,4 +186,6 @@ def run_job(
         prune=prune,
         epoch_counters=capture_epoch_counters,
     )
-    return scheduler.run()
+    result = scheduler.run()
+    result.restore_s = restore_s
+    return result

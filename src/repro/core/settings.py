@@ -27,10 +27,7 @@ DEFAULT_PREPARED_CACHE = 8
 DEFAULT_PREFETCH = 2
 DEFAULT_SNAPSHOT_STRIDE = 2048
 DEFAULT_SNAPSHOT_LIMIT = 32
-DEFAULT_WORLD_CACHE = 4
-DEFAULT_WORLD_CACHE_PAGES = 0
 DEFAULT_PAGE_WORDS = 256
-DEFAULT_LANES = 8
 DEFAULT_OBS_CML_STRIDE = 0
 DEFAULT_RETRY_BASE_DELAY = 0.05
 DEFAULT_RETRY_MAX_DELAY = 2.0
@@ -158,13 +155,6 @@ class Settings:
     prepared_cache: int = DEFAULT_PREPARED_CACHE
     #: REPRO_ARTIFACT_DIR — shared golden-artifact directory (None = off)
     artifact_dir: Optional[str] = None
-    #: REPRO_BATCH_BY_SNAPSHOT — snapshot-locality trial batching
-    batch_by_snapshot: bool = True
-    #: REPRO_WORLD_CACHE — warm worlds kept per process (0 = off)
-    world_cache: int = DEFAULT_WORLD_CACHE
-    #: REPRO_WORLD_CACHE_PAGES — warm-world cache budget in resident
-    #: pages (0 = no page budget; entry count still applies)
-    world_cache_pages: int = DEFAULT_WORLD_CACHE_PAGES
     #: REPRO_PREFETCH — trials in flight per pool worker
     prefetch: int = DEFAULT_PREFETCH
     # -- snapshot fast-forward -----------------------------------------
@@ -180,9 +170,6 @@ class Settings:
     fuse: bool = True
     #: REPRO_FORK_TRIALS — fork-at-injection trial execution (0 = off)
     fork_trials: bool = True
-    #: REPRO_LANES — lane-batched trial execution window width
-    #: (0 or 1 = off; requires forking)
-    lanes: int = DEFAULT_LANES
     #: REPRO_TIER2 — tier-2 golden-trace segment compilation (0 = off)
     tier2: bool = True
     #: REPRO_TIER2_CAP — max instructions per compiled trace
@@ -227,13 +214,6 @@ class Settings:
             prepared_cache=_parse_int(
                 env, "REPRO_PREPARED_CACHE", DEFAULT_PREPARED_CACHE),
             artifact_dir=_parse_str(env, "REPRO_ARTIFACT_DIR"),
-            batch_by_snapshot=_parse_bool(env, "REPRO_BATCH_BY_SNAPSHOT", True),
-            world_cache=_parse_int(
-                env, "REPRO_WORLD_CACHE", DEFAULT_WORLD_CACHE, minimum=0,
-                clamp=True),
-            world_cache_pages=_parse_int(
-                env, "REPRO_WORLD_CACHE_PAGES", DEFAULT_WORLD_CACHE_PAGES,
-                minimum=0, clamp=True),
             prefetch=_parse_int(
                 env, "REPRO_PREFETCH", DEFAULT_PREFETCH, clamp=True),
             snapshot_stride=_parse_int(
@@ -247,8 +227,6 @@ class Settings:
             prune=_parse_bool(env, "REPRO_PRUNE", True),
             fuse=_parse_bool(env, "REPRO_FUSE", True),
             fork_trials=_parse_bool(env, "REPRO_FORK_TRIALS", True),
-            lanes=_parse_int(
-                env, "REPRO_LANES", DEFAULT_LANES, minimum=0, clamp=True),
             tier2=_parse_bool(env, "REPRO_TIER2", True),
             tier2_cap=_parse_int(
                 env, "REPRO_TIER2_CAP", 0, minimum=0, clamp=True),

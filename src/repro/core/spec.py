@@ -48,7 +48,7 @@ class CampaignSpec:
     The science knobs (app, trials, mode, faults, seed, rank, bit) pin
     down *what* is measured; the execution knobs (workers, executor,
     shards, timeout, retries, journal, artifact_dir, observe,
-    prune/fork/tier2/lanes) pin down *how* — and never change the science,
+    prune/fork/tier2) pin down *how* — and never change the science,
     which is the engine's bit-identity contract.
     """
 
@@ -90,9 +90,6 @@ class CampaignSpec:
     fork: Optional[bool] = None
     #: tier-2 golden-trace compilation (None: REPRO_TIER2)
     tier2: Optional[bool] = None
-    #: lane-batched execution window width (None: REPRO_LANES or 8;
-    #: 0 or 1 disables the lane tier)
-    lanes: Optional[int] = None
     #: execution backend: serial | pool | remote (None: REPRO_EXECUTOR
     #: or auto by worker count)
     executor: Optional[str] = None
@@ -131,8 +128,6 @@ class CampaignSpec:
         if self.snapshot_stride is not None and self.snapshot_stride < 0:
             raise CampaignError(
                 f"snapshot_stride must be >= 0, got {self.snapshot_stride}")
-        if self.lanes is not None and self.lanes < 0:
-            raise CampaignError(f"lanes must be >= 0, got {self.lanes}")
         # params arrives as a dict at most call sites; freeze it so the
         # spec stays hashable and safe to share between campaigns
         if isinstance(self.params, Mapping):

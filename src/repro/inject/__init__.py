@@ -14,13 +14,11 @@ from .chaos import ChaosConfig, ChaosMonkey
 from .campaign import (
     CampaignResult,
     TrialResult,
-    batch_by_snapshot,
     default_timeout,
     default_trials,
     default_workers,
     fork_enabled,
     harness_failure_trial,
-    plan_batches,
     plan_fork_batches,
     run_campaign,
     trial_results_equal,
@@ -40,10 +38,10 @@ __all__ = [
     "CampaignEngine", "CampaignHealth", "CampaignJournal",
     "CampaignResult", "ChaosConfig", "ChaosMonkey", "GoldenArtifact",
     "GoldenProfile", "JournalRecovery", "PreparedApp",
-    "TrialResult", "artifact_key", "artifact_path", "batch_by_snapshot",
+    "TrialResult", "artifact_key", "artifact_path",
     "default_timeout", "default_trials", "default_workers", "draw_plan",
     "fork_enabled", "harness_failure_trial", "load_artifact",
-    "plan_batches", "plan_fork_batches",
+    "plan_fork_batches",
     "profile_golden", "quarantine_artifact", "read_journal",
     "read_journal_ex", "resume_campaign", "run_campaign",
     "save_artifact", "trial_results_equal",

@@ -35,7 +35,6 @@ from ..mpi import JobResult
 from ..obs import runtime as obs_rt
 from ..obs.cml import CMLStream
 from ..obs.observer import CampaignObserver, ObserveConfig
-from ..vm.lanes import LaneBail, cut_sort_key
 from ..vm.machine import FaultSpec
 from ..vm.snapshot import default_snapshot_stride, snapshot_verify_mode
 from .health import CampaignHealth
@@ -93,13 +92,8 @@ class TrialResult:
     #: not forked); excluded from the bit-identity predicate with
     #: ``forked_at_cycle``
     pages_copied: Optional[int] = None
-    #: lane row this trial occupied in its worker's lane window (None =
-    #: scalar execution).  Provenance, not content, like the other
-    #: execution-strategy markers — excluded from the bit-identity
-    #: predicate
-    lane: Optional[int] = None
     #: wall seconds per execution stage (artifact_load / snapshot_restore
-    #: / clone / execute) — observability only; excluded from the
+    #: / fork_advance / execute) — observability only; excluded from the
     #: bit-identity predicate because wall clocks are nondeterministic
     stage_timings: Optional[Dict[str, float]] = None
     #: live decimated CML(t) stream from the observability layer, an
@@ -289,12 +283,11 @@ def trial_results_equal(a: TrialResult, b: TrialResult) -> bool:
         # unobserved), not on what the trial computed.  pruned_at_cycle:
         # provenance of the result, not content — the verify cold re-run
         # executes unpruned precisely to check the spliced fields.
-        # forked_at_cycle / pages_copied / lane: same story for the
-        # fork and lane paths — how the result was obtained, not what
-        # it is.
+        # forked_at_cycle / pages_copied: same story for the fork path
+        # — how the result was obtained, not what it is.
         if f.name in ("stage_timings", "cml_stream", "obs",
                       "pruned_at_cycle", "forked_at_cycle",
-                      "pages_copied", "lane"):
+                      "pages_copied"):
             continue
         va, vb = getattr(a, f.name), getattr(b, f.name)
         if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
@@ -415,67 +408,6 @@ def _fork_trial(pa, fork_epoch, faults, inj_seed, keep_series,
     return tr
 
 
-def _lane_trial(pa, fork_epoch, faults, inj_seed, keep_series,
-                wall_timeout, stream, fingerprints, timings,
-                tier2: bool, width: int) -> TrialResult:
-    """Run one trial on a lane of the worker's shared lane window.
-
-    The cursor pauses the shared golden stream at the trial's occurrence
-    cut, stacks the paused world into a :class:`~repro.vm.lanes.LaneStack`
-    row, and runs the real interpreter from there — bit-identity with
-    the scalar tiers holds by construction, and the same verify-first
-    contract as the fork path cross-checks it against a cold run.
-    """
-    cursor = _fork_cursor(pa)
-    cursor.set_tier2(tier2)
-    t1, cg1 = time.perf_counter(), pa.program.tier2_codegen_s
-    with obs_rt.span("execute", lane=True, fork_epoch=fork_epoch):
-        result, row, forked_at = cursor.lane_run(
-            fork_epoch, faults, width=width, inj_seed=inj_seed,
-            wall_timeout=wall_timeout, cml_stream=stream,
-            prune=fingerprints,
-        )
-    _book(timings, "execute", pa.program, t1, cg1)
-    # book the shared positioning (window open + stream advance to the
-    # cut + lane capture, net of codegen like every window) apart from
-    # the trial's own run, exactly like the scalar tier splits
-    # fork_advance out of execute
-    timings["lane_advance"] = cursor.last_lane_advance_s
-    timings["execute"] = max(
-        0.0, timings["execute"] - cursor.last_lane_advance_s)
-    with obs_rt.span("classify"):
-        tr = _summarise(pa, result, faults, keep_series)
-    tr.forked_at_cycle = forked_at
-    tr.lane = row
-    tr.stage_timings = timings
-    verify = snapshot_verify_mode()
-    if verify == "all" or (verify == "first"
-                           and not getattr(pa, "_lane_verified", False)):
-        with obs_rt.suspended():
-            cold = run_job(
-                pa.program, pa.run_config(), faults=faults,
-                inj_seed=inj_seed, wall_timeout=wall_timeout,
-                tier2=False,
-            )
-            cold_tr = _summarise(pa, cold, faults, keep_series)
-        if not trial_results_equal(tr, cold_tr):
-            raise SnapshotError(
-                f"lane trial diverged from cold run for "
-                f"{pa.spec.name!r} ({pa.mode}, fork epoch {fork_epoch}, "
-                f"lane {row}, faults {tuple(faults)}): "
-                f"{tr.outcome}/{tr.cycles} vs "
-                f"{cold_tr.outcome}/{cold_tr.cycles}"
-            )
-        pa._lane_verified = True
-    # Counted only once the trial is final, like the fork totals: a
-    # verify failure above retires the trial to the fork tier, and it
-    # must not inflate the lane occupancy numbers.
-    obs_rt.inc("repro_lane_enters_total")
-    if tr.pruned_at_cycle is not None:
-        obs_rt.inc("repro_lane_reconverged_total")
-    return tr
-
-
 def _execute_trial(args, stream) -> TrialResult:
     (app_name, params, mode, faults, inj_seed, keep_series) = args[:6]
     wall_timeout = args[6] if len(args) > 6 else None
@@ -484,7 +416,6 @@ def _execute_trial(args, stream) -> TrialResult:
     prune_on = bool(args[10]) if len(args) > 10 else False
     fork_epoch = int(args[11]) if len(args) > 11 and args[11] else 0
     tier2_on = bool(args[12]) if len(args) > 12 else True
-    lanes = int(args[13]) if len(args) > 13 and args[13] else 0
     t0 = time.perf_counter()
     with obs_rt.span("arm", faults=len(faults)):
         pa = _prepared(app_name, params, mode, snapshot_stride, artifact_dir)
@@ -494,33 +425,14 @@ def _execute_trial(args, stream) -> TrialResult:
         snap = store.best_for(faults) if store is not None else None
     fingerprints = pa.fingerprints if prune_on else None
     prep_s = time.perf_counter() - t0
-    wc = pa.world_cache
     program = pa.program
     # tier2_codegen is what this trial spent compiling the trace variants
     # it was first in its process to enter, taken out of the window that
     # entered them (see _book), so the health total is the codegen cost
     # over all workers and goes to zero as the ladders fill
     timings = {"artifact_load": prep_s, "snapshot_restore": 0.0,
-               "clone": 0.0, "execute": 0.0, "tier2_codegen": 0.0}
+               "execute": 0.0, "tier2_codegen": 0.0}
     run_tier2 = None if tier2_on else False
-    if fork_epoch > 0 and lanes >= 2:
-        try:
-            return _lane_trial(pa, fork_epoch, faults, inj_seed,
-                               keep_series, wall_timeout, stream,
-                               fingerprints, timings, tier2_on, lanes)
-        except TrialTimeoutError:
-            raise  # harness failure: the engine retries/quarantines it
-        except (LaneBail, SnapshotError, RuntimeError) as exc:
-            # top rung of the fallback ladder: a retired lane degrades
-            # this trial to the scalar fork tier, never fails it
-            warnings.warn(
-                f"lane execution failed for {app_name!r} "
-                f"(epoch {fork_epoch}): {exc}; falling back to the "
-                f"fork path",
-                stacklevel=2,
-            )
-            obs_rt.inc("repro_lane_retirements_total")
-            timings["execute"] = 0.0
     if fork_epoch > 0:
         try:
             return _fork_trial(pa, fork_epoch, faults, inj_seed,
@@ -554,23 +466,16 @@ def _execute_trial(args, stream) -> TrialResult:
         tr.stage_timings = timings
         return tr
 
-    restore0 = wc.restore_s if wc is not None else 0.0
-    clone0 = wc.clone_s if wc is not None else 0.0
     t1, cg1 = time.perf_counter(), program.tier2_codegen_s
     with obs_rt.span("execute", fast_forward=True, snapshot_cycle=snap.cycle):
         result = run_job(
             program, config, faults=faults, inj_seed=inj_seed,
-            wall_timeout=wall_timeout, restore_from=snap, world_cache=wc,
+            wall_timeout=wall_timeout, restore_from=snap,
             cml_stream=stream, prune=fingerprints, tier2=run_tier2,
         )
     _book(timings, "execute", program, t1, cg1)
-    if wc is not None:
-        timings["snapshot_restore"] = wc.restore_s - restore0
-        timings["clone"] = wc.clone_s - clone0
-    timings["execute"] = max(
-        0.0, timings["execute"] - timings["snapshot_restore"]
-        - timings["clone"]
-    )
+    timings["snapshot_restore"] = result.restore_s
+    timings["execute"] = max(0.0, timings["execute"] - result.restore_s)
     with obs_rt.span("classify"):
         tr = _summarise(pa, result, faults, keep_series)
     tr.stage_timings = timings
@@ -605,16 +510,6 @@ def _execute_trial(args, stream) -> TrialResult:
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-
-def _env_int(name: str, default: int, minimum: int = 1) -> int:
-    """Validated integer environment lookup.
-
-    Kept as a shim over :func:`repro.core.settings.env_int` for callers
-    (the benchmark suite) reading knobs outside the Settings schema.
-    """
-    from ..core.settings import env_int
-    return env_int(name, default, minimum)
-
 
 def default_trials(requested: Optional[int] = None) -> int:
     """Trial count: explicit argument, else REPRO_TRIALS env, else 120."""
@@ -661,7 +556,6 @@ def _build_jobs(
     prune: bool = False,
     fork: bool = False,
     tier2: bool = True,
-    lanes: int = 0,
 ) -> List[tuple]:
     """Draw every trial's fault plan and seed up front.
 
@@ -674,9 +568,7 @@ def _build_jobs(
     last golden epoch preceding every occurrence in its fault plan,
     resolved against the profile's dense per-epoch counters.  The RNG
     stream is untouched either way, so fork and no-fork campaigns draw
-    identical fault plans.  ``lanes`` (index 13) is the lane window
-    width each worker may batch same-bucket trials into (0 disables the
-    lane tier) — again pure plumbing, no RNG impact.
+    identical fault plans.
     """
     rng = np.random.default_rng(seed)
     jobs = []
@@ -688,8 +580,7 @@ def _build_jobs(
         fork_epoch = golden.fork_epoch(faults) if fork else 0
         jobs.append((app, params_key, mode, tuple(faults), inj_seed,
                      keep_series, wall_timeout, snapshot_stride,
-                     artifact_dir, observe, prune, fork_epoch, tier2,
-                     lanes))
+                     artifact_dir, observe, prune, fork_epoch, tier2))
     return jobs
 
 
@@ -717,24 +608,6 @@ def fork_enabled(requested: Optional[bool] = None) -> bool:
     return current_settings().fork_trials
 
 
-def lane_width(requested: Optional[int] = None) -> int:
-    """Lane window width: argument, else REPRO_LANES (default 8).
-
-    Returns 0 when lane-batched execution is off — a width below 2
-    amortises nothing, so 0 and 1 both disable the tier and every trial
-    runs on the scalar fork/restore/cold ladder (``--no-lanes`` /
-    REPRO_LANES=0 is the escape hatch for A/B measurement and
-    equivalence testing).
-    """
-    if requested is None:
-        width = current_settings().lanes
-    else:
-        width = int(requested)
-        if width < 0:
-            raise CampaignError(f"lanes must be >= 0, got {width}")
-    return width if width >= 2 else 0
-
-
 def tier2_enabled(requested: Optional[bool] = None) -> bool:
     """Tier-2 golden-trace execution: argument, else REPRO_TIER2.
 
@@ -750,51 +623,8 @@ def tier2_enabled(requested: Optional[bool] = None) -> bool:
     return current_settings().tier2
 
 
-def batch_by_snapshot(requested: Optional[bool] = None) -> bool:
-    """Snapshot-locality batching: argument, else REPRO_BATCH_BY_SNAPSHOT.
-
-    On by default; set REPRO_BATCH_BY_SNAPSHOT=0 to restore PR 2's
-    index-order dispatch (the escape hatch for A/B measurement).
-    """
-    if requested is not None:
-        return bool(requested)
-    return current_settings().batch_by_snapshot
-
-
-def plan_batches(jobs: Sequence[tuple], store, workers: int = 1
-                 ) -> List[List[int]]:
-    """Group trial indices by their fast-forward snapshot.
-
-    Trials restoring from the same snapshot run consecutively on one
-    worker, so the worker's :class:`~repro.vm.worldcache.WorldCache`
-    serves every trial after the first from a cheap dense clone.  A pure
-    function of the job list and the frozen store — both deterministic —
-    so a resumed campaign re-plans the identical batches.
-
-    Groups are ordered by snapshot cycle (cold trials first, cycle -1),
-    indices within a group stay in campaign order, and oversized groups
-    are split into up to ``workers`` chunks so one dominant snapshot
-    cannot idle the rest of the pool.
-    """
-    groups: "OrderedDict[int, List[int]]" = OrderedDict()
-    for i, job in enumerate(jobs):
-        snap = store.probe(job[3]) if store is not None else None
-        cycle = snap.cycle if snap is not None else -1
-        groups.setdefault(cycle, []).append(i)
-    batches: List[List[int]] = []
-    for cycle in sorted(groups):
-        idxs = groups[cycle]
-        if workers > 1 and len(idxs) > workers:
-            size = -(-len(idxs) // workers)  # ceil division
-            for j in range(0, len(idxs), size):
-                batches.append(idxs[j:j + size])
-        else:
-            batches.append(idxs)
-    return batches
-
-
-def plan_fork_batches(jobs: Sequence[tuple], workers: int = 1,
-                      golden=None) -> List[List[int]]:
+def plan_fork_batches(jobs: Sequence[tuple], workers: int = 1
+                      ) -> List[List[int]]:
     """Group trial indices into fork-epoch buckets, ascending.
 
     A worker draining consecutive buckets advances its shared golden
@@ -803,19 +633,10 @@ def plan_fork_batches(jobs: Sequence[tuple], workers: int = 1,
     already-positioned world.  Deterministic (a pure function of the job
     list), so resumed campaigns re-plan the identical buckets.  Trials
     with fork epoch 0 (nothing to gain) bucket together first and run on
-    the restore/cold path.  Oversized buckets split into up to
-    ``workers`` chunks, like :func:`plan_batches`.
-
-    With ``golden`` (a profile carrying dense per-epoch counters), the
-    indices *within* each bucket are stable-sorted by their plan's first
-    occurrence cut in shared-stream order (:func:`~repro.vm.lanes.\
-cut_sort_key`), so a lane window draining a bucket meets every cut at
-    or ahead of its stream position and no lane retires for being out of
-    order.  The sort is a pure function of the job list and the frozen
-    profile, so resume re-plans identically; scalar fork campaigns are
-    order-insensitive within a bucket, so they share the planner.
+    the restore/cold path.  Indices within a bucket stay in campaign
+    order, and oversized buckets split into up to ``workers`` chunks so
+    one dominant epoch cannot idle the rest of the pool.
     """
-    ec = getattr(golden, "epoch_counters", None) if golden else None
     groups: "OrderedDict[int, List[int]]" = OrderedDict()
     for i, job in enumerate(jobs):
         epoch = job[11] if len(job) > 11 else 0
@@ -823,8 +644,6 @@ cut_sort_key`), so a lane window draining a bucket meets every cut at
     batches: List[List[int]] = []
     for epoch in sorted(groups):
         idxs = groups[epoch]
-        if ec and epoch > 0:
-            idxs = sorted(idxs, key=lambda i: cut_sort_key(jobs[i][3], ec))
         if workers > 1 and len(idxs) > workers:
             size = -(-len(idxs) // workers)  # ceil division
             for j in range(0, len(idxs), size):
@@ -839,14 +658,14 @@ def plan_shards(pending: Sequence[int], n_shards: int,
     """Partition pending trial indices into executor shards.
 
     A shard is the unit a distributed backend ships to one worker
-    daemon.  With ``batches`` (snapshot-locality groups or fork-epoch
-    buckets, already filtered to pending trials), whole batches are
-    assigned greedily to the least-loaded shard — ties to the lowest
-    shard id — so a bucket never splits across daemons and each shard's
-    trials stay epoch-ascending (its golden cursor advances
-    monotonically, exactly like a local pool worker's).  Without
-    batches, indices split into contiguous stripes.  A pure function of
-    its inputs, so resumed campaigns re-plan deterministic shards.
+    daemon.  With ``batches`` (fork-epoch buckets, already filtered to
+    pending trials), whole batches are assigned greedily to the
+    least-loaded shard — ties to the lowest shard id — so a bucket
+    never splits across daemons and each shard's trials stay
+    epoch-ascending (its golden cursor advances monotonically, exactly
+    like a local pool worker's).  Without batches, indices split into
+    contiguous stripes.  A pure function of its inputs, so resumed
+    campaigns re-plan deterministic shards.
     """
     from .executors.base import ShardSpec
 
@@ -899,7 +718,6 @@ def run_campaign(
     prune: Optional[bool] = None,
     fork: Optional[bool] = None,
     tier2: Optional[bool] = None,
-    lanes: Optional[int] = None,
     executor: Optional[str] = None,
     shards: Optional[int] = None,
 ) -> CampaignResult:
@@ -963,18 +781,6 @@ def run_campaign(
     functions with per-trace deopt guards, bit-identical to tier-1 by
     the guard contract (the fuzz equivalence suite asserts it);
     ``--no-tier2`` is the escape hatch.
-
-    ``lanes`` sets the lane-batched execution window width (None:
-    REPRO_LANES or 8; 0 or 1 disables): with forking on, each worker
-    batches same-bucket trials into a window, advances the shared
-    golden stream once per window pausing at each trial's occurrence
-    cut, and stacks the paused worlds into NumPy lane buffers — the
-    armed golden prefix replays once per window instead of once per
-    trial.  Trials run on the real interpreter from the paused
-    position, so results are bit-identical to the scalar fork tier
-    (the lane fuzz equivalence suite asserts it); a lane that cannot
-    reach its cut retires to the fork path.  ``--no-lanes`` /
-    REPRO_LANES=0 is the escape hatch.
     """
     from . import chaos
     from ..core.spec import CampaignSpec
@@ -1015,13 +821,9 @@ def run_campaign(
     # Resolve the execution backend up front so batch/shard planning can
     # use the right parallelism; the remote fabric gets the golden
     # artifact reference so daemons fetch shared state, not re-profile.
-    from .executors import resolve_executor_name
-    exec_name = resolve_executor_name(executor, effective)
-    n_shards = shards
-    if n_shards is None:
-        configured = current_settings().shards
-        n_shards = configured if configured > 0 else max(effective, 1)
-    parallelism = n_shards if exec_name == "remote" else effective
+    from .executors import resolve_backend
+    exec_name, n_shards, parallelism = resolve_backend(
+        executor, shards, effective)
 
     obs_config = ObserveConfig.resolve(observe)
 
@@ -1032,16 +834,12 @@ def run_campaign(
     # Forking needs the dense per-epoch counter timeline (profile v3+);
     # without it every fork epoch would resolve to 0 anyway.
     fork_on = fork_enabled(fork) and bool(golden.epoch_counters)
-    lanes_w = lane_width(lanes) if fork_on else 0
     jobs = _build_jobs(app, params_key, mode, golden, n_trials, n_faults,
                        seed, rank, bit, keep_series, wall_timeout, stride,
                        art_dir_str, obs_config, prune_on, fork_on,
-                       tier2_on, lanes_w)
-    batches = None
-    if fork_on:
-        batches = plan_fork_batches(jobs, parallelism, golden=golden)
-    elif pa.snapshots is not None and batch_by_snapshot():
-        batches = plan_batches(jobs, pa.snapshots, parallelism)
+                       tier2_on)
+    # --no-fork dispatches in index order
+    batches = plan_fork_batches(jobs, parallelism) if fork_on else None
 
     engine_executor: Union[str, object] = exec_name
     if exec_name == "remote":
@@ -1073,7 +871,6 @@ def run_campaign(
             "prune": prune_on,
             "fork": fork_on,
             "tier2": tier2_on,
-            "lanes": lanes_w,
             "executor": exec_name,
             "shards": n_shards if exec_name == "remote" else 1,
             "golden": {

@@ -72,7 +72,7 @@ from .executors import (
     SupervisionEvent,
     TrialDone,
     make_executor,
-    resolve_executor_name,
+    resolve_backend,
 )
 from .executors.local import (  # re-exported for backward compatibility
     _PREFETCH,
@@ -142,9 +142,9 @@ class CampaignEngine:
         # drivers propagate into fork children
         self.task_fn = task_fn if task_fn is not None else _campaign._run_trial
         self.progress = progress
-        #: snapshot-locality batches (lists of trial indices); each batch
-        #: runs consecutively on one worker so its world cache stays warm.
-        #: None = plain index-order dispatch.
+        #: fork-epoch buckets (lists of trial indices); each bucket runs
+        #: consecutively on one worker so its golden cursor only moves
+        #: forward.  None = plain index-order dispatch.
         self.batches = batches
         #: campaign-wide observer (trace writer + merged metrics); None
         #: when the campaign runs unobserved
@@ -268,22 +268,14 @@ class CampaignEngine:
     def _resolve_executor(self) -> Executor:
         if isinstance(self.executor, Executor):
             return self.executor
-        name = resolve_executor_name(self.executor, self.workers)
+        name, n_shards, _ = resolve_backend(
+            self.executor, self.shards, self.workers)
         return make_executor(
             name,
             workers=self.workers,
-            shards=self._n_shards(),
+            shards=n_shards,
             degrade_after=self.degrade_after,
         )
-
-    def _n_shards(self) -> int:
-        if self.shards is not None:
-            return self.shards
-        from ..core.settings import current_settings
-        configured = current_settings().shards
-        if configured > 0:
-            return configured
-        return max(self.workers, 1)
 
     def _plan(self, pending: List[int], groups: Optional[List[List[int]]],
               caps) -> List[ShardSpec]:
@@ -528,14 +520,9 @@ class CampaignEngine:
         )
 
     def _aggregate_forking(self, trial: TrialResult) -> None:
-        if trial.lane is not None:
-            self._health.lane_trials += 1
         if trial.forked_at_cycle is None:
             return
-        if trial.lane is None:
-            # lane trials fork off the shared stream too, but they are
-            # counted on their own tier, not as scalar COW forks
-            self._health.forked_trials += 1
+        self._health.forked_trials += 1
         self._health.pages_copied += trial.pages_copied or 0
 
 
@@ -608,10 +595,6 @@ def resume_campaign(
     # the feature off, so trial execution matches what the recording
     # campaign did.
     fork_on = bool(header.get("fork", False)) and bool(golden.epoch_counters)
-    # Journals from before lane batching carry no width and resume with
-    # the lane tier off; either way the recorded effective width is
-    # reused verbatim, never re-resolved from today's environment.
-    lanes_w = int(header.get("lanes", 0)) if fork_on else 0
     jobs = _build_jobs(
         app, params_key, mode, golden, n_trials,
         int(header["n_faults"]), int(header["seed"]),
@@ -621,7 +604,6 @@ def resume_campaign(
         bool(header.get("prune", False)),
         fork_on,
         tier2_on,
-        lanes_w,
     )
 
     requested_workers = default_workers(workers)
@@ -629,13 +611,12 @@ def resume_campaign(
     effective = 1 if (requested_workers > 1 and remaining < 4) \
         else requested_workers
 
-    # Re-plan batches from the re-derived jobs and frozen store — a pure
-    # function of both, so the resumed schedule is deterministic.
-    batches = None
-    if fork_on:
-        batches = _campaign.plan_fork_batches(jobs, effective, golden=golden)
-    elif pa.snapshots is not None and _campaign.batch_by_snapshot():
-        batches = _campaign.plan_batches(jobs, pa.snapshots, effective)
+    # Re-plan the fork buckets from the re-derived jobs — a pure function
+    # of them and the backend's parallelism, so the resumed schedule is
+    # the recording run's.
+    _, _, parallelism = resolve_backend(executor, shards, effective)
+    batches = _campaign.plan_fork_batches(jobs, parallelism) \
+        if fork_on else None
 
     observer = None
     if obs_config is not None:

@@ -10,7 +10,7 @@ piece of retry/quarantine/journal/degradation policy.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 from ...errors import CampaignError
 from .base import (
@@ -44,6 +44,36 @@ def resolve_executor_name(requested: Optional[str], workers: int) -> str:
     return name
 
 
+def resolve_backend(executor: Union[None, str, Executor],
+                    shards: Optional[int], workers: int
+                    ) -> Tuple[str, int, int]:
+    """``(backend name, shard count, planning parallelism)`` of a run.
+
+    The one resolution of the ``executor`` / ``shards`` arguments and
+    their REPRO_EXECUTOR / REPRO_SHARDS fallbacks, shared by
+    ``run_campaign``, ``resume_campaign`` and the engine so a resumed
+    campaign plans exactly as the recording one did.  The shard count
+    is the explicit argument, else an executor instance's own capacity,
+    else REPRO_SHARDS, else the worker count; the parallelism — how
+    many chunks an oversized fork bucket splits into — is the shard
+    count on a distributed backend and the worker count otherwise.
+    """
+    from ...core.settings import current_settings
+
+    if isinstance(executor, Executor):
+        caps = executor.capabilities()
+        name, distributed = caps.name, caps.distributed
+        if shards is None and distributed:
+            shards = caps.max_shards
+    else:
+        name = resolve_executor_name(executor, workers)
+        distributed = name == "remote"
+    if shards is None:
+        configured = current_settings().shards
+        shards = configured if configured > 0 else max(workers, 1)
+    return name, shards, shards if distributed else workers
+
+
 def make_executor(name: str, *, workers: int, shards: int,
                   degrade_after: int) -> Executor:
     """Instantiate a backend by name (lazy imports keep cycles out)."""
@@ -72,5 +102,6 @@ __all__ = [
     "SupervisionEvent",
     "TrialDone",
     "make_executor",
+    "resolve_backend",
     "resolve_executor_name",
 ]

@@ -38,9 +38,9 @@ from typing import List, Optional, Tuple
 class ShardSpec:
     """One unit of submitted work: trial indices in execution order.
 
-    ``batches`` optionally carries the snapshot-locality / fork-epoch
-    batch structure covering (a superset of) ``indices`` — local pool
-    executors use it to keep one bucket on one worker.  ``not_before``
+    ``batches`` optionally carries the fork-epoch bucket structure
+    covering (a superset of) ``indices`` — local pool executors use it
+    to keep one bucket on one worker.  ``not_before``
     is a monotonic-clock stamp before which no trial of this shard may
     start executing (retry backoff); 0.0 means immediately.  ``retry``
     marks a shard that re-submits already-failed trials, so executors

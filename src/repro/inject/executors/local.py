@@ -11,7 +11,7 @@ These are the two historical execution paths of
 * :class:`LocalPoolExecutor` — supervised ``multiprocessing`` workers
   talking over one duplex pipe each (killing a worker cannot corrupt
   any other worker's channel), with per-trial hard watchdogs, prefetch
-  pipelining, snapshot-locality batch affinity, worker respawn after
+  pipelining, fork-bucket batch affinity, worker respawn after
   crashes, and the respawn-budget rungs of the graceful-degradation
   ladder (pool shrink; a fully collapsed pool is reported via
   :attr:`~LocalPoolExecutor.collapsed` and the campaign controller
@@ -117,7 +117,7 @@ class _Worker:
         #: trial indices dispatched but not yet returned, FIFO — the
         #: head is executing, the rest sit prefetched in the pipe
         self.inflight: Deque[int] = deque()
-        #: remainder of the snapshot-locality batch this worker owns
+        #: remainder of the fork-epoch bucket this worker owns
         self.batch: Deque[int] = deque()
         #: monotonic instant after which the supervisor kills the worker
         #: (covers the head in-flight trial)

@@ -1,13 +1,13 @@
 """Fork-at-injection trial execution: the per-worker golden cursor.
 
 A fault-injection campaign re-executes the same golden prefix for every
-trial; snapshot fast-forward (PR 2) and warm-world clones (PR 3) cut
-that to one dirty-delta restore plus the prefix tail past the last
-snapshot, but each trial still pays O(live state) to reset the world
-and O(prefix tail) to reach its injection point.  The fork model pays
-neither: one shared golden world per worker is advanced through the
-campaign's epoch buckets *exactly once*, and each trial forks it
-copy-on-write at its injection epoch —
+trial; snapshot fast-forward (PR 2) cuts that to one dirty-delta
+restore plus the prefix tail past the last snapshot, but each trial
+still pays O(live state) to reset the world and O(prefix tail) to reach
+its injection point.  The fork model pays neither: one shared golden
+world per worker is advanced through the campaign's epoch buckets
+*exactly once*, and each trial forks it copy-on-write at its injection
+epoch —
 
 * :meth:`GoldenCursor.advance_to` resumes the paused golden scheduler
   (``Scheduler.run(stop_at_epoch=...)``) up to the trial's fork epoch,
@@ -53,7 +53,6 @@ from ..errors import SnapshotError
 from ..fpm.tracker import PropagationTrace
 from ..mpi import JobResult, MPIRuntime, Scheduler
 from ..vm import Machine
-from ..vm.lanes import LaneBail, LaneStack, stream_cut
 from ..vm.machine import Frame
 from ..vm.snapshot import restore_world
 
@@ -80,13 +79,6 @@ class GoldenCursor:
         self.cold_starts = 0
         self.rewinds = 0
         self.trials = 0
-        self.lane_trials = 0
-        #: shared positioning cost of the most recent :meth:`lane_run`
-        #: (window open + stream advance to the cut + lane capture)
-        self.last_lane_advance_s = 0.0
-        #: open lane window (:meth:`lane_run`): batch-start world plus
-        #: the per-lane stack; closed by any scalar-tier entry point
-        self._lane: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Golden-world positioning
@@ -159,7 +151,6 @@ class GoldenCursor:
         time there.  Forward motion resumes the paused scheduler; a
         backward target restores the nearest earlier golden snapshot
         (or cold-starts) and rolls forward."""
-        self._lane_close()
         if self._sched is None or epoch < self._sched.start_epoch:
             self._rewind(epoch)
         if self._sched.start_epoch < epoch:
@@ -192,7 +183,6 @@ class GoldenCursor:
         trapped, or raised; if even the restore fails the cursor poisons
         itself and rebuilds on the next :meth:`advance_to`.
         """
-        self._lane_close()
         sched = self._sched
         if sched is None:
             raise SnapshotError("cursor has no paused golden world")
@@ -251,215 +241,11 @@ class GoldenCursor:
                 self.runtime = None
                 raise
 
-    # ------------------------------------------------------------------
-    # Lane-batched trial execution (see repro.vm.lanes)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _copy_trace(trace: Optional[PropagationTrace]
-                    ) -> Optional[PropagationTrace]:
-        if trace is None:
-            return None
-        return PropagationTrace(
-            times=list(trace.times),
-            cml_per_rank=[list(r) for r in trace.cml_per_rank],
-            live_words=list(trace.live_words),
-            ranks_contaminated=list(trace.ranks_contaminated),
-        )
-
-    def _lane_open(self, fork_epoch: int, width: int) -> dict:
-        """Capture the batch-start world and allocate the lane stack."""
-        sched = self._sched
-        machines = self.machines
-        self._lane = win = {
-            "epoch": fork_epoch,
-            "used": 0,
-            "stack": LaneStack(
-                width, [m.memory.capacity for m in machines]),
-            "dense": [m.memory.dense_state() for m in machines],
-            "light": [self._capture_light(m) for m in machines],
-            "rt": self.runtime.snapshot_state(),
-            "trace": self._copy_trace(sched.initial_trace),
-            #: per-lane (light states, runtime state, capture cycle)
-            "rows": [],
-        }
-        return win
-
-    def _lane_close(self) -> None:
-        """Close the open lane window: rewind to the batch start.
-
-        The shared stream sits mid-epoch at the last cut; the scalar
-        tier (and the next window) needs the clean top-of-epoch pause
-        the batch started from, so the batch-start world is restored
-        wholesale and a fresh scheduler parks there.  A failed restore
-        poisons the cursor exactly like a failed fork rollback.
-        """
-        win = self._lane
-        if win is None:
-            return
-        self._lane = None
-        try:
-            for m, dense in zip(self.machines, win["dense"]):
-                m.memory.restore_dense(dense)
-            for m, st in zip(self.machines, win["light"]):
-                self._restore_light(m, st)
-            self.runtime.restore_state(win["rt"])
-            self._sched = self._new_scheduler(
-                start_epoch=win["epoch"], trace=win["trace"])
-        except BaseException:  # pragma: no cover - defensive
-            self._sched = None
-            self.machines = []
-            self.runtime = None
-            raise
-
-    def _lane_bail(self, reason: str) -> None:
-        """Retire this lane: rewind to the batch start and raise."""
-        self._lane_close()
-        raise LaneBail(reason)
-
-    def lane_run(
-        self,
-        fork_epoch: int,
-        faults: Sequence,
-        *,
-        width: int,
-        inj_seed: Optional[int] = None,
-        wall_timeout: Optional[float] = None,
-        cml_stream=None,
-        prune=None,
-    ) -> Tuple[JobResult, int, int]:
-        """Run one trial on the worker's lane window.
-
-        Returns ``(result, lane, forked_at_cycle)``.  The window opens
-        at the bucket's fork epoch, the shared golden stream advances
-        to the trial's occurrence cut (paying the armed prefix once for
-        every lane of the window), the paused world is stacked into the
-        trial's lane, and the trial executes from there; the lane row
-        restores the shared world afterwards.  Any position the shared
-        stream cannot reach retires the lane (:exc:`LaneBail`) — the
-        caller re-runs the trial on the scalar fork tier.
-        """
-        t0 = time.perf_counter()
-        cg0 = self.pa.program.tier2_codegen_s
-        win = self._lane
-        if win is not None and (win["epoch"] != fork_epoch
-                                or win["used"] >= win["stack"].width):
-            self._lane_close()
-            win = None
-        if win is None:
-            self.advance_to(fork_epoch)
-            win = self._lane_open(fork_epoch, width)
-        sched = self._sched
-        machines = self.machines
-        ec = self.pa.golden.epoch_counters
-        cut = stream_cut(faults, ec) if ec else None
-        if cut is None:
-            self._lane_bail("fault plan unreachable on this golden profile")
-        rank, target, reach = cut
-        m = machines[rank]
-        if m.inj_counter > target:
-            self._lane_bail(
-                f"cut (rank {rank}, counter {target}) lies behind the "
-                f"shared stream position ({m.inj_counter})")
-        if m.inj_counter < target:
-            # Arm the occurrence-cut pause: the counter matches with no
-            # armed fault, the cut instruction executes normally, and
-            # the run loop stops right after it.  The backstop epoch
-            # cannot preempt a reachable pause — the cut executes while
-            # the loop-top epoch is still below it.
-            m.inj_next = target
-            m._armed = []
-            m._armed_idx = 0
-            m._pause_armed = True
-            try:
-                res = sched.run(stop_at_epoch=reach)
-            except BaseException:
-                self._lane_close()
-                raise
-            if res is not None:
-                self._lane_bail(
-                    "golden run completed before the cut; fault plan "
-                    "does not match this golden profile")
-            if sched._cut is None:
-                # stop_at_epoch backstop fired without a pause: the cut
-                # instruction signalled past SIG_INJECT (terminator)
-                m._pause_armed = False
-                m.inj_next = 0
-                self._lane_bail(
-                    f"occurrence cut overshot on rank {rank} "
-                    f"(marked terminator at counter {target})")
-        # Validity: every occurrence of the plan must still lie ahead,
-        # or arming would silently drop a fault (multi-fault plans with
-        # occurrences on other ranks).  Stream-order cut selection makes
-        # this always true; the check keeps a profile mismatch loud.
-        for f in faults:
-            if machines[f.rank].inj_counter >= f.occurrence:
-                self._lane_bail(
-                    f"occurrence {f.occurrence} on rank {f.rank} already "
-                    f"passed at the cut")
-        lane = win["used"]
-        forked_at = max(m.cycles for m in machines)
-        try:
-            win["stack"].capture(lane, machines)
-            win["rows"].append((
-                [self._capture_light(mm) for mm in machines],
-                self.runtime.snapshot_state(),
-            ))
-        except BaseException:
-            self._lane_close()
-            raise
-        win["used"] = lane + 1
-        # shared positioning cost — window open + stream advance to the
-        # cut + lane capture, net of the trace variants the advance was
-        # first to enter — reported apart from the trial's own run,
-        # exactly like the scalar tier's fork_advance stage
-        self.last_lane_advance_s = (
-            time.perf_counter() - t0
-            - (self.pa.program.tier2_codegen_s - cg0))
-        trial_cut = sched._cut
-        try:
-            for mm in machines:
-                mm.arm_faults(faults, seed=inj_seed)
-            config = self.config
-            trial = Scheduler(
-                machines, self.runtime,
-                quantum=config.quantum,
-                max_cycles=config.max_cycles,
-                sample_every=config.sample_every,
-                wall_deadline=(
-                    time.monotonic() + wall_timeout
-                    if wall_timeout is not None else None
-                ),
-                start_epoch=sched.start_epoch,
-                trace=self._copy_trace(sched.initial_trace),
-                cml_stream=cml_stream,
-                prune=prune,
-                cut=trial_cut,
-            )
-            result = trial.run()
-            self.lane_trials += 1
-            return result, lane, forked_at
-        finally:
-            try:
-                # back to the paused shared-stream position, so the next
-                # lane's advance resumes from the latest cut
-                win["stack"].restore(lane, machines)
-                light, rt_state = win["rows"][lane]
-                for mm, st in zip(machines, light):
-                    self._restore_light(mm, st)
-                self.runtime.restore_state(rt_state)
-            except BaseException:  # pragma: no cover - defensive
-                self._lane = None
-                self._sched = None
-                self.machines = []
-                self.runtime = None
-                raise
-
     def stats(self) -> dict:
         return {
             "epoch": self.epoch,
             "tier2": self.use_tier2,
             "trials": self.trials,
-            "lane_trials": self.lane_trials,
             "cold_starts": self.cold_starts,
             "rewinds": self.rewinds,
         }
@@ -489,14 +275,12 @@ class GoldenCursor:
                 for fr in m.call_stack
             ],
             m.fpm.snapshot_state() if m.fpm is not None else None,
-            m._pause_spent,
         )
 
     @staticmethod
     def _restore_light(m: Machine, st: tuple) -> None:
         (status, cycles, iterations, outputs, rng_state, inj_counter,
-         coll_seq, pending, ret_val, ret_val_p, frames, fpm_state,
-         pause_spent) = st
+         coll_seq, pending, ret_val, ret_val_p, frames, fpm_state) = st
         m.status = status
         m.cycles = cycles
         m.iteration_count = iterations
@@ -525,9 +309,3 @@ class GoldenCursor:
         m._armed = []
         m._armed_idx = 0
         m.inj_next = 0
-        m._pause_armed = False
-        m._pause_hit = False
-        # part of the captured position, not trial instrumentation: a
-        # world captured mid-quantum (at an occurrence cut) re-counts
-        # these uncommitted instructions when its quantum resumes
-        m._pause_spent = pause_spent

@@ -66,15 +66,12 @@ class CampaignHealth:
     pruned_cycles: int = 0
     #: trials executed COW-forked off a shared golden world
     forked_trials: int = 0
-    #: trials executed on the lane tier — batched over one shared
-    #: golden-stream advance in a worker's lane window
-    lane_trials: int = 0
     #: memory pages those trials' COW transactions actually copied
     pages_copied: int = 0
     #: wall-clock duration of the execution phase, seconds
     wall_time_s: float = 0.0
     #: cumulative wall seconds per trial execution stage, summed over
-    #: every trial (artifact_load / snapshot_restore / clone / execute /
+    #: every trial (artifact_load / snapshot_restore / fork_advance / execute /
     #: tier2_codegen — the last is what trials spent compiling trace
     #: variants they were first in their process to enter, taken out of
     #: the stage that entered them so the rows stay disjoint); resumed

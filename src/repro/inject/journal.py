@@ -394,7 +394,7 @@ def read_journal(path: Union[str, Path]) -> Tuple[dict, Dict[int, object]]:
 #: ignores, plus the harness retry count
 _NON_SCIENCE_FIELDS = (
     "stage_timings", "cml_stream", "obs", "pruned_at_cycle",
-    "forked_at_cycle", "pages_copied", "lane", "retries",
+    "forked_at_cycle", "pages_copied", "retries",
 )
 
 

@@ -25,7 +25,6 @@ from ..mpi import JobStatus
 from ..vm import CompiledProgram, SnapshotStore
 from ..vm import tier2 as vm_tier2
 from ..vm.fingerprint import FingerprintIndex
-from ..vm.worldcache import WorldCache
 
 
 @dataclass
@@ -171,10 +170,6 @@ class PreparedApp:
                         stacklevel=2,
                     )
                     self.artifact_ref = None
-        #: warm-world clone cache for batched fast-forward trials
-        self.world_cache: Optional[WorldCache] = (
-            WorldCache() if self.snapshots is not None else None
-        )
         #: wall seconds spent preparing (compile + profile or artifact
         #: load) — reported once as the artifact-load stage timing
         self.prepare_s = time.perf_counter() - t0

@@ -55,6 +55,9 @@ class JobResult:
     #: virtual time at which convergence pruning spliced the golden tail
     #: onto this job, or None for a fully executed run
     pruned_at_cycle: Optional[int] = None
+    #: wall seconds ``run_job`` spent restoring a snapshot before the run
+    #: (0.0 for a cold start); a wall clock, so never part of equality
+    restore_s: float = field(default=0.0, compare=False)
 
     @property
     def crashed(self) -> bool:
@@ -88,7 +91,6 @@ class Scheduler:
         fingerprints=None,
         prune=None,
         epoch_counters=None,
-        cut=None,
     ) -> None:
         self.machines = list(machines)
         self.runtime = runtime
@@ -126,12 +128,6 @@ class Scheduler:
         #: must not pay a live-memory hash at every stride epoch
         self._prune_failures = 0
         self._prune_skip = 0
-        #: mid-epoch resume point ``(machine index, leftover budget)``
-        #: left by a lane-tier occurrence-cut pause (or given to a trial
-        #: scheduler picking up a paused world); consumed by the first
-        #: :meth:`run` iteration — machines before the index already ran
-        #: their quantum this epoch, the indexed one gets the leftover
-        self._cut = cut
 
     def run(self, stop_at_epoch: Optional[int] = None) -> Optional[JobResult]:
         """Run to job completion, or — with ``stop_at_epoch`` — pause.
@@ -158,40 +154,20 @@ class Scheduler:
         status = JobStatus.COMPLETED
         trap: Optional[Trap] = None
         epoch = self.start_epoch
-        cut = self._cut
-        self._cut = None
 
         while True:
-            # a pending cut means the current epoch is already half run:
-            # finish it before the stop check may fire, or a same-epoch
-            # mid-epoch resume would pause again without progressing
-            if (cut is None and stop_at_epoch is not None
-                    and epoch >= stop_at_epoch):
+            if stop_at_epoch is not None and epoch >= stop_at_epoch:
                 self.start_epoch = epoch
                 self.initial_trace = trace
                 return None
-            ran_any = cut is not None
-            for i, m in enumerate(machines):
-                if cut is not None and i < cut[0]:
-                    continue  # already ran its quantum this epoch
+            ran_any = False
+            for m in machines:
                 if m.status is MachineStatus.READY:
                     ran_any = True
-                    b = cut[1] if cut is not None and i == cut[0] \
-                        else quantum
-                    if m.run(b) is MachineStatus.TRAPPED:
+                    if m.run(quantum) is MachineStatus.TRAPPED:
                         status = JobStatus.TRAPPED
                         trap = m.trap
                         break
-                    if m._pause_hit:
-                        # occurrence-cut pause: park mid-epoch, exactly
-                        # resumable by a later run() on this scheduler
-                        # or by a trial scheduler given this cut
-                        m._pause_hit = False
-                        self._cut = (i, m._pause_left)
-                        self.start_epoch = epoch
-                        self.initial_trace = trace
-                        return None
-            cut = None
             if trap is not None:
                 break
 

@@ -59,20 +59,13 @@ DESCRIPTIONS: Dict[str, str] = {
     "repro_cycles_pruned_total":
         "Virtual cycles spliced from the golden tail instead of executed.",
     "repro_world_restores_total":
-        "World restores by path (cold reconstruction / warm clone).",
+        "Snapshot restores performed by restore-path trials.",
     "repro_trials_forked_total":
         "Trials executed COW-forked off a shared golden world.",
     "repro_pages_copied_total":
         "Memory pages copied by trial COW transactions.",
     "repro_fork_fallback_total":
         "Fork-at-injection trials degraded to the restore path.",
-    "repro_lane_enters_total":
-        "Trials executed on the lane tier (batched golden-stream "
-        "advance over stacked world buffers).",
-    "repro_lane_retirements_total":
-        "Lane trials retired to the scalar fork tier.",
-    "repro_lane_reconverged_total":
-        "Lane trials finished early by golden reconvergence pruning.",
     "repro_tier2_enters_total":
         "Compiled golden-trace segments entered (tier-2 execution).",
     "repro_tier2_deopts_total":
@@ -81,8 +74,6 @@ DESCRIPTIONS: Dict[str, str] = {
         "Virtual cycles executed inside compiled tier-2 segments.",
     "repro_tier2_variants_compiled_total":
         "Tier-2 trace variants compiled on their first entry.",
-    "worldcache_pages":
-        "Resident memory pages held by the worker's warm-world cache.",
     "repro_shadow_entries":
         "Contaminated memory locations (CML) at the last stream sample.",
     "repro_cml_stream_samples_total":

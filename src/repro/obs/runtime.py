@@ -1,6 +1,6 @@
 """Process-local observability state: the no-op-by-default emitters.
 
-Instrumented sites across the stack (VM, MPI runtime, world cache,
+Instrumented sites across the stack (VM, MPI runtime, job runner,
 campaign driver) call the module-level helpers :func:`emit`,
 :func:`span_record`, :func:`inc`, :func:`observe_hist` and
 :func:`set_gauge`.  When no trial is being observed — the default —

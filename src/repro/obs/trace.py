@@ -10,7 +10,7 @@ record.  Record types (the span taxonomy is documented in
   start of the trial (or of the campaign for driver-side spans),
   ``dur`` is its length in seconds.
 * ``event`` — an instant: VM/MPI happenings inside a trial
-  (``injection``, ``mpi_send_contaminated``, ``warm_clone``) and
+  (``injection``, ``mpi_send_contaminated``) and
   engine-level supervision (``watchdog_kill``, ``worker_respawn``,
   ``retry``, ``quarantine``).
 * ``trial`` — the per-trial summary emitted once the engine records the

@@ -34,7 +34,6 @@ from .rng import Lcg64
 from .snapshot import SnapshotStore, WorldSnapshot, restore_world
 from .tier2 import derive_plan, install_plan
 from .traps import Trap, TrapKind
-from .worldcache import WorldCache
 
 __all__ = [
     "BLOCK", "CompiledFunction", "CompiledProgram", "FaultSpec",
@@ -46,5 +45,5 @@ __all__ = [
     "flip_float_bit", "install_plan", "flip_int_bit",
     "float_to_bits", "get_intrinsic", "is_intrinsic", "quick_signature",
     "restore_world",
-    "to_signed64", "to_unsigned64", "wrap_i64", "WorldCache",
+    "to_signed64", "to_unsigned64", "wrap_i64",
 ]

@@ -149,18 +149,6 @@ class Machine:
         self._inj_rng = Lcg64(seed ^ 0xFA17, stream=rank)
         self.injection_events: List[InjectionEvent] = []
 
-        # Lane-tier occurrence-cut pause (see repro.vm.lanes): the lane
-        # window arms ``inj_next`` with *no* armed faults so the marked
-        # instruction at the cut executes normally but still signals
-        # SIG_INJECT; the run loop then stops right after it, leaving
-        # the machine mid-quantum with ``_pause_left`` budget unspent.
-        self._pause_armed = False
-        self._pause_hit = False
-        self._pause_left = 0
-        # instructions of the current quantum executed before a pause but
-        # not yet committed to ``cycles``; re-counted by the resuming run
-        self._pause_spent = 0
-
         #: members completed by a fused segment before one of them raised;
         #: the run loop folds this into its instruction count so trap
         #: cycles are identical to single-step dispatch
@@ -304,15 +292,7 @@ class Machine:
         code = blocks[f.block]
         fmap = fblocks[f.block]
         ip = f.ip
-        # Re-open a pause-split quantum: the instructions executed before
-        # the occurrence cut were left uncommitted (``cycles`` still reads
-        # the quantum start, exactly as in an unsplit run), so count from
-        # there and stretch the budget back to the full quantum.  Every
-        # cycle observer then sees identical values whether the quantum
-        # was split by a lane pause or ran in one piece.
-        n = self._pause_spent
-        self._pause_spent = 0
-        budget += n
+        n = 0
         t2n = t2d = t2c = 0
         try:
             while n < budget:
@@ -403,25 +383,8 @@ class Machine:
                         self.status = MachineStatus.BLOCKED
                         break
                     if sig == SIG_INJECT:
-                        # a lane-tier pause matches the counter with no
-                        # armed fault, so no event was appended
-                        if self.injection_events:
-                            self.injection_events[-1].cycle = self.cycles + n
+                        self.injection_events[-1].cycle = self.cycles + n
                         ip += 1
-                        if self._pause_armed:
-                            # occurrence cut: stop right *after* the
-                            # matched instruction, mid-quantum; the
-                            # scheduler resumes with the leftover budget.
-                            # The segment's cycles stay uncommitted
-                            # (``_pause_spent``) so quantum-grained cycle
-                            # reads stay bit-identical to an unsplit run.
-                            self._pause_armed = False
-                            self._pause_hit = True
-                            self._pause_left = budget - n
-                            self._pause_spent = n
-                            n = 0
-                            f.ip = ip
-                            break
                         continue
                 # SIG_RET (from either dispatch path)
                 done = stack.pop()

@@ -10,9 +10,7 @@ word and a page copy, snapshot, or fingerprint is one array-slice
 operation instead of a per-word Python loop.  A one-byte ``fkind`` tag
 per word records which view wrote it last, preserving the exact
 int-vs-float observability of the old mixed Python list (``0`` and
-``0.0`` share bit patterns but remain distinct values).  The lane tier
-(:mod:`.lanes`) stacks N of these buffers into a ``(lanes, words)``
-array and executes trials in lockstep over the columns.
+``0.0`` share bit patterns but remain distinct values).
 
 Layout::
 
@@ -389,8 +387,7 @@ class ProcessMemory:
         pointer (``hp`` is monotone between restores; free-list reuse
         never lowers it).  Cells left under ``valid == 0`` may keep
         stale values; every access path is validity-checked, so that is
-        observationally exact.  The one shared dirty-tracking primitive
-        of both restore paths — they cannot drift."""
+        observationally exact."""
         valid = self.valid
         if self.sp_peak > 1:
             valid[1:self.sp_peak] = b"\x00" * (self.sp_peak - 1)
@@ -434,53 +431,4 @@ class ProcessMemory:
             fk[base:base + size] = blk_fk
             valid[base:base + size] = b"\x01" * size
             blocks[base] = size
-        self._set_restored_meta(sp, hp, blocks, free_lists, live_words)
-
-    # ------------------------------------------------------------------
-    # Warm-world clone support
-    # ------------------------------------------------------------------
-    def dense_state(self) -> tuple:
-        """Materialized template of the current memory for fast cloning.
-
-        Unlike :meth:`snapshot_state` (sparse — proportional to live
-        state, meant for long-lived stores), the dense form trades space
-        for clone speed: restoring it is a handful of bulk slice copies
-        instead of a zero-fill plus per-region reconstruction.  The lane
-        tier also consumes this form to stack worlds into its
-        ``(lanes, words)`` array.
-        """
-        ci = self.cells_i.copy()
-        ci.flags.writeable = False
-        return (
-            self.sp,
-            self.hp,
-            ci,
-            bytes(self.fkind),
-            bytes(self.valid),
-            dict(self.heap_blocks),
-            {size: list(bucket) for size, bucket in self.free_lists.items()},
-            self.live_words,
-        )
-
-    def restore_dense(self, state: tuple) -> None:
-        """Reset to a template captured by :meth:`dense_state`.
-
-        Shares the dirty-tracking path with :meth:`restore_state`
-        (:meth:`_wipe_dirty` + :meth:`_set_restored_meta`), then
-        overlays only the regions the template can populate — the
-        stack ``[1, sp)`` and the heap ``[stack_words, hp)`` — as
-        in-place bulk copies, so back-to-back warm clones neither
-        allocate nor touch anything of capacity size.
-        """
-        if self._tx is not None:
-            raise RuntimeError("cannot restore during a COW transaction")
-        sp, hp, ci, fk, valid, blocks, free_lists, live_words = state
-        self._wipe_dirty()
-        self.cells_i[1:sp] = ci[1:sp]
-        self.fkind[1:sp] = fk[1:sp]
-        self.valid[1:sp] = valid[1:sp]
-        if hp > self.stack_words:
-            self.cells_i[self.stack_words:hp] = ci[self.stack_words:hp]
-            self.fkind[self.stack_words:hp] = fk[self.stack_words:hp]
-            self.valid[self.stack_words:hp] = valid[self.stack_words:hp]
         self._set_restored_meta(sp, hp, blocks, free_lists, live_words)

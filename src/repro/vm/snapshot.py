@@ -139,15 +139,8 @@ def _capture_machine(m: Machine) -> _MachineState:
     )
 
 
-def _restore_machine(m: Machine, st: _MachineState,
-                     dense_memory: Optional[tuple] = None) -> None:
-    if dense_memory is not None:
-        # warm-world clone: the dense template was materialized from a
-        # cold restore of this same snapshot, so the two paths are
-        # observationally identical (see repro.vm.worldcache)
-        m.memory.restore_dense(dense_memory)
-    else:
-        m.memory.restore_state(st.memory)
+def _restore_machine(m: Machine, st: _MachineState) -> None:
+    m.memory.restore_state(st.memory)
     if st.fpm is not None:
         if m.fpm is None:  # pragma: no cover - program modes must match
             raise SnapshotError("snapshot has FPM state but machine has none")
@@ -264,21 +257,6 @@ class SnapshotStore:
         violation.  Returns None (a miss) when no snapshot qualifies or
         a fault targets a rank outside the snapshot's world.
         """
-        best = self.probe(faults)
-        if best is None:
-            self.misses += 1
-            _obs.inc("repro_snapshot_lookup_total", result="miss")
-        else:
-            self.hits += 1
-            _obs.inc("repro_snapshot_lookup_total", result="hit")
-        return best
-
-    def probe(self, faults: Sequence) -> Optional[WorldSnapshot]:
-        """Like :meth:`best_for` but without touching the hit/miss stats.
-
-        Used by the campaign scheduler to *plan* snapshot-locality
-        batches without distorting the per-trial accounting.
-        """
         best: Optional[WorldSnapshot] = None
         if self._snaps and faults:
             for snap in self._snaps.values():
@@ -292,6 +270,12 @@ class SnapshotStore:
                 if not ok:
                     break
                 best = snap
+        if best is None:
+            self.misses += 1
+            _obs.inc("repro_snapshot_lookup_total", result="miss")
+        else:
+            self.hits += 1
+            _obs.inc("repro_snapshot_lookup_total", result="hit")
         return best
 
     def best_at_epoch(self, epoch: int) -> Optional[WorldSnapshot]:
@@ -355,29 +339,20 @@ class SnapshotStore:
 
 
 def restore_world(snap: WorldSnapshot, machines: Sequence[Machine],
-                  runtime, dense_memory: Optional[Sequence[tuple]] = None,
-                  ) -> Tuple[int, Optional[PropagationTrace]]:
+                  runtime) -> Tuple[int, Optional[PropagationTrace]]:
     """Restore a snapshot into freshly constructed machines + runtime.
 
     Returns ``(start_epoch, trace)`` for the scheduler: the epoch count
     resumes where the golden run stood and the trace is pre-filled with
     the golden prefix so CML(t) curves are bit-identical to cold runs.
-
-    ``dense_memory`` optionally supplies per-rank dense memory templates
-    (see :class:`repro.vm.worldcache.WorldCache`) that replace the
-    sparse memory reconstruction with bulk copies.
     """
     if len(machines) != len(snap.machines):
         raise SnapshotError(
             f"snapshot has {len(snap.machines)} ranks, job has "
             f"{len(machines)}"
         )
-    if dense_memory is None:
-        for m, st in zip(machines, snap.machines):
-            _restore_machine(m, st)
-    else:
-        for m, st, dense in zip(machines, snap.machines, dense_memory):
-            _restore_machine(m, st, dense)
+    for m, st in zip(machines, snap.machines):
+        _restore_machine(m, st)
     runtime.restore_state(snap.runtime)
     trace: Optional[PropagationTrace] = None
     if snap.trace is not None:

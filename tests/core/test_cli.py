@@ -45,6 +45,13 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("flag", [["--lanes", "8"], ["--no-lanes"]])
+    def test_deleted_lane_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "matvec", "--trials", "4"] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_multi_fault_flag(self, capsys):
         assert main(["campaign", "matvec", "--trials", "5",
                      "--faults", "2", "--seed", "1"]) == 0

@@ -43,6 +43,17 @@ class TestPublicSurface:
         assert sorted(repro.__all__) == list(repro.__all__)
         assert len(set(repro.__all__)) == len(repro.__all__)
 
+    def test_deleted_tiers_left_no_exports(self):
+        import repro.inject
+        import repro.vm
+
+        for mod, gone in ((repro.inject, ("plan_batches",
+                                          "batch_by_snapshot")),
+                          (repro.vm, ("WorldCache",))):
+            for name in gone:
+                assert name not in mod.__all__
+                assert not hasattr(mod, name)
+
 
 class TestImportHygiene:
     """``import repro`` is paid by every process a campaign starts."""

@@ -10,7 +10,6 @@ from repro.core.settings import (
     DEFAULT_PREFETCH,
     DEFAULT_SNAPSHOT_LIMIT,
     DEFAULT_TRIALS,
-    DEFAULT_WORLD_CACHE,
     Settings,
     current_settings,
     env_int,
@@ -28,10 +27,23 @@ def test_defaults_with_empty_environment():
     assert s.trial_timeout is None
     assert s.snapshot_verify == "first"
     assert s.fuse is True
-    assert s.batch_by_snapshot is True
     assert s.obs_trace is None
     assert s.obs_metrics is None
     assert s.obs_cml_stride == 0
+
+
+def test_surface_is_the_25_remaining_knobs():
+    import dataclasses
+
+    names = {f.name for f in dataclasses.fields(Settings)}
+    assert len(names) == 25
+    assert not names & {"lanes", "world_cache", "world_cache_pages",
+                        "batch_by_snapshot"}
+    # a deleted knob left in the environment is simply not read
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _settings(REPRO_LANES="junk", REPRO_WORLD_CACHE="junk",
+                         REPRO_BATCH_BY_SNAPSHOT="junk") == Settings()
 
 
 def test_valid_values_parse():
@@ -61,11 +73,10 @@ def test_clamping_knobs_clamp_silently():
     """Prefetch/cache/stride knobs keep their historical floor-clamp."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s = _settings(REPRO_PREFETCH=0, REPRO_WORLD_CACHE=-3,
+        s = _settings(REPRO_PREFETCH=0,
                       REPRO_SNAPSHOT_STRIDE=-1, REPRO_SNAPSHOT_LIMIT=1,
                       REPRO_OBS_CML_STRIDE=-5)
     assert s.prefetch == 1
-    assert s.world_cache == 0
     assert s.snapshot_stride == 0
     assert s.snapshot_limit == 2
     assert s.obs_cml_stride == 0
@@ -91,10 +102,10 @@ def test_bad_float_warns():
 
 def test_blank_values_mean_unset():
     s = _settings(REPRO_TRIALS="  ", REPRO_ARTIFACT_DIR="",
-                  REPRO_WORLD_CACHE="")
+                  REPRO_PREFETCH="")
     assert s.trials == DEFAULT_TRIALS
     assert s.artifact_dir is None
-    assert s.world_cache == DEFAULT_WORLD_CACHE
+    assert s.prefetch == DEFAULT_PREFETCH
 
 
 def test_current_settings_rereads_environment(monkeypatch):
@@ -163,18 +174,15 @@ def test_call_sites_resolve_through_settings(monkeypatch):
     from repro.inject.campaign import default_trials, default_workers
     from repro.inject.engine import prefetch_depth
     from repro.vm.snapshot import default_snapshot_stride
-    from repro.vm.worldcache import default_world_cache_limit
 
     monkeypatch.setenv("REPRO_TRIALS", "33")
     monkeypatch.setenv("REPRO_WORKERS", "2")
     monkeypatch.setenv("REPRO_PREFETCH", "5")
     monkeypatch.setenv("REPRO_SNAPSHOT_STRIDE", "512")
-    monkeypatch.setenv("REPRO_WORLD_CACHE", "9")
     assert default_trials(None) == 33
     assert default_workers(None) == 2
     assert prefetch_depth() == 5
     assert default_snapshot_stride(None) == 512
-    assert default_world_cache_limit() == 9
     # explicit arguments still beat the environment
     assert default_trials(5) == 5
     assert default_workers(1) == 1

@@ -29,6 +29,15 @@ def test_every_registered_knob_is_documented(doc):
     assert not missing, f"{doc} does not document: {missing}"
 
 
+@pytest.mark.parametrize("doc", ["README.md", "docs/INTERNALS.md",
+                                 ".github/workflows/ci.yml"])
+def test_deleted_knobs_are_not_documented(doc):
+    text = (REPO / doc).read_text()
+    stale = [k for k in ("REPRO_LANES", "REPRO_WORLD_CACHE",
+                         "REPRO_BATCH_BY_SNAPSHOT") if k in text]
+    assert not stale, f"{doc} still mentions: {stale}"
+
+
 def test_knob_env_names_are_well_formed():
     # the uniform "REPRO_" + name.upper() mapping the docs promise
     assert all(re.fullmatch(r"REPRO_[A-Z0-9_]+", k) for k in KNOBS)

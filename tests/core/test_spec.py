@@ -68,6 +68,10 @@ class TestFromKwargs:
         with pytest.raises(CampaignError, match="unknown campaign keyword"):
             CampaignSpec.from_kwargs("matvec", frobnicate=True)
 
+    def test_deleted_lanes_keyword_is_unknown(self):
+        with pytest.raises(CampaignError, match="unknown campaign keyword"):
+            CampaignSpec.from_kwargs("matvec", lanes=8)
+
     def test_kwargs_round_trips_params_to_dict(self):
         spec = CampaignSpec(app="matvec", trials=12, params={"n": 8},
                             executor="pool")

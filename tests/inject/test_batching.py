@@ -1,26 +1,16 @@
-"""Snapshot-locality scheduling and per-trial stage timings.
+"""Bucket scheduling and per-trial stage timings.
 
-Batching reorders *execution* only — results are stored by trial index,
-and all randomness is drawn up front — so campaigns with batching on
-and off must be bit-identical, serial or pooled, fresh or resumed.
+Fork-epoch buckets reorder *execution* only — results are stored by
+trial index, and all randomness is drawn up front — so campaigns must be
+bit-identical serial or pooled, fresh or resumed.
 """
-
-import json
 
 import pytest
 
 from repro.analysis import campaign_from_json, campaign_to_json
 from repro.analysis.report import render_health_summary
-from repro.apps import get_app
-from repro.inject import (
-    PreparedApp,
-    batch_by_snapshot,
-    plan_batches,
-    run_campaign,
-    trial_results_equal,
-)
+from repro.inject import run_campaign, trial_results_equal
 from repro.inject import campaign as campaign_mod
-from repro.inject.campaign import _build_jobs
 from repro.inject.engine import resume_campaign
 
 
@@ -30,77 +20,7 @@ def fresh_cache(monkeypatch):
                         type(campaign_mod._PREPARED_CACHE)())
 
 
-def _jobs_and_store(trials=24, stride=150, seed=17):
-    pa = PreparedApp(get_app("matvec"), "blackbox", snapshot_stride=stride)
-    jobs = _build_jobs("matvec", (), "blackbox", pa.golden, trials, 1,
-                       seed, None, None, False, None, stride)
-    return jobs, pa.snapshots
-
-
-class TestPlanBatches:
-    def test_batches_partition_all_indices(self):
-        jobs, store = _jobs_and_store()
-        batches = plan_batches(jobs, store, workers=1)
-        flat = [i for b in batches for i in b]
-        assert sorted(flat) == list(range(len(jobs)))
-
-    def test_batches_group_by_snapshot_cycle(self):
-        jobs, store = _jobs_and_store()
-        batches = plan_batches(jobs, store, workers=1)
-        cycles = []
-        for batch in batches:
-            snap_cycles = {
-                (store.probe(jobs[i][3]).cycle
-                 if store.probe(jobs[i][3]) is not None else -1)
-                for i in batch
-            }
-            assert len(snap_cycles) == 1, "batch mixes snapshots"
-            cycles.append(snap_cycles.pop())
-        assert cycles == sorted(cycles), "batches not in cycle order"
-
-    def test_deterministic_across_calls(self):
-        jobs, store = _jobs_and_store()
-        assert plan_batches(jobs, store, 4) == plan_batches(jobs, store, 4)
-
-    def test_oversized_groups_split_for_workers(self):
-        jobs, store = _jobs_and_store(trials=40)
-        one = plan_batches(jobs, store, workers=1)
-        four = plan_batches(jobs, store, workers=4)
-        big = max(len(b) for b in one)
-        assert big > 4  # precondition: some snapshot dominates
-        assert len(four) > len(one)
-        # every group larger than the worker count was cut down to
-        # ceil(len / workers)-sized chunks
-        expected_max = max(
-            len(b) if len(b) <= 4 else -(-len(b) // 4) for b in one
-        )
-        assert max(len(b) for b in four) == expected_max
-        # splitting never reorders trials, only cuts group boundaries
-        assert [i for b in one for i in b] == [i for b in four for i in b]
-
-    def test_env_escape_hatch(self, monkeypatch):
-        assert batch_by_snapshot() is True
-        monkeypatch.setenv("REPRO_BATCH_BY_SNAPSHOT", "0")
-        assert batch_by_snapshot() is False
-        monkeypatch.setenv("REPRO_BATCH_BY_SNAPSHOT", "off")
-        assert batch_by_snapshot() is False
-        monkeypatch.setenv("REPRO_BATCH_BY_SNAPSHOT", "1")
-        assert batch_by_snapshot() is True
-        assert batch_by_snapshot(False) is False
-
-
 class TestCampaignIdentity:
-    @pytest.mark.parametrize("mode", ["blackbox", "fpm"])
-    def test_batched_equals_unbatched_serial(self, monkeypatch, mode):
-        on = run_campaign("matvec", trials=18, mode=mode, seed=23,
-                          keep_series=True, snapshot_stride=150)
-        campaign_mod._PREPARED_CACHE.clear()
-        monkeypatch.setenv("REPRO_BATCH_BY_SNAPSHOT", "0")
-        off = run_campaign("matvec", trials=18, mode=mode, seed=23,
-                           keep_series=True, snapshot_stride=150)
-        for a, b in zip(on.trials, off.trials):
-            assert trial_results_equal(a, b)
-
     def test_batched_pool_equals_serial(self, tmp_path):
         serial = run_campaign("matvec", trials=16, mode="blackbox", seed=8,
                               snapshot_stride=150,
@@ -153,22 +73,32 @@ class TestStageTimings:
                          snapshot_stride=150)
         for t in c.trials:
             assert t.stage_timings is not None
-            # forked trials add a fork_advance stage and lane trials a
-            # lane_advance stage on top of the base set
-            assert {"artifact_load", "snapshot_restore", "clone",
+            # forked trials add a fork_advance stage on top of the
+            # base set
+            assert {"artifact_load", "snapshot_restore",
                     "execute"} <= set(t.stage_timings) <= {
-                "artifact_load", "snapshot_restore", "clone", "execute",
-                "fork_advance", "lane_advance", "tier2_codegen"}
+                "artifact_load", "snapshot_restore", "execute",
+                "fork_advance", "tier2_codegen"}
             assert all(v >= 0.0 for v in t.stage_timings.values())
 
     def test_health_aggregates_timings(self):
         c = run_campaign("matvec", trials=6, mode="blackbox", seed=3,
                          snapshot_stride=150)
         agg = c.health.stage_timings
-        for stage in ("artifact_load", "snapshot_restore", "clone",
-                      "execute"):
+        for stage in ("artifact_load", "snapshot_restore", "execute"):
             total = sum(t.stage_timings[stage] for t in c.trials)
             assert agg[stage] == pytest.approx(total)
+
+    def test_restore_rung_times_and_counts_its_restores(self):
+        c = run_campaign("matvec", trials=10, mode="fpm", seed=3,
+                         snapshot_stride=150, fork=False, observe=True)
+        restored = [t for t in c.trials
+                    if t.stage_timings["snapshot_restore"] > 0.0]
+        assert restored, "no trial fast-forwarded from a snapshot"
+        series = c.metrics["counters"]["repro_world_restores_total"]
+        assert sum(value for _, value in series) == len(restored)
+        assert c.health.stage_timings["snapshot_restore"] == pytest.approx(
+            sum(t.stage_timings["snapshot_restore"] for t in restored))
 
     def test_tier2_codegen_is_a_per_campaign_delta(self):
         # traces compile on first entry, so the cost belongs to the

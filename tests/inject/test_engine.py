@@ -370,6 +370,33 @@ class TestJournalAndResume:
         assert [t.outcome for t in resumed.trials] == \
             [t.outcome for t in full.trials]
 
+    def test_remote_resume_replans_the_recording_bucket_split(
+            self, tmp_path, monkeypatch):
+        # one worker, two shards: the split must follow the shard count
+        # in both entry points, or one daemon drains the oversized bucket
+        real = campaign_mod.plan_fork_batches
+        plans = []
+
+        def spy(jobs, workers=1):
+            plans.append((workers, real(jobs, workers), real(jobs, 1)))
+            return plans[-1][1]
+
+        monkeypatch.setattr(campaign_mod, "plan_fork_batches", spy)
+        path = tmp_path / "r.jsonl"
+        full = run_campaign("matvec", trials=80, mode="blackbox", seed=17,
+                            snapshot_stride=150, journal=str(path),
+                            executor="remote", shards=2,
+                            artifact_dir=str(tmp_path / "art"))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:9]) + "\n")
+        resumed = resume_campaign(path, executor="remote", shards=2)
+        (w_run, split_run, unsplit), (w_resume, split_resume, _) = plans
+        assert w_run == w_resume == 2
+        assert split_run == split_resume
+        assert len(split_run) > len(unsplit), "no oversized bucket to split"
+        assert [t.outcome for t in resumed.trials] == \
+            [t.outcome for t in full.trials]
+
     def test_torn_final_line_tolerated(self, tmp_path):
         path = tmp_path / "c.jsonl"
         run_campaign("matvec", trials=6, mode="blackbox", seed=11,

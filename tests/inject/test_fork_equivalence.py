@@ -92,8 +92,8 @@ def test_chaos_worker_kill_keeps_epoch_bucket_siblings(
     assert not health.quarantined, "a bucket sibling was lost"
     assert len(chaotic.trials) == N
     assert all(t is not None for t in chaotic.trials)
-    # re-executed trials still run off the respawned workers' shared
-    # cursors — on the lane tier or, when a lane retires, the fork tier
-    assert health.forked_trials + health.lane_trials > 0
+    # re-executed trials still fork off the respawned workers' shared
+    # cursors
+    assert health.forked_trials > 0
     for i, (a, b) in enumerate(zip(chaotic.trials, clean.trials)):
         assert _science_equal(a, b), i

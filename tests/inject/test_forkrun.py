@@ -199,8 +199,7 @@ class TestGoldenCursor:
         pa = PreparedApp(get_app("matvec"), "fpm")
         cursor = GoldenCursor(pa)
         assert set(cursor.stats()) == {"epoch", "tier2", "trials",
-                                       "lane_trials", "cold_starts",
-                                       "rewinds"}
+                                       "cold_starts", "rewinds"}
 
 
 # ----------------------------------------------------------------------
@@ -282,24 +281,23 @@ class TestCampaignFork:
 
     def test_health_aggregates_fork_provenance(self):
         c = run_campaign("matvec", trials=16, mode="fpm", seed=31,
-                         snapshot_stride=150, lanes=0)
+                         snapshot_stride=150)
         forked = [t for t in c.trials if t.forked_at_cycle is not None]
         assert forked, "campaign never forked a trial"
         assert c.health.forked_trials == len(forked)
-        assert c.health.lane_trials == 0
         assert c.health.pages_copied == \
             sum(t.pages_copied or 0 for t in forked)
 
-    def test_health_counts_lane_trials_separately(self):
+    def test_default_campaign_forks_every_trial_with_a_fork_epoch(self):
         c = run_campaign("matvec", trials=16, mode="fpm", seed=31,
-                         snapshot_stride=150, lanes=4)
-        laned = [t for t in c.trials if t.lane is not None]
-        assert laned, "campaign never ran a lane trial"
-        assert c.health.lane_trials == len(laned)
-        # lane trials ride the shared stream, not scalar COW forks
-        assert c.health.forked_trials == \
-            sum(1 for t in c.trials
-                if t.forked_at_cycle is not None and t.lane is None)
+                         snapshot_stride=150)
+        pa = campaign_mod._prepared("matvec", (), "fpm", 150)
+        epochs = [pa.golden.fork_epoch(t.faults) for t in c.trials]
+        assert any(epochs), "no trial had a fork epoch"
+        for epoch, t in zip(epochs, c.trials):
+            assert (t.forked_at_cycle is not None) == (epoch > 0)
+            assert not {"lane_advance", "clone"} & set(t.stage_timings)
+        assert c.health.forked_trials == sum(1 for e in epochs if e > 0)
 
     def test_verify_failure_does_not_inflate_fork_metrics(self, monkeypatch):
         """Regression: a fork trial failing its cold cross-check falls
@@ -325,7 +323,7 @@ class TestCampaignFork:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             c = run_campaign("matvec", trials=6, mode="fpm", seed=31,
-                             snapshot_stride=150, lanes=0,
+                             snapshot_stride=150,
                              observe=ObserveConfig(events=False, cml=False))
         assert state["failed"], "no fork verify ever ran"
 
@@ -407,11 +405,35 @@ class TestCampaignFork:
         monkeypatch.setattr(GoldenCursor, "fork_run", boom)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            # lanes off: this exercises the scalar fork -> restore rung
             degraded = run_campaign("matvec", trials=8, mode="fpm",
-                                    seed=13, snapshot_stride=150, lanes=0)
+                                    seed=13, snapshot_stride=150)
         assert all(t.forked_at_cycle is None for t in degraded.trials)
+        assert any(t.stage_timings["snapshot_restore"] > 0.0
+                   for t in degraded.trials), "restore rung never ran"
         for a, b in zip(baseline.trials, degraded.trials):
+            assert trial_results_equal(a, b)
+
+    def test_fork_failure_without_a_snapshot_lands_on_cold(
+            self, monkeypatch):
+        from repro.vm import SnapshotStore
+
+        baseline = run_campaign("matvec", trials=8, mode="fpm", seed=13,
+                                snapshot_stride=150, fork=False)
+        campaign_mod._PREPARED_CACHE.clear()
+
+        def boom(self, *a, **k):
+            raise SnapshotError("injected fork failure")
+
+        monkeypatch.setattr(GoldenCursor, "fork_run", boom)
+        monkeypatch.setattr(SnapshotStore, "best_for",
+                            lambda self, faults: None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cold = run_campaign("matvec", trials=8, mode="fpm", seed=13,
+                                snapshot_stride=150)
+        for a, b in zip(baseline.trials, cold.trials):
+            assert b.forked_at_cycle is None
+            assert b.stage_timings["snapshot_restore"] == 0.0
             assert trial_results_equal(a, b)
 
     def test_fork_divergence_detected_by_verify_first(self, monkeypatch):

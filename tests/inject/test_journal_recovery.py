@@ -239,3 +239,43 @@ class TestEventFrames:
         assert resumed.health.resumed_trials == 4     # nothing re-ran
         assert resumed.health.journal_recovered_records == 0
         assert resumed.fractions() == ref.fractions()
+
+
+class TestLaneEraJournals:
+    """Journals written while the lane tier existed carry a ``lanes``
+    header key and ``lane`` provenance on their trial frames; both are
+    ignored — such a journal reads, hashes and resumes like any other."""
+
+    def test_reads_hashes_and_resumes_on_the_fork_rung(self, tmp_path):
+        from repro.inject import run_campaign, trial_results_equal
+        from repro.inject.engine import resume_campaign
+        from repro.inject.journal import (
+            _decode_frame, _frame, journal_science_hash,
+        )
+
+        plain = tmp_path / "plain.jsonl"
+        full = run_campaign("matvec", trials=12, mode="fpm", seed=5,
+                            journal=str(plain), snapshot_stride=150)
+        header, *frames = plain.read_text().splitlines()
+        old_header = dict(json.loads(header), lanes=8)
+        old_frames = []
+        for row, line in enumerate(frames):
+            entry = json.loads(_decode_frame(line))
+            entry["trial"]["lane"] = row % 8
+            entry["trial"]["stage_timings"]["lane_advance"] = 0.25
+            old_frames.append(_frame("T", json.dumps(entry)))
+        old = tmp_path / "old.jsonl"
+        old.write_text(json.dumps(old_header) + "\n" + "".join(old_frames))
+
+        read_header, trials = read_journal(old)
+        assert read_header["lanes"] == 8 and sorted(trials) == list(range(12))
+        assert journal_science_hash(old) == journal_science_hash(plain)
+
+        old.write_text(json.dumps(old_header) + "\n"
+                       + "".join(old_frames[:5]))
+        resumed = resume_campaign(old)
+        assert resumed.health.resumed_trials == 5
+        assert resumed.health.forked_trials > 0
+        for a, b in zip(full.trials, resumed.trials):
+            assert trial_results_equal(a, b)
+        assert journal_science_hash(old) == journal_science_hash(plain)

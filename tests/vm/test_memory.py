@@ -217,46 +217,38 @@ def _world_hash(m):
 
 
 class TestRestoreEquivalence:
-    """restore_dense and restore_state share one dirty-tracking path,
-    so from any reachable state both must rebuild the same world."""
+    """restore_state wipes whatever the target dirtied, so from any
+    reachable state it must rebuild the captured world."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
            st.integers(min_value=0, max_value=2 ** 32 - 1))
-    def test_both_restores_produce_identical_world_hash(self, seed_a, seed_b):
+    def test_restore_rebuilds_world_hash_on_dirty_target(self, seed_a,
+                                                         seed_b):
         import random
         src = mem(capacity=2048, stack=512)
         _churn(src, random.Random(seed_a))
         sparse = src.snapshot_state()
-        dense = src.dense_state()
         want = _world_hash(src)
 
-        # two independently dirtied targets, one per restore path
-        via_state = mem(capacity=2048, stack=512)
-        via_dense = mem(capacity=2048, stack=512)
-        _churn(via_state, random.Random(seed_b))
-        _churn(via_dense, random.Random(seed_b ^ 0x5A5A))
-        via_state.restore_state(sparse)
-        via_dense.restore_dense(dense)
-        assert _world_hash(via_state) == want
-        assert _world_hash(via_dense) == want
+        target = mem(capacity=2048, stack=512)
+        _churn(target, random.Random(seed_b))
+        target.restore_state(sparse)
+        assert _world_hash(target) == want
 
-    def test_dense_restore_after_deeper_heap_is_exact(self):
+    def test_restore_after_deeper_heap_is_exact(self):
         # regression guard: the dirty wipe must cover a target whose
-        # bump pointer ran past the template's hp
+        # bump pointer ran past the snapshot's hp
         src = mem()
         p = src.malloc(4)
         src.store(p, 42)
-        dense = src.dense_state()
         sparse = src.snapshot_state()
         tgt = mem()
         for _ in range(10):
             q = tgt.malloc(32)
             tgt.store(q, 1.5)
-        tgt.restore_dense(dense)
-        ref = mem()
-        ref.restore_state(sparse)
-        assert _world_hash(tgt) == _world_hash(ref)
+        tgt.restore_state(sparse)
+        assert _world_hash(tgt) == _world_hash(src)
 
 
 class TestCowTransactions:
@@ -316,12 +308,9 @@ class TestCowTransactions:
     def test_restore_during_tx_raises(self):
         m = mem()
         state = m.snapshot_state()
-        dense = m.dense_state()
         m.begin_tx()
         with pytest.raises(RuntimeError):
             m.restore_state(state)
-        with pytest.raises(RuntimeError):
-            m.restore_dense(dense)
         m.rollback_tx()
         m.restore_state(state)  # fine once the tx is closed
 
