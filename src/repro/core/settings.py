@@ -172,9 +172,6 @@ class Settings:
     fork_trials: bool = True
     #: REPRO_TIER2 — tier-2 golden-trace segment compilation (0 = off)
     tier2: bool = True
-    #: REPRO_TIER2_CAP — max instructions per compiled trace
-    #: (0 = auto: the app's scheduler quantum)
-    tier2_cap: int = 0
     #: REPRO_PAGE_WORDS — COW page size in words (power of two)
     page_words: int = DEFAULT_PAGE_WORDS
     # -- harness resilience ---------------------------------------------
@@ -228,8 +225,6 @@ class Settings:
             fuse=_parse_bool(env, "REPRO_FUSE", True),
             fork_trials=_parse_bool(env, "REPRO_FORK_TRIALS", True),
             tier2=_parse_bool(env, "REPRO_TIER2", True),
-            tier2_cap=_parse_int(
-                env, "REPRO_TIER2_CAP", 0, minimum=0, clamp=True),
             page_words=_parse_pow2(
                 env, "REPRO_PAGE_WORDS", DEFAULT_PAGE_WORDS),
             retry_base_delay=_parse_float(

@@ -335,7 +335,7 @@ def _book(timings: Dict[str, float], stage: str, program, t1: float,
     """Close the stage window opened at ``t1`` / ``cg1``.
 
     ``cg1`` is ``program.tier2_codegen_s`` read when the window opened:
-    tier-2 variants compile on first entry, i.e. inside whichever window
+    tier-2 traces compile on first entry, i.e. inside whichever window
     happens to enter them, so that share moves to ``tier2_codegen`` and
     the stage rows stay disjoint."""
     codegen = program.tier2_codegen_s - cg1
@@ -426,10 +426,10 @@ def _execute_trial(args, stream) -> TrialResult:
     fingerprints = pa.fingerprints if prune_on else None
     prep_s = time.perf_counter() - t0
     program = pa.program
-    # tier2_codegen is what this trial spent compiling the trace variants
-    # it was first in its process to enter, taken out of the window that
+    # tier2_codegen is what this trial spent compiling the traces it was
+    # first in its process to enter, taken out of the window that
     # entered them (see _book), so the health total is the codegen cost
-    # over all workers and goes to zero as the ladders fill
+    # over all workers and goes to zero once every entered head is compiled
     timings = {"artifact_load": prep_s, "snapshot_restore": 0.0,
                "execute": 0.0, "tier2_codegen": 0.0}
     run_tier2 = None if tier2_on else False

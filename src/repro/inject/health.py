@@ -72,8 +72,8 @@ class CampaignHealth:
     wall_time_s: float = 0.0
     #: cumulative wall seconds per trial execution stage, summed over
     #: every trial (artifact_load / snapshot_restore / fork_advance / execute /
-    #: tier2_codegen — the last is what trials spent compiling trace
-    #: variants they were first in their process to enter, taken out of
+    #: tier2_codegen — the last is what trials spent compiling the
+    #: traces they were first in their process to enter, taken out of
     #: the stage that entered them so the rows stay disjoint); resumed
     #: trials contribute their journaled timings, so --resume keeps the
     #: totals cumulative

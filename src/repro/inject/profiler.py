@@ -154,8 +154,7 @@ class PreparedApp:
                 fingerprints=self.fingerprints,
             )
             self.tier2_plan = vm_tier2.derive_plan(
-                self.program, self.golden.edge_profile, self.tier2_cap()
-            )
+                self.program, self.golden.edge_profile)
             if self.artifact_ref is not None:
                 try:
                     artifacts.save_artifact(
@@ -180,44 +179,36 @@ class PreparedApp:
     # ------------------------------------------------------------------
     # Tier-2 trace installation
     # ------------------------------------------------------------------
-    def tier2_cap(self) -> int:
-        """Effective trace-length cap: REPRO_TIER2_CAP, else the app's
-        scheduler quantum (a trace can never exceed one quantum anyway —
-        the run loop only enters one that fits the remaining budget)."""
-        from ..core.settings import current_settings
-
-        return current_settings().tier2_cap or self.config.quantum
-
     def ensure_tier2(self, enabled: bool = True) -> int:
         """Install the tier-2 trace plan into the program.
 
-        Installation validates the plan and fills the dispatch ladders;
-        each variant is codegenned on its first entry, so the cost shows
-        up in ``program.tier2_codegen_s`` as trials run, not here.
-        Idempotent per compiled program (repeat calls are free), so both
-        the campaign driver and every worker can call it unconditionally.
-        The plan comes from the golden artifact when one matched
-        (``tier2_plan_source == "artifact"`` — planning cost shared
-        across workers); otherwise — no artifact, or a REPRO_TIER2_CAP
-        override different from the stored plan's cap — it is re-derived
-        from the golden edge profile.  Returns the installed trace
-        count; ``enabled=False`` is a no-op returning 0 (the program
-        stays trace-free, for ``--no-tier2`` campaigns that share the
-        prepared cache with tier-2 ones the machine-level switch in
-        :meth:`~repro.vm.machine.Machine.run` handles it instead).
+        Installation validates the plan and fills one dispatch slot per
+        trace head; each trace is codegenned on its first entry, so the
+        cost shows up in ``program.tier2_codegen_s`` as trials run, not
+        here.  Idempotent per compiled program (repeat calls are free),
+        so both the campaign driver and every worker can call it
+        unconditionally.  The plan comes from the golden artifact when
+        one matched (``tier2_plan_source == "artifact"`` — planning cost
+        shared across workers); otherwise — no artifact, or one whose
+        plan another :data:`~repro.vm.tier2.PLAN_VERSION` wrote — it is
+        re-derived from the golden edge profile.  Returns the installed
+        trace count; ``enabled=False`` is a no-op returning 0 (the
+        program stays trace-free, for ``--no-tier2`` campaigns that
+        share the prepared cache with tier-2 ones the machine-level
+        switch in :meth:`~repro.vm.machine.Machine.run` handles it
+        instead).
         """
         if not enabled:
             return self.program.tier2_traces
         if self.program.tier2_installed:
             return self.program.tier2_traces
-        cap = self.tier2_cap()
         plan = self.tier2_plan
-        if plan is not None and plan.get("cap") == cap:
+        if plan is not None and plan.get("version") == vm_tier2.PLAN_VERSION:
             self.tier2_plan_source = (
                 "artifact" if self.from_artifact else "derived")
         else:
             plan = vm_tier2.derive_plan(
-                self.program, self.golden.edge_profile, cap)
+                self.program, self.golden.edge_profile)
             self.tier2_plan = plan
             self.tier2_plan_source = "derived"
         return vm_tier2.install_plan(self.program, plan)

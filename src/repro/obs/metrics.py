@@ -69,11 +69,11 @@ DESCRIPTIONS: Dict[str, str] = {
     "repro_tier2_enters_total":
         "Compiled golden-trace segments entered (tier-2 execution).",
     "repro_tier2_deopts_total":
-        "Mid-segment deoptimisations back to tier-1 (guard exits).",
+        "Tier-2 trace exits off the golden path (minority-edge guards, traps).",
     "repro_tier2_cycles_total":
         "Virtual cycles executed inside compiled tier-2 segments.",
     "repro_tier2_variants_compiled_total":
-        "Tier-2 trace variants compiled on their first entry.",
+        "Tier-2 traces compiled on their first entry (one per head).",
     "repro_shadow_entries":
         "Contaminated memory locations (CML) at the last stream sample.",
     "repro_cml_stream_samples_total":

@@ -94,16 +94,18 @@ class CompiledFunction:
         #: valid while ``machine.inj_next == 0``.
         self.seg_armed: List[List[Optional[Tuple[Callable, int]]]] = []
         self.seg_free: List[List[Optional[Tuple[Callable, int]]]] = []
-        #: tier-2 trace map, indexed by block: a descending-length ladder
-        #: of ``(trace_closure, max_len, marked)`` variants for blocks
-        #: that head a golden trace, None elsewhere.  Populated in place
-        #: by :func:`repro.vm.tier2.install_plan` (so machines built
-        #: before installation see the traces) with closures that compile
+        #: tier-2 trace map, indexed by block: one ``(trace_closure,
+        #: members, marked)`` slot for blocks that head a golden trace —
+        #: the cycles and marked instructions of the trace's first block,
+        #: which the run loop checks against budget and armed gap before
+        #: entering — None elsewhere.  Populated in place by
+        #: :func:`repro.vm.tier2.install_plan` (so machines built before
+        #: installation see the traces) with closures that compile
         #: themselves on first entry and swap the result into their slot.
         #: ``tier2_off`` stays all-None forever — the run loop selects it
         #: when tier-2 is disabled, mirroring the seg_armed/seg_free
         #: selection.
-        self.tier2: List[Optional[Tuple[Tuple[Callable, int, int], ...]]] = []
+        self.tier2: List[Optional[Tuple[Callable, int, int]]] = []
         self.tier2_off: List[None] = []
 
 
@@ -127,8 +129,8 @@ class CompiledProgram:
         #: trace count for observability)
         self.tier2_installed = False
         self.tier2_traces = 0
-        #: ladder variants compiled so far and the wall seconds that took —
-        #: variants compile on their first entry, so both grow while trials
+        #: traces compiled so far and the wall seconds that took — a
+        #: trace compiles on its first entry, so both grow while trials
         #: run; callers timing a window read the seconds before and after
         self.tier2_compiled = 0
         self.tier2_codegen_s = 0.0

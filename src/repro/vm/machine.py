@@ -40,6 +40,11 @@ from .rng import Lcg64
 from .traps import Trap, TrapKind
 
 
+#: ``gap`` handed to tier-2 traces while no fault is pending: no trace
+#: executes this many marked instructions
+_UNARMED = 1 << 62
+
+
 class MachineStatus(Enum):
     READY = "ready"
     BLOCKED = "blocked"
@@ -166,11 +171,14 @@ class Machine:
         #: cycles consumed by the last tier-2 trace entry (written by the
         #: generated trace epilogues/guards, read by the run loop)
         self.tier2_cycles = 0
-        #: observability counters, drained by the scheduler at job end
+        #: observability counters, drained by the scheduler at job end;
+        #: ``t2_deopts`` is bumped by the traces themselves, on
+        #: minority-edge guard exits and traps only (running out of
+        #: budget or armed gap is how every trace entry ends)
         self.t2_enters = 0
         self.t2_deopts = 0
         self.t2_cycles_acc = 0
-        #: ladder variants this machine compiled by entering them first
+        #: traces this machine compiled by entering them first
         self.t2_compiled = 0
 
     # ------------------------------------------------------------------
@@ -262,19 +270,22 @@ class Machine:
         """Execute up to ``budget`` instructions; returns the new status.
 
         Dispatch is three-level: at a block head (ip 0) the tier-2 trace
-        map is consulted first — each head holds a ladder of compiled
-        golden-trace variants (descending length) and the longest one
-        whose maximum length fits in the remaining budget runs (compiling
-        itself first if this is its first entry in the process); elsewhere
-        the per-block segment map is consulted — a fused superinstruction
+        map is consulted first — a head holds at most one compiled golden
+        trace, entered when its first block fits the remaining budget and,
+        while a fault is pending, executes fewer marked instructions than
+        remain before the armed occurrence; the trace is handed both
+        numbers and runs on for as long as they allow (compiling itself
+        first if this is its first entry in the process); elsewhere the
+        per-block segment map is consulted — a fused superinstruction
         executes only when it fits in the remaining budget (so epoch
         structure, and with it CML sampling and MPI interleaving, is
         bit-identical to single-step dispatch); otherwise the
-        single-instruction closure runs.  Both upper-tier layouts are
-        chosen per frame entry: ``seg_free``/``tier2`` whenever
-        ``inj_next == 0`` (no pending fault on this rank — golden runs
-        and post-fire tails), ``seg_armed``/``tier2_off`` while a fault
-        is pending.
+        single-instruction closure runs.  The fused layout is chosen per
+        frame entry — ``seg_free`` whenever ``inj_next == 0`` (no pending
+        fault on this rank: golden runs and post-fire tails),
+        ``seg_armed`` while a fault is pending — and the trace map per
+        machine: ``tier2``, or the all-None ``tier2_off`` when
+        ``use_tier2`` is off.
         """
         if self.status is not MachineStatus.READY:
             return self.status
@@ -293,35 +304,22 @@ class Machine:
         fmap = fblocks[f.block]
         ip = f.ip
         n = 0
-        t2n = t2d = t2c = 0
+        t2n = t2c = 0
         try:
             while n < budget:
-                if ip == 0 and (cands := t2b[f.block]) is not None:
-                    # longest ladder variant that fits the remaining
-                    # budget (variants are sorted by descending length);
-                    # while a fault is pending, additionally require the
-                    # variant's marked-instruction total to stay short of
-                    # the fire threshold — it then only bulk-advances the
-                    # occurrence counter, and the fault still fires on
-                    # the exact single-stepped marked instruction
-                    rem = budget - n
-                    gap = (self.inj_next - self.inj_counter
-                           if self.inj_next else 0)
-                    seg2 = None
-                    for c2 in cands:
-                        if c2[1] <= rem and (gap == 0 or c2[2] < gap):
-                            seg2 = c2
-                            break
-                else:
-                    seg2 = None
-                if seg2 is not None:
+                if (ip == 0 and (t2 := t2b[f.block]) is not None
+                        and t2[1] <= (rem := budget - n)
+                        and t2[2] < (gap := self.inj_next - self.inj_counter
+                                     if self.inj_next else _UNARMED)):
+                    # its first block fits the budget and stays short of
+                    # a pending fault's occurrence; the trace stops itself
+                    # where (rem, gap) run out, so the fault still fires
+                    # on the exact single-stepped marked instruction
                     t2n += 1
-                    sig = seg2[0](self, f)
+                    sig = t2[0](self, f, rem, gap)
                     c = self.tier2_cycles
                     n += c
                     t2c += c
-                    if c != seg2[1]:
-                        t2d += 1  # guard/cap exit before the trace end
                     if sig == SIG_JUMP:
                         ip = f.ip
                         code = blocks[f.block]
@@ -425,7 +423,6 @@ class Machine:
             self.status = MachineStatus.TRAPPED
         if t2n:
             self.t2_enters += t2n
-            self.t2_deopts += t2d
             self.t2_cycles_acc += t2c
         self.cycles += n
         return self.status

@@ -10,40 +10,44 @@ During golden profiling the conditional-branch closures record per-site
 edge counts (``machine.edge_profile``).  :func:`derive_plan` then walks
 each function from every block head along the *majority* edge of each
 branch, concatenating straight-line members across block boundaries
-(loop back-edges included, i.e. hot loops unroll) into trace plans.
-:func:`install_plan` validates each plan against the module and installs
-a ladder of prefix variants per head into the per-block
+until the path jumps back onto itself.  A path that returns to its own
+head becomes a *rolled* trace — one iteration's members inside a real
+``while`` loop, registers in Python locals across iterations; any other
+path is a *straight* trace.  :func:`install_plan` validates each plan
+entry against the module and installs one trace per head into the
 ``CompiledFunction.tier2`` map the run loop consults at block heads.  A
-variant is codegenned — one ``exec``-compiled function, registers as
+trace is codegenned — one ``exec``-compiled function, registers as
 locals, memory operations inlined against the flat buffers, cycle
-accounting folded into a single per-trace increment — the first time the
-run loop enters it: a campaign enters fewer than half of what a plan
-installs, and each process pays only for the code it runs.
+accounting folded into one per-entry increment — the first time the run
+loop enters it, so each process pays only for the code it runs.
 
-Deopt guards, and how each maps onto the machine contract:
+The run loop hands every entry the remaining quantum budget ``rem`` and
+the armed occurrence ``gap``; the trace decides how far it may go.
+Guards, and how each maps onto the machine contract:
 
-* **injection pending** — the run loop selects ``tier2_off`` whenever
-  ``inj_next != 0`` (same per-frame-entry points as the
-  seg_armed/seg_free selection), so a trace can never swallow the
-  occurrence counter of a fault that is still waiting to fire;
-* **fork-epoch / quantum boundary** — a trace only starts when its
-  maximum length fits in the remaining quantum budget, so epoch
-  structure (and with it ``GoldenCursor`` pause points, CML sampling
-  and MPI interleaving) is bit-identical to tier-1;
+* **fork-epoch / quantum boundary** — a trace crosses a block boundary
+  (and a rolled one starts another iteration) only while the members up
+  to the next boundary fit ``rem``, so epoch structure (and with it
+  ``GoldenCursor`` pause points, CML sampling and MPI interleaving) is
+  bit-identical to tier-1;
+* **injection pending** — the same checks keep the marked instructions
+  executed strictly below ``gap``, so a trace only bulk-advances the
+  occurrence counter of a fault that is still waiting, and the fault
+  fires on the exact single-stepped marked instruction;
 * **branch divergence** — every majority-edge branch inside a trace is
   a one-line guard: when the minority edge is taken (a faulty trial
-  diverging from the golden path), the trace stores the exact cycles
-  consumed in ``machine.tier2_cycles``, settles the injection-counter
-  prefix, stages the real successor block and returns to tier-1
-  dispatch mid-trace;
+  leaving the golden path, or a loop running out), the trace flushes
+  its registers, stores the exact cycles consumed in
+  ``machine.tier2_cycles``, settles the injection-counter prefix,
+  stages the real successor block and returns to tier-1 dispatch —
+  with traps the only exits counted as deopts (``machine.t2_deopts``):
+  running out of budget or gap is how an entry is meant to end;
 * **trap** — a raising member records the completed-member count in
   ``machine.fused_skew`` (the fused-segment mechanism, recovered from
   the traceback line number), so traps land on the same virtual cycle
   as tier-1;
 * **chaos** — harness chaos (:mod:`repro.inject.chaos`) perturbs IO,
-  workers and artifacts, never VM semantics, so no VM-level guard is
-  needed; chaos-stressed campaigns inherit bit-identity from the
-  guards above.
+  workers and artifacts, never VM semantics: no VM-level guard needed.
 
 Plans (not code objects) are JSON-safe dicts so they ride golden
 artifacts across workers: installation from a cached plan re-runs only
@@ -52,6 +56,7 @@ validation, never profiling or planning.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 import re
@@ -75,9 +80,10 @@ from .traps import Trap, TrapKind
 
 #: plan schema version, embedded in every plan dict; bump on any change
 #: to the walk or codegen contract so stale artifact plans are ignored
-PLAN_VERSION = 1
+#: (v2: one rolled or straight path per head — no cap, no unrolling)
+PLAN_VERSION = 2
 
-#: minimum members for a trace to be worth the dispatch-map slot
+#: minimum members for a straight trace to be worth the dispatch-map slot
 _MIN_MEMBERS = 8
 
 
@@ -98,24 +104,21 @@ def _static_target(inst) -> Optional[int]:
     return None
 
 
-def _walk(func, head: int, edge_profile: dict, cap: int):
+def _walk(func, head: int, edge_profile: dict):
     """Follow the golden-hot path from block ``head``.
 
-    Returns ``(seq, members)``: the block-index sequence (revisits
-    allowed — loops unroll until ``cap``) and the member count.  The
-    walk ends at a call barrier, a ``ret``, a branch whose golden edge
-    counts are missing or tied (dual-exit: no majority to guard on), or
-    the cap.
+    Returns ``(seq, members)``: the block-index sequence and the member
+    count.  The walk ends at a call barrier, a ``ret``, a branch whose
+    golden edge counts are missing or tied (dual-exit: no majority to
+    guard on), or a jump onto a block the path already holds, which
+    closes ``seq``: its own head (the path loops) or a later block
+    (the path ends at that block's head).
     """
     seq = [head]
     count = 0
     cur = head
     while True:
-        nxt = None
-        insts = func.blocks[cur].instructions
-        for inst in insts:
-            if count >= cap:
-                return seq, count
+        for inst in func.blocks[cur].instructions:
             if isinstance(inst, _TERM_KINDS):
                 count += 1
                 if isinstance(inst, Ret):
@@ -135,34 +138,37 @@ def _walk(func, head: int, edge_profile: dict, cap: int):
             count += 1
         else:
             return seq, count  # unterminated block (defensive)
-        if count >= cap:
-            return seq, count
         seq.append(nxt)
+        if nxt in seq[:-1]:
+            return seq, count
         cur = nxt
 
 
-def derive_plan(program: CompiledProgram, edge_profile: Optional[dict],
-                cap: int) -> dict:
+def derive_plan(program: CompiledProgram,
+                edge_profile: Optional[dict]) -> dict:
     """Plan tier-2 traces for ``program`` from golden edge counts.
 
-    Deterministic in (module, edge_profile, cap): the same golden run
-    yields the same plan on every worker.  The result is JSON-safe and
-    travels inside golden artifacts; :func:`install_plan` re-derives the
-    member structure from the module, so only block sequences and
-    counts are stored.
+    Deterministic in (module, edge_profile): the same golden run yields
+    the same plan on every worker.  The result is JSON-safe and travels
+    inside golden artifacts; :func:`install_plan` re-derives the member
+    structure from the module, so only block sequences and counts are
+    stored.
     """
     traces: List[dict] = []
     profile = edge_profile or {}
     for func in program.module:
         for head in range(len(func.blocks)):
-            seq, count = _walk(func, head, profile, cap)
-            # single-block traces must beat the fused tier to pay for
-            # themselves; multi-block traces win on dispatch alone
-            if count >= _MIN_MEMBERS and (len(seq) > 1 or count > _FUSE_MAX):
+            seq, count = _walk(func, head, profile)
+            # a loop always pays (entered once, iterates inside); a
+            # single-block straight trace must beat the fused tier,
+            # multi-block ones win on dispatch alone
+            if (len(seq) > 1 and seq[-1] == head) or (
+                    count >= _MIN_MEMBERS
+                    and (len(seq) > 1 or count > _FUSE_MAX)):
                 traces.append({"func": func.name, "head": head,
                                "blocks": [int(b) for b in seq],
                                "members": int(count)})
-    return {"version": PLAN_VERSION, "cap": int(cap), "traces": traces}
+    return {"version": PLAN_VERSION, "traces": traces}
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +282,8 @@ def _collect(func, seq: List[int], members: int):
     the successor block) / ``ret`` / ``exit`` (trace-closing terminator
     dispatched through its closure) — and ``end`` is where tier-1
     dispatch resumes after a full trace: ``(block, ip)``, or None when
-    the final member stages its own successor.  Returns None whenever
+    the final member stages its own successor; ``end == (seq[0], 0)``
+    is a path that loops, to be rolled.  Returns None whenever
     the plan does not match the module (plans travel through artifacts,
     so validate defensively rather than trust).
     """
@@ -335,71 +342,59 @@ _REG_WRITE_RE = re.compile(r"regs\[(\d+)\] = (?!=)")
 _FLUSH = "§F§"
 
 
-def _dest_indices(inst) -> List[int]:
-    """Register slots a closure-dispatched pure member may write."""
-    out = []
-    for attr in ("dest", "dest_p"):
-        reg = getattr(inst, attr, None)
-        if reg is not None:
-            out.append(reg.index)
-    return out
-
-
-def _promote(member_lines, line_meta):
+def _promote(member_lines, line_dests, loop: bool):
     """Promote ``regs[K]`` slots to Python locals ``rK``.
 
     Register traffic dominates trace bodies once dispatch and the fpm
     closures are gone; list indexing loses to ``LOAD_FAST``/
-    ``STORE_FAST`` by a wide margin, so every slot a trace touches is
-    loaded into a local up front and written back at every exit:
+    ``STORE_FAST`` by a wide margin, so every slot a trace reads before
+    writing it is loaded into a local up front and every dirty slot is
+    written back at every exit:
 
-    * guard lines flush the slots dirtied so far (the ``_FLUSH``
-      placeholder) before staging the minority successor;
-    * closure-dispatched members get dirty slots flushed before the
-      call and their destinations reloaded after it, all on the
-      member's own source line;
-    * trace-closing terminators flush before the call (``ret`` pops the
-      frame — flushing after would hit the wrong frame);
-    * the epilogue flushes everything dirty before staging ``end``.
+    * guard lines flush (the ``_FLUSH`` placeholder) before staging
+      their successor;
+    * closure-dispatched members (``line_dests`` is not None) flush
+      before the call and reload the destinations it names after it,
+      all on the member's own source line — trace-closing terminators
+      too (``ret`` pops the frame: flushing after would hit the wrong
+      frame);
+    * the epilogue flushes before staging ``end``.
 
-    The *trap* path deliberately does not flush: a raising member
-    leaves the machine TRAPPED, and nothing observes a halted frame's
-    registers (results come from memory, the shadow table and the trap
-    itself).  Returns ``(lines, prelude_loads, epilogue_flush)``.
+    In a straight trace a slot is dirty from its first write on.  In a
+    rolled one (``loop``) every slot the body writes is dirty — and so
+    loaded — at every point: from the second iteration on, an exit early
+    in the body follows writes late in the previous iteration.
+
+    The *trap* path deliberately does not flush: nothing observes a
+    TRAPPED machine's registers (results come from memory, the shadow
+    table and the trap).  Returns ``(lines, prelude_loads, flush)``.
     """
-    used = set()
-    for line in member_lines:
-        used.update(int(x) for x in _REG_RE.findall(line))
-    if not used:
-        return ([line.replace(_FLUSH, "") for line in member_lines],
-                "", "")
-
-    def sub(line):
-        return _REG_RE.sub(lambda mo: f"r{mo.group(1)}", line)
-
+    line_writes = [[int(x) for x in _REG_WRITE_RE.findall(line)]
+                   for line in member_lines]
     out = []
-    dirty: List[int] = []  # insertion-ordered for deterministic codegen
+    # insertion-ordered for deterministic codegen
+    dirty = dict.fromkeys(k for ws in line_writes for k in ws) if loop else {}
+    load = set(dirty)   # slots the prelude loads
+    bound = set(dirty)  # slots whose local holds a value so far
 
     def flush():
         return "".join(f"regs[{k}] = r{k}; " for k in dirty)
 
-    for line, meta in zip(member_lines, line_meta):
-        writes = [int(x) for x in _REG_WRITE_RE.findall(line)]
-        kind = meta[0]
-        if kind == "guard":
-            out.append(sub(line).replace(_FLUSH, flush()))
-        elif kind == "call":
-            reload = "".join(f"; r{k} = regs[{k}]" for k in meta[1]
-                             if k in used)
-            out.append(flush() + line + reload)
-        elif kind == "term":
-            out.append(flush() + line)
+    for line, dests, writes in zip(member_lines, line_dests, line_writes):
+        # a slot read and written on one line counts as read first
+        reads = {int(x) for x in
+                 _REG_RE.findall(_REG_WRITE_RE.sub("", line))}
+        load |= reads - bound
+        if dests is None:
+            line = _REG_RE.sub(r"r\1", line)
+            out.append(line.replace(_FLUSH, flush()) if _FLUSH in line
+                       else line)
         else:
-            out.append(sub(line))
-        for k in writes:
-            if k not in dirty:
-                dirty.append(k)
-    loads = "; ".join(f"r{k} = regs[{k}]" for k in sorted(used))
+            out.append(flush() + line
+                       + "".join(f"; r{k} = regs[{k}]" for k in dests))
+        bound.update(reads, writes, dests or ())
+        dirty.update(dict.fromkeys(writes))
+    loads = "; ".join(f"r{k} = regs[{k}]" for k in sorted(load))
     flushes = "; ".join(f"regs[{k}] = r{k}" for k in dirty)
     return out, loads, flushes
 
@@ -409,28 +404,50 @@ def _is_marked(inst) -> bool:
     return inst.inject_site is not None and bool(_injectable_operands(inst))
 
 
-def _codegen(records, end, program: CompiledProgram, label: str):
+def _codegen(records, end, loop: bool, program: CompiledProgram, label: str):
     """exec-compile one trace function from its member records.
 
+    ``trace(m, f, rem, gap)`` runs members while they fit in ``rem``
+    cycles and execute fewer than ``gap`` marked instructions: the run
+    loop has checked the first block, and every terminator line with
+    members after it checks the members up to the next such line and
+    leaves to its successor block when they do not fit.  A rolled
+    trace (``loop``) wraps one iteration in ``while True``, counts
+    ``rem``/``gap`` down after it and goes round again while the first
+    block still fits; its exits all flush the same slots, so they
+    ``break`` to one shared flush-and-settle tail instead of each
+    carrying its own.
+
     Follows the fused-segment source contract exactly — one line per
-    member at generated line ``4 + i`` (def, try, prelude), traps
-    recovered via the traceback line number into ``machine.fused_skew``
-    plus the inclusive marked-prefix owed to ``machine.inj_counter`` —
-    and extends it with guard lines (mid-trace deopt), register
-    promotion (:func:`_promote`) and a variable cycle count in
-    ``machine.tier2_cycles``.
+    member, traps recovered via the traceback line number into
+    ``machine.fused_skew`` plus the inclusive marked-prefix owed to
+    ``machine.inj_counter``, both on top of the iterations already
+    completed — and extends it with guard lines, register promotion
+    (:func:`_promote`) and a cycle count in ``machine.tier2_cycles``.
     """
     env: Dict[str, object] = {}
     member_lines: List[str] = []
-    line_meta: List[tuple] = []
-    needs_mem = False
-    needs_fpm = False
-    pfx: List[int] = []
-    c = 0
-    total_members = len(records)
+    line_dests: List[Optional[list]] = []  # slots a closure call may write
+    needs_mem = needs_fpm = False
+    total = len(records)
+    pfx = list(accumulate(int(_is_marked(rec[0])) for rec in records))
+    marked = pfx[-1]
+    # cycles / marked instructions of the iterations already completed
+    done = "rem0 - rem + " if loop else ""
+    owed = "gap0 - gap + " if loop else ""
+    # how an exit settles once x, c, k, d hold its successor block, the
+    # members and marked instructions it completed, and whether it deopts
+    tail = (f"f.block = x; f.ip = 0; m.t2_deopts += d; "
+            f"m.tier2_cycles = {done}c; m.inj_counter += {owed}k; return 1")
+    # terminator index -> last member it must see fit before going on
+    terms = [i for i, rec in enumerate(records) if rec[1] != "pure"]
+    ahead = {a: b for a, b in zip(terms, terms[1:] + [total - 1]) if a < b}
+
+    def short(j):
+        """Condition: members up to ``j`` overrun the budget or gap."""
+        return f"rem < {j + 1}" + (f" or gap <= {pfx[j]}" if pfx[j] else "")
+
     for i, (inst, kind, expected) in enumerate(records):
-        c += _is_marked(inst)
-        pfx.append(c)
         if kind == "pure":
             tmpl = _inline_template(inst)
             if tmpl is None:
@@ -440,38 +457,42 @@ def _codegen(records, end, program: CompiledProgram, label: str):
                 line, binds, mem = tmpl(f"_{i}")
                 env.update(binds)
                 member_lines.append(line)
-                line_meta.append(("tmpl",))
+                line_dests.append(None)
                 needs_mem = needs_mem or mem
             else:
                 nm = f"s{i}"
                 env[nm] = _compile_entry(inst, program)[1]  # bare closure
                 member_lines.append(f"{nm}(m, f)")
-                line_meta.append(("call", _dest_indices(inst)))
-        elif kind == "br":
-            # control flow is fully resolved at codegen time; the branch
-            # still costs its cycle (one member line, position-counted)
-            member_lines.append("pass")
-            line_meta.append(("tmpl",))
-        elif kind == "condbr":
-            ci = inst.cond.index
-            tt = inst.iftrue.index
-            tf = inst.iffalse.index
-            other = tf if expected == tt else tt
-            test = f"not regs[{ci}]" if expected == tt else f"regs[{ci}]"
-            body = [f"{_FLUSH}f.block = {other}; f.ip = 0; "
-                    f"m.tier2_cycles = {i + 1}"]
-            if pfx[i]:
-                body.append(f"m.inj_counter += {pfx[i]}")
-            body.append("return 1")
-            member_lines.append(f"if {test}: " + "; ".join(body))
-            line_meta.append(("guard",))
+                line_dests.append([
+                    getattr(inst, a).index for a in ("dest", "dest_p")
+                    if getattr(inst, a, None) is not None])
+        elif kind in ("br", "condbr"):
+            # control flow is resolved at codegen time; the branch still
+            # costs its cycle (one member line) and is where the trace
+            # leaves: to the minority successor (a deopt), or to the
+            # expected one when what follows overruns budget or gap
+            conds = [short(ahead[i])] if i in ahead else []
+            block, deopt = expected, 0
+            if kind == "condbr":
+                ci = inst.cond.index
+                tt = inst.iftrue.index
+                other = inst.iffalse.index if expected == tt else tt
+                away = f"not regs[{ci}]" if expected == tt else f"regs[{ci}]"
+                conds.insert(0, away)
+                block = f"{other} if {away} else {expected}"
+                deopt = f"1 if {away} else 0"
+            line_dests.append(None)
+            member_lines.append("pass" if not conds else (
+                f"if {' or '.join(conds)}: x = {block}; c = {i + 1}; "
+                f"k = {pfx[i]}; d = {deopt}; "
+                + ("break" if loop else _FLUSH + tail)))
         else:  # ret / exit: the terminator closure closes the trace
             nm = f"s{i}"
             env[nm] = _compile_entry(inst, program)[1]
             member_lines.append(f"sig = {nm}(m, f)")
-            line_meta.append(("term",))
-    total_marked = pfx[-1] if pfx else 0
-    member_lines, reg_loads, reg_flushes = _promote(member_lines, line_meta)
+            line_dests.append([])
+    member_lines, reg_loads, reg_flushes = _promote(
+        member_lines, line_dests, loop)
 
     prelude = "regs = f.regs"
     if needs_mem:
@@ -487,72 +508,70 @@ def _codegen(records, end, program: CompiledProgram, label: str):
         prelude += "; ht = m.fpm.table"
     if reg_loads:
         prelude += "; " + reg_loads
-    env["_pfx"] = None  # replaced below; named param keeps it a local
+    env["_pfx"] = tuple(pfx + [marked] * 2)  # + the two loop-footer lines
     params = ", ".join(f"{nm}={nm}" for nm in env)
-    lines = [f"def trace(m, f, {params}):",
+    lines = [f"def trace(m, f, rem, gap, {params}):",
              "    try:",
              f"        {prelude}"]
-    lines.extend(f"        {line}" for line in member_lines)
-    lines.append("    except BaseException as e:")
-    lines.append("        p = e.__traceback__.tb_lineno - 4")
-    lines.append("        m.fused_skew = p")
-    if total_marked:
-        lines.append("        m.inj_counter += _pfx[p]")
-    lines.append("        raise")
+    indent = " " * (12 if loop else 8)
+    if loop:
+        lines.insert(1, "    rem0 = rem; gap0 = gap")
+        lines.append("        while True:")
+    first_line = len(lines) + 1
+    lines.extend(indent + line for line in member_lines)
+    if loop:
+        lines.append(f"{indent}rem -= {total}; gap -= {marked}")
+        lines.append(f"{indent}if {short(terms[0])}: "
+                     f"x = {end[0]}; c = k = d = 0; break")
+    lines += ["    except BaseException as e:",
+              f"        p = e.__traceback__.tb_lineno - {first_line}",
+              f"        m.fused_skew = {done}p"]
+    lines += [f"        m.inj_counter += {owed}_pfx[p]",
+              "        m.t2_deopts += 1", "        raise"]
     if reg_flushes and end is not None:
         lines.append(f"    {reg_flushes}")
-    lines.append(f"    m.tier2_cycles = {total_members}")
-    if total_marked:
-        lines.append(f"    m.inj_counter += {total_marked}")
-    if end is None:
-        lines.append("    return sig")
+    if loop:
+        lines.append("    " + tail)
     else:
-        lines.append(f"    f.block = {end[0]}; f.ip = {end[1]}")
-        lines.append("    return 1")
-    env["_pfx"] = tuple(pfx)
+        lines.append(f"    m.tier2_cycles = {total}; m.inj_counter += {marked}")
+        lines.append("    return sig" if end is None else
+                     f"    f.block = {end[0]}; f.ip = {end[1]}; return 1")
     exec(compile("\n".join(lines), f"<tier2:{label}>", "exec"), env)
     return env["trace"]
 
 
-def _lazy_variant(program: CompiledProgram, cfunc, func, head: int,
-                  seq: List[int], members: int):
-    """Ladder-slot closure that compiles its trace on first entry.
+def _lazy_trace(program: CompiledProgram, cfunc, head: int, label: str,
+                records, end):
+    """Trace-slot closure that compiles its trace on first entry.
 
     Called by the run loop exactly like a compiled trace.  It codegens
-    the variant, swaps the compiled closure into its slot of
-    ``cfunc.tier2[head]`` (the run loop re-reads the ladder at every
+    the trace, swaps it into ``cfunc.tier2[head]`` (re-read at every
     head entry, so machines mid-run pick it up) and runs it — a trap
-    inside that first run propagates exactly as from an installed trace.
+    inside that first run propagates exactly as from a compiled trace.
 
     A codegen failure is a harness fault, never an application trap: it
-    must not reach the run loop's trap clause.  The variant is dropped
-    from the ladder instead, and the closure reports a zero-cycle jump
-    to the same block head, so dispatch retries on what is left of the
-    ladder — tier-1 at worst — with no state touched.
+    must not reach the run loop's trap clause.  The slot is cleared
+    instead, and the closure reports a zero-cycle jump to the same
+    block head, so dispatch retries on tier-1 with no state touched.
     """
-    def first_entry(m, f):
-        label = f"{func.name}:b{head}:m{members}"
+    def first_entry(m, f, rem, gap):
         t0 = time.perf_counter()
         try:
-            records, end = _collect(func, seq, members)
-            trace = _codegen(records, end, program, label)
+            trace = _codegen(records, end, end == (head, 0), program, label)
         except Exception as exc:
             trace = None
             warnings.warn(f"tier-2 codegen failed for {label}: {exc!r}; "
-                          f"the variant runs on tier-1", stacklevel=2)
+                          f"the trace runs on tier-1", stacklevel=2)
         program.tier2_codegen_s += time.perf_counter() - t0
-        ladder = cfunc.tier2[head] or ()
         if trace is None:
-            left = tuple(c for c in ladder if c[0] is not first_entry)
-            cfunc.tier2[head] = left or None
+            cfunc.tier2[head] = None
             m.tier2_cycles = 0
             f.ip = 0
             return SIG_JUMP
-        cfunc.tier2[head] = tuple(
-            (trace,) + c[1:] if c[0] is first_entry else c for c in ladder)
+        cfunc.tier2[head] = (trace,) + cfunc.tier2[head][1:]
         program.tier2_compiled += 1
         m.t2_compiled += 1
-        return trace(m, f)
+        return trace(m, f, rem, gap)
     return first_entry
 
 
@@ -561,13 +580,14 @@ def install_plan(program: CompiledProgram, plan: Optional[dict]) -> int:
 
     Mutates each :class:`CompiledFunction`'s ``tier2`` list in place, so
     machines constructed before installation pick the traces up on their
-    next ``run``.  Every plan entry is walked against the module and its
-    marked-instruction total counted here; codegen waits for a variant's
-    first entry (:func:`_lazy_variant`).  Idempotent: a program is
-    installed at most once per process.  Invalid or stale plan entries
-    (module drift, unknown functions, out-of-range blocks) are skipped,
-    never raised — a bad plan degrades to tier-1, it must not kill a
-    campaign.  Returns the number of traces installed.
+    next ``run``.  Every plan entry is walked against the module here
+    and its ``(closure, members, marked)`` slot carries what the run
+    loop tests before entering — the trace's first block; codegen waits
+    for the first entry (:func:`_lazy_trace`).  Idempotent: a program
+    is installed at most once per process.  Invalid or stale plan
+    entries (module drift, unknown functions, out-of-range blocks) are
+    skipped, never raised — a bad plan degrades to tier-1, it must not
+    kill a campaign.  Returns the number of traces installed.
     """
     if program.tier2_installed:
         return program.tier2_traces
@@ -587,24 +607,16 @@ def install_plan(program: CompiledProgram, plan: Optional[dict]) -> int:
                     and seq[0] == head and members > 0
                     and 0 <= head < len(cfunc.tier2)):
                 continue
-            # a ladder of prefix variants per head: the run loop picks
-            # the longest one fitting the remaining quantum budget, so
-            # coverage is not limited to one full-length entry per
-            # quantum (prefixes of a valid trace are valid traces)
-            variants = []
-            m2 = members
-            while True:
-                walked = _collect(func, seq, m2)
-                if walked is not None:
-                    marked = sum(_is_marked(rec[0]) for rec in walked[0])
-                    variants.append((_lazy_variant(
-                        program, cfunc, func, head, seq, m2), m2, marked))
-                if m2 <= _MIN_MEMBERS:
-                    break
-                m2 = max(m2 // 2, _MIN_MEMBERS)
-            if not variants:
+            walked = _collect(func, seq, members)
+            if walked is None:
                 continue
-            cfunc.tier2[head] = tuple(variants)
+            records, end = walked
+            first = next((i + 1 for i, rec in enumerate(records)
+                          if rec[1] != "pure"), len(records))
+            cfunc.tier2[head] = (
+                _lazy_trace(program, cfunc, head, f"{func.name}:b{head}",
+                            records, end),
+                first, sum(_is_marked(rec[0]) for rec in records[:first]))
             installed += 1
     program.tier2_installed = True
     program.tier2_traces = installed

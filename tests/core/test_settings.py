@@ -32,18 +32,19 @@ def test_defaults_with_empty_environment():
     assert s.obs_cml_stride == 0
 
 
-def test_surface_is_the_25_remaining_knobs():
+def test_surface_is_the_remaining_knobs():
     import dataclasses
 
     names = {f.name for f in dataclasses.fields(Settings)}
-    assert len(names) == 25
+    assert len(names) == 24
     assert not names & {"lanes", "world_cache", "world_cache_pages",
-                        "batch_by_snapshot"}
+                        "batch_by_snapshot", "tier2_cap"}
     # a deleted knob left in the environment is simply not read
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _settings(REPRO_LANES="junk", REPRO_WORLD_CACHE="junk",
-                         REPRO_BATCH_BY_SNAPSHOT="junk") == Settings()
+                         REPRO_BATCH_BY_SNAPSHOT="junk",
+                         REPRO_TIER2_CAP="junk") == Settings()
 
 
 def test_valid_values_parse():

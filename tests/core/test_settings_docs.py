@@ -3,9 +3,8 @@
 Every field of :class:`repro.core.settings.Settings` maps to a
 ``REPRO_<NAME>`` environment variable; each one must appear in both
 README.md and docs/INTERNALS.md, so a new knob cannot ship silently
-undocumented (the drift this test was added to fix: REPRO_TIER2 /
-REPRO_TIER2_CAP were initially nowhere, REPRO_PREPARED_CACHE was
-missing from the README).
+undocumented (the drift this test was added to fix: REPRO_TIER2 was
+initially nowhere, REPRO_PREPARED_CACHE was missing from the README).
 """
 
 import dataclasses
@@ -34,7 +33,8 @@ def test_every_registered_knob_is_documented(doc):
 def test_deleted_knobs_are_not_documented(doc):
     text = (REPO / doc).read_text()
     stale = [k for k in ("REPRO_LANES", "REPRO_WORLD_CACHE",
-                         "REPRO_BATCH_BY_SNAPSHOT") if k in text]
+                         "REPRO_BATCH_BY_SNAPSHOT", "REPRO_TIER2_CAP")
+             if k in text]
     assert not stale, f"{doc} still mentions: {stale}"
 
 

@@ -65,6 +65,23 @@ class TestKeyAndRoundTrip:
         assert pa2.from_artifact
         assert pa2.snapshots is not None and len(pa2.snapshots) > 0
 
+    def test_plan_of_another_version_is_rederived(self, tmp_path):
+        # installing it as-is would install 0 traces, latch the program
+        # and leave the process on tier-1 for good
+        first = PreparedApp(get_app("matvec"), "fpm", snapshot_stride=150,
+                            artifact_dir=tmp_path)
+        stale = dict(first.tier2_plan,
+                     version=first.tier2_plan["version"] + 1)
+        artifacts.save_artifact(*first.artifact_ref, first.golden,
+                                first.snapshots, first.fingerprints,
+                                tier2_plan=stale)
+        pa = PreparedApp(get_app("matvec"), "fpm", snapshot_stride=150,
+                         artifact_dir=tmp_path)
+        assert pa.from_artifact and pa.tier2_plan == stale
+        assert pa.ensure_tier2() == pa.program.tier2_traces > 0
+        assert pa.tier2_plan_source == "derived"
+        assert pa.tier2_plan == first.tier2_plan
+
     def test_env_var_enables_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
         pa = PreparedApp(get_app("matvec"), "blackbox", snapshot_stride=150)
