@@ -75,7 +75,7 @@ def render_health_summary(health, quarantined_trials: Optional[Sequence] = None)
                      "restored from journal")
     timings = getattr(health, "stage_timings", None)
     if timings:
-        order = ["artifact_load", "snapshot_restore", "execute"]
+        order = ["artifact_load", "fork_advance", "execute"]
         parts = [f"{stage} {timings[stage]:.2f}s"
                  for stage in order if stage in timings]
         parts += [f"{stage} {secs:.2f}s"

@@ -59,8 +59,10 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
                    help="re-executions of a harness-failed trial before "
                         "it is quarantined (default 2)")
     p.add_argument("--snapshot-stride", type=int, default=None, metavar="CYCLES",
-                   help="golden-run snapshot stride for trial fast-forward "
-                        "(default REPRO_SNAPSHOT_STRIDE/2048; 0 disables)")
+                   help="golden-run snapshot stride: what a golden "
+                        "cursor rewinds to and pruning fingerprints ride "
+                        "on (default REPRO_SNAPSHOT_STRIDE/2048; 0 "
+                        "captures neither)")
     p.add_argument("--artifact-dir", metavar="DIR", default=None,
                    help="directory of shared golden artifacts: load the "
                         "golden profile + snapshots from there instead of "
@@ -71,9 +73,9 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
                         "and run every trial to completion (default: "
                         "pruning on unless REPRO_PRUNE=0)")
     p.add_argument("--no-fork", action="store_true",
-                   help="disable fork-at-injection execution and run "
-                        "every trial on the restore/cold path (default: "
-                        "forking on unless REPRO_FORK_TRIALS=0)")
+                   help="run every trial cold from cycle 0 instead of "
+                        "forking it off the golden cursor — the "
+                        "bit-identical reference (default: forking on)")
     p.add_argument("--no-tier2", action="store_true",
                    help="disable tier-2 golden-trace execution and "
                         "interpret every instruction through tier-1 "

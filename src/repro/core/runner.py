@@ -10,13 +10,10 @@ from __future__ import annotations
 import time
 from typing import Optional, Sequence
 
-from ..errors import SnapshotError
 from ..frontend import compile_source
 from ..mpi import JobResult, MPIRuntime, Scheduler
-from ..obs import runtime as _obs
 from ..passes import pipeline_for_mode, run_passes
 from ..vm import CompiledProgram, FaultSpec, Machine, compile_program
-from ..vm.snapshot import restore_world
 from .config import RunConfig
 
 
@@ -51,7 +48,6 @@ def run_job(
     max_cycles: Optional[int] = None,
     wall_timeout: Optional[float] = None,
     capture_snapshots=None,
-    restore_from=None,
     cml_stream=None,
     capture_fingerprints=None,
     prune=None,
@@ -69,19 +65,12 @@ def run_job(
 
     ``capture_snapshots`` accepts a
     :class:`~repro.vm.snapshot.SnapshotStore` to populate at its cycle
-    stride while the job runs (golden profiling).  ``restore_from``
-    accepts a :class:`~repro.vm.snapshot.WorldSnapshot` to fast-forward
-    from: the machines are restored instead of started, faults are armed
-    on the restored state, and only the remaining tail executes — with
-    results bit-identical to a cold run because the snapshot predates
-    every armed fault's occurrence (validated here).  The restore is
-    timed into ``JobResult.restore_s`` and a ``snapshot_restore`` span.
+    stride while the job runs (golden profiling).
 
     ``cml_stream`` attaches a :class:`~repro.obs.cml.CMLStream` to the
-    job's propagation trace (FPM/taint modes): every scheduler sample —
-    including a restored snapshot's replayed prefix — is pushed into it,
-    yielding the live decimated CML(t) series without retaining the full
-    per-rank trace.  Pure observation: attaching one never changes the
+    job's propagation trace (FPM/taint modes): every scheduler sample is
+    pushed into it, yielding the live decimated CML(t) series without
+    retaining the full per-rank trace.  Pure observation: attaching one never changes the
     job's execution or results.
 
     ``capture_fingerprints`` accepts a
@@ -127,42 +116,10 @@ def run_job(
         for m in machines:
             m.edge_profile = capture_edge_profile
     runtime.attach(machines)
-    start_epoch = 0
-    initial_trace = None
-    restore_s = 0.0
-    if restore_from is not None:
-        counters = restore_from.inj_counters
-        for s in faults:
-            if not 0 <= s.rank < len(counters):
-                raise SnapshotError(
-                    f"fault targets rank {s.rank}, snapshot has "
-                    f"{len(counters)} ranks"
-                )
-            if counters[s.rank] >= s.occurrence:
-                raise SnapshotError(
-                    f"snapshot at cycle {restore_from.cycle} already passed "
-                    f"occurrence {s.occurrence} on rank {s.rank} "
-                    f"(counter {counters[s.rank]}); fast-forward would skip "
-                    f"the fault"
-                )
-        t0 = time.perf_counter()
-        start_epoch, initial_trace = restore_world(
-            restore_from, machines, runtime
-        )
-        restore_s = time.perf_counter() - t0
-        rec = _obs.current()
-        if rec is not None:
-            _obs.span_record("snapshot_restore", t0 - rec.t0, restore_s,
-                             cycle=restore_from.cycle)
-            _obs.inc("repro_world_restores_total")
-        for m in machines:
-            if faults:
-                m.arm_faults(faults, seed=inj_seed)
-    else:
-        for m in machines:
-            if faults:
-                m.arm_faults(faults, seed=inj_seed)
-            m.start()
+    for m in machines:
+        if faults:
+            m.arm_faults(faults, seed=inj_seed)
+        m.start()
     budget = max_cycles
     if budget is None:
         budget = config.max_cycles
@@ -178,14 +135,10 @@ def run_job(
             time.monotonic() + wall_timeout if wall_timeout is not None
             else None
         ),
-        start_epoch=start_epoch,
-        trace=initial_trace,
         snapshots=capture_snapshots,
         cml_stream=cml_stream,
         fingerprints=capture_fingerprints,
         prune=prune,
         epoch_counters=capture_epoch_counters,
     )
-    result = scheduler.run()
-    result.restore_s = restore_s
-    return result
+    return scheduler.run()

@@ -26,8 +26,6 @@ DEFAULT_WORKERS = 1
 DEFAULT_PREPARED_CACHE = 8
 DEFAULT_PREFETCH = 2
 DEFAULT_SNAPSHOT_STRIDE = 2048
-DEFAULT_SNAPSHOT_LIMIT = 32
-DEFAULT_PAGE_WORDS = 256
 DEFAULT_OBS_CML_STRIDE = 0
 DEFAULT_RETRY_BASE_DELAY = 0.05
 DEFAULT_RETRY_MAX_DELAY = 2.0
@@ -92,14 +90,6 @@ def _parse_bool(env: Mapping[str, str], name: str, default: bool) -> bool:
     return raw.strip().lower() not in ("0", "false", "off")
 
 
-def _parse_pow2(env: Mapping[str, str], name: str, default: int) -> int:
-    value = _parse_int(env, name, default)
-    if value & (value - 1):
-        _warn(name, str(value), "must be a power of two", default)
-        return default
-    return value
-
-
 def _parse_str(env: Mapping[str, str], name: str) -> Optional[str]:
     raw = env.get(name, "").strip()
     return raw or None
@@ -157,23 +147,17 @@ class Settings:
     artifact_dir: Optional[str] = None
     #: REPRO_PREFETCH — trials in flight per pool worker
     prefetch: int = DEFAULT_PREFETCH
-    # -- snapshot fast-forward -----------------------------------------
+    # -- trial positioning and execution tiers --------------------------
     #: REPRO_SNAPSHOT_STRIDE — golden capture stride in cycles (0 = off)
     snapshot_stride: int = DEFAULT_SNAPSHOT_STRIDE
-    #: REPRO_SNAPSHOT_LIMIT — max retained snapshots per prepared app
-    snapshot_limit: int = DEFAULT_SNAPSHOT_LIMIT
     #: REPRO_SNAPSHOT_VERIFY — off | first | all
     snapshot_verify: str = "first"
     #: REPRO_PRUNE — golden-trajectory convergence pruning (0 = off)
     prune: bool = True
     #: REPRO_FUSE — fused-segment dispatch
     fuse: bool = True
-    #: REPRO_FORK_TRIALS — fork-at-injection trial execution (0 = off)
-    fork_trials: bool = True
     #: REPRO_TIER2 — tier-2 golden-trace segment compilation (0 = off)
     tier2: bool = True
-    #: REPRO_PAGE_WORDS — COW page size in words (power of two)
-    page_words: int = DEFAULT_PAGE_WORDS
     # -- harness resilience ---------------------------------------------
     #: REPRO_RETRY_BASE_DELAY — first backoff delay for transient
     #: harness IO failures, seconds
@@ -216,17 +200,11 @@ class Settings:
             snapshot_stride=_parse_int(
                 env, "REPRO_SNAPSHOT_STRIDE", DEFAULT_SNAPSHOT_STRIDE,
                 minimum=0, clamp=True),
-            snapshot_limit=_parse_int(
-                env, "REPRO_SNAPSHOT_LIMIT", DEFAULT_SNAPSHOT_LIMIT,
-                minimum=2, clamp=True),
             snapshot_verify=_parse_choice(
                 env, "REPRO_SNAPSHOT_VERIFY", "first", _VERIFY_MODES),
             prune=_parse_bool(env, "REPRO_PRUNE", True),
             fuse=_parse_bool(env, "REPRO_FUSE", True),
-            fork_trials=_parse_bool(env, "REPRO_FORK_TRIALS", True),
             tier2=_parse_bool(env, "REPRO_TIER2", True),
-            page_words=_parse_pow2(
-                env, "REPRO_PAGE_WORDS", DEFAULT_PAGE_WORDS),
             retry_base_delay=_parse_float(
                 env, "REPRO_RETRY_BASE_DELAY", DEFAULT_RETRY_BASE_DELAY,
                 allow_zero=True),

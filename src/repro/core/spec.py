@@ -86,7 +86,7 @@ class CampaignSpec:
     observe: object = None
     #: golden-trajectory convergence pruning (None: REPRO_PRUNE)
     prune: Optional[bool] = None
-    #: fork-at-injection execution (None: REPRO_FORK_TRIALS)
+    #: fork-at-injection execution (None: on; False: every trial cold)
     fork: Optional[bool] = None
     #: tier-2 golden-trace compilation (None: REPRO_TIER2)
     tier2: Optional[bool] = None

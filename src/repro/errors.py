@@ -58,12 +58,12 @@ class MPIError(ReproError):
 
 
 class SnapshotError(ReproError):
-    """Snapshot fast-forward misuse or equivalence violation.
+    """Snapshot/fork misuse or equivalence violation.
 
     Raised when a world snapshot cannot be captured or restored, when a
-    restore target is incompatible with the armed fault plan, or — the
-    serious one — when the mandatory equivalence check finds a restored
-    trial that is not bit-identical to its cold re-execution.
+    golden cursor cannot reach a trial's fork epoch, or — the serious
+    one — when the mandatory equivalence check finds a forked trial
+    that is not bit-identical to its cold re-execution.
     """
 
 

@@ -17,7 +17,6 @@ from .campaign import (
     default_timeout,
     default_trials,
     default_workers,
-    fork_enabled,
     harness_failure_trial,
     plan_fork_batches,
     run_campaign,
@@ -40,8 +39,7 @@ __all__ = [
     "GoldenProfile", "JournalRecovery", "PreparedApp",
     "TrialResult", "artifact_key", "artifact_path",
     "default_timeout", "default_trials", "default_workers", "draw_plan",
-    "fork_enabled", "harness_failure_trial", "load_artifact",
-    "plan_fork_batches",
+    "harness_failure_trial", "load_artifact", "plan_fork_batches",
     "profile_golden", "quarantine_artifact", "read_journal",
     "read_journal_ex", "resume_campaign", "run_campaign",
     "save_artifact", "trial_results_equal",

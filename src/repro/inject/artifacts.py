@@ -8,13 +8,10 @@ it from scratch.  This module serializes the prepared golden state into
 a **content-addressed on-disk artifact** so that
 
 * pool workers (including respawned ones) load the artifact instead of
-  re-running golden profiling,
+  re-running golden profiling, and
 * repeated campaigns over the same (app, params, mode, stride) — the
   normal shape of a paper-scale study sweeping seeds and trial counts —
-  skip golden profiling entirely, and
-* a one-time snapshot equivalence verification is persisted next to the
-  artifact, so each new process does not re-pay the cold verification
-  run mandated by ``REPRO_SNAPSHOT_VERIFY=first``.
+  skip golden profiling entirely.
 
 Artifact identity is a SHA-256 over the *content* that determines the
 golden run: app source, run configuration, instrumentation mode,
@@ -61,7 +58,6 @@ SCHEMA_VERSION = 6
 
 _ARTIFACT_KIND = "repro-golden-artifact"
 _SUFFIX = ".golden"
-_VERIFIED_SUFFIX = ".verified"
 _QUARANTINE_SUFFIX = ".corrupt"
 
 #: process-local log of quarantined artifact paths (campaign drivers
@@ -110,10 +106,6 @@ def artifact_path(directory: Union[str, Path], key: str) -> Path:
     return Path(directory) / f"{key}{_SUFFIX}"
 
 
-def _verified_path(directory: Union[str, Path], key: str) -> Path:
-    return Path(directory) / f"{key}{_VERIFIED_SUFFIX}"
-
-
 @dataclass
 class GoldenArtifact:
     """One loaded artifact: the golden profile plus frozen snapshots."""
@@ -127,16 +119,11 @@ class GoldenArtifact:
     #: JSON-safe tier-2 trace plan (:func:`repro.vm.tier2.derive_plan`),
     #: or None — workers install it instead of re-planning
     tier2_plan: Optional[dict] = None
-    #: a process somewhere already proved fast-forward equivalence for
-    #: this artifact (persisted marker — see :func:`mark_verified`)
-    verified: bool = False
 
     def snapshot_store(self) -> Optional[SnapshotStore]:
         if self.snapshot_state is None:
             return None
-        store = SnapshotStore.load_state(self.snapshot_state)
-        store.verified = self.verified
-        return store
+        return SnapshotStore.load_state(self.snapshot_state)
 
     def fingerprint_index(self) -> Optional[FingerprintIndex]:
         if self.fingerprint_state is None:
@@ -264,7 +251,6 @@ def load_artifact_strict(directory: Union[str, Path],
         snapshot_state=snapshot_state,
         fingerprint_state=fingerprint_state,
         tier2_plan=tier2_plan,
-        verified=is_verified(directory, key, payload_sha256=digest),
     )
 
 
@@ -273,10 +259,10 @@ def quarantine_artifact(directory: Union[str, Path], key: str,
     """Move a corrupt artifact aside so it can be re-materialised.
 
     The artifact file is renamed to ``<key>.golden.corrupt`` (replacing
-    any previous quarantine for the key) and its ``.verified`` marker is
-    removed, so the next preparation re-runs the golden profile and
-    atomically writes a fresh artifact in the old one's place — a
-    one-shot re-materialisation instead of a warn-every-load loop.
+    any previous quarantine for the key), so the next preparation
+    re-runs the golden profile and atomically writes a fresh artifact
+    in the old one's place — a one-shot re-materialisation instead of a
+    warn-every-load loop.
     Returns the quarantine path, or None when nothing could be moved.
     """
     directory = Path(directory)
@@ -286,10 +272,6 @@ def quarantine_artifact(directory: Union[str, Path], key: str,
         os.replace(src, dst)
     except OSError:
         return None
-    try:
-        _verified_path(directory, key).unlink()
-    except OSError:
-        pass
     QUARANTINE_LOG.append(str(dst))
     warnings.warn(
         f"quarantined corrupt golden artifact {src} -> {dst.name} "
@@ -316,117 +298,3 @@ def load_artifact(directory: Union[str, Path],
         warnings.warn(f"ignoring golden artifact: {exc}", stacklevel=2)
         quarantine_artifact(directory, key, str(exc))
         return None
-
-
-def _read_payload_sha(directory: Union[str, Path], key: str
-                      ) -> Optional[str]:
-    """Recompute the payload hash of the on-disk artifact (slow path)."""
-    path = artifact_path(directory, key)
-    try:
-        blob = path.read_bytes()
-    except OSError:
-        return None
-    newline = blob.find(b"\n")
-    if newline < 0:
-        return None
-    return hashlib.sha256(blob[newline + 1:]).hexdigest()
-
-
-def is_verified(directory: Union[str, Path], key: str, *,
-                payload_sha256: Optional[str] = None) -> bool:
-    """Has any process persisted a *still-valid* equivalence verification?
-
-    The marker records the payload hash, size and mtime of the artifact
-    it verified.  A matching stat is the trusted fast path; when the
-    artifact's bytes changed afterwards (size/mtime mismatch, or the
-    caller supplies a freshly computed ``payload_sha256``), the content
-    hash is re-checked instead of trusting the stale marker — and on a
-    hash mismatch the artifact is quarantined and the marker dropped, so
-    a tampered artifact can never ride a pre-tamper verification.
-    """
-    marker_path = _verified_path(directory, key)
-    try:
-        raw = marker_path.read_text()
-    except OSError:
-        return False
-    try:
-        marker = json.loads(raw)
-    except json.JSONDecodeError:
-        marker = {}
-    recorded_sha = marker.get("payload_sha256") if isinstance(marker, dict) \
-        else None
-    path = artifact_path(directory, key)
-    try:
-        st = path.stat()
-    except OSError:
-        # marker without an artifact: nothing to cross-check (the load
-        # path never gets here — it requires a readable artifact first)
-        return True
-    if recorded_sha is None:
-        # legacy marker (no content hash): cross-check the artifact
-        # against its own header so corrupt bytes cannot ride it
-        live = payload_sha256 or _read_payload_sha(directory, key)
-        header_sha = _read_header_sha(directory, key)
-        if live is not None and header_sha is not None and live == header_sha:
-            return True
-        quarantine_artifact(directory, key,
-                            "artifact bytes changed after verification")
-        return False
-    if (payload_sha256 is None
-            and marker.get("size") == st.st_size
-            and marker.get("mtime_ns") == st.st_mtime_ns):
-        return True  # unchanged since verification — trusted fast path
-    live = payload_sha256 or _read_payload_sha(directory, key)
-    if live == recorded_sha:
-        return True
-    quarantine_artifact(directory, key,
-                        "artifact bytes changed after verification")
-    return False
-
-
-def _read_header_sha(directory: Union[str, Path], key: str
-                     ) -> Optional[str]:
-    path = artifact_path(directory, key)
-    try:
-        with path.open("rb") as fh:
-            header_line = fh.readline()
-        header = json.loads(header_line)
-    except (OSError, json.JSONDecodeError):
-        return None
-    return header.get("payload_sha256") if isinstance(header, dict) else None
-
-
-def mark_verified(directory: Union[str, Path], key: str) -> None:
-    """Persist that fast-forward equivalence held for this artifact.
-
-    Written after a ``REPRO_SNAPSHOT_VERIFY=first`` cold re-execution
-    matched bit-for-bit, so sibling workers and later campaigns skip
-    their own verification runs.  The marker pins the artifact's payload
-    hash, size and mtime, so :func:`is_verified` can detect an artifact
-    whose bytes changed after verification.  Atomic and idempotent.
-    """
-    directory = Path(directory)
-    path = _verified_path(directory, key)
-    if path.exists():
-        return
-    marker = {"key": key, "kind": "repro-verified"}
-    artifact = artifact_path(directory, key)
-    try:
-        st = artifact.stat()
-        sha = _read_header_sha(directory, key)
-        if sha is not None:
-            marker.update(payload_sha256=sha, size=st.st_size,
-                          mtime_ns=st.st_mtime_ns)
-    except OSError:
-        pass  # markerable even without an artifact (tests, tooling)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(marker) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise

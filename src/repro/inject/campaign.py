@@ -20,7 +20,9 @@ import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from ..errors import (
 from ..mpi import JobResult
 from ..obs import runtime as obs_rt
 from ..obs.cml import CMLStream
-from ..obs.observer import CampaignObserver, ObserveConfig
+from ..obs.observer import ObserveConfig
 from ..vm.machine import FaultSpec
 from ..vm.snapshot import default_snapshot_stride, snapshot_verify_mode
 from .health import CampaignHealth
@@ -83,17 +85,17 @@ class TrialResult:
     #: full run's by the pruning contract.
     pruned_at_cycle: Optional[int] = None
     #: virtual time at which this trial was forked COW off the shared
-    #: golden world (None = the trial ran on the restore/cold path).
+    #: golden world (None = the trial ran cold from cycle 0).
     #: Like ``pruned_at_cycle``, provenance rather than content: fork
-    #: trials are bit-identical to restore-path trials by the COW
+    #: trials are bit-identical to cold trials by the COW
     #: contract, so this is excluded from the bit-identity predicate.
     forked_at_cycle: Optional[int] = None
     #: pages the COW transaction actually copied for this trial (None =
     #: not forked); excluded from the bit-identity predicate with
     #: ``forked_at_cycle``
     pages_copied: Optional[int] = None
-    #: wall seconds per execution stage (artifact_load / snapshot_restore
-    #: / fork_advance / execute) — observability only; excluded from the
+    #: wall seconds per execution stage (artifact_load / fork_advance /
+    #: execute / tier2_codegen) — observability only; excluded from the
     #: bit-identity predicate because wall clocks are nondeterministic
     stage_timings: Optional[Dict[str, float]] = None
     #: live decimated CML(t) stream from the observability layer, an
@@ -186,10 +188,6 @@ class CampaignResult:
 _PREPARED_CACHE: "OrderedDict[tuple, PreparedApp]" = OrderedDict()
 
 
-def _prepared_cache_max() -> int:
-    return current_settings().prepared_cache
-
-
 def _prepared(app_name: str, params: tuple, mode: str,
               snapshot_stride: Optional[int] = None,
               artifact_dir: Union[str, Path, None] = None) -> PreparedApp:
@@ -204,7 +202,7 @@ def _prepared(app_name: str, params: tuple, mode: str,
         pa = PreparedApp(get_app(app_name, **dict(params)), mode,
                          snapshot_stride=stride, artifact_dir=artifact_dir)
         _PREPARED_CACHE[key] = pa
-        limit = _prepared_cache_max()
+        limit = current_settings().prepared_cache
         while len(_PREPARED_CACHE) > limit:
             _PREPARED_CACHE.popitem(last=False)
     else:
@@ -272,9 +270,9 @@ def _summarise(
 def trial_results_equal(a: TrialResult, b: TrialResult) -> bool:
     """Field-by-field bit-identity of two trial results.
 
-    This is the equivalence predicate of the snapshot fast-forward
-    contract: a restored trial must match its cold re-execution on every
-    field, including the full CML(t) series.
+    This is the equivalence predicate of the fork contract: a forked
+    trial must match its cold re-execution on every field, including
+    the full CML(t) series.
     """
     for f in fields(TrialResult):
         # stage_timings: wall clocks are nondeterministic.  cml_stream /
@@ -301,26 +299,50 @@ def trial_results_equal(a: TrialResult, b: TrialResult) -> bool:
     return True
 
 
-def _run_trial(args) -> TrialResult:
+class TrialJob(NamedTuple):
+    """One pre-drawn trial, as an executor ships it to a worker.
+
+    Executors treat it as an opaque picklable.  The defaults are the
+    plain trial: cold from cycle 0, unobserved, unpruned.
+    """
+
+    app: str
+    params: tuple
+    mode: str
+    faults: Tuple[FaultSpec, ...]
+    inj_seed: int
+    keep_series: bool
+    wall_timeout: Optional[float] = None
+    snapshot_stride: Optional[int] = None
+    artifact_dir: Optional[str] = None
+    #: when set, the trial runs recorded (see :func:`_run_trial`)
+    observe: Optional[ObserveConfig] = None
+    prune: bool = False
+    #: golden epoch to fork at (:meth:`GoldenProfile.fork_epoch`);
+    #: 0 = run cold
+    fork_epoch: int = 0
+    tier2: bool = True
+
+
+def _run_trial(job: TrialJob) -> TrialResult:
     """Worker-side trial driver, with optional observability.
 
-    ``args[9]`` carries the trial's :class:`~repro.obs.ObserveConfig`
-    (or None, the default): when set, the trial runs under a fresh
+    With ``job.observe`` set, the trial runs under a fresh
     :class:`~repro.obs.runtime.TrialRecorder` — stage spans, VM/MPI
     events and a metrics delta ride back to the campaign driver on
     ``TrialResult.obs``, and FPM/taint trials stream their live CML(t)
     series into ``TrialResult.cml_stream``.  Nothing here touches the
     trial RNG, so observed and unobserved runs are bit-identical.
     """
-    observe = args[9] if len(args) > 9 else None
+    observe = job.observe
     if observe is None:
-        return _execute_trial(args, None)
+        return _execute_trial(job, None)
     stream = None
-    if observe.cml and args[2] in ("fpm", "taint"):
+    if observe.cml and job.mode in ("fpm", "taint"):
         stream = CMLStream(observe.cml_stride)
     with obs_rt.trial_recording() as rec:
         rec.cml = stream
-        tr = _execute_trial(args, stream)
+        tr = _execute_trial(job, stream)
     if stream is not None:
         tr.cml_stream = stream.to_array()
         stream.publish_metrics(rec.metrics)
@@ -343,28 +365,21 @@ def _book(timings: Dict[str, float], stage: str, program, t1: float,
     timings[stage] = max(0.0, time.perf_counter() - t1 - codegen)
 
 
-def _fork_cursor(pa: PreparedApp):
-    """Worker-local golden cursor, lazily built per prepared app."""
-    cursor = getattr(pa, "_fork_cursor", None)
-    if cursor is None:
-        from .forkrun import GoldenCursor  # lazy: forkrun imports vm stack
-        cursor = GoldenCursor(pa)
-        pa._fork_cursor = cursor
-    return cursor
-
-
-def _fork_trial(pa, fork_epoch, faults, inj_seed, keep_series,
-                wall_timeout, stream, fingerprints, timings,
-                tier2: bool = True) -> TrialResult:
+def _fork_trial(pa: PreparedApp, job: TrialJob, stream, fingerprints,
+                timings: Dict[str, float]) -> TrialResult:
     """Run one trial COW-forked off the worker's shared golden world.
 
-    Mirrors the restore path's verify-first contract: the first fork
-    trial per worker is re-executed cold (unobserved, unpruned) and
-    must be bit-identical, so a broken COW layer fails loudly instead
-    of corrupting a campaign.
+    Verify-first contract: the first fork trial per prepared app per
+    process is re-executed cold (unobserved, unpruned, tier-1) and must
+    be bit-identical, so a broken COW layer fails loudly instead of
+    corrupting a campaign.
     """
-    cursor = _fork_cursor(pa)
-    cursor.set_tier2(tier2)
+    faults, fork_epoch = job.faults, job.fork_epoch
+    cursor = getattr(pa, "_fork_cursor", None)
+    if cursor is None:  # worker-local, lazily built per prepared app
+        from .forkrun import GoldenCursor  # lazy: forkrun imports vm stack
+        cursor = pa._fork_cursor = GoldenCursor(pa)
+    cursor.set_tier2(job.tier2)
     program = pa.program
     t1, cg1 = time.perf_counter(), program.tier2_codegen_s
     with obs_rt.span("fork_advance", fork_epoch=fork_epoch):
@@ -373,25 +388,27 @@ def _fork_trial(pa, fork_epoch, faults, inj_seed, keep_series,
     t1, cg1 = time.perf_counter(), program.tier2_codegen_s
     with obs_rt.span("execute", fork=True, fork_epoch=fork_epoch):
         result, pages = cursor.fork_run(
-            faults, inj_seed=inj_seed, wall_timeout=wall_timeout,
+            faults, inj_seed=job.inj_seed, wall_timeout=job.wall_timeout,
             cml_stream=stream, prune=fingerprints,
         )
     _book(timings, "execute", program, t1, cg1)
     with obs_rt.span("classify"):
-        tr = _summarise(pa, result, faults, keep_series)
+        tr = _summarise(pa, result, faults, job.keep_series)
     tr.forked_at_cycle = forked_at
     tr.pages_copied = pages
     tr.stage_timings = timings
     verify = snapshot_verify_mode()
     if verify == "all" or (verify == "first"
                            and not getattr(pa, "_fork_verified", False)):
+        # The cold re-execution is harness bookkeeping: its VM/MPI
+        # events must not pollute the observed trial's records.
         with obs_rt.suspended():
             cold = run_job(
-                pa.program, pa.run_config(), faults=faults,
-                inj_seed=inj_seed, wall_timeout=wall_timeout,
+                program, pa.run_config(), faults=faults,
+                inj_seed=job.inj_seed, wall_timeout=job.wall_timeout,
                 tier2=False,
             )
-            cold_tr = _summarise(pa, cold, faults, keep_series)
+            cold_tr = _summarise(pa, cold, faults, job.keep_series)
         if not trial_results_equal(tr, cold_tr):
             raise SnapshotError(
                 f"forked trial diverged from cold run for "
@@ -400,110 +417,58 @@ def _fork_trial(pa, fork_epoch, faults, inj_seed, keep_series,
                 f"{cold_tr.outcome}/{cold_tr.cycles}"
             )
         pa._fork_verified = True
-    # Counted only once the trial is final: a verify failure above falls
-    # back to the restore path, and counting before the gate would
+    # Counted only once the trial is final: a verify failure above ships
+    # the trial from the cold rung, and counting before the gate would
     # inflate the fork totals with a trial that never shipped as forked.
     obs_rt.inc("repro_trials_forked_total")
     obs_rt.inc("repro_pages_copied_total", pages)
     return tr
 
 
-def _execute_trial(args, stream) -> TrialResult:
-    (app_name, params, mode, faults, inj_seed, keep_series) = args[:6]
-    wall_timeout = args[6] if len(args) > 6 else None
-    snapshot_stride = args[7] if len(args) > 7 else None
-    artifact_dir = args[8] if len(args) > 8 else None
-    prune_on = bool(args[10]) if len(args) > 10 else False
-    fork_epoch = int(args[11]) if len(args) > 11 and args[11] else 0
-    tier2_on = bool(args[12]) if len(args) > 12 else True
+def _execute_trial(job: TrialJob, stream) -> TrialResult:
+    """Position and run one trial: fork off the golden cursor, else cold."""
     t0 = time.perf_counter()
-    with obs_rt.span("arm", faults=len(faults)):
-        pa = _prepared(app_name, params, mode, snapshot_stride, artifact_dir)
-        pa.ensure_tier2(tier2_on)
-        config = pa.run_config()
-        store = pa.snapshots
-        snap = store.best_for(faults) if store is not None else None
-    fingerprints = pa.fingerprints if prune_on else None
-    prep_s = time.perf_counter() - t0
+    with obs_rt.span("arm", faults=len(job.faults)):
+        pa = _prepared(job.app, job.params, job.mode, job.snapshot_stride,
+                       job.artifact_dir)
+        pa.ensure_tier2(job.tier2)
+    fingerprints = pa.fingerprints if job.prune else None
     program = pa.program
     # tier2_codegen is what this trial spent compiling the traces it was
     # first in its process to enter, taken out of the window that
     # entered them (see _book), so the health total is the codegen cost
     # over all workers and goes to zero once every entered head is compiled
-    timings = {"artifact_load": prep_s, "snapshot_restore": 0.0,
+    timings = {"artifact_load": time.perf_counter() - t0,
                "execute": 0.0, "tier2_codegen": 0.0}
-    run_tier2 = None if tier2_on else False
-    if fork_epoch > 0:
+    if job.fork_epoch > 0:
         try:
-            return _fork_trial(pa, fork_epoch, faults, inj_seed,
-                               keep_series, wall_timeout, stream,
-                               fingerprints, timings, tier2_on)
+            return _fork_trial(pa, job, stream, fingerprints, timings)
         except TrialTimeoutError:
             raise  # harness failure: the engine retries/quarantines it
         except (SnapshotError, RuntimeError) as exc:
-            # fallback ladder: a broken/poisoned cursor degrades this
-            # trial to the restore path instead of failing the campaign
+            # a broken/poisoned cursor or a failed cross-check degrades
+            # this trial to the cold rung instead of failing the campaign
             warnings.warn(
-                f"fork-at-injection failed for {app_name!r} "
-                f"(epoch {fork_epoch}): {exc}; falling back to the "
-                f"restore path",
+                f"fork-at-injection failed for {job.app!r} "
+                f"(epoch {job.fork_epoch}): {exc}; running the trial "
+                f"cold from cycle 0",
                 stacklevel=2,
             )
             obs_rt.inc("repro_fork_fallback_total")
             timings.pop("fork_advance", None)
             timings["execute"] = 0.0
-    if snap is None:
-        t1, cg1 = time.perf_counter(), program.tier2_codegen_s
-        with obs_rt.span("execute", fast_forward=False):
-            result = run_job(
-                program, config, faults=faults, inj_seed=inj_seed,
-                wall_timeout=wall_timeout, cml_stream=stream,
-                prune=fingerprints, tier2=run_tier2,
-            )
-        _book(timings, "execute", program, t1, cg1)
-        with obs_rt.span("classify"):
-            tr = _summarise(pa, result, faults, keep_series)
-        tr.stage_timings = timings
-        return tr
-
     t1, cg1 = time.perf_counter(), program.tier2_codegen_s
-    with obs_rt.span("execute", fast_forward=True, snapshot_cycle=snap.cycle):
+    with obs_rt.span("execute", fork=False):
         result = run_job(
-            program, config, faults=faults, inj_seed=inj_seed,
-            wall_timeout=wall_timeout, restore_from=snap,
-            cml_stream=stream, prune=fingerprints, tier2=run_tier2,
+            program, pa.run_config(), faults=job.faults,
+            inj_seed=job.inj_seed, wall_timeout=job.wall_timeout,
+            cml_stream=stream, prune=fingerprints,
+            tier2=None if job.tier2 else False,
         )
     _book(timings, "execute", program, t1, cg1)
-    timings["snapshot_restore"] = result.restore_s
-    timings["execute"] = max(0.0, timings["execute"] - result.restore_s)
     with obs_rt.span("classify"):
-        tr = _summarise(pa, result, faults, keep_series)
+        tr = _summarise(pa, result, job.faults, job.keep_series)
     tr.stage_timings = timings
-    verify = snapshot_verify_mode()
-    if verify == "first" and not store.verified and pa.artifact_verified():
-        # Another process already proved fast-forward equivalence for
-        # this exact artifact; skip the redundant cold re-execution.
-        store.verified = True
-    if verify == "all" or (verify == "first" and not store.verified):
-        # The cold re-execution is harness bookkeeping: its VM/MPI
-        # events must not pollute the observed trial's records.  It
-        # deliberately runs *unpruned* as well, so the equivalence check
-        # covers both fast-forward and convergence pruning.
-        with obs_rt.suspended():
-            cold = run_job(
-                pa.program, config, faults=faults, inj_seed=inj_seed,
-                wall_timeout=wall_timeout, tier2=False,
-            )
-            cold_tr = _summarise(pa, cold, faults, keep_series)
-        if not trial_results_equal(tr, cold_tr):
-            raise SnapshotError(
-                f"fast-forwarded trial diverged from cold run for "
-                f"{app_name!r} ({mode}, snapshot at cycle {snap.cycle}, "
-                f"faults {tuple(faults)}): {tr.outcome}/{tr.cycles} vs "
-                f"{cold_tr.outcome}/{cold_tr.cycles}"
-            )
-        store.verified = True
-        pa.mark_artifact_verified()
     return tr
 
 
@@ -538,25 +503,33 @@ def default_timeout(requested: Optional[float] = None) -> Optional[float]:
     return current_settings().trial_timeout
 
 
-def _build_jobs(
-    app: str,
-    params_key: tuple,
-    mode: str,
-    golden: GoldenProfile,
-    n_trials: int,
-    n_faults: int,
-    seed: int,
-    rank: Optional[int],
-    bit: Optional[int],
-    keep_series: bool,
-    wall_timeout: Optional[float],
-    snapshot_stride: Optional[int] = None,
-    artifact_dir: Optional[str] = None,
-    observe: Optional[ObserveConfig] = None,
-    prune: bool = False,
-    fork: bool = False,
-    tier2: bool = True,
-) -> List[tuple]:
+def _job_template(header: dict,
+                  observe: Optional[ObserveConfig] = None) -> TrialJob:
+    """What every trial of the campaign ``header`` defines has in common.
+
+    ``header`` is the campaign definition in journal-header form.  Keys
+    a journal from before a feature lacks (``snapshot_stride``,
+    ``prune``, ``tier2``) mean that feature off, so its trials execute
+    the way they were recorded.
+    """
+    return TrialJob(
+        app=header["app_name"],
+        params=tuple((k, v) for k, v in header.get("params", [])),
+        mode=header["mode"],
+        faults=(),
+        inj_seed=0,
+        keep_series=bool(header.get("keep_series")),
+        wall_timeout=header.get("timeout"),
+        snapshot_stride=header.get("snapshot_stride", 0),
+        artifact_dir=header.get("artifact_dir"),
+        observe=observe,
+        prune=bool(header.get("prune", False)),
+        tier2=bool(header.get("tier2", False)),
+    )
+
+
+def _build_jobs(header: dict, golden: GoldenProfile,
+                proto: TrialJob) -> List[TrialJob]:
     """Draw every trial's fault plan and seed up front.
 
     All randomness is consumed here, in index order, from one generator
@@ -564,23 +537,26 @@ def _build_jobs(
     campaigns resumable: re-drawing with the same seed against the same
     golden profile reproduces the identical job list.
 
-    With ``fork`` on, each job carries its fork epoch (index 11): the
-    last golden epoch preceding every occurrence in its fault plan,
-    resolved against the profile's dense per-epoch counters.  The RNG
-    stream is untouched either way, so fork and no-fork campaigns draw
-    identical fault plans.
+    With ``header["fork"]`` on (absent = off), each job carries its
+    fork epoch: the last golden epoch preceding every occurrence in its
+    fault plan, resolved against the profile's dense per-epoch
+    counters.  The RNG stream is untouched either way, so fork and
+    no-fork campaigns draw identical fault plans.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(header["seed"]))
+    n_faults = int(header["n_faults"])
+    rank, bit = header.get("rank"), header.get("bit")
+    fork = bool(header.get("fork", False))
     jobs = []
-    for _ in range(n_trials):
-        faults = draw_plan(
+    for _ in range(int(header["n_trials"])):
+        faults = tuple(draw_plan(
             rng, golden.inj_counts, n_faults, rank=rank, bit=bit
-        )
+        ))
         inj_seed = int(rng.integers(2 ** 31))
-        fork_epoch = golden.fork_epoch(faults) if fork else 0
-        jobs.append((app, params_key, mode, tuple(faults), inj_seed,
-                     keep_series, wall_timeout, snapshot_stride,
-                     artifact_dir, observe, prune, fork_epoch, tier2))
+        jobs.append(proto._replace(
+            faults=faults, inj_seed=inj_seed,
+            fork_epoch=golden.fork_epoch(faults) if fork else 0,
+        ))
     return jobs
 
 
@@ -594,18 +570,6 @@ def prune_enabled(requested: Optional[bool] = None) -> bool:
     if requested is not None:
         return bool(requested)
     return current_settings().prune
-
-
-def fork_enabled(requested: Optional[bool] = None) -> bool:
-    """Fork-at-injection execution: argument, else REPRO_FORK_TRIALS.
-
-    On by default; set REPRO_FORK_TRIALS=0 (or pass ``fork=False`` /
-    ``--no-fork``) to run every trial on the restore/cold path — the
-    escape hatch for A/B measurement and equivalence testing.
-    """
-    if requested is not None:
-        return bool(requested)
-    return current_settings().fork_trials
 
 
 def tier2_enabled(requested: Optional[bool] = None) -> bool:
@@ -623,7 +587,7 @@ def tier2_enabled(requested: Optional[bool] = None) -> bool:
     return current_settings().tier2
 
 
-def plan_fork_batches(jobs: Sequence[tuple], workers: int = 1
+def plan_fork_batches(jobs: Sequence[TrialJob], workers: int = 1
                       ) -> List[List[int]]:
     """Group trial indices into fork-epoch buckets, ascending.
 
@@ -632,15 +596,14 @@ def plan_fork_batches(jobs: Sequence[tuple], workers: int = 1
     most once per worker, and each trial in a bucket forks COW off the
     already-positioned world.  Deterministic (a pure function of the job
     list), so resumed campaigns re-plan the identical buckets.  Trials
-    with fork epoch 0 (nothing to gain) bucket together first and run on
-    the restore/cold path.  Indices within a bucket stay in campaign
-    order, and oversized buckets split into up to ``workers`` chunks so
-    one dominant epoch cannot idle the rest of the pool.
+    with fork epoch 0 (nothing to gain) bucket together first and run
+    cold.  Indices within a bucket stay in campaign order, and
+    oversized buckets split into up to ``workers`` chunks so one
+    dominant epoch cannot idle the rest of the pool.
     """
     groups: "OrderedDict[int, List[int]]" = OrderedDict()
     for i, job in enumerate(jobs):
-        epoch = job[11] if len(job) > 11 else 0
-        groups.setdefault(epoch, []).append(i)
+        groups.setdefault(job.fork_epoch, []).append(i)
     batches: List[List[int]] = []
     for epoch in sorted(groups):
         idxs = groups[epoch]
@@ -742,8 +705,11 @@ def run_campaign(
     :func:`repro.inject.engine.resume_campaign`.
 
     ``snapshot_stride`` sets the golden-run snapshot capture stride in
-    cycles for trial fast-forward (None: REPRO_SNAPSHOT_STRIDE or 2048;
-    0 disables and every trial runs cold from cycle 0).
+    cycles (None: REPRO_SNAPSHOT_STRIDE or 2048).  Snapshots are what a
+    worker's golden cursor rewinds to, and convergence-pruning
+    fingerprints ride on the same stride; ``0`` captures neither, so
+    nothing prunes and a rewind replays the golden run from cycle 0 —
+    trials still fork.
 
     ``artifact_dir`` names a directory of shared golden artifacts (None:
     REPRO_ARTIFACT_DIR or disabled): the golden profile and snapshot
@@ -766,15 +732,14 @@ def run_campaign(
     snapshots (``snapshot_stride`` > 0) — with them disabled there are
     no fingerprints and every trial runs to completion.
 
-    ``fork`` controls fork-at-injection execution (None: REPRO_FORK_TRIALS
-    or on): trials are grouped into fork-epoch buckets, each worker
-    advances one shared golden world through its buckets exactly once,
-    and every trial runs COW-forked off that world at its injection
-    epoch — paying only its divergent window plus the pages it touches.
-    Results are bit-identical to the restore path (the fuzz equivalence
-    suite asserts it); ``--no-fork`` is the escape hatch.  Requires a
-    golden profile with per-epoch counters (schema v3); older artifacts
-    fall back to the restore path automatically.
+    ``fork`` controls fork-at-injection execution (None: on): trials
+    are grouped into fork-epoch buckets, each worker advances one
+    shared golden world through its buckets exactly once, and every
+    trial runs COW-forked off that world at its injection epoch —
+    paying only its divergent window plus the pages it touches.
+    ``fork=False`` / ``--no-fork`` runs every trial cold from cycle 0
+    in index order: the reference the equivalence suites compare the
+    fork rung against, bit-identical by the COW contract.
 
     ``tier2`` controls tier-2 golden-trace execution (None: REPRO_TIER2
     or on): hot golden paths run as exec-compiled straight-line trace
@@ -782,10 +747,9 @@ def run_campaign(
     the guard contract (the fuzz equivalence suite asserts it);
     ``--no-tier2`` is the escape hatch.
     """
-    from . import chaos
     from ..core.spec import CampaignSpec
-    from .artifacts import QUARANTINE_LOG, default_artifact_dir
-    from .engine import CampaignEngine  # lazy: engine imports this module
+    from .artifacts import default_artifact_dir
+    from .engine import _drive_campaign  # lazy: engine imports this module
 
     if isinstance(app, CampaignSpec):
         if trials is not None:
@@ -793,69 +757,19 @@ def run_campaign(
                 "pass either a CampaignSpec or keyword arguments, not both")
         return run_campaign(progress=progress, **app.kwargs())
 
-    # arm the (optional) chaos injector before any worker forks so every
-    # process shares one once-only fault ledger
-    chaos.activate()
-    quarantined_before = len(QUARANTINE_LOG)
     n_trials = default_trials(trials)
     requested_workers = default_workers(workers)
-    wall_timeout = default_timeout(timeout)
-    # Resolve once so the journal records the effective value and forked
-    # workers cannot drift if the environment changes mid-campaign.
-    stride = default_snapshot_stride(snapshot_stride)
-    prune_on = prune_enabled(prune)
-    art_dir = default_artifact_dir(artifact_dir)
-    art_dir_str = str(art_dir) if art_dir is not None else None
-    params = dict(params or {})
-    params_key = tuple(sorted(params.items()))
-
-    effective = requested_workers
     if requested_workers > 1 and n_trials < 4:
         warnings.warn(
             f"campaign of {n_trials} trials is too small for "
             f"{requested_workers} workers; running serially",
             stacklevel=2,
         )
-        effective = 1
-
-    # Resolve the execution backend up front so batch/shard planning can
-    # use the right parallelism; the remote fabric gets the golden
-    # artifact reference so daemons fetch shared state, not re-profile.
-    from .executors import resolve_backend
-    exec_name, n_shards, parallelism = resolve_backend(
-        executor, shards, effective)
-
-    obs_config = ObserveConfig.resolve(observe)
-
-    tier2_on = tier2_enabled(tier2)
-    pa = _prepared(app, params_key, mode, stride, art_dir_str)
-    pa.ensure_tier2(tier2_on)
-    golden = pa.golden
-    # Forking needs the dense per-epoch counter timeline (profile v3+);
-    # without it every fork epoch would resolve to 0 anyway.
-    fork_on = fork_enabled(fork) and bool(golden.epoch_counters)
-    jobs = _build_jobs(app, params_key, mode, golden, n_trials, n_faults,
-                       seed, rank, bit, keep_series, wall_timeout, stride,
-                       art_dir_str, obs_config, prune_on, fork_on,
-                       tier2_on)
-    # --no-fork dispatches in index order
-    batches = plan_fork_batches(jobs, parallelism) if fork_on else None
-
-    engine_executor: Union[str, object] = exec_name
-    if exec_name == "remote":
-        from .executors.remote import RemoteExecutor
-        artifact_ref = None
-        if art_dir_str is not None:
-            artifact_ref = (app, params_key, mode, stride, art_dir_str)
-        engine_executor = RemoteExecutor(
-            n_shards, artifact=artifact_ref,
-            degrade_after=max(4, 2 * n_shards),
-        )
-
-    journal_writer = None
-    if journal is not None:
-        from .journal import CampaignJournal
-        journal_writer = CampaignJournal.create(journal, {
+    art_dir = default_artifact_dir(artifact_dir)
+    # Every knob is resolved here, once: the journal records effective
+    # values, and workers cannot drift if the environment changes.
+    return _drive_campaign(
+        {
             "app_name": app,
             "mode": mode,
             "n_faults": n_faults,
@@ -864,64 +778,19 @@ def run_campaign(
             "keep_series": keep_series,
             "rank": rank,
             "bit": bit,
-            "params": sorted(params.items()),
-            "timeout": wall_timeout,
-            "snapshot_stride": stride,
-            "artifact_dir": art_dir_str,
-            "prune": prune_on,
-            "fork": fork_on,
-            "tier2": tier2_on,
-            "executor": exec_name,
-            "shards": n_shards if exec_name == "remote" else 1,
-            "golden": {
-                "iterations": golden.iterations,
-                "cycles": golden.cycles,
-                "rank_cycles": list(golden.rank_cycles),
-                "inj_counts": list(golden.inj_counts),
-            },
-        })
-
-    observer = None
-    if obs_config is not None:
-        observer = CampaignObserver(obs_config, meta={
-            "app": app, "mode": mode, "seed": seed, "n_trials": n_trials,
-        })
-
-    engine = CampaignEngine(
-        workers=effective,
-        timeout=wall_timeout,
+            "params": sorted((params or {}).items()),
+            "timeout": default_timeout(timeout),
+            "snapshot_stride": default_snapshot_stride(snapshot_stride),
+            "artifact_dir": str(art_dir) if art_dir is not None else None,
+            "prune": prune_enabled(prune),
+            "fork": fork is None or bool(fork),
+            "tier2": tier2_enabled(tier2),
+        },
+        journal=journal,
+        workers=requested_workers,
         max_retries=max_retries,
-        journal=journal_writer,
         progress=progress,
-        batches=batches,
-        observer=observer,
-        executor=engine_executor,
-        shards=n_shards,
-    )
-    try:
-        results, health = engine.run(jobs, faults_of=lambda i: jobs[i][3])
-    except BaseException:
-        if observer is not None:
-            observer.finalize()
-        raise
-    finally:
-        if journal_writer is not None:
-            journal_writer.close()
-    health.requested_workers = requested_workers
-    health.artifacts_quarantined = len(QUARANTINE_LOG) - quarantined_before
-    metrics = observer.finalize(health) if observer is not None else None
-
-    return CampaignResult(
-        app_name=app,
-        mode=mode,
-        n_faults=n_faults,
-        seed=seed,
-        golden_iterations=golden.iterations,
-        golden_cycles=golden.cycles,
-        golden_rank_cycles=tuple(golden.rank_cycles),
-        inj_counts=tuple(golden.inj_counts),
-        trials=results,
-        effective_workers=health.effective_workers,
-        health=health,
-        metrics=metrics,
+        observe=observe,
+        executor=executor,
+        shards=shards,
     )

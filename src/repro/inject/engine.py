@@ -59,6 +59,7 @@ from .campaign import (
     CampaignResult,
     TrialResult,
     _build_jobs,
+    _job_template,
     _prepared,
     default_timeout,
     default_workers,
@@ -80,7 +81,7 @@ from .executors.local import (  # re-exported for backward compatibility
     prefetch_depth,
 )
 from .health import CampaignHealth
-from .journal import CampaignJournal, read_journal_ex
+from .journal import CampaignJournal, JournalRecovery, read_journal_ex
 
 #: supervisor poll interval while trials are in flight, seconds
 _TICK = 0.05
@@ -527,8 +528,150 @@ class CampaignEngine:
 
 
 # ----------------------------------------------------------------------
-# Resume
+# The campaign driver (behind run_campaign and resume_campaign)
 # ----------------------------------------------------------------------
+
+def _drive_campaign(
+    header: dict,
+    *,
+    journal=None,
+    resumed: Optional[Tuple[Dict[int, TrialResult], JournalRecovery]] = None,
+    workers: Optional[int] = None,
+    max_retries: int = 2,
+    progress: Optional[Callable[[int, int], None]] = None,
+    observe=None,
+    executor: Union[None, str, Executor] = None,
+    shards: Optional[int] = None,
+) -> CampaignResult:
+    """Execute the campaign ``header`` defines, minus ``resumed`` trials.
+
+    ``header`` is the campaign definition in the form the journal's
+    first line records it: :func:`repro.inject.campaign.run_campaign`
+    resolves its arguments into one, :func:`resume_campaign` reads one
+    back.  ``journal`` is the checkpoint path (None: unjournaled).
+    ``resumed`` is ``(completed trials, recovery report)`` as
+    :func:`~repro.inject.journal.read_journal_ex` returns them when
+    ``journal`` is an interrupted campaign's to finish, None to start a
+    fresh one — the header then gains the golden summary and the
+    backend that ran it before it is written.
+    """
+    chaos.activate()  # before any worker forks: one once-only fault ledger
+    quarantined_before = len(_artifacts.QUARANTINE_LOG)
+    obs_config = ObserveConfig.resolve(observe)
+    proto = _job_template(header, obs_config)
+    app, mode = proto.app, proto.mode
+    n_trials = int(header["n_trials"])
+    done, recovery = resumed if resumed is not None else (None, None)
+
+    # the backend first, so a bad executor/shards pair fails before the
+    # golden run is paid for
+    requested_workers = default_workers(workers)
+    remaining = n_trials - sum(1 for i in done or () if 0 <= i < n_trials)
+    effective = 1 if (requested_workers > 1 and remaining < 4) \
+        else requested_workers
+    exec_name, n_shards, parallelism = resolve_backend(
+        executor, shards, effective)
+
+    pa = _prepared(app, proto.params, mode, proto.snapshot_stride,
+                   proto.artifact_dir)
+    pa.ensure_tier2(proto.tier2)
+    golden = pa.golden
+    if resumed is not None:
+        recorded = header.get("golden", {})
+        if (list(golden.inj_counts) != list(recorded.get("inj_counts", []))
+                or golden.cycles != recorded.get("cycles")):
+            raise JournalError(
+                f"journal {journal} was recorded against a different "
+                f"golden profile of {app!r} ({mode}); resume would not be "
+                f"bit-identical"
+            )
+    jobs = _build_jobs(header, golden, proto)
+    # Fork buckets are a pure function of the jobs and the backend's
+    # parallelism, so a resumed schedule is the recording run's;
+    # --no-fork dispatches in index order.
+    batches = _campaign.plan_fork_batches(jobs, parallelism) \
+        if header.get("fork", False) else None
+    if not isinstance(executor, Executor):
+        executor = exec_name
+        if exec_name == "remote":
+            # the fabric gets the golden artifact reference so daemons
+            # fetch shared state instead of re-profiling
+            from .executors.remote import RemoteExecutor
+            executor = RemoteExecutor(
+                n_shards,
+                artifact=(app, proto.params, mode, proto.snapshot_stride,
+                          proto.artifact_dir)
+                if proto.artifact_dir is not None else None,
+                degrade_after=max(4, 2 * n_shards),
+            )
+
+    journal_writer = None
+    if resumed is not None:
+        journal_writer = CampaignJournal.append_to(journal)
+    elif journal is not None:
+        journal_writer = CampaignJournal.create(journal, dict(
+            header,
+            executor=exec_name,
+            shards=n_shards if exec_name == "remote" else 1,
+            golden={
+                "iterations": golden.iterations,
+                "cycles": golden.cycles,
+                "rank_cycles": list(golden.rank_cycles),
+                "inj_counts": list(golden.inj_counts),
+            },
+        ))
+
+    observer = None
+    if obs_config is not None:
+        meta = {"app": app, "mode": mode, "seed": int(header["seed"]),
+                "n_trials": n_trials}
+        if resumed is not None:
+            meta["resumed"] = True
+        observer = CampaignObserver(obs_config, meta=meta)
+
+    engine = CampaignEngine(
+        workers=effective,
+        timeout=proto.wall_timeout,
+        max_retries=max_retries,
+        journal=journal_writer,
+        progress=progress,
+        batches=batches,
+        observer=observer,
+        executor=executor,
+        shards=n_shards,
+    )
+    try:
+        results, health = engine.run(
+            jobs, faults_of=lambda i: jobs[i].faults, completed=done)
+    except BaseException:
+        if observer is not None:
+            observer.finalize()
+        raise
+    finally:
+        if journal_writer is not None:
+            journal_writer.close()
+    health.requested_workers = requested_workers
+    if resumed is not None:
+        health.journal_recovered_records = recovery.dropped
+    health.artifacts_quarantined = (
+        len(_artifacts.QUARANTINE_LOG) - quarantined_before)
+    metrics = observer.finalize(health) if observer is not None else None
+
+    return CampaignResult(
+        app_name=app,
+        mode=mode,
+        n_faults=int(header["n_faults"]),
+        seed=int(header["seed"]),
+        golden_iterations=golden.iterations,
+        golden_cycles=golden.cycles,
+        golden_rank_cycles=tuple(golden.rank_cycles),
+        inj_counts=tuple(golden.inj_counts),
+        trials=results,
+        effective_workers=health.effective_workers,
+        health=health,
+        metrics=metrics,
+    )
+
 
 def resume_campaign(
     journal_path,
@@ -550,8 +693,8 @@ def resume_campaign(
     journal), and returns a :class:`CampaignResult` bit-identical —
     same trials, same outcome fractions — to the uninterrupted run.
 
-    ``artifact_dir`` overrides the journaled shared-artifact directory
-    (None: reuse what the campaign recorded).  ``observe`` follows
+    ``timeout`` and ``artifact_dir`` override what the campaign
+    recorded (None: reuse it).  ``observe`` follows
     :func:`repro.inject.campaign.run_campaign` — observation covers the
     trials executed by the resume (restored trials contribute outcome
     counters only), and never changes any trial outcome.  ``executor``
@@ -559,111 +702,19 @@ def resume_campaign(
     backend resumes any journal, because the remaining jobs re-derive
     identically regardless of who ran the completed ones.
     """
-    chaos.activate()
-    quarantined_before = len(_artifacts.QUARANTINE_LOG)
     header, done, recovery = read_journal_ex(journal_path)
-    app = header["app_name"]
-    mode = header["mode"]
-    n_trials = int(header["n_trials"])
-    params_key = tuple((k, v) for k, v in header.get("params", []))
-    # Journals from before snapshot fast-forward carry no stride; resume
-    # them with snapshots disabled so trial execution matches recording.
-    snapshot_stride = header.get("snapshot_stride", 0)
-    art_dir = artifact_dir if artifact_dir is not None \
-        else header.get("artifact_dir")
-    art_dir_str = str(art_dir) if art_dir is not None else None
-
-    pa = _prepared(app, params_key, mode, snapshot_stride, art_dir_str)
-    # Journals from before tier-2 resume with it off, so trial execution
-    # matches what the recording campaign did.
-    tier2_on = bool(header.get("tier2", False))
-    pa.ensure_tier2(tier2_on)
-    golden = pa.golden
-    recorded = header.get("golden", {})
-    if (list(golden.inj_counts) != list(recorded.get("inj_counts", []))
-            or golden.cycles != recorded.get("cycles")):
-        raise JournalError(
-            f"journal {journal_path} was recorded against a different "
-            f"golden profile of {app!r} ({mode}); resume would not be "
-            f"bit-identical"
-        )
-
-    wall_timeout = timeout if timeout is not None else header.get("timeout")
-    wall_timeout = default_timeout(wall_timeout)
-    obs_config = ObserveConfig.resolve(observe)
-    # Journals from before convergence pruning (or forking) resume with
-    # the feature off, so trial execution matches what the recording
-    # campaign did.
-    fork_on = bool(header.get("fork", False)) and bool(golden.epoch_counters)
-    jobs = _build_jobs(
-        app, params_key, mode, golden, n_trials,
-        int(header["n_faults"]), int(header["seed"]),
-        header.get("rank"), header.get("bit"),
-        bool(header.get("keep_series")), wall_timeout, snapshot_stride,
-        art_dir_str, obs_config,
-        bool(header.get("prune", False)),
-        fork_on,
-        tier2_on,
-    )
-
-    requested_workers = default_workers(workers)
-    remaining = n_trials - len([i for i in done if 0 <= i < n_trials])
-    effective = 1 if (requested_workers > 1 and remaining < 4) \
-        else requested_workers
-
-    # Re-plan the fork buckets from the re-derived jobs — a pure function
-    # of them and the backend's parallelism, so the resumed schedule is
-    # the recording run's.
-    _, _, parallelism = resolve_backend(executor, shards, effective)
-    batches = _campaign.plan_fork_batches(jobs, parallelism) \
-        if fork_on else None
-
-    observer = None
-    if obs_config is not None:
-        observer = CampaignObserver(obs_config, meta={
-            "app": app, "mode": mode, "seed": int(header["seed"]),
-            "n_trials": n_trials, "resumed": True,
-        })
-
-    journal = CampaignJournal.append_to(journal_path)
-    engine = CampaignEngine(
-        workers=effective,
-        timeout=wall_timeout,
+    header["timeout"] = default_timeout(
+        timeout if timeout is not None else header.get("timeout"))
+    if artifact_dir is not None:
+        header["artifact_dir"] = str(artifact_dir)
+    return _drive_campaign(
+        header,
+        journal=journal_path,
+        resumed=(done, recovery),
+        workers=workers,
         max_retries=max_retries,
-        journal=journal,
         progress=progress,
-        batches=batches,
-        observer=observer,
+        observe=observe,
         executor=executor,
         shards=shards,
-    )
-    try:
-        results, health = engine.run(
-            jobs, faults_of=lambda i: jobs[i][3], completed=done,
-        )
-    except BaseException:
-        if observer is not None:
-            observer.finalize()
-        raise
-    finally:
-        journal.close()
-    health.requested_workers = requested_workers
-    health.journal_recovered_records = recovery.dropped
-    health.artifacts_quarantined = (
-        len(_artifacts.QUARANTINE_LOG) - quarantined_before)
-    metrics = observer.finalize(health) if observer is not None else None
-
-    return CampaignResult(
-        app_name=app,
-        mode=mode,
-        n_faults=int(header["n_faults"]),
-        seed=int(header["seed"]),
-        golden_iterations=golden.iterations,
-        golden_cycles=golden.cycles,
-        golden_rank_cycles=tuple(golden.rank_cycles),
-        inj_counts=tuple(golden.inj_counts),
-        trials=results,
-        effective_workers=health.effective_workers,
-        health=health,
-        metrics=metrics,
     )

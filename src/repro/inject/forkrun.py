@@ -1,13 +1,9 @@
 """Fork-at-injection trial execution: the per-worker golden cursor.
 
-A fault-injection campaign re-executes the same golden prefix for every
-trial; snapshot fast-forward (PR 2) cuts that to one dirty-delta
-restore plus the prefix tail past the last snapshot, but each trial
-still pays O(live state) to reset the world and O(prefix tail) to reach
-its injection point.  The fork model pays neither: one shared golden
-world per worker is advanced through the campaign's epoch buckets
-*exactly once*, and each trial forks it copy-on-write at its injection
-epoch —
+A fault-injection campaign run cold re-executes the same golden prefix
+for every trial.  The fork model does not: one shared golden world per
+worker is advanced through the campaign's epoch buckets *exactly
+once*, and each trial forks it copy-on-write at its injection epoch —
 
 * :meth:`GoldenCursor.advance_to` resumes the paused golden scheduler
   (``Scheduler.run(stop_at_epoch=...)``) up to the trial's fork epoch,
@@ -20,14 +16,15 @@ epoch —
   the trial actually touched (:meth:`ProcessMemory.rollback_tx`) — so a
   trial costs O(divergent window + pages touched), not O(world size).
 
-Bit-identity argument: the paused cursor at epoch *e* holds exactly the
-state a fresh scheduler restored from an epoch-*e* snapshot would start
-from (the pause sits at the top of the epoch loop, the same point a
-restored run enters it), the trial scheduler starts with the identical
-``start_epoch`` and golden trace prefix, and the fault is armed on that
-state exactly as the snapshot-restore path arms it — so fork trials are
-bit-identical to ``--no-fork`` trials, which the fuzz equivalence suite
-asserts wholesale.
+Bit-identity argument: a cold trial *is* the golden run until its
+first armed occurrence fires, and the fork epoch *e* precedes every
+occurrence — so after *e* epochs a cold trial's world is the paused
+cursor's world (the pause sits at the top of the epoch loop).  The
+trial scheduler starts with the identical ``start_epoch`` and golden
+trace prefix, and the fault is armed on that state before any
+instruction of the epoch runs — so fork trials are bit-identical to
+cold (``--no-fork``) trials, which the fuzz equivalence suite asserts
+wholesale.
 
 The cursor's golden advance runs tier-2 golden-trace execution when
 the campaign has it on (:meth:`set_tier2`): the shared world is by

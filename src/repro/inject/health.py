@@ -71,7 +71,7 @@ class CampaignHealth:
     #: wall-clock duration of the execution phase, seconds
     wall_time_s: float = 0.0
     #: cumulative wall seconds per trial execution stage, summed over
-    #: every trial (artifact_load / snapshot_restore / fork_advance / execute /
+    #: every trial (artifact_load / fork_advance / execute /
     #: tier2_codegen — the last is what trials spent compiling the
     #: traces they were first in their process to enter, taken out of
     #: the stage that entered them so the rows stay disjoint); resumed

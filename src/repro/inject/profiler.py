@@ -46,13 +46,11 @@ class GoldenProfile:
     #: epoch ``e`` of the golden run (``e = 0`` is all zeros).  Lets the
     #: campaign binary-search the last epoch that still precedes every
     #: occurrence of a fault plan — the fork-at-injection epoch.
-    #: ``None`` on profiles loaded from pre-v3 artifacts.
-    epoch_counters: Optional[tuple] = None
+    epoch_counters: tuple
     #: per-branch-site golden edge counts
     #: (``(func, block) -> [false, true]``), recorded by the profiling
-    #: condbr closures — the input of tier-2 trace planning.  ``None``
-    #: on profiles loaded from pre-v4 artifacts.
-    edge_profile: Optional[dict] = None
+    #: condbr closures — the input of tier-2 trace planning.
+    edge_profile: dict
 
     @property
     def total_inj_sites(self) -> int:
@@ -60,9 +58,9 @@ class GoldenProfile:
 
     def fork_epoch(self, faults) -> int:
         """Largest epoch that precedes every occurrence in ``faults``
-        (0 = nothing to gain by forking; fall back to restore/cold)."""
+        (0 = nothing to gain by forking; the trial runs cold)."""
         ec = self.epoch_counters
-        if not ec or not faults:
+        if not faults:
             return 0
         best = len(ec) - 1
         for s in faults:
@@ -132,7 +130,7 @@ class PreparedApp:
             self.golden: GoldenProfile = art.golden
             self.snapshots: Optional[SnapshotStore] = art.snapshot_store()
             #: frozen per-epoch golden fingerprints for convergence
-            #: pruning (None = snapshots disabled or pre-v2 artifact)
+            #: pruning (None = snapshots disabled)
             self.fingerprints: Optional[FingerprintIndex] = (
                 art.fingerprint_index()
             )
@@ -145,7 +143,7 @@ class PreparedApp:
             self.snapshots = store if store.enabled else None
             # Fingerprints piggyback on the snapshot stride: both are
             # captured in the same golden pass, and stride 0 disables
-            # both fast-forward and pruning.
+            # both snapshots and pruning.
             self.fingerprints = (
                 FingerprintIndex(store.stride) if store.enabled else None
             )
@@ -213,28 +211,6 @@ class PreparedApp:
             self.tier2_plan_source = "derived"
         return vm_tier2.install_plan(self.program, plan)
 
-    # ------------------------------------------------------------------
-    # Persisted verification marker (see repro.inject.artifacts)
-    # ------------------------------------------------------------------
-    def artifact_verified(self) -> bool:
-        """Did any process persist a verification for our artifact?"""
-        from . import artifacts
-
-        if self.artifact_ref is None:
-            return False
-        return artifacts.is_verified(*self.artifact_ref)
-
-    def mark_artifact_verified(self) -> None:
-        """Persist a successful equivalence verification (best effort)."""
-        from . import artifacts
-
-        if self.artifact_ref is None:
-            return
-        try:
-            artifacts.mark_verified(*self.artifact_ref)
-        except OSError:  # pragma: no cover - marker is an optimisation
-            pass
-
 
 def profile_golden(
     program: CompiledProgram, spec: AppSpec, mode: str,
@@ -244,7 +220,7 @@ def profile_golden(
     """Run the fault-free reference and validate it completed cleanly.
 
     ``snapshots`` optionally captures world state at its stride during
-    the run (then frozen), enabling snapshot fast-forward for trials.
+    the run (then frozen) — what a golden cursor rewinds to.
     ``fingerprints`` optionally records per-epoch state digests in the
     same pass (then finalized), enabling convergence pruning.
     """

@@ -10,7 +10,7 @@ job-level failure modes (crash, deadlock, hang) are decided.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence
 
@@ -55,9 +55,6 @@ class JobResult:
     #: virtual time at which convergence pruning spliced the golden tail
     #: onto this job, or None for a fully executed run
     pruned_at_cycle: Optional[int] = None
-    #: wall seconds ``run_job`` spent restoring a snapshot before the run
-    #: (0.0 for a cold start); a wall clock, so never part of equality
-    restore_s: float = field(default=0.0, compare=False)
 
     @property
     def crashed(self) -> bool:
@@ -103,16 +100,17 @@ class Scheduler:
         #: harness itself running away in wall-clock time)
         self.wall_deadline = wall_deadline
         self.fpm_mode = any(m.fpm is not None for m in self.machines)
-        #: epoch to resume counting from (snapshot fast-forward restores
-        #: mid-run, and the sample_every phase must match the golden run)
+        #: epoch to resume counting from (a forked trial or a rewound
+        #: cursor starts mid-run, and the sample_every phase must match
+        #: the golden run)
         self.start_epoch = start_epoch
-        #: pre-filled trace prefix from a restored snapshot
+        #: pre-filled golden trace prefix of such a mid-run start
         self.initial_trace = trace
         #: SnapshotStore to populate at its stride (golden profiling)
         self.snapshots = snapshots
         #: live CML observer (:class:`repro.obs.cml.CMLStream`) attached
-        #: to the trace; a restored trace prefix is replayed into it so a
-        #: fast-forwarded trial streams exactly what a cold run would
+        #: to the trace; a golden trace prefix is replayed into it so a
+        #: forked trial streams exactly what a cold run would
         self.cml_stream = cml_stream
         #: FingerprintIndex to populate at its stride (golden profiling)
         self.fingerprints = fingerprints

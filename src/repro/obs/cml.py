@@ -10,7 +10,7 @@ and into the trace file as a ``cml`` record — so
 *live* campaign without ``keep_series=True``'s full per-rank series.
 
 Decimation depends only on virtual time, never on wall clocks, so a
-stream is bit-identical between cold, fast-forwarded, serial, pooled
+stream is bit-identical between cold, forked, serial, pooled
 and resumed executions of the same trial.  Convergence pruning keeps
 that property: when the scheduler splices the golden tail onto a
 re-converged trial, it pushes the remaining all-zero samples through
@@ -58,8 +58,8 @@ class CMLStream:
         metrics.set_gauge("repro_shadow_entries", self.values[-1])
 
     def backfill(self, times, cml_per_rank) -> None:
-        """Replay a restored trace prefix (snapshot fast-forward) so a
-        fast-forwarded trial streams exactly what a cold run would."""
+        """Replay the golden trace prefix of a forked trial, so it
+        streams exactly what a cold run would."""
         for t, row in zip(times, cml_per_rank):
             self.push(t, row)
 

@@ -52,20 +52,16 @@ DESCRIPTIONS: Dict[str, str] = {
     "repro_words_sent_total": "Words sent over simulated MPI P2P.",
     "repro_contaminated_words_total":
         "Contaminated words carried in message headers.",
-    "repro_snapshot_lookup_total":
-        "Fast-forward snapshot lookups by result (hit/miss).",
     "repro_trials_pruned_total":
         "Trials finished early by golden-trajectory convergence pruning.",
     "repro_cycles_pruned_total":
         "Virtual cycles spliced from the golden tail instead of executed.",
-    "repro_world_restores_total":
-        "Snapshot restores performed by restore-path trials.",
     "repro_trials_forked_total":
         "Trials executed COW-forked off a shared golden world.",
     "repro_pages_copied_total":
         "Memory pages copied by trial COW transactions.",
     "repro_fork_fallback_total":
-        "Fork-at-injection trials degraded to the restore path.",
+        "Fork-at-injection trials degraded to a cold run from cycle 0.",
     "repro_tier2_enters_total":
         "Compiled golden-trace segments entered (tier-2 execution).",
     "repro_tier2_deopts_total":

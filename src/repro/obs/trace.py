@@ -5,7 +5,7 @@ the schema version and campaign identity, every further line is one
 record.  Record types (the span taxonomy is documented in
 ``docs/INTERNALS.md``):
 
-* ``span``  — a timed region of one trial (``arm``, ``snapshot_restore``,
+* ``span``  — a timed region of one trial (``arm``, ``fork_advance``,
   ``execute``, ``classify``, ``journal``); ``t0`` is seconds from the
   start of the trial (or of the campaign for driver-side spans),
   ``dur`` is its length in seconds.

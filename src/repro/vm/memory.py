@@ -31,14 +31,8 @@ import numpy as np
 
 from .traps import Trap, TrapKind
 
-#: default copy-on-write page size, in 64-bit words
+#: copy-on-write page size, in 64-bit words (a power of two)
 DEFAULT_PAGE_WORDS = 256
-
-
-def default_page_words() -> int:
-    """Words per COW page (REPRO_PAGE_WORDS, power of two)."""
-    from ..core.settings import current_settings
-    return current_settings().page_words
 
 
 class ProcessMemory:
@@ -78,7 +72,7 @@ class ProcessMemory:
     )
 
     def __init__(self, capacity: int = 1 << 16, stack_words: int = 1 << 14,
-                 rank: int = 0, page_words: Optional[int] = None) -> None:
+                 rank: int = 0, page_words: int = DEFAULT_PAGE_WORDS) -> None:
         if stack_words >= capacity:
             raise ValueError("stack region must be smaller than total capacity")
         self.capacity = capacity
@@ -101,8 +95,6 @@ class ProcessMemory:
         self.free_lists: Dict[int, List[int]] = {}
         self.live_words = 0
         self.rank = rank
-        if page_words is None:
-            page_words = default_page_words()
         if page_words <= 0 or page_words & (page_words - 1):
             raise ValueError(f"page_words must be a power of two, "
                              f"got {page_words}")

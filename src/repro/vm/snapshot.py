@@ -1,23 +1,20 @@
-"""World snapshots for campaign-trial fast-forward.
+"""World snapshots of the golden run.
 
-A fault-injection campaign re-executes the same golden prefix thousands
-of times: a trial with a fault armed at occurrence *k* behaves exactly
-like the golden run until the *k*-th injectable-site execution.  This
-module captures full world state — every rank's frames, registers,
-memory, contamination tables, RNG and MPI runtime state — at a cycle
-stride during golden profiling, so each trial can restore the latest
-snapshot that still *predates* its fault and execute only the tail.
+Golden profiling captures full world state — every rank's frames,
+registers, memory, contamination tables, RNG and MPI runtime state — at
+a cycle stride.  Trials are not positioned from these (they fork off the
+golden cursor or run cold, see :mod:`repro.inject.forkrun`); a snapshot
+is what the cursor restores when it has to move *backwards*
+(:meth:`SnapshotStore.best_at_epoch` + :func:`restore_world`), and the
+stride is the one convergence-pruning fingerprints are taken at.
 
-Correctness contract: a restored run must be **bit-identical** to a cold
-run — same outcome, same trap cycle, same CML curve, same injection
-events.  That holds because
+Correctness contract: a world restored from a snapshot and run forward
+is **bit-identical** to the golden run at the same epoch.  That holds
+because
 
 * snapshots are only taken at epoch boundaries, after the scheduler's
   trace sample, so the epoch structure (and with it CML sampling times
   and MPI interleaving) is preserved exactly;
-* :meth:`SnapshotStore.best_for` only returns snapshots whose per-rank
-  injection counters are strictly below every armed fault occurrence,
-  so no injection point is skipped;
 * all mutable state a closure can observe is captured: machine frames
   and registers, sparse process memory, shadow/taint tables, per-rank
   RNG streams, MPI queues and in-flight collectives, and the trace
@@ -34,45 +31,33 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.settings import (
-    DEFAULT_SNAPSHOT_LIMIT,
-    DEFAULT_SNAPSHOT_STRIDE,
-    current_settings,
-)
+from ..core.settings import DEFAULT_SNAPSHOT_STRIDE, current_settings
 from ..errors import SnapshotError
 from ..fpm.tracker import PropagationTrace
-from ..obs import runtime as _obs
 from .machine import Frame, Machine, MachineStatus
 
 #: default capture stride in cycles of global virtual time
 DEFAULT_STRIDE = DEFAULT_SNAPSHOT_STRIDE
-#: default maximum number of retained snapshots per golden run
-DEFAULT_LIMIT = DEFAULT_SNAPSHOT_LIMIT
+#: maximum number of retained snapshots per golden run
+DEFAULT_LIMIT = 32
 
 
 def default_snapshot_stride(requested: Optional[int] = None) -> int:
     """Resolve the capture stride: argument, else env, else default.
 
-    ``0`` disables snapshotting entirely (trials always run cold).
+    ``0`` disables snapshotting entirely (no fingerprints either, and
+    a cursor rewind replays from cycle 0).
     """
     if requested is not None:
         return max(0, int(requested))
     return current_settings().snapshot_stride
 
 
-def default_snapshot_limit(requested: Optional[int] = None) -> int:
-    """Resolve the retention limit (minimum 2: newest + oldest survive
-    thinning)."""
-    if requested is not None:
-        return max(2, int(requested))
-    return current_settings().snapshot_limit
-
-
 def snapshot_verify_mode() -> str:
     """REPRO_SNAPSHOT_VERIFY: ``off`` | ``first`` (default) | ``all``.
 
-    ``first`` re-runs the first fast-forwarded trial per prepared app
-    cold and asserts bit-identity; ``all`` does so for every trial
+    ``first`` re-runs the first forked trial per prepared app cold
+    and asserts bit-identity; ``all`` does so for every trial
     (slow — for debugging); ``off`` trusts the invariants.
     """
     return current_settings().snapshot_verify
@@ -189,16 +174,12 @@ class SnapshotStore:
     def __init__(self, stride: Optional[int] = None,
                  limit: Optional[int] = None) -> None:
         self.stride = default_snapshot_stride(stride)
-        self.limit = default_snapshot_limit(limit)
+        # minimum 2: thinning keeps the newest and the oldest
+        self.limit = DEFAULT_LIMIT if limit is None else max(2, int(limit))
         self._snaps: "OrderedDict[int, WorldSnapshot]" = OrderedDict()
         self._next_at = self.stride
         self._capturing = True
-        #: set by the campaign layer once a fast-forwarded trial has been
-        #: verified bit-identical to its cold re-execution
-        self.verified = False
         self.captures = 0
-        self.hits = 0
-        self.misses = 0
 
     @property
     def enabled(self) -> bool:
@@ -249,35 +230,6 @@ class SnapshotStore:
             self.stride *= 2
         self._next_at = t + self.stride
 
-    def best_for(self, faults: Sequence) -> Optional[WorldSnapshot]:
-        """Latest snapshot that predates every armed fault occurrence.
-
-        Injection counters are monotone in time, so snapshots are
-        scanned in capture order and the scan stops at the first
-        violation.  Returns None (a miss) when no snapshot qualifies or
-        a fault targets a rank outside the snapshot's world.
-        """
-        best: Optional[WorldSnapshot] = None
-        if self._snaps and faults:
-            for snap in self._snaps.values():
-                counters = snap.inj_counters
-                ok = True
-                for s in faults:
-                    if not 0 <= s.rank < len(counters) or \
-                            counters[s.rank] >= s.occurrence:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                best = snap
-        if best is None:
-            self.misses += 1
-            _obs.inc("repro_snapshot_lookup_total", result="miss")
-        else:
-            self.hits += 1
-            _obs.inc("repro_snapshot_lookup_total", result="hit")
-        return best
-
     def best_at_epoch(self, epoch: int) -> Optional[WorldSnapshot]:
         """Latest snapshot captured at or before ``epoch``.
 
@@ -298,8 +250,6 @@ class SnapshotStore:
             "snapshots": len(self._snaps),
             "stride": self.stride,
             "captures": self.captures,
-            "hits": self.hits,
-            "misses": self.misses,
         }
 
     # ------------------------------------------------------------------
@@ -324,10 +274,7 @@ class SnapshotStore:
     def load_state(cls, state: tuple) -> "SnapshotStore":
         """Rebuild a frozen store dumped by :meth:`dump_state`.
 
-        The loaded store is frozen (no further captures) and unverified:
-        the first fast-forwarded trial per process re-establishes the
-        equivalence guarantee under ``REPRO_SNAPSHOT_VERIFY=first``
-        unless the owning artifact carries a verification marker.
+        The loaded store is frozen (no further captures).
         """
         stride, limit, snaps, captures = state
         store = cls(stride, limit)

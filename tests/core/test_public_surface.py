@@ -48,11 +48,24 @@ class TestPublicSurface:
         import repro.vm
 
         for mod, gone in ((repro.inject, ("plan_batches",
-                                          "batch_by_snapshot")),
+                                          "batch_by_snapshot",
+                                          "fork_enabled")),
                           (repro.vm, ("WorldCache",))):
             for name in gone:
                 assert name not in mod.__all__
                 assert not hasattr(mod, name)
+
+    def test_restore_rung_left_no_surface(self):
+        import inspect
+
+        from repro.inject import artifacts
+        from repro.vm import SnapshotStore
+
+        assert "restore_from" not in inspect.signature(
+            repro.run_job).parameters
+        for owner in (SnapshotStore, artifacts):
+            for name in ("best_for", "mark_verified", "is_verified"):
+                assert not hasattr(owner, name)
 
 
 class TestImportHygiene:

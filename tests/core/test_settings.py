@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.settings import (
     DEFAULT_PREFETCH,
-    DEFAULT_SNAPSHOT_LIMIT,
     DEFAULT_TRIALS,
     Settings,
     current_settings,
@@ -36,15 +35,18 @@ def test_surface_is_the_remaining_knobs():
     import dataclasses
 
     names = {f.name for f in dataclasses.fields(Settings)}
-    assert len(names) == 24
+    assert len(names) == 21
     assert not names & {"lanes", "world_cache", "world_cache_pages",
-                        "batch_by_snapshot", "tier2_cap"}
+                        "batch_by_snapshot", "tier2_cap", "fork_trials",
+                        "snapshot_limit", "page_words"}
     # a deleted knob left in the environment is simply not read
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _settings(REPRO_LANES="junk", REPRO_WORLD_CACHE="junk",
                          REPRO_BATCH_BY_SNAPSHOT="junk",
-                         REPRO_TIER2_CAP="junk") == Settings()
+                         REPRO_TIER2_CAP="junk", REPRO_FORK_TRIALS="junk",
+                         REPRO_SNAPSHOT_LIMIT="junk",
+                         REPRO_PAGE_WORDS="junk") == Settings()
 
 
 def test_valid_values_parse():
@@ -75,11 +77,9 @@ def test_clamping_knobs_clamp_silently():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s = _settings(REPRO_PREFETCH=0,
-                      REPRO_SNAPSHOT_STRIDE=-1, REPRO_SNAPSHOT_LIMIT=1,
-                      REPRO_OBS_CML_STRIDE=-5)
+                      REPRO_SNAPSHOT_STRIDE=-1, REPRO_OBS_CML_STRIDE=-5)
     assert s.prefetch == 1
     assert s.snapshot_stride == 0
-    assert s.snapshot_limit == 2
     assert s.obs_cml_stride == 0
 
 
@@ -188,4 +188,3 @@ def test_call_sites_resolve_through_settings(monkeypatch):
     assert default_trials(5) == 5
     assert default_workers(1) == 1
     assert default_snapshot_stride(64) == 64
-    assert DEFAULT_SNAPSHOT_LIMIT >= 2

@@ -29,12 +29,16 @@ def test_every_registered_knob_is_documented(doc):
 
 
 @pytest.mark.parametrize("doc", ["README.md", "docs/INTERNALS.md",
-                                 ".github/workflows/ci.yml"])
+                                 ".github/workflows/ci.yml", "src"])
 def test_deleted_knobs_are_not_documented(doc):
-    text = (REPO / doc).read_text()
-    stale = [k for k in ("REPRO_LANES", "REPRO_WORLD_CACHE",
-                         "REPRO_BATCH_BY_SNAPSHOT", "REPRO_TIER2_CAP")
-             if k in text]
+    target = REPO / doc
+    files = sorted(target.rglob("*.py")) if target.is_dir() else [target]
+    stale = sorted({k for f in files
+                    for k in ("REPRO_LANES", "REPRO_WORLD_CACHE",
+                              "REPRO_BATCH_BY_SNAPSHOT", "REPRO_TIER2_CAP",
+                              "REPRO_FORK_TRIALS", "REPRO_SNAPSHOT_LIMIT",
+                              "REPRO_PAGE_WORDS")
+                    if k in f.read_text()})
     assert not stale, f"{doc} still mentions: {stale}"
 
 

@@ -151,80 +151,19 @@ class TestRejection:
         assert artifacts.load_artifact(directory, key) is not None
 
 
-class TestVerificationMarker:
-    def test_mark_and_check(self, tmp_path):
-        assert not artifacts.is_verified(tmp_path, "k" * 40)
-        artifacts.mark_verified(tmp_path, "k" * 40)
-        assert artifacts.is_verified(tmp_path, "k" * 40)
-        artifacts.mark_verified(tmp_path, "k" * 40)  # idempotent
-
-    def test_verified_flag_propagates_to_loaded_store(self, tmp_path):
-        pa = PreparedApp(get_app("matvec"), "fpm", snapshot_stride=150,
-                         artifact_dir=tmp_path)
-        artifacts.mark_verified(*pa.artifact_ref)
-        art = artifacts.load_artifact_strict(*pa.artifact_ref)
-        assert art.verified
-        assert art.snapshot_store().verified
-
-    def test_marker_records_payload_hash_and_stat(self, tmp_path):
-        pa = PreparedApp(get_app("matvec"), "fpm", snapshot_stride=150,
-                         artifact_dir=tmp_path)
-        directory, key = pa.artifact_ref
-        artifacts.mark_verified(directory, key)
-        marker = json.loads(
-            (tmp_path / f"{key}.verified").read_text())
-        st = artifacts.artifact_path(directory, key).stat()
-        assert marker["payload_sha256"]
-        assert marker["size"] == st.st_size
-        assert marker["mtime_ns"] == st.st_mtime_ns
-
-    def test_tampered_artifact_does_not_ride_stale_marker(self, tmp_path):
-        """Satellite regression: bytes changed after verification must
-        invalidate the marker (re-hash, quarantine), not be trusted."""
-        pa = PreparedApp(get_app("matvec"), "fpm", snapshot_stride=150,
-                         artifact_dir=tmp_path)
-        directory, key = pa.artifact_ref
-        artifacts.mark_verified(directory, key)
-        path = artifacts.artifact_path(directory, key)
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF   # tamper with the payload after verification
-        path.write_bytes(bytes(blob))
-        with pytest.warns(UserWarning, match="quarantined"):
-            assert not artifacts.is_verified(directory, key)
-        # the tampered artifact was moved aside and its marker dropped
-        assert not path.exists()
-        assert path.with_suffix(".golden.corrupt").exists()
-        assert not (tmp_path / f"{key}.verified").exists()
-
-    def test_rewritten_identical_artifact_keeps_verification(self, tmp_path):
-        """A same-content rewrite (mtime changed, bytes identical) must
-        re-hash and keep the verification, not quarantine."""
-        import os
-        pa = PreparedApp(get_app("matvec"), "fpm", snapshot_stride=150,
-                         artifact_dir=tmp_path)
-        directory, key = pa.artifact_ref
-        artifacts.mark_verified(directory, key)
-        path = artifacts.artifact_path(directory, key)
-        os.utime(path, ns=(12345, 67890))  # stat fast path must miss
-        assert artifacts.is_verified(directory, key)
-        assert path.exists()
-
-
 class TestQuarantine:
     def _prepared(self, tmp_path):
         pa = PreparedApp(get_app("matvec"), "blackbox", snapshot_stride=150,
                          artifact_dir=tmp_path)
         return pa.artifact_ref
 
-    def test_quarantine_moves_artifact_and_drops_marker(self, tmp_path):
+    def test_quarantine_moves_artifact(self, tmp_path):
         directory, key = self._prepared(tmp_path)
-        artifacts.mark_verified(directory, key)
         src = artifacts.artifact_path(directory, key)
         before = len(artifacts.QUARANTINE_LOG)
         with pytest.warns(UserWarning, match="quarantined"):
             dst = artifacts.quarantine_artifact(directory, key, "test")
         assert dst is not None and dst.exists() and not src.exists()
-        assert not (tmp_path / f"{key}.verified").exists()
         assert len(artifacts.QUARANTINE_LOG) == before + 1
 
     def test_quarantine_of_missing_artifact_is_none(self, tmp_path):

@@ -75,30 +75,18 @@ class TestStageTimings:
             assert t.stage_timings is not None
             # forked trials add a fork_advance stage on top of the
             # base set
-            assert {"artifact_load", "snapshot_restore",
-                    "execute"} <= set(t.stage_timings) <= {
-                "artifact_load", "snapshot_restore", "execute",
-                "fork_advance", "tier2_codegen"}
+            assert {"artifact_load", "execute"} <= set(t.stage_timings) <= {
+                "artifact_load", "execute", "fork_advance",
+                "tier2_codegen"}
             assert all(v >= 0.0 for v in t.stage_timings.values())
 
     def test_health_aggregates_timings(self):
         c = run_campaign("matvec", trials=6, mode="blackbox", seed=3,
                          snapshot_stride=150)
         agg = c.health.stage_timings
-        for stage in ("artifact_load", "snapshot_restore", "execute"):
+        for stage in ("artifact_load", "execute"):
             total = sum(t.stage_timings[stage] for t in c.trials)
             assert agg[stage] == pytest.approx(total)
-
-    def test_restore_rung_times_and_counts_its_restores(self):
-        c = run_campaign("matvec", trials=10, mode="fpm", seed=3,
-                         snapshot_stride=150, fork=False, observe=True)
-        restored = [t for t in c.trials
-                    if t.stage_timings["snapshot_restore"] > 0.0]
-        assert restored, "no trial fast-forwarded from a snapshot"
-        series = c.metrics["counters"]["repro_world_restores_total"]
-        assert sum(value for _, value in series) == len(restored)
-        assert c.health.stage_timings["snapshot_restore"] == pytest.approx(
-            sum(t.stage_timings["snapshot_restore"] for t in restored))
 
     def test_tier2_codegen_is_a_per_campaign_delta(self):
         # traces compile on first entry, so the cost belongs to the

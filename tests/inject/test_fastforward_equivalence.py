@@ -1,10 +1,12 @@
-"""Snapshot fast-forward: restored trials are bit-identical to cold runs.
+"""Positioned trials are bit-identical to cold runs.
 
-This is the mandatory equivalence suite of the fast-forward contract:
-for every mode, for multi-rank apps blocked mid-collective at snapshot
-time, at the trial level and the campaign level (including journaled
-resume), restoring a golden snapshot and executing only the tail must
-produce exactly the result of running the trial from cycle 0.
+The equivalence suite of trial positioning: for every mode, for a
+golden cursor rewound to a snapshot that caught ranks blocked
+mid-collective, at the trial level and the campaign level (including
+journaled resume), forking a trial off the golden world and executing
+only its tail must produce exactly the result of running the trial
+from cycle 0 — and the first-fork cold cross-check that guards it must
+run once, fail loudly, and leave the cold rung under the trial.
 """
 
 import json
@@ -19,8 +21,9 @@ from repro.core.runner import run_job
 from repro.errors import SnapshotError
 from repro.inject import PreparedApp, run_campaign, trial_results_equal
 from repro.inject import campaign as campaign_mod
-from repro.inject.campaign import _run_trial
+from repro.inject.campaign import TrialJob, _fork_trial, _run_trial
 from repro.inject.engine import resume_campaign
+from repro.inject.forkrun import GoldenCursor
 from repro.inject.plan import draw_plan
 from repro.vm import FaultSpec
 
@@ -34,25 +37,42 @@ def fresh_cache(monkeypatch):
                         type(campaign_mod._PREPARED_CACHE)())
 
 
-def _trial_args(app, mode, faults, inj_seed, stride, keep_series=True):
-    return (app, (), mode, tuple(faults), inj_seed, keep_series, None, stride)
+def _job(mode, faults, inj_seed, fork_epoch=0):
+    return TrialJob("matvec", (), mode, tuple(faults), inj_seed, True,
+                    snapshot_stride=150, fork_epoch=fork_epoch)
+
+
+def _cached_matvec(mode="blackbox"):
+    """A prepared matvec the worker-side trial driver will pick up."""
+    pa = PreparedApp(get_app("matvec"), mode, snapshot_stride=150)
+    campaign_mod._PREPARED_CACHE[("matvec", (), mode, 150)] = pa
+    return pa
+
+
+def test_minimal_job_means_cold_unobserved_unpruned():
+    """What the old 6-/8-slot job tuples meant by leaving slots off."""
+    job = TrialJob("matvec", (), "fpm", (), 1, False)
+    assert job[6:] == (None, None, None, None, False, 0, True)
+    assert job == ("matvec", (), "fpm", (), 1, False) + job[6:]
 
 
 @pytest.mark.parametrize("mode", ["blackbox", "fpm", "taint"])
 def test_fastforward_trial_bit_identical(mode):
-    """Drawn fault plans, cold vs fast-forwarded, all fields equal."""
-    pa = PreparedApp(get_app("matvec"), mode, snapshot_stride=150)
+    """Drawn fault plans, cold vs forked, all fields equal."""
+    pa = _cached_matvec(mode)
     rng = np.random.default_rng(42)
     hits = 0
     for _ in range(12):
         faults = draw_plan(rng, pa.golden.inj_counts, 1)
         seed = int(rng.integers(2 ** 31))
-        cold = _run_trial(_trial_args("matvec", mode, faults, seed, 0))
-        fast = _run_trial(_trial_args("matvec", mode, faults, seed, 150))
+        cold = _run_trial(_job(mode, faults, seed))
+        fast = _run_trial(
+            _job(mode, faults, seed, pa.golden.fork_epoch(faults)))
+        assert cold.forked_at_cycle is None
         assert trial_results_equal(cold, fast), (faults, cold, fast)
-        if pa.snapshots.best_for(faults) is not None:
+        if fast.forked_at_cycle is not None:
             hits += 1
-    assert hits > 0, "no trial ever fast-forwarded; stride too large"
+    assert hits > 0, "no trial ever forked"
 
 
 MIDCOLL_SRC = """
@@ -105,6 +125,8 @@ def test_snapshot_catches_machines_mid_collective():
 
 @pytest.mark.parametrize("mode", ["blackbox", "fpm", "taint"])
 def test_fastforward_multirank_mid_collective(mode):
+    """A cursor rewound to a snapshot holding ranks blocked inside
+    ``mpi_allreduce`` rolls forward and forks bit-identically."""
     pa = PreparedApp(_midcoll_spec(), mode, snapshot_stride=40)
     config = pa.run_config()
     rng = np.random.default_rng(7)
@@ -112,13 +134,16 @@ def test_fastforward_multirank_mid_collective(mode):
     for _ in range(10):
         faults = draw_plan(rng, pa.golden.inj_counts, 1)
         seed = int(rng.integers(2 ** 31))
-        snap = pa.snapshots.best_for(faults)
-        cold = run_job(pa.program, config, faults, inj_seed=seed)
-        if snap is None:
+        epoch = pa.golden.fork_epoch(faults)
+        snap = pa.snapshots.best_at_epoch(epoch)
+        if snap is None or all(st.pending is None for st in snap.machines):
             continue
         hits += 1
-        fast = run_job(pa.program, config, faults, inj_seed=seed,
-                       restore_from=snap)
+        cursor = GoldenCursor(pa)   # fresh: the advance starts at snap
+        cursor.advance_to(epoch)
+        assert cursor.rewinds == 1
+        fast, _ = cursor.fork_run(faults, inj_seed=seed)
+        cold = run_job(pa.program, config, faults, inj_seed=seed)
         assert cold.status == fast.status
         assert cold.cycles == fast.cycles
         assert cold.rank_cycles == fast.rank_cycles
@@ -143,22 +168,6 @@ def test_campaign_with_snapshots_matches_cold_campaign():
         assert trial_results_equal(a, b)
 
 
-def test_restore_refuses_passed_occurrence():
-    pa = PreparedApp(get_app("matvec"), "blackbox", snapshot_stride=150)
-    snap = list(pa.snapshots._snaps.values())[-1]
-    early = [FaultSpec(rank=0, occurrence=1)]
-    with pytest.raises(SnapshotError, match="already passed"):
-        run_job(pa.program, pa.run_config(), early, restore_from=snap)
-
-
-def test_restore_refuses_rank_mismatch():
-    pa = PreparedApp(get_app("matvec"), "blackbox", snapshot_stride=150)
-    snap = next(iter(pa.snapshots._snaps.values()))
-    bad = [FaultSpec(rank=3, occurrence=10 ** 6)]
-    with pytest.raises(SnapshotError, match="rank"):
-        run_job(pa.program, pa.run_config(), bad, restore_from=snap)
-
-
 def test_verify_mode_all_passes(monkeypatch):
     monkeypatch.setenv("REPRO_SNAPSHOT_VERIFY", "all")
     res = run_campaign("matvec", trials=8, mode="fpm", seed=5,
@@ -166,23 +175,31 @@ def test_verify_mode_all_passes(monkeypatch):
     assert res.n_trials == 8
 
 
+def _late_fault_job(pa, inj_seed):
+    faults = (FaultSpec(rank=0, occurrence=pa.golden.inj_counts[0], bit=2),)
+    return _job("blackbox", faults, inj_seed, pa.golden.fork_epoch(faults))
+
+
 def test_verify_detects_divergence(monkeypatch):
-    """If the comparator ever reports a mismatch, the trial must die
-    loudly with SnapshotError instead of returning wrong data."""
-    pa = PreparedApp(get_app("matvec"), "blackbox", snapshot_stride=150)
-    total = pa.golden.inj_counts[0]
-    faults = (FaultSpec(rank=0, occurrence=total, bit=2),)
-    campaign_mod._PREPARED_CACHE[("matvec", (), "blackbox", 150)] = pa
+    """If the comparator ever reports a mismatch, the fork rung must die
+    loudly with SnapshotError — and the ladder under it ships the trial
+    cold instead of returning wrong data."""
+    pa = _cached_matvec()
+    job = _late_fault_job(pa, 3)
+    assert job.fork_epoch > 0
+    cold = _run_trial(job._replace(fork_epoch=0))
     monkeypatch.setattr(campaign_mod, "trial_results_equal",
                         lambda a, b: False)
     with pytest.raises(SnapshotError, match="diverged"):
-        _run_trial(_trial_args("matvec", "blackbox", faults, 3, 150))
+        _fork_trial(pa, job, None, None, {"tier2_codegen": 0.0})
+    with pytest.warns(UserWarning, match="running the trial cold"):
+        shipped = _run_trial(job)
+    assert shipped.forked_at_cycle is None
+    assert trial_results_equal(shipped, cold)
 
 
 def test_verify_first_only_verifies_once(monkeypatch):
-    pa = PreparedApp(get_app("matvec"), "blackbox", snapshot_stride=150)
-    total = pa.golden.inj_counts[0]
-    campaign_mod._PREPARED_CACHE[("matvec", (), "blackbox", 150)] = pa
+    pa = _cached_matvec()
     calls = []
     orig = campaign_mod.trial_results_equal
 
@@ -191,11 +208,11 @@ def test_verify_first_only_verifies_once(monkeypatch):
         return orig(a, b)
 
     monkeypatch.setattr(campaign_mod, "trial_results_equal", counting)
-    faults = (FaultSpec(rank=0, occurrence=total, bit=2),)
-    _run_trial(_trial_args("matvec", "blackbox", faults, 3, 150))
-    _run_trial(_trial_args("matvec", "blackbox", faults, 4, 150))
+    for inj_seed in (3, 4):
+        assert _run_trial(
+            _late_fault_job(pa, inj_seed)).forked_at_cycle is not None
     assert len(calls) == 1
-    assert pa.snapshots.verified
+    assert pa._fork_verified
 
 
 def test_journaled_resume_with_snapshots_is_bit_identical(tmp_path):

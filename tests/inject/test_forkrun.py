@@ -2,16 +2,15 @@
 
 The fork contract: a trial forked COW at its fork epoch is bit-identical
 to the same trial run cold from cycle 0 — the paused cursor at the top
-of epoch *e* holds exactly the world a snapshot-restored scheduler would
-start from — and the shared golden world survives any trial outcome.
+of epoch *e* holds exactly the world a cold trial has after *e* epochs,
+its fault not yet fired — and the shared golden world survives any
+trial outcome.
 These tests pin that contract at every layer: the fork-epoch binary
 search, the cursor (advance / rewind / fork / poison), the epoch-bucket
 planner, and the campaign (provenance, health, journal resume,
 fallback ladder).
 """
 
-import dataclasses
-import json
 import warnings
 
 import numpy as np
@@ -23,13 +22,12 @@ from repro.core.runner import run_job
 from repro.errors import SnapshotError
 from repro.inject import (
     PreparedApp,
-    fork_enabled,
     plan_fork_batches,
     run_campaign,
     trial_results_equal,
 )
 from repro.inject import campaign as campaign_mod
-from repro.inject.campaign import _build_jobs
+from repro.inject.campaign import _build_jobs, _job_template
 from repro.inject.engine import resume_campaign
 from repro.inject.forkrun import GoldenCursor
 from repro.inject.journal import read_journal
@@ -93,11 +91,8 @@ class TestForkEpoch:
         assert both == pa.golden.fork_epoch([early])
         assert both <= pa.golden.fork_epoch([late])
 
-    def test_zero_without_counters_or_faults(self):
+    def test_zero_without_faults(self):
         pa = PreparedApp(get_app("matvec"), "fpm")
-        legacy = dataclasses.replace(pa.golden, epoch_counters=None)
-        s = FaultSpec(rank=0, occurrence=5)
-        assert legacy.fork_epoch([s]) == 0
         assert pa.golden.fork_epoch([]) == 0
 
     def test_zero_for_out_of_range_rank(self):
@@ -203,10 +198,12 @@ class TestGoldenCursor:
 
 
 # ----------------------------------------------------------------------
-def _fork_jobs(trials=24, seed=17, mode="blackbox"):
+def _fork_jobs(trials=24, seed=17, mode="blackbox", fork=True):
     pa = PreparedApp(get_app("matvec"), mode, snapshot_stride=150)
-    return _build_jobs("matvec", (), mode, pa.golden, trials, 1, seed,
-                       None, None, False, None, 150, fork=True)
+    header = {"app_name": "matvec", "mode": mode, "n_trials": trials,
+              "n_faults": 1, "seed": seed, "snapshot_stride": 150,
+              "fork": fork}
+    return _build_jobs(header, pa.golden, _job_template(header))
 
 
 class TestPlanForkBatches:
@@ -218,28 +215,24 @@ class TestPlanForkBatches:
 
     def test_jobs_carry_fork_epochs(self):
         jobs = _fork_jobs()
-        assert all(len(j) > 11 for j in jobs)
-        assert any(j[11] > 0 for j in jobs)
+        assert any(j.fork_epoch > 0 for j in jobs)
 
     def test_buckets_are_epoch_homogeneous_and_ascending(self):
         jobs = _fork_jobs(trials=40)
         batches = plan_fork_batches(jobs, workers=1)
         epochs = []
         for b in batches:
-            es = {jobs[i][11] for i in b}
+            es = {jobs[i].fork_epoch for i in b}
             assert len(es) == 1, "bucket mixes fork epochs"
             epochs.append(es.pop())
         assert epochs == sorted(epochs)
 
     def test_no_fork_jobs_draw_identical_plans(self):
-        pa = PreparedApp(get_app("matvec"), "blackbox", snapshot_stride=150)
-        on = _build_jobs("matvec", (), "blackbox", pa.golden, 16, 1, 3,
-                         None, None, False, None, 150, fork=True)
-        off = _build_jobs("matvec", (), "blackbox", pa.golden, 16, 1, 3,
-                          None, None, False, None, 150, fork=False)
+        on = _fork_jobs(trials=16, seed=3)
+        off = _fork_jobs(trials=16, seed=3, fork=False)
         for a, b in zip(on, off):
-            assert a[3] == b[3] and a[4] == b[4]  # faults + inj seed
-            assert b[11] == 0
+            assert a.faults == b.faults and a.inj_seed == b.inj_seed
+            assert b.fork_epoch == 0
 
     def test_oversized_buckets_split_for_workers(self):
         jobs = _fork_jobs(trials=40)
@@ -300,28 +293,29 @@ class TestCampaignFork:
         assert c.health.forked_trials == sum(1 for e in epochs if e > 0)
 
     def test_verify_failure_does_not_inflate_fork_metrics(self, monkeypatch):
-        """Regression: a fork trial failing its cold cross-check falls
-        back to the restore path and must not be counted in
-        ``repro_trials_forked_total`` / ``repro_pages_copied_total`` —
+        """A fork trial failing its cold cross-check ships from the
+        cold rung — bit-identical, warned about, counted once as a
+        fallback — and must not be counted in
+        ``repro_trials_forked_total`` / ``repro_pages_copied_total``:
         the counters are incremented only after the verify gate, so
         they always agree with the shipped trials' provenance."""
         from repro.obs import ObserveConfig
 
+        baseline = run_campaign("matvec", trials=6, mode="fpm", seed=31,
+                                snapshot_stride=150, fork=False)
+        campaign_mod._PREPARED_CACHE.clear()
         monkeypatch.setenv("REPRO_SNAPSHOT_VERIFY", "all")
         real = campaign_mod.trial_results_equal
         state = {"failed": False}
 
         def flaky(a, b):
-            # fail exactly one *fork* verify (the restore-path verify
-            # compares a trial without fork provenance)
-            if not state["failed"] and a.forked_at_cycle is not None:
+            if not state["failed"]:  # fail exactly one fork verify
                 state["failed"] = True
                 return False
             return real(a, b)
 
         monkeypatch.setattr(campaign_mod, "trial_results_equal", flaky)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with pytest.warns(UserWarning, match="running the trial cold"):
             c = run_campaign("matvec", trials=6, mode="fpm", seed=31,
                              snapshot_stride=150,
                              observe=ObserveConfig(events=False, cml=False))
@@ -332,12 +326,18 @@ class TestCampaignFork:
             return sum(value for _, value in series)
 
         forked = [t for t in c.trials if t.forked_at_cycle is not None]
+        pa = campaign_mod._prepared("matvec", (), "fpm", 150)
+        with_epoch = sum(1 for t in c.trials
+                         if pa.golden.fork_epoch(t.faults) > 0)
+        assert len(forked) == with_epoch - 1     # one trial degraded
         assert counter("repro_fork_fallback_total") == 1
         assert counter("repro_trials_forked_total") == len(forked)
         assert c.health.forked_trials == len(forked)
         assert counter("repro_pages_copied_total") == c.health.pages_copied
         assert c.health.pages_copied == \
             sum(t.pages_copied or 0 for t in c.trials)
+        for a, b in zip(baseline.trials, c.trials):
+            assert real(a, b)
 
     def test_provenance_round_trips_json(self):
         c = run_campaign("matvec", trials=8, mode="fpm", seed=31,
@@ -376,64 +376,30 @@ class TestCampaignFork:
         assert resumed.health.forked_trials == full.health.forked_trials
         assert resumed.health.pages_copied == full.health.pages_copied
 
-    def test_env_escape_hatch(self, monkeypatch):
-        assert fork_enabled() is True
-        monkeypatch.setenv("REPRO_FORK_TRIALS", "0")
-        assert fork_enabled() is False
-        monkeypatch.setenv("REPRO_FORK_TRIALS", "1")
-        assert fork_enabled() is True
-        assert fork_enabled(False) is False
-        monkeypatch.setenv("REPRO_FORK_TRIALS", "0")
-        c = run_campaign("matvec", trials=4, mode="blackbox", seed=3,
-                         snapshot_stride=150)
-        assert all(t.forked_at_cycle is None for t in c.trials)
-
     def test_cli_no_fork_flag(self, capsys):
         from repro.cli import main
         assert main(["campaign", "matvec", "--trials", "4",
                      "--no-fork"]) == 0
         assert "4 trials" in capsys.readouterr().out
 
-    def test_fork_failure_falls_back_to_restore_path(self, monkeypatch):
-        baseline = run_campaign("matvec", trials=8, mode="fpm", seed=13,
-                                snapshot_stride=150, fork=False)
-        campaign_mod._PREPARED_CACHE.clear()
-
-        def boom(self, *a, **k):
-            raise SnapshotError("injected fork failure")
-
-        monkeypatch.setattr(GoldenCursor, "fork_run", boom)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            degraded = run_campaign("matvec", trials=8, mode="fpm",
-                                    seed=13, snapshot_stride=150)
-        assert all(t.forked_at_cycle is None for t in degraded.trials)
-        assert any(t.stage_timings["snapshot_restore"] > 0.0
-                   for t in degraded.trials), "restore rung never ran"
-        for a, b in zip(baseline.trials, degraded.trials):
-            assert trial_results_equal(a, b)
-
     def test_fork_failure_without_a_snapshot_lands_on_cold(
             self, monkeypatch):
-        from repro.vm import SnapshotStore
-
+        # stride 0: no snapshots anywhere, trials still fork — and a
+        # failing fork still has the cold rung under it
         baseline = run_campaign("matvec", trials=8, mode="fpm", seed=13,
-                                snapshot_stride=150, fork=False)
+                                snapshot_stride=0, fork=False)
         campaign_mod._PREPARED_CACHE.clear()
 
         def boom(self, *a, **k):
             raise SnapshotError("injected fork failure")
 
         monkeypatch.setattr(GoldenCursor, "fork_run", boom)
-        monkeypatch.setattr(SnapshotStore, "best_for",
-                            lambda self, faults: None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with pytest.warns(UserWarning, match="running the trial cold"):
             cold = run_campaign("matvec", trials=8, mode="fpm", seed=13,
-                                snapshot_stride=150)
+                                snapshot_stride=0)
         for a, b in zip(baseline.trials, cold.trials):
             assert b.forked_at_cycle is None
-            assert b.stage_timings["snapshot_restore"] == 0.0
+            assert "fork_advance" not in b.stage_timings
             assert trial_results_equal(a, b)
 
     def test_fork_divergence_detected_by_verify_first(self, monkeypatch):

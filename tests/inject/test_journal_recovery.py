@@ -279,3 +279,54 @@ class TestLaneEraJournals:
         for a, b in zip(full.trials, resumed.trials):
             assert trial_results_equal(a, b)
         assert journal_science_hash(old) == journal_science_hash(plain)
+
+
+def _restore_rung_header(header):
+    """Recorded with ``--no-fork`` while that meant snapshot restore."""
+    return dict(header, fork=False, snapshot_stride=150)
+
+
+def _pre_feature_header(header):
+    """Recorded before forking, tier-2 and pruning existed."""
+    return {k: v for k, v in header.items()
+            if k not in ("fork", "tier2", "prune")}
+
+
+class TestOldJournals:
+    """A header that says a trial-positioning feature was off — or
+    predates it — resumes with it off, through the one campaign driver,
+    to the science an uninterrupted default run records."""
+
+    @pytest.mark.parametrize("rewrite", [_restore_rung_header,
+                                         _pre_feature_header])
+    def test_resumes_to_the_default_runs_science(self, tmp_path, rewrite):
+        from repro.inject import run_campaign, trial_results_equal
+        from repro.inject.engine import resume_campaign
+        from repro.inject.journal import (
+            _decode_frame, _frame, journal_science_hash,
+        )
+
+        plain = tmp_path / "plain.jsonl"
+        full = run_campaign("matvec", trials=12, mode="fpm", seed=5,
+                            journal=str(plain), snapshot_stride=150)
+        header, *frames = plain.read_text().splitlines()
+        old_frames = []
+        for line in frames[:5]:
+            entry = json.loads(_decode_frame(line))
+            # what a non-forking run journaled: no fork provenance, and
+            # (on the restore rung) a stage the program no longer names
+            entry["trial"].update(forked_at_cycle=None, pages_copied=None)
+            entry["trial"]["stage_timings"].pop("fork_advance", None)
+            entry["trial"]["stage_timings"]["snapshot_restore"] = 0.25
+            old_frames.append(_frame("T", json.dumps(entry)))
+        old = tmp_path / "old.jsonl"
+        old.write_text(json.dumps(rewrite(json.loads(header))) + "\n"
+                       + "".join(old_frames))
+
+        resumed = resume_campaign(old)
+        assert resumed.health.resumed_trials == 5
+        assert resumed.health.forked_trials == 0
+        assert resumed.health.stage_timings["snapshot_restore"] == 1.25
+        for a, b in zip(full.trials, resumed.trials):
+            assert trial_results_equal(a, b)
+        assert journal_science_hash(old) == journal_science_hash(plain)

@@ -1,16 +1,14 @@
-"""SnapshotStore mechanics: capture stride, bounding, selection,
-sparse memory round-trips, and the env knobs."""
+"""SnapshotStore mechanics: capture stride, bounding, sparse memory
+round-trips, and the env knobs."""
 
 import pytest
 
 from repro.apps import get_app
-from repro.errors import SnapshotError
 from repro.inject.profiler import PreparedApp
-from repro.vm import FaultSpec, ProcessMemory, SnapshotStore
+from repro.vm import ProcessMemory, SnapshotStore
 from repro.vm.snapshot import (
     DEFAULT_LIMIT,
     DEFAULT_STRIDE,
-    default_snapshot_limit,
     default_snapshot_stride,
     snapshot_verify_mode,
 )
@@ -62,50 +60,6 @@ class TestCapture:
         assert pa.snapshots is None
 
 
-class TestBestFor:
-    def test_picks_latest_predating_every_fault(self):
-        pa, store = _store(stride=100)
-        total = pa.golden.inj_counts[0]
-        snap = store.best_for([FaultSpec(rank=0, occurrence=total)])
-        assert snap is not None
-        best_cycle = snap.cycle
-        assert snap.inj_counters[0] < total
-        # every later snapshot violates nothing => best is truly the last OK
-        for s in store._snaps.values():
-            if s.inj_counters[0] < total:
-                assert s.cycle <= best_cycle or s is snap
-
-    def test_early_fault_has_no_snapshot(self):
-        _, store = _store(stride=100)
-        assert store.best_for([FaultSpec(rank=0, occurrence=1)]) is None
-        assert store.misses >= 1
-
-    def test_multi_fault_uses_earliest_constraint(self):
-        pa, store = _store(stride=100)
-        total = pa.golden.inj_counts[0]
-        tight = [FaultSpec(rank=0, occurrence=total),
-                 FaultSpec(rank=0, occurrence=2)]
-        assert store.best_for(tight) is None
-
-    def test_out_of_range_rank_is_a_miss(self):
-        _, store = _store(stride=100)
-        assert store.best_for([FaultSpec(rank=9, occurrence=10 ** 6)]) is None
-
-    def test_no_faults_is_a_miss(self):
-        _, store = _store(stride=100)
-        assert store.best_for([]) is None
-
-    def test_hit_and_miss_counters(self):
-        pa, store = _store(stride=100)
-        h, m = store.hits, store.misses
-        store.best_for([FaultSpec(rank=0, occurrence=pa.golden.inj_counts[0])])
-        store.best_for([FaultSpec(rank=0, occurrence=1)])
-        assert store.hits == h + 1 and store.misses == m + 1
-        stats = store.stats()
-        assert stats["snapshots"] == len(store)
-        assert stats["hits"] == store.hits
-
-
 class TestMemoryRoundTrip:
     def test_sparse_snapshot_restores_exactly(self):
         mem = ProcessMemory(capacity=1024, stack_words=256)
@@ -148,18 +102,15 @@ class TestMemoryRoundTrip:
 class TestEnvKnobs:
     def test_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_SNAPSHOT_STRIDE", raising=False)
-        monkeypatch.delenv("REPRO_SNAPSHOT_LIMIT", raising=False)
         monkeypatch.delenv("REPRO_SNAPSHOT_VERIFY", raising=False)
         assert default_snapshot_stride() == DEFAULT_STRIDE
-        assert default_snapshot_limit() == DEFAULT_LIMIT
+        assert SnapshotStore().limit == DEFAULT_LIMIT
         assert snapshot_verify_mode() == "first"
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_SNAPSHOT_STRIDE", "512")
-        monkeypatch.setenv("REPRO_SNAPSHOT_LIMIT", "5")
         monkeypatch.setenv("REPRO_SNAPSHOT_VERIFY", "all")
         assert default_snapshot_stride() == 512
-        assert default_snapshot_limit() == 5
         assert snapshot_verify_mode() == "all"
 
     def test_argument_beats_env(self, monkeypatch):
@@ -176,6 +127,5 @@ class TestEnvKnobs:
             assert snapshot_verify_mode() == "first"
 
     def test_limit_minimum_is_two(self):
-        assert default_snapshot_limit(1) == 2
         store = SnapshotStore(stride=10, limit=0)
         assert store.limit == 2
