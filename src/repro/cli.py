@@ -77,10 +77,9 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
                         "forking it off the golden cursor — the "
                         "bit-identical reference (default: forking on)")
     p.add_argument("--no-tier2", action="store_true",
-                   help="disable tier-2 golden-trace execution and "
-                        "interpret every instruction through tier-1 "
-                        "dispatch (default: tier-2 on unless "
-                        "REPRO_TIER2=0)")
+                   help="run on the static compiled regions only, without "
+                        "the golden plan's hot-path regions (default: "
+                        "plan on unless REPRO_TIER2=0)")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="write a schema-versioned JSONL trace of every "
                         "trial (spans, VM/MPI events, live CML streams)")

@@ -24,14 +24,15 @@ def build_program(
     name: str = "app",
     config: Optional[RunConfig] = None,
     verify: bool = True,
-    fuse: Optional[bool] = None,
+    fuse: bool = True,
 ) -> CompiledProgram:
     """Compile MiniHPC source to an executable program.
 
     ``mode`` selects the instrumentation level: ``"blackbox"`` (fault
     injection only — a plain LLFI binary) or ``"fpm"`` (fault injection +
-    dual-chain propagation tracking).  ``fuse`` controls fused-segment
-    dispatch (None: on unless REPRO_FUSE=0).
+    dual-chain propagation tracking).  ``fuse=False`` builds the
+    region-free reference interpreter (see
+    :func:`~repro.vm.compiler.compile_program`).
     """
     config = config or RunConfig()
     module = compile_source(source, name=name, verify=verify)
@@ -89,11 +90,12 @@ def run_job(
 
     ``capture_edge_profile`` accepts a mutable dict the profiling
     conditional-branch closures fill with per-site edge counts (golden
-    profiling) — the input of tier-2 trace planning.  ``tier2=False``
-    disables tier-2 trace execution on this job's machines; compiled
-    programs are shared through the prepared cache, so a ``--no-tier2``
-    campaign must opt out at the machine level rather than rely on the
-    program being trace-free.
+    profiling) — the input of region planning; such a job runs on the
+    static region map, whose regions dispatch every dynamic branch
+    through its closure.  ``tier2=False`` selects the static map too:
+    compiled programs are shared through the prepared cache, so a
+    ``--no-tier2`` campaign must opt out at the machine level rather
+    than rely on the program having no plan installed.
     """
     config = config or RunConfig()
     runtime = MPIRuntime()
@@ -109,12 +111,10 @@ def run_job(
         )
         for rank in range(config.nranks)
     ]
-    if tier2 is False:
-        for m in machines:
+    for m in machines:
+        if tier2 is False or capture_edge_profile is not None:
             m.use_tier2 = False
-    if capture_edge_profile is not None:
-        for m in machines:
-            m.edge_profile = capture_edge_profile
+        m.edge_profile = capture_edge_profile
     runtime.attach(machines)
     for m in machines:
         if faults:

@@ -154,9 +154,7 @@ class Settings:
     snapshot_verify: str = "first"
     #: REPRO_PRUNE — golden-trajectory convergence pruning (0 = off)
     prune: bool = True
-    #: REPRO_FUSE — fused-segment dispatch
-    fuse: bool = True
-    #: REPRO_TIER2 — tier-2 golden-trace segment compilation (0 = off)
+    #: REPRO_TIER2 — golden-plan head regions (0 = static regions only)
     tier2: bool = True
     # -- harness resilience ---------------------------------------------
     #: REPRO_RETRY_BASE_DELAY — first backoff delay for transient
@@ -203,7 +201,6 @@ class Settings:
             snapshot_verify=_parse_choice(
                 env, "REPRO_SNAPSHOT_VERIFY", "first", _VERIFY_MODES),
             prune=_parse_bool(env, "REPRO_PRUNE", True),
-            fuse=_parse_bool(env, "REPRO_FUSE", True),
             tier2=_parse_bool(env, "REPRO_TIER2", True),
             retry_base_delay=_parse_float(
                 env, "REPRO_RETRY_BASE_DELAY", DEFAULT_RETRY_BASE_DELAY,

@@ -357,7 +357,7 @@ def _book(timings: Dict[str, float], stage: str, program, t1: float,
     """Close the stage window opened at ``t1`` / ``cg1``.
 
     ``cg1`` is ``program.tier2_codegen_s`` read when the window opened:
-    tier-2 traces compile on first entry, i.e. inside whichever window
+    regions compile on first entry, i.e. inside whichever window
     happens to enter them, so that share moves to ``tier2_codegen`` and
     the stage rows stay disjoint."""
     codegen = program.tier2_codegen_s - cg1
@@ -370,7 +370,8 @@ def _fork_trial(pa: PreparedApp, job: TrialJob, stream, fingerprints,
     """Run one trial COW-forked off the worker's shared golden world.
 
     Verify-first contract: the first fork trial per prepared app per
-    process is re-executed cold (unobserved, unpruned, tier-1) and must
+    process is re-executed cold (unobserved, unpruned, static regions
+    only) and must
     be bit-identical, so a broken COW layer fails loudly instead of
     corrupting a campaign.
     """
@@ -434,10 +435,10 @@ def _execute_trial(job: TrialJob, stream) -> TrialResult:
         pa.ensure_tier2(job.tier2)
     fingerprints = pa.fingerprints if job.prune else None
     program = pa.program
-    # tier2_codegen is what this trial spent compiling the traces it was
+    # tier2_codegen is what this trial spent compiling the regions it was
     # first in its process to enter, taken out of the window that
     # entered them (see _book), so the health total is the codegen cost
-    # over all workers and goes to zero once every entered head is compiled
+    # over all workers and goes to zero once every entered slot is compiled
     timings = {"artifact_load": time.perf_counter() - t0,
                "execute": 0.0, "tier2_codegen": 0.0}
     if job.fork_epoch > 0:
@@ -573,14 +574,14 @@ def prune_enabled(requested: Optional[bool] = None) -> bool:
 
 
 def tier2_enabled(requested: Optional[bool] = None) -> bool:
-    """Tier-2 golden-trace execution: argument, else REPRO_TIER2.
+    """Golden-plan regions: argument, else REPRO_TIER2.
 
     On by default; set REPRO_TIER2=0 (or pass ``tier2=False`` /
-    ``--no-tier2``) to interpret every instruction through the tier-1
-    dispatch loop — the escape hatch for A/B measurement and
-    equivalence testing.  Compiled programs are shared through the
-    prepared cache, so opting out switches the *machines* off tier-2
-    (``Machine.use_tier2``) rather than uninstalling traces.
+    ``--no-tier2``) to run on the static region map only — the escape
+    hatch for A/B measurement and equivalence testing.  Compiled
+    programs are shared through the prepared cache, so opting out
+    switches the *machines* to the static map (``Machine.use_tier2``)
+    rather than uninstalling the plan.
     """
     if requested is not None:
         return bool(requested)
@@ -741,11 +742,12 @@ def run_campaign(
     in index order: the reference the equivalence suites compare the
     fork rung against, bit-identical by the COW contract.
 
-    ``tier2`` controls tier-2 golden-trace execution (None: REPRO_TIER2
-    or on): hot golden paths run as exec-compiled straight-line trace
-    functions with per-trace deopt guards, bit-identical to tier-1 by
-    the guard contract (the fuzz equivalence suite asserts it);
-    ``--no-tier2`` is the escape hatch.
+    ``tier2`` controls the golden plan's regions (None: REPRO_TIER2 or
+    on): hot golden paths run as one exec-compiled function per block
+    head, across block boundaries and rolled where they loop,
+    bit-identical to single-step dispatch by the guard contract (the
+    fuzz equivalence suite asserts it); ``--no-tier2`` keeps every
+    machine on the static, profile-free regions.
     """
     from ..core.spec import CampaignSpec
     from .artifacts import default_artifact_dir

@@ -26,13 +26,13 @@ instruction of the epoch runs — so fork trials are bit-identical to
 cold (``--no-fork``) trials, which the fuzz equivalence suite asserts
 wholesale.
 
-The cursor's golden advance runs tier-2 golden-trace execution when
-the campaign has it on (:meth:`set_tier2`): the shared world is by
+The cursor's golden advance runs on the golden plan's regions when
+the campaign has them on (:meth:`set_tier2`): the shared world is by
 construction on the golden trajectory and unarmed, exactly the regime
-the compiled traces were derived for, so the prefix each worker pays
-once is the fastest path available.  Forked trials inherit the same
-machines — armed entry and the deopt guards keep them bit-identical
-(see :mod:`repro.vm.tier2`).
+the plan was derived for, so the prefix each worker pays once is the
+fastest path available.  Forked trials inherit the same machines —
+armed entry and the region guards keep them bit-identical (see
+:mod:`repro.vm.tier2`).
 
 Rewinds (a trial's fork epoch behind the cursor, e.g. after a retry or
 across unsorted batches) restore the nearest earlier golden snapshot
@@ -69,8 +69,9 @@ class GoldenCursor:
         self.machines: List[Machine] = []
         self.runtime: Optional[MPIRuntime] = None
         self._sched: Optional[Scheduler] = None
-        #: tier-2 trace execution on the cursor's machines (campaign
-        #: --no-tier2 switches it off before the first advance)
+        #: the cursor's machines run on the planned region map (campaign
+        #: --no-tier2 switches them to the static one before the first
+        #: advance)
         self.use_tier2 = True
         #: observability counters (surfaced via stats())
         self.cold_starts = 0
@@ -135,7 +136,8 @@ class GoldenCursor:
         self.rewinds += 1
 
     def set_tier2(self, enabled: bool) -> None:
-        """Switch tier-2 trace execution on the cursor's machines."""
+        """Select the planned or the static region map on the cursor's
+        machines."""
         enabled = bool(enabled)
         if enabled == self.use_tier2:
             return

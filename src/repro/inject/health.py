@@ -73,7 +73,7 @@ class CampaignHealth:
     #: cumulative wall seconds per trial execution stage, summed over
     #: every trial (artifact_load / fork_advance / execute /
     #: tier2_codegen — the last is what trials spent compiling the
-    #: traces they were first in their process to enter, taken out of
+    #: regions they were first in their process to enter, taken out of
     #: the stage that entered them so the rows stay disjoint); resumed
     #: trials contribute their journaled timings, so --resume keeps the
     #: totals cumulative

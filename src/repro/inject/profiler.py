@@ -95,7 +95,6 @@ class PreparedApp:
         *,
         snapshot_stride: Optional[int] = None,
         snapshot_limit: Optional[int] = None,
-        fuse: Optional[bool] = None,
         artifact_dir: Union[str, Path, None] = None,
     ) -> None:
         from . import artifacts  # lazy: artifacts imports GoldenProfile
@@ -107,7 +106,7 @@ class PreparedApp:
         self.config: RunConfig = spec.config
         t0 = time.perf_counter()
         self.program: CompiledProgram = build_program(
-            spec.source, mode, name=spec.name, config=spec.config, fuse=fuse
+            spec.source, mode, name=spec.name, config=spec.config
         )
         store = SnapshotStore(snapshot_stride, snapshot_limit)
         #: (directory, key) of the backing artifact, or None
@@ -120,7 +119,7 @@ class PreparedApp:
             key = artifacts.artifact_key(spec, mode, store.stride, store.limit)
             self.artifact_ref = (directory, key)
             art = artifacts.load_artifact(directory, key)
-        #: tier-2 trace plan (JSON-safe dict) — from the artifact when
+        #: golden region plan (JSON-safe dict) — from the artifact when
         #: one exists, else derived after fresh profiling so it rides
         #: the saved artifact and sibling workers skip planning
         self.tier2_plan: Optional[dict] = None
@@ -175,26 +174,27 @@ class PreparedApp:
         return self.config.with_(max_cycles=self.golden.max_cycles)
 
     # ------------------------------------------------------------------
-    # Tier-2 trace installation
+    # Golden-plan installation
     # ------------------------------------------------------------------
     def ensure_tier2(self, enabled: bool = True) -> int:
-        """Install the tier-2 trace plan into the program.
+        """Install the golden region plan into the program.
 
-        Installation validates the plan and fills one dispatch slot per
-        trace head; each trace is codegenned on its first entry, so the
-        cost shows up in ``program.tier2_codegen_s`` as trials run, not
-        here.  Idempotent per compiled program (repeat calls are free),
-        so both the campaign driver and every worker can call it
-        unconditionally.  The plan comes from the golden artifact when
-        one matched (``tier2_plan_source == "artifact"`` — planning cost
-        shared across workers); otherwise — no artifact, or one whose
-        plan another :data:`~repro.vm.tier2.PLAN_VERSION` wrote — it is
-        re-derived from the golden edge profile.  Returns the installed
-        trace count; ``enabled=False`` is a no-op returning 0 (the
-        program stays trace-free, for ``--no-tier2`` campaigns that
-        share the prepared cache with tier-2 ones the machine-level
-        switch in :meth:`~repro.vm.machine.Machine.run` handles it
-        instead).
+        Installation validates the plan and replaces one head slot of
+        the profiled region map per planned path; each region is
+        codegenned on its first entry, so the cost shows up in
+        ``program.tier2_codegen_s`` as trials run, not here.  Idempotent
+        per compiled program (repeat calls are free), so both the
+        campaign driver and every worker can call it unconditionally.
+        The plan comes from the golden artifact when one matched
+        (``tier2_plan_source == "artifact"`` — planning cost shared
+        across workers); otherwise — no artifact, or one whose plan
+        another :data:`~repro.vm.tier2.PLAN_VERSION` wrote — it is
+        re-derived from the golden edge profile.  ``enabled=False``
+        installs nothing (a ``--no-tier2`` campaign that shares the
+        prepared cache with a default one is kept off the plan by the
+        machine-level switch in :meth:`~repro.vm.machine.Machine.run`
+        instead).  Returns ``program.tier2_traces``, the slots installed
+        in the program's two region maps.
         """
         if not enabled:
             return self.program.tier2_traces

@@ -240,7 +240,7 @@ class Scheduler:
         )
 
     def _drain_tier2(self) -> None:
-        """Publish and reset the machines' tier-2 transition counters.
+        """Publish and reset the machines' region-entry counters.
 
         Machines outlive jobs (the fork cursor reuses them across
         trials), so the counters are drained to the metrics registry

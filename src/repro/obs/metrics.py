@@ -63,13 +63,13 @@ DESCRIPTIONS: Dict[str, str] = {
     "repro_fork_fallback_total":
         "Fork-at-injection trials degraded to a cold run from cycle 0.",
     "repro_tier2_enters_total":
-        "Compiled golden-trace segments entered (tier-2 execution).",
+        "Compiled regions entered (static and golden-plan ones alike).",
     "repro_tier2_deopts_total":
-        "Tier-2 trace exits off the golden path (minority-edge guards, traps).",
+        "Region exits off the golden path (minority-edge guards, traps).",
     "repro_tier2_cycles_total":
-        "Virtual cycles executed inside compiled tier-2 segments.",
+        "Virtual cycles executed inside compiled regions (static included).",
     "repro_tier2_variants_compiled_total":
-        "Tier-2 traces compiled on their first entry (one per head).",
+        "Regions compiled on their first entry (at most once per slot).",
     "repro_shadow_entries":
         "Contaminated memory locations (CML) at the last stream sample.",
     "repro_cml_stream_samples_total":

@@ -1,4 +1,4 @@
-"""IR -> closure compiler for the VM.
+"""IR -> closure compiler for the VM: the reference interpreter.
 
 Each IR instruction is compiled once per program into a Python closure
 ``step(machine, frame) -> signal`` with operands pre-resolved to register
@@ -16,28 +16,12 @@ Instructions marked by the fault-injection pass are wrapped with an
 occurrence counter + bit-flip trigger, which implements LLFI's dynamic
 fault model with near-zero overhead when no fault is armed.
 
-Beyond single-instruction threading, the compiler also builds *fused
-segments*: maximal straight-line runs of side-effect-free-signal
-closures inside one basic block are compiled (via ``exec``) into one
-superinstruction closure that calls its members back to back without
-touching the dispatch loop.  Calls (user and intrinsic — anything that
-may ``SIG_CALL``/``SIG_BLOCK``) are fusion barriers; block terminators
-(``br``/``condbr``/``ret``) may close a segment, whose closure then
-returns the terminator's signal.  Two segment layouts are produced per
-block:
-
-* ``seg_armed`` — injection-marked instructions are additional barriers
-  and keep their per-instruction occurrence-counter wrapper (used while
-  a fault is still pending on the machine);
-* ``seg_free`` — marked instructions join segments as bare closures and
-  the segment bulk-adds their count to ``machine.inj_counter`` (used
-  when ``machine.inj_next == 0``: golden runs, unarmed ranks, and the
-  post-fire tail of a faulty run).
-
-Fused execution is cycle-exact: a member that raises records how many
-members completed in ``machine.fused_skew`` (and the inclusive marked
-count it owes the occurrence counter), so traps land on the same
-virtual cycle as unfused execution.
+Nothing here generates code.  Closures alone are a complete
+interpreter — ``compile_program(module, fuse=False)`` builds exactly
+that, the reference every faster path is compared against — and by
+default :func:`compile_program` also lets :mod:`repro.vm.tier2` fill
+the per-function region maps with slots that compile straight-line
+runs of these instructions on their first entry.
 """
 
 from __future__ import annotations
@@ -78,7 +62,7 @@ class CompiledFunction:
     """Executable form of one IR function."""
 
     __slots__ = ("name", "blocks", "num_regs", "param_indices", "is_dual",
-                 "seg_armed", "seg_free", "tier2", "tier2_off")
+                 "static", "tier2")
 
     def __init__(self, func: Function) -> None:
         self.name = func.name
@@ -86,27 +70,20 @@ class CompiledFunction:
         self.num_regs = 0
         self.param_indices: List[int] = [p.index for p in func.params]
         self.is_dual = func.is_dual
-        #: per-block fused-dispatch maps, parallel to ``blocks``: the entry
-        #: at a segment-start ip is ``(fused_closure, length)``, every other
-        #: ip (barriers, mid-segment resume points) is None and single-steps
-        #: through ``blocks``.  ``seg_armed`` treats injection-marked
-        #: instructions as barriers; ``seg_free`` fuses them bare and is only
-        #: valid while ``machine.inj_next == 0``.
-        self.seg_armed: List[List[Optional[Tuple[Callable, int]]]] = []
-        self.seg_free: List[List[Optional[Tuple[Callable, int]]]] = []
-        #: tier-2 trace map, indexed by block: one ``(trace_closure,
-        #: members, marked)`` slot for blocks that head a golden trace —
-        #: the cycles and marked instructions of the trace's first block,
-        #: which the run loop checks against budget and armed gap before
-        #: entering — None elsewhere.  Populated in place by
-        #: :func:`repro.vm.tier2.install_plan` (so machines built before
-        #: installation see the traces) with closures that compile
-        #: themselves on first entry and swap the result into their slot.
-        #: ``tier2_off`` stays all-None forever — the run loop selects it
-        #: when tier-2 is disabled, mirroring the seg_armed/seg_free
-        #: selection.
-        self.tier2: List[Optional[Tuple[Callable, int, int]]] = []
-        self.tier2_off: List[None] = []
+        #: region maps, indexed ``[block][ip]`` parallel to ``blocks``: a
+        #: ``[closure, members, marked]`` slot at each entry point of
+        #: generated code — ``closure(machine, frame, rem, gap)`` plus
+        #: the cycles and marked instructions of its first chunk, which
+        #: the run loop checks against budget and armed gap before
+        #: entering — None at every other ip, which single-steps through
+        #: ``blocks``.  ``static`` needs no profile (golden profiling,
+        #: plain jobs, ``use_tier2 = False`` machines); ``tier2`` holds
+        #: the same slot objects except at the block heads a golden plan
+        #: replaced (:func:`repro.vm.tier2.install_plan`).  A slot's
+        #: closure compiles itself on first entry and swaps the result
+        #: into ``slot[0]``.
+        self.static: List[List[Optional[list]]] = []
+        self.tier2: List[List[Optional[list]]] = []
 
 
 class CompiledProgram:
@@ -125,12 +102,12 @@ class CompiledProgram:
         #: site id -> (function name, block label, instruction text), for
         #: correlating injections back to source constructs
         self.site_table: Dict[int, Tuple[str, str, str]] = {}
-        #: set by :func:`repro.vm.tier2.install_plan` (idempotence latch +
-        #: trace count for observability)
+        #: set by :func:`repro.vm.tier2.install_plan` (idempotence latch)
         self.tier2_installed = False
+        #: region slots installed in the two maps, static ones included
         self.tier2_traces = 0
-        #: traces compiled so far and the wall seconds that took — a
-        #: trace compiles on its first entry, so both grow while trials
+        #: regions compiled so far and the wall seconds that took — a
+        #: region compiles on its first entry, so both grow while jobs
         #: run; callers timing a window read the seconds before and after
         self.tier2_compiled = 0
         self.tier2_codegen_s = 0.0
@@ -561,312 +538,10 @@ def _with_injection(step: Callable, opinfo, site: int) -> Callable:
     return wrapped
 
 
-# ----------------------------------------------------------------------
-# Fused-block dispatch
-# ----------------------------------------------------------------------
-
 #: instruction kinds whose closures always return None (fall-through)
 _PURE_KINDS = (BinOp, Cmp, Cast, Copy, Alloca, Load, Store, FpmLoad, FpmStore)
-#: block terminators: always return a signal, allowed to *close* a segment
+#: block terminators: always return a signal
 _TERM_KINDS = (Br, CondBr, Ret)
-
-#: maximum members per fused segment.  Segments only execute when they fit
-#: in the remaining quantum budget (so epoch structure stays bit-identical
-#: to single-step dispatch), which makes over-long segments useless: they
-#: would rarely fit and the tail would fall back to single-stepping.
-_FUSE_MAX = 16
-
-
-def _fuse_enabled() -> bool:
-    """Fusion default: on unless REPRO_FUSE is 0/false/off."""
-    from ..core.settings import current_settings
-    return current_settings().fuse
-
-
-def _ld_trap(addr):
-    raise Trap(TrapKind.MEM_FAULT, f"load from invalid address {addr}")
-
-
-def _st_trap(addr):
-    raise Trap(TrapKind.MEM_FAULT, f"store to invalid address {addr}")
-
-
-_M64_LIT = repr((1 << 64) - 1)
-_SIGN_LIT = repr(1 << 63)
-_WRAP_LIT = repr(1 << 64)
-
-#: ops whose 64-bit wrap can be spelled out inline in fused code
-_INLINE_INT_OPS = {"add": "+", "sub": "-", "mul": "*", "padd": "+",
-                   "psub": "-"}
-#: IEEE float ops that are plain Python operators
-_INLINE_FLOAT_OPS = {"fadd": "+", "fsub": "-", "fmul": "*"}
-#: comparison predicates that are plain Python operators (NaN falls out
-#: of every ordered predicate as False, matching the closure lambdas)
-_INLINE_PREDS = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=",
-                 "sgt": ">", "sge": ">=", "oeq": "==", "olt": "<",
-                 "ole": "<=", "ogt": ">", "oge": ">="}
-
-
-def _operand_expr(val, name: str, binds: dict) -> str:
-    """Expression string for an operand: register slot, int literal, or a
-    name bound as a default parameter (floats, whose literals can be
-    unparseable — inf/nan)."""
-    if isinstance(val, Register):
-        return f"regs[{val.index}]"
-    v = val.value
-    if isinstance(v, int):
-        return repr(v)
-    binds[name] = v
-    return name
-
-
-def _inline_template(inst):
-    """Inline codegen template for one instruction, or None.
-
-    Returns ``tmpl(tag) -> (line, binds, needs_mem)`` producing a single
-    source line with the instruction's semantics spelled out directly, so
-    fused segments skip the per-member closure call for the hot kinds.
-    ``tag`` keeps bound names unique per member; the line must match the
-    closure's observable behaviour exactly (results, trap kinds *and*
-    trap messages).  Kinds without a template fall back to closure calls.
-    """
-    if isinstance(inst, BinOp):
-        d, lhs, rhs, op = inst.dest.index, inst.lhs, inst.rhs, inst.op
-
-        def tmpl(tag, d=d, lhs=lhs, rhs=rhs, op=op):
-            binds = {}
-            a = _operand_expr(lhs, f"c{tag}a", binds)
-            b = _operand_expr(rhs, f"c{tag}b", binds)
-            if op in _INLINE_INT_OPS:
-                v = f"v{tag}"
-                line = (f"{v} = ({a} {_INLINE_INT_OPS[op]} {b}) & {_M64_LIT}; "
-                        f"regs[{d}] = {v} - {_WRAP_LIT} "
-                        f"if {v} & {_SIGN_LIT} else {v}")
-            elif op in _INLINE_FLOAT_OPS:
-                line = f"regs[{d}] = {a} {_INLINE_FLOAT_OPS[op]} {b}"
-            else:
-                binds[f"g{tag}"] = BINOP_FUNCS[op]
-                line = f"regs[{d}] = g{tag}({a}, {b})"
-            return line, binds, False
-        return tmpl
-
-    if isinstance(inst, Cmp):
-        d, lhs, rhs = inst.dest.index, inst.lhs, inst.rhs
-        sym = _INLINE_PREDS.get(inst.pred)
-        fn = CMP_FUNCS[(inst.kind, inst.pred)]
-
-        def tmpl(tag, d=d, lhs=lhs, rhs=rhs, sym=sym, fn=fn):
-            binds = {}
-            a = _operand_expr(lhs, f"c{tag}a", binds)
-            b = _operand_expr(rhs, f"c{tag}b", binds)
-            if sym is not None:
-                line = f"regs[{d}] = 1 if {a} {sym} {b} else 0"
-            else:
-                binds[f"g{tag}"] = fn
-                line = f"regs[{d}] = g{tag}({a}, {b})"
-            return line, binds, False
-        return tmpl
-
-    if isinstance(inst, Copy):
-        d, src = inst.dest.index, inst.src
-
-        def tmpl(tag, d=d, src=src):
-            binds = {}
-            return f"regs[{d}] = {_operand_expr(src, f'c{tag}', binds)}", \
-                binds, False
-        return tmpl
-
-    if isinstance(inst, Cast):
-        d, src, op = inst.dest.index, inst.src, inst.op
-        if not isinstance(src, Register):
-            sc = CAST_FUNCS[op](src.value)
-
-            def tmpl(tag, d=d, sc=sc):
-                binds = {f"c{tag}": sc}
-                return f"regs[{d}] = c{tag}", binds, False
-            return tmpl
-        si = src.index
-        if op in ("ptrtoint", "inttoptr"):
-            return lambda tag, d=d, si=si: (f"regs[{d}] = regs[{si}]", {},
-                                            False)
-        if op == "sitofp":
-            return lambda tag, d=d, si=si: (f"regs[{d}] = float(regs[{si}])",
-                                            {}, False)
-        fn = CAST_FUNCS[op]
-        return lambda tag, d=d, si=si, fn=fn: (
-            f"regs[{d}] = g{tag}(regs[{si}])", {f"g{tag}": fn}, False)
-
-    if isinstance(inst, Alloca):
-        d, count = inst.dest.index, inst.count
-        return lambda tag, d=d, count=count: (
-            f"regs[{d}] = mem.stack_alloc({count})", {}, True)
-
-    if isinstance(inst, Load):
-        d, addr = inst.dest.index, inst.addr
-
-        def tmpl(tag, d=d, addr=addr):
-            binds = {f"lt{tag}": _ld_trap}
-            if isinstance(addr, Register):
-                a = f"a{tag}"
-                line = (f"{a} = regs[{addr.index}]; "
-                        f"regs[{d}] = (cf.item({a}) if fk[{a}] "
-                        f"else ci.item({a})) if 0 <= {a} < cap "
-                        f"and valid[{a}] else lt{tag}({a})")
-            else:
-                ac = addr.value
-                line = (f"regs[{d}] = (cf.item({ac}) if fk[{ac}] "
-                        f"else ci.item({ac})) if 0 <= {ac} < cap "
-                        f"and valid[{ac}] else lt{tag}({ac})")
-            return line, binds, True
-        return tmpl
-
-    if isinstance(inst, Store):
-        value, addr = inst.value, inst.addr
-
-        def tmpl(tag, value=value, addr=addr):
-            # the COW guard rides the validity conditional: `co(a)` saves
-            # the pristine page and returns truthy, so an un-owned page is
-            # privatised before the cell write — all still one source line
-            # (the traceback-lineno member recovery depends on that)
-            binds = {f"st{tag}": _st_trap}
-            v = _operand_expr(value, f"c{tag}", binds)
-            if isinstance(addr, Register):
-                a = f"a{tag}"
-                line = (f"{a} = regs[{addr.index}]; "
-                        f"pk({a}, {v}) if 0 <= {a} < cap "
-                        f"and valid[{a}] "
-                        f"and (owned[{a} >> psh] or co({a})) "
-                        f"else st{tag}({a})")
-            else:
-                ac = addr.value
-                line = (f"pk({ac}, {v}) if 0 <= {ac} < cap "
-                        f"and valid[{ac}] "
-                        f"and (owned[{ac} >> psh] or co({ac})) "
-                        f"else st{tag}({ac})")
-            return line, binds, True
-        return tmpl
-
-    return None
-
-
-def _make_fused(steps: List[Callable], marked: List[bool],
-                templates: List[Optional[Callable]]) -> Callable:
-    """exec-compile one superinstruction from ``steps``.
-
-    Members with an inline template have their semantics spelled out
-    directly in the generated source; the rest are closure calls bound as
-    default parameters (so lookups are locals; the ``try`` is zero-cost
-    on 3.11+).  Either way each member occupies exactly one source line:
-    if a member raises, its index is recovered from the traceback line
-    number, so the happy path carries no per-member bookkeeping.  The
-    count of *completed* members lands in ``machine.fused_skew`` and the
-    inclusive marked-instruction count through the raising member is
-    added to ``machine.inj_counter`` — exactly what per-instruction
-    dispatch would have charged.  The last member's signal (None for pure
-    members, the jump/ret signal for a fused terminator) is returned.
-    """
-    k = len(steps)
-    total = sum(1 for flag in marked if flag)
-    env: Dict[str, object] = {}
-    member_lines: List[str] = []
-    needs_mem = False
-    for i in range(k):
-        tmpl = templates[i]
-        if tmpl is not None:
-            line, binds, mem = tmpl(f"_{i}")
-            env.update(binds)
-            member_lines.append(line)
-            needs_mem = needs_mem or mem
-        else:
-            nm = f"s{i}"
-            env[nm] = steps[i]
-            call = f"{nm}(m, f)"
-            member_lines.append(f"sig = {call}" if i == k - 1 else call)
-
-    prelude = "regs = f.regs"
-    if needs_mem:
-        prelude += ("; mem = m.memory; ci = mem.cells_i; "
-                    "cf = mem.cells_f; fk = mem.fkind; pk = mem.poke; "
-                    "valid = mem.valid; cap = mem.capacity; "
-                    "owned = mem.page_owned; psh = mem.page_shift; "
-                    "co = mem.cow_page")
-    env["_pfx"] = None  # replaced below; named param keeps it a local
-    params = ", ".join(f"{nm}={nm}" for nm in env)
-    lines = [f"def fused(m, f, {params}):",
-             "    try:",
-             f"        {prelude}"]
-    for line in member_lines:
-        lines.append(f"        {line}")
-    lines.append("    except BaseException as e:")
-    # member i sits on generated line 4 + i (def=1, try=2, prelude=3,
-    # which cannot raise); the traceback head is this frame, so its
-    # lineno names the raising member
-    lines.append("        p = e.__traceback__.tb_lineno - 4")
-    lines.append("        m.fused_skew = p")
-    if total:
-        lines.append("        m.inj_counter += _pfx[p]")
-    lines.append("        raise")
-    if total:
-        lines.append(f"    m.inj_counter += {total}")
-    lines.append("    return sig" if templates[k - 1] is None
-                 else "    return None")
-    # inclusive prefix: marked members among steps[0..p] — the wrapped
-    # (unfused) form increments the counter *before* executing, so a
-    # raising marked member is still counted
-    pfx = []
-    c = 0
-    for flag in marked:
-        c += 1 if flag else 0
-        pfx.append(c)
-    env["_pfx"] = tuple(pfx)
-    exec(compile("\n".join(lines), "<fused-segment>", "exec"), env)
-    return env["fused"]
-
-
-def _segment_block(entries, include_marked: bool):
-    """Build one block's fused-dispatch map.
-
-    ``entries`` is the per-instruction compile record list; returns a list
-    parallel to the block with ``(fused_closure, length)`` at each segment
-    start and None elsewhere.  ``include_marked`` selects the seg_free
-    layout (marked members fused bare with bulk counting) versus seg_armed
-    (marked instructions are barriers).
-    """
-    n = len(entries)
-    fmap: List[Optional[Tuple[Callable, int]]] = [None] * n
-    runs: List[Tuple[int, int]] = []
-    start: Optional[int] = None
-    for i, (step, bare, kind, is_marked, _tmpl) in enumerate(entries):
-        if kind == "pure" and (include_marked or not is_marked):
-            if start is None:
-                start = i
-            continue
-        if kind == "term" and start is not None:
-            runs.append((start, i + 1))  # terminator closes the run
-            start = None
-            continue
-        if start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, n))
-
-    for a, b in runs:
-        for lo in range(a, b, _FUSE_MAX):
-            hi = min(lo + _FUSE_MAX, b)
-            if hi - lo < 2:
-                continue  # a lone instruction gains nothing from fusion
-            chunk = entries[lo:hi]
-            if include_marked:
-                steps = [e[1] for e in chunk]       # bare closures
-                flags = [e[3] for e in chunk]
-            else:
-                steps = [e[0] for e in chunk]       # none are marked here
-                flags = [False] * len(chunk)
-            # templates describe the *bare* op, valid in both layouts
-            fmap[lo] = (_make_fused(steps, flags, [e[4] for e in chunk]),
-                        hi - lo)
-    return fmap
 
 
 def _compile_cmp(inst: Cmp) -> Callable:
@@ -875,73 +550,57 @@ def _compile_cmp(inst: Cmp) -> Callable:
     )
 
 
-#: precomputed opcode dispatch: instruction class -> (compiler, kind).
-#: One dict hit replaces the former isinstance if/elif ladder for both
-#: the per-instruction compiler and the fusion kind; ``Call`` and
-#: ``CondBr`` take extra context, so their entries accept it.
-_HANDLERS: Dict[type, Tuple[Callable, str]] = {
-    BinOp: (lambda inst, program, where: _compile_binop(inst), "pure"),
-    Cmp: (lambda inst, program, where: _compile_cmp(inst), "pure"),
-    Cast: (lambda inst, program, where: _compile_cast(inst), "pure"),
-    Copy: (lambda inst, program, where: _compile_copy(inst), "pure"),
-    Alloca: (lambda inst, program, where: _compile_alloca(inst), "pure"),
-    Load: (lambda inst, program, where: _compile_load(inst), "pure"),
-    Store: (lambda inst, program, where: _compile_store(inst), "pure"),
-    FpmLoad: (lambda inst, program, where: _compile_fpm_load(inst), "pure"),
-    FpmStore: (lambda inst, program, where: _compile_fpm_store(inst), "pure"),
-    Call: (lambda inst, program, where: _compile_call(inst, program),
-           "barrier"),
-    Br: (lambda inst, program, where: _compile_br(inst), "term"),
-    CondBr: (lambda inst, program, where: _compile_condbr(inst, where),
-             "term"),
-    Ret: (lambda inst, program, where: _compile_ret(inst), "term"),
+#: precomputed opcode dispatch: instruction class -> closure compiler.
+#: One dict hit replaces an isinstance if/elif ladder; ``Call`` and
+#: ``CondBr`` take extra context, so every entry accepts it.
+_HANDLERS: Dict[type, Callable] = {
+    BinOp: lambda inst, program, where: _compile_binop(inst),
+    Cmp: lambda inst, program, where: _compile_cmp(inst),
+    Cast: lambda inst, program, where: _compile_cast(inst),
+    Copy: lambda inst, program, where: _compile_copy(inst),
+    Alloca: lambda inst, program, where: _compile_alloca(inst),
+    Load: lambda inst, program, where: _compile_load(inst),
+    Store: lambda inst, program, where: _compile_store(inst),
+    FpmLoad: lambda inst, program, where: _compile_fpm_load(inst),
+    FpmStore: lambda inst, program, where: _compile_fpm_store(inst),
+    Call: lambda inst, program, where: _compile_call(inst, program),
+    Br: lambda inst, program, where: _compile_br(inst),
+    CondBr: lambda inst, program, where: _compile_condbr(inst, where),
+    Ret: lambda inst, program, where: _compile_ret(inst),
 }
 
 
 def _compile_entry(inst, program: CompiledProgram, where=None):
-    """Compile one instruction to its dispatch closure plus fusion metadata.
-
-    Returns ``(step, bare, kind, marked, template)``: ``step`` is what the
+    """Compile one instruction to ``(step, bare)``: ``step`` is what the
     dispatch loop runs (injection-wrapped when marked), ``bare`` the
-    unwrapped closure fused segments may embed, ``kind`` one of ``"pure"``
-    / ``"term"`` / ``"barrier"``, and ``template`` the optional inline
-    codegen template fused segments prefer over calling ``bare``.
+    unwrapped closure generated regions embed for the kinds they do not
+    spell out inline.
 
     ``where`` is the instruction's ``(function name, block index)``
     branch-site identity: when given, conditional branches get the
-    edge-profiling closure tier-2 trace planning feeds on.  Pass None
-    (the default) for context-free compilations — tier-2 member
-    closures and tests — which must not observe ``machine.edge_profile``.
+    edge-profiling closure trace planning feeds on.  None (the default)
+    compiles a branch that never observes ``machine.edge_profile``.
     """
     handler = _HANDLERS.get(inst.__class__)
     if handler is None:  # pragma: no cover - future instruction kinds
         raise ReproError(f"cannot compile instruction {inst.opcode!r}")
-    compiler, kind = handler
-    bare = compiler(inst, program, where)
-
-    step = bare
-    marked = False
+    bare = handler(inst, program, where)
     if inst.inject_site is not None:
         opinfo = _injectable_operands(inst)
         if opinfo:
-            step = _with_injection(bare, opinfo, inst.inject_site)
-            marked = True
-    return step, bare, kind, marked, _inline_template(inst)
+            return _with_injection(bare, opinfo, inst.inject_site), bare
+    return bare, bare
 
 
-def _compile_instruction(inst, program: CompiledProgram) -> Callable:
-    return _compile_entry(inst, program)[0]
-
-
-def compile_program(module: Module, fuse: Optional[bool] = None) -> CompiledProgram:
+def compile_program(module: Module, fuse: bool = True) -> CompiledProgram:
     """Compile an IR module into executable closure code.
 
-    ``fuse`` enables fused-segment dispatch maps (default: on, unless the
-    REPRO_FUSE=0 environment override disables them); when off, every
-    block's segment map is all-None and the run loop single-steps.
+    By default every function's region maps are filled with the static
+    entry points of generated code (installed, not compiled: see
+    :func:`repro.vm.tier2.install_static`).  ``fuse=False`` leaves both
+    maps empty: the run loop single-steps every instruction — the
+    reference interpreter tests compare every other path against.
     """
-    if fuse is None:
-        fuse = _fuse_enabled()
     program = CompiledProgram(module)
     # Two-phase so call closures can capture their target CompiledFunction.
     for func in module:
@@ -952,21 +611,17 @@ def compile_program(module: Module, fuse: Optional[bool] = None) -> CompiledProg
         cfunc.num_regs = func.num_regs
         for bi, block in enumerate(func.blocks):
             where = (func.name, bi)
-            entries = [_compile_entry(inst, program, where) for inst in block]
-            cfunc.blocks.append([e[0] for e in entries])
-            cfunc.tier2.append(None)
-            cfunc.tier2_off.append(None)
-            if fuse:
-                cfunc.seg_armed.append(_segment_block(entries, False))
-                cfunc.seg_free.append(_segment_block(entries, True))
-            else:
-                none_map = [None] * len(entries)
-                cfunc.seg_armed.append(none_map)
-                cfunc.seg_free.append(none_map)
+            steps = [_compile_entry(inst, program, where)[0] for inst in block]
+            cfunc.blocks.append(steps)
+            cfunc.static.append([None] * len(steps))
+            cfunc.tier2.append([None] * len(steps))
         for block in func.blocks:
             for inst in block:
                 if inst.inject_site is not None:
                     program.site_table[inst.inject_site] = (
                         func.name, block.label, repr(inst)
                     )
+    if fuse:
+        from .tier2 import install_static  # tier2 imports this module
+        install_static(program)
     return program

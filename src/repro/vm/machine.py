@@ -40,7 +40,7 @@ from .rng import Lcg64
 from .traps import Trap, TrapKind
 
 
-#: ``gap`` handed to tier-2 traces while no fault is pending: no trace
+#: ``gap`` handed to regions while no fault is pending: no region
 #: executes this many marked instructions
 _UNARMED = 1 << 62
 
@@ -154,31 +154,34 @@ class Machine:
         self._inj_rng = Lcg64(seed ^ 0xFA17, stream=rank)
         self.injection_events: List[InjectionEvent] = []
 
-        #: members completed by a fused segment before one of them raised;
-        #: the run loop folds this into its instruction count so trap
-        #: cycles are identical to single-step dispatch
+        #: members completed by a region before one of them raised; the
+        #: run loop folds this into its instruction count so trap cycles
+        #: are identical to single-step dispatch
         self.fused_skew = 0
 
-        # Tier-2 golden-trace execution state.
-        #: runtime enable: campaigns running --no-tier2 share compiled
-        #: programs (and their installed traces) with tier-2-on campaigns
-        #: through the prepared cache, so disabling must be per machine
+        # Compiled-region execution state.
+        #: which region map ``run`` dispatches through: the profiled one
+        #: or, when off, the static one.  Campaigns running --no-tier2
+        #: share compiled programs (and their installed plans) with
+        #: default campaigns through the prepared cache, so the choice
+        #: must be per machine
         self.use_tier2 = True
         #: ``(func name, block index) -> [false count, true count]`` edge
         #: counts, filled by profiling condbr closures during golden runs
         #: (None — the default — keeps every branch on its fast path)
         self.edge_profile: Optional[dict] = None
-        #: cycles consumed by the last tier-2 trace entry (written by the
-        #: generated trace epilogues/guards, read by the run loop)
+        #: cycles consumed by the last region entry (written by the
+        #: generated epilogues/exits, read by the run loop)
         self.tier2_cycles = 0
-        #: observability counters, drained by the scheduler at job end;
-        #: ``t2_deopts`` is bumped by the traces themselves, on
-        #: minority-edge guard exits and traps only (running out of
-        #: budget or armed gap is how every trace entry ends)
+        #: observability counters over every region entry, drained by
+        #: the scheduler at job end; ``t2_deopts`` is bumped by the
+        #: regions themselves, on minority-edge guard exits and traps
+        #: only (running out of budget or armed gap is how every entry
+        #: ends)
         self.t2_enters = 0
         self.t2_deopts = 0
         self.t2_cycles_acc = 0
-        #: traces this machine compiled by entering them first
+        #: regions this machine compiled by entering them first
         self.t2_compiled = 0
 
     # ------------------------------------------------------------------
@@ -269,23 +272,21 @@ class Machine:
     def run(self, budget: int) -> MachineStatus:
         """Execute up to ``budget`` instructions; returns the new status.
 
-        Dispatch is three-level: at a block head (ip 0) the tier-2 trace
-        map is consulted first — a head holds at most one compiled golden
-        trace, entered when its first block fits the remaining budget and,
-        while a fault is pending, executes fewer marked instructions than
-        remain before the armed occurrence; the trace is handed both
-        numbers and runs on for as long as they allow (compiling itself
-        first if this is its first entry in the process); elsewhere the
-        per-block segment map is consulted — a fused superinstruction
-        executes only when it fits in the remaining budget (so epoch
-        structure, and with it CML sampling and MPI interleaving, is
-        bit-identical to single-step dispatch); otherwise the
-        single-instruction closure runs.  The fused layout is chosen per
-        frame entry — ``seg_free`` whenever ``inj_next == 0`` (no pending
-        fault on this rank: golden runs and post-fire tails),
-        ``seg_armed`` while a fault is pending — and the trace map per
-        machine: ``tier2``, or the all-None ``tier2_off`` when
-        ``use_tier2`` is off.
+        Dispatch is two-level: at every ``(block, ip)`` the frame's
+        region map is consulted first — a slot holds generated code for
+        the straight-line run starting there (or, at a block head with a
+        golden plan installed, for the whole hot path through it) and is
+        entered when its first chunk fits the remaining budget and,
+        while a fault is pending, executes fewer marked instructions
+        than remain before the armed occurrence.  The region is handed
+        both numbers, runs on for as long as they allow (compiling
+        itself first if this is its first entry in the process) and
+        stages the ``(block, ip)`` it left to, so epoch structure — and
+        with it CML sampling and MPI interleaving — is bit-identical to
+        single-step dispatch.  Everywhere else the single-instruction
+        closure runs.  The map is chosen per frame change by
+        ``use_tier2`` alone: ``tier2`` (static regions, head slots
+        replaced by the golden plan's) or ``static``.
         """
         if self.status is not MachineStatus.READY:
             return self.status
@@ -298,48 +299,35 @@ class Machine:
         f = stack[-1]
         cfunc = f.cfunc
         blocks = cfunc.blocks
-        fblocks = cfunc.seg_free if self.inj_next == 0 else cfunc.seg_armed
-        t2b = cfunc.tier2 if use2 else cfunc.tier2_off
+        rblocks = cfunc.tier2 if use2 else cfunc.static
         code = blocks[f.block]
-        fmap = fblocks[f.block]
+        rmap = rblocks[f.block]
         ip = f.ip
         n = 0
         t2n = t2c = 0
         try:
             while n < budget:
-                if (ip == 0 and (t2 := t2b[f.block]) is not None
-                        and t2[1] <= (rem := budget - n)
-                        and t2[2] < (gap := self.inj_next - self.inj_counter
-                                     if self.inj_next else _UNARMED)):
-                    # its first block fits the budget and stays short of
-                    # a pending fault's occurrence; the trace stops itself
-                    # where (rem, gap) run out, so the fault still fires
-                    # on the exact single-stepped marked instruction
+                if ((reg := rmap[ip]) is not None
+                        and reg[1] <= (rem := budget - n)
+                        and reg[2] < (gap := self.inj_next - self.inj_counter
+                                      if self.inj_next else _UNARMED)):
+                    # its first chunk fits the budget and stays short of
+                    # a pending fault's occurrence; the region stops
+                    # itself where (rem, gap) run out, so the fault still
+                    # fires on the exact single-stepped marked instruction
                     t2n += 1
-                    sig = t2[0](self, f, rem, gap)
+                    sig = reg[0](self, f, rem, gap)
                     c = self.tier2_cycles
                     n += c
                     t2c += c
                     if sig == SIG_JUMP:
                         ip = f.ip
-                        code = blocks[f.block]
-                        fmap = fblocks[f.block]
+                        b = f.block
+                        code = blocks[b]
+                        rmap = rblocks[b]
                         continue
-                    # SIG_RET: the trace ran through the function's
+                    # SIG_RET: the region ran through the function's
                     # return — fall through to the shared handling below.
-                elif (seg := fmap[ip]) is not None and n + seg[1] <= budget:
-                    sig = seg[0](self, f)
-                    n += seg[1]
-                    if sig is None:
-                        ip += seg[1]
-                        continue
-                    if sig == SIG_JUMP:
-                        ip = 0
-                        code = blocks[f.block]
-                        fmap = fblocks[f.block]
-                        continue
-                    # SIG_RET from a fused terminator: fall through to the
-                    # shared return handling below.
                 else:
                     sig = code[ip](self, f)
                     n += 1
@@ -349,7 +337,7 @@ class Machine:
                     if sig == SIG_JUMP:
                         ip = 0
                         code = blocks[f.block]
-                        fmap = fblocks[f.block]
+                        rmap = rblocks[f.block]
                         continue
                     if sig == SIG_CALL:
                         f.ip = ip + 1
@@ -366,12 +354,9 @@ class Machine:
                         f = nf
                         cfunc = target
                         blocks = target.blocks
-                        fblocks = (target.seg_free if self.inj_next == 0
-                                   else target.seg_armed)
-                        t2b = (target.tier2 if use2
-                               else target.tier2_off)
+                        rblocks = target.tier2 if use2 else target.static
                         code = blocks[0]
-                        fmap = fblocks[0]
+                        rmap = rblocks[0]
                         ip = 0
                         continue
                     if sig == SIG_BLOCK:
@@ -402,21 +387,19 @@ class Machine:
                     f.regs[done.ret_dest_p] = self.ret_val_p
                 cfunc = f.cfunc
                 blocks = cfunc.blocks
-                fblocks = (cfunc.seg_free if self.inj_next == 0
-                           else cfunc.seg_armed)
-                t2b = cfunc.tier2 if use2 else cfunc.tier2_off
+                rblocks = cfunc.tier2 if use2 else cfunc.static
                 code = blocks[f.block]
-                fmap = fblocks[f.block]
+                rmap = rblocks[f.block]
                 ip = f.ip
             else:
                 # Budget exhausted mid-run: stay READY for the next quantum.
                 f.ip = ip
         except (Trap, ZeroDivisionError, OverflowError, ValueError,
                 TypeError) as exc:
-            # Fused segments and tier-2 traces record how many members
-            # completed before the raise; fold that skew exactly once so
-            # the trap lands on the same virtual cycle as single-step
-            # dispatch, then classify the exception into a Trap.
+            # A region records how many members completed before the
+            # raise; fold that skew exactly once so the trap lands on
+            # the same virtual cycle as single-step dispatch, then
+            # classify the exception into a Trap.
             n += self.fused_skew
             self.fused_skew = 0
             self.trap = self._as_trap(exc, self.cycles + n)

@@ -48,3 +48,19 @@ def run_source(source: str, mode: str = "blackbox", nranks: int = 1,
     config = config or RunConfig(nranks=nranks, **cfg)
     program = build_program(source, mode, config=config)
     return run_job(program, config, faults=faults)
+
+
+def assert_jobs_identical(a, b):
+    """Two JobResults agree in every observable, CML trace included."""
+    assert str(a.trap) == str(b.trap)
+    for name in ("status", "cycles", "rank_cycles", "iterations",
+                 "inj_counts", "ever_contaminated"):
+        assert getattr(a, name) == getattr(b, name), name
+    # values may be NaN, which equals nothing: compare their spelling
+    assert repr(a.outputs) == repr(b.outputs)
+    assert repr([[vars(e) for e in rank] for rank in a.injections]) \
+        == repr([[vars(e) for e in rank] for rank in b.injections])
+    assert (a.trace is None) == (b.trace is None)
+    for name in ("times", "cml_per_rank", "live_words", "ranks_contaminated",
+                 "first_contamination") if a.trace is not None else ():
+        assert getattr(a.trace, name) == getattr(b.trace, name), name

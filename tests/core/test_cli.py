@@ -63,7 +63,7 @@ class TestEngineCLI:
     def test_engine_flags_accepted(self, capsys):
         assert main(["campaign", "matvec", "--trials", "6", "--seed", "1",
                      "--mode", "blackbox", "--timeout", "30",
-                     "--max-retries", "1"]) == 0
+                     "--max-retries", "1", "--workers", "1"]) == 0
         out = capsys.readouterr().out
         assert "engine: 1 worker(s)" in out
         assert "clean" in out

@@ -67,6 +67,25 @@ class TestPublicSurface:
             for name in ("best_for", "mark_verified", "is_verified"):
                 assert not hasattr(owner, name)
 
+    def test_fused_tier_left_no_surface(self):
+        import inspect
+
+        from repro.inject.profiler import PreparedApp
+        from repro.vm.compiler import CompiledFunction
+
+        assert not {"seg_armed", "seg_free", "tier2_off"} & set(
+            CompiledFunction.__slots__)
+        assert "fuse" not in inspect.signature(
+            PreparedApp.__init__).parameters
+        # fuse=False is the reference interpreter: no region anywhere
+        program = repro.build_program(
+            "func main(rank: int, size: int) { emiti(rank + size); }",
+            fuse=False)
+        assert program.tier2_traces == 0 and not any(
+            slot for cfunc in program.functions.values()
+            for rmap in (cfunc.static, cfunc.tier2) for row in rmap
+            for slot in row)
+
 
 class TestImportHygiene:
     """``import repro`` is paid by every process a campaign starts."""

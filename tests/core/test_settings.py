@@ -25,7 +25,6 @@ def test_defaults_with_empty_environment():
     assert s.workers == 1
     assert s.trial_timeout is None
     assert s.snapshot_verify == "first"
-    assert s.fuse is True
     assert s.obs_trace is None
     assert s.obs_metrics is None
     assert s.obs_cml_stride == 0
@@ -35,27 +34,26 @@ def test_surface_is_the_remaining_knobs():
     import dataclasses
 
     names = {f.name for f in dataclasses.fields(Settings)}
-    assert len(names) == 21
+    assert len(names) == 20
     assert not names & {"lanes", "world_cache", "world_cache_pages",
                         "batch_by_snapshot", "tier2_cap", "fork_trials",
-                        "snapshot_limit", "page_words"}
+                        "snapshot_limit", "page_words", "fuse"}
     # a deleted knob left in the environment is simply not read
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _settings(REPRO_LANES="junk", REPRO_WORLD_CACHE="junk",
                          REPRO_BATCH_BY_SNAPSHOT="junk",
                          REPRO_TIER2_CAP="junk", REPRO_FORK_TRIALS="junk",
-                         REPRO_SNAPSHOT_LIMIT="junk",
+                         REPRO_SNAPSHOT_LIMIT="junk", REPRO_FUSE="junk",
                          REPRO_PAGE_WORDS="junk") == Settings()
 
 
 def test_valid_values_parse():
     s = _settings(REPRO_TRIALS=50, REPRO_WORKERS=4, REPRO_TRIAL_TIMEOUT=2.5,
-                  REPRO_SNAPSHOT_VERIFY="all", REPRO_FUSE=0,
+                  REPRO_SNAPSHOT_VERIFY="all",
                   REPRO_OBS_TRACE="/tmp/t.jsonl", REPRO_OBS_CML_STRIDE=64)
     assert (s.trials, s.workers, s.trial_timeout) == (50, 4, 2.5)
     assert s.snapshot_verify == "all"
-    assert s.fuse is False
     assert s.obs_trace == "/tmp/t.jsonl"
     assert s.obs_cml_stride == 64
 

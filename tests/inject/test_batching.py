@@ -93,8 +93,9 @@ class TestStageTimings:
         # campaign (and trial) that entered them — a repeat of the same
         # campaign in the same process compiles nothing
         campaign_mod._PREPARED_CACHE.clear()
-        first = run_campaign("matvec", trials=8, mode="blackbox", seed=3)
-        again = run_campaign("matvec", trials=8, mode="blackbox", seed=3)
+        knobs = dict(trials=8, mode="blackbox", seed=3, workers=1)
+        first = run_campaign("matvec", **knobs)
+        again = run_campaign("matvec", **knobs)
         assert first.health.stage_timings["tier2_codegen"] > 0.0
         assert again.health.stage_timings["tier2_codegen"] == 0.0
         assert first.health.stage_timings["tier2_codegen"] == pytest.approx(

@@ -10,11 +10,13 @@ and checks the cross-cutting invariants of the whole stack:
   transferable between modes);
 * under an injected fault, the taint build never reports *less*
   contamination than the dual chain on loop-free programs (the only
-  programs this generator makes with no computed store addresses).
+  programs this generator makes with no computed store addresses);
+* compiled regions, static and golden-planned, are invisible: every job
+  equals the closure-only reference interpreter's bit for bit.
 
 The generator is deliberately conservative: array indices stay in bounds
-and loop bounds are literal, so a fault-free run can never trap — any
-trap in these tests is a compiler/VM bug, not a program bug.
+and loop bounds are literals or read-only array cells, so a fault-free
+run can never trap — any trap here is a compiler/VM bug, not a program bug.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from hypothesis import strategies as st
 from repro.core.config import RunConfig
 from repro.core.runner import build_program, run_job
 from repro.mpi import JobStatus
-from repro.vm import FaultSpec, Lcg64
+from repro.vm import FaultSpec, Lcg64, derive_plan, install_plan
+from tests.conftest import assert_jobs_identical
 
 
 class ProgramGen:
@@ -40,7 +43,18 @@ class ProgramGen:
     tainted stores actually landed) cannot see the location the
     pristine run would have written — so taint-dominance only holds
     for loop-free programs.
+
+    For the region generator's sake a loop may call a helper mid-block
+    (compiled code resumes at the ip after it), run to a bound loaded
+    from memory on every iteration, and carry a call-free straight-line
+    run longer than the 16-member entry-point grid.
     """
+
+    #: contents of the trip-count array ``cnt``, never written after init
+    COUNTS = (2, 3, 5, 7)
+    HELPER = ("func mix(x: float, y: float) -> float {\n"
+              "    if (x < y) { return x * 0.75 + y; }\n"
+              "    return y - x * 0.25;\n}\n")
 
     def __init__(self, seed: int, loops: bool = True) -> None:
         self.rng = Lcg64(seed)
@@ -96,7 +110,8 @@ class ProgramGen:
     def statement(self, depth: int = 0) -> str:
         kinds = ["assign", "assign", "assign"]
         if depth < 2:
-            kinds += ["if", "loop"] if self.loops else ["if", "if"]
+            kinds += ["if", "loop", "loop"] if self.loops else ["if", "if"]
+            kinds.append("straight")
         kind = self.pick(kinds)
         if kind == "assign":
             if self.arrays and self.rng.next_int(2):
@@ -115,19 +130,40 @@ class ProgramGen:
             body = self.statement(depth + 1)
             other = self.statement(depth + 1)
             return (f"if ({cond}) {{ {body} }} else {{ {other} }}")
-        # bounded loop over an array
-        if not self.arrays:
-            return ""
         name, size, elem = self.pick(self.arrays)
+        if kind == "straight":
+            return self.straight(name, size, elem)
+        # loop over an array, bounded by a literal or a memory cell; the
+        # body one store, with or without a call in mid-block, and with
+        # or without a long straight-line run behind it
         ivar = self.fresh("i")
-        rhs = (f"{name}[{ivar}] * 0.5 + {self.float_expr()}"
-               if elem == "float" else
-               f"{name}[{ivar}] + {self.int_expr()}")
-        return (f"for (var {ivar}: int = 0; {ivar} < {size}; {ivar} += 1) "
-                f"{{ {name}[{ivar}] = {rhs}; }}")
+        bound = self.pick([str(size)] + [f"cnt[{j}]" for j, c in
+                                         enumerate(self.COUNTS) if c <= size])
+        cur = f"{name}[{ivar}]"
+        if elem == "float":
+            rhs = self.pick([cur, f"mix({cur}, {cur} - 1.5)"]) \
+                + f" * 0.5 + {self.float_expr()}"
+        else:
+            rhs = self.pick([cur, f"int(mix(float({cur}), 2.5))"]) \
+                + f" + {self.int_expr()}"
+        tail = self.pick(["", self.straight(name, size, elem)])
+        return (f"for (var {ivar}: int = 0; {ivar} < {bound}; {ivar} += 1) "
+                f"{{ {name}[{ivar}] = {rhs}; {tail} }}")
+
+    def straight(self, name: str, size: int, elem: str) -> str:
+        """Six-plus statements of seven-plus members each over literal
+        subscripts: no call, no growth (values shrink to the constants)."""
+        scale = ("* 0.25", "* 0.5") if elem == "float" else ("/ 4", "/ 2")
+        lines = []
+        for _ in range(6 + self.rng.next_int(3)):
+            i, j, k = (self.rng.next_int(size) for _ in range(3))
+            lines.append(f"{name}[{i}] = ({name}[{j}] {scale[0]} + "
+                         f"{name}[{k}] {scale[1]}) - {self.int_expr(2)};")
+        return " ".join(lines)
 
     def generate(self) -> str:
-        decls = []
+        decls = [f"var cnt: int[{len(self.COUNTS)}];"]
+        decls += [f"cnt[{j}] = {c};" for j, c in enumerate(self.COUNTS)]
         for _ in range(1 + self.rng.next_int(3)):
             name = self.fresh("a")
             size = 2 + self.rng.next_int(6)
@@ -150,7 +186,7 @@ class ProgramGen:
             emits.append(f"emit({name});" if t == "float" else f"emiti({name});")
 
         return (
-            "func main(rank: int, size: int) {\n    "
+            self.HELPER + "func main(rank: int, size: int) {\n    "
             + "\n    ".join(decls + body + emits)
             + "\n}"
         )
@@ -205,3 +241,33 @@ def test_taint_dominates_dual_chain_under_faults(seed, fault_seed):
     t_cml = taint.trace.final_cml if taint.trace else 0
     # data-flow-only programs (no computed addresses): taint >= exact
     assert t_cml >= d_cml, (source, occ, bit)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_regions_match_the_reference_interpreter(seed, fault_seed):
+    # one program, three ways: closures only (the reference), the static
+    # regions (tier2=False), and the golden plan's regions on top
+    source = ProgramGen(seed).generate()
+    rng = Lcg64(fault_seed)
+    for mode in ("blackbox", "fpm", "taint"):
+        config = RunConfig(nranks=1)
+        reference = build_program(source, mode, config=config, fuse=False)
+        program = build_program(source, mode, config=config)
+        edges = {}
+        golden = run_job(program, config, capture_edge_profile=edges)
+        assert golden.status is JobStatus.COMPLETED, (source, golden.trap)
+        install_plan(program, derive_plan(program, edges))
+        # a fault may turn a loop bound into 2**62: keep hangs short
+        knobs = dict(inj_seed=fault_seed, max_cycles=4 * golden.cycles + 1000)
+        fault = [FaultSpec(0, 1 + rng.next_int(golden.inj_counts[0]),
+                           bit=rng.next_int(64))]
+        for quantum in (1, 3, 7, 16, 256):
+            cfg = config.with_(quantum=quantum)
+            for faults in ((), fault):
+                want = run_job(reference, cfg, faults, **knobs)
+                for tier2 in (False, None):
+                    assert_jobs_identical(
+                        run_job(program, cfg, faults, tier2=tier2, **knobs),
+                        want)

@@ -211,6 +211,22 @@ func main(rank: int, size: int) {
                 changed += 1
         assert changed > 0
 
+    def test_inject_check_stays_inline_hoisted(self, monkeypatch):
+        # the occurrence check is a hoisted inline comparison: the (slow)
+        # inject_now upcall fires only when the counter matches
+        calls = []
+        orig = Machine.inject_now
+
+        def counting(self, frame, opinfo, site=-1):
+            calls.append(self.inj_counter)
+            return orig(self, frame, opinfo, site)
+
+        monkeypatch.setattr(Machine, "inject_now", counting)
+        m = run_machine(build(self.SRC), faults=[FaultSpec(0, 25, bit=3)],
+                        budget=64)
+        assert m.inj_counter > 50   # many marked executions...
+        assert calls == [25]        # ...but exactly one upcall
+
 
 class TestEntry:
     def test_missing_entry_function(self):

@@ -1,13 +1,15 @@
-"""Tier-2 golden-trace compilation: bit-identity with tier-1.
+"""Compiled regions: bit-identity with the reference interpreter.
 
-Compiled traces may only change *speed*.  Every observable — outcome,
+Generated code may only change *speed*.  Every observable — outcome,
 outputs, per-rank clocks, trap kind and cycle, injection events, CML
-traces — must match tier-1 dispatch exactly, for any quantum, any armed
-fault plan, and every deopt guard (branch divergence, trap, quantum
-boundary, armed entry).  The module-level plan machinery must be
-deterministic, JSON-safe and defensive against stale artifact plans.
+traces — must match a ``fuse=False`` program exactly, on the static map
+and on the golden plan's, for any quantum, any armed fault plan, and
+every guard (branch divergence, trap, quantum boundary, armed entry).
+The plan machinery must be deterministic, JSON-safe and defensive
+against stale artifact plans.
 """
 
+import functools
 import json
 
 import pytest
@@ -15,12 +17,14 @@ import pytest
 from repro.apps import get_app
 from repro.core.runner import build_program, run_job
 from repro.frontend import compile_source
+from repro.ir import Call
 from repro.passes import pipeline_for_mode, run_passes
 from repro.vm import (
     FaultSpec, Machine, MachineStatus, compile_program, derive_plan,
     install_plan,
 )
 from repro.vm import tier2 as tier2_mod
+from tests.conftest import assert_jobs_identical
 
 # a hot multi-block loop (planned as a rolled trace), plus a cold tail
 # the golden profile never takes
@@ -54,6 +58,7 @@ func main(rank: int, size: int) {
 
 # a rolled loop that stores to memory, takes a minority edge early in
 # the body of its ninth iteration, and writes registers after that guard
+# in a straight-line run longer than the 16-member entry-point grid
 SRC_ROLL = """
 func main(rank: int, size: int) {
     var a: int[16];
@@ -65,45 +70,43 @@ func main(rank: int, size: int) {
         var y: int = it * it + 3;
         a[it] = y;
         acc += y;
+        a[it] = a[it] * 3 + acc;
+        a[15 - it] = a[it] - y * 2;
+        acc += a[15 - it] - a[it] * 5;
     }
     emiti(acc);
     emiti(a[5]);
 }
 """
 
-# traps (division by zero) in the fifth iteration of the golden run
-SRC_ROLL_TRAP = """
-func main(rank: int, size: int) {
-    var d: int = 4;
-    var acc: int = 0;
-    for (var it: int = 0; it < 30; it += 1) {
-        acc += 1000 / d;
-        d -= 1;
-    }
-    emiti(acc);
-}
-"""
+# the same loop with a call barrier mid-block: the hot path ends there
+# and compiled code resumes at the ip after it, in a run that crosses
+# the grid again
+SRC_BARRIER = ("func bump(x: int) -> int { return x * 3 - 1; }\n"
+               + SRC_ROLL.replace("acc += y;", "acc += bump(y);"))
+
+# the same loop counting d down from 4: the golden run itself traps
+# (division by zero) in its fifth iteration
+SRC_ROLL_TRAP = SRC_DIV.replace("d: int = 8", "d: int = 4").replace(
+    "d += 1;", "d -= 1;")
 
 
-def build(source, mode="blackbox"):
+def build(source, mode="blackbox", fuse=True):
     mod = compile_source(source, "t")
     run_passes(mod, pipeline_for_mode(mode))
-    return compile_program(mod)
+    return compile_program(mod, fuse=fuse)
 
 
-def profile_edges(prog, seed=12345, status=MachineStatus.DONE):
-    m = Machine(prog, 0, 1, seed=seed)
-    m.edge_profile = {}
-    m.start()
-    while m.run(10 ** 7) is MachineStatus.READY:
-        pass
-    assert m.status is status
-    return m, m.edge_profile
+@functools.lru_cache(maxsize=None)
+def reference(source, mode="blackbox"):
+    """The closure-only interpreter for ``source``: no region anywhere."""
+    return build(source, mode, fuse=False)
 
 
-def run_machine(prog, faults=(), budget=256, seed=12345, tier2=True):
-    m = Machine(prog, 0, 1, seed=seed)
+def run_machine(prog, faults=(), budget=256, tier2=True, edges=None):
+    m = Machine(prog, 0, 1)
     m.use_tier2 = tier2
+    m.edge_profile = edges
     if faults:
         m.arm_faults(faults)
     m.start()
@@ -112,23 +115,21 @@ def run_machine(prog, faults=(), budget=256, seed=12345, tier2=True):
     return m
 
 
-def assert_machines_identical(a, b):
-    assert a.status == b.status
-    assert str(a.trap) == str(b.trap)
-    assert a.cycles == b.cycles
-    assert a.outputs == b.outputs
-    assert a.iteration_count == b.iteration_count
-    assert a.inj_counter == b.inj_counter
-    assert ([vars(e) for e in a.injection_events]
-            == [vars(e) for e in b.injection_events])
+def profile_edges(prog, status=MachineStatus.DONE):
+    m = run_machine(prog, budget=10 ** 7, edges={})
+    assert m.status is status
+    return m, m.edge_profile
 
 
 def state(m):
-    """Everything a later instruction could observe of a paused machine."""
-    frames = [(f.block, f.ip, list(f.regs)) for f in m.call_stack]
+    """Everything a later instruction could observe of a paused machine
+    (none reads a trapped one's frames: a raising region flushes none)."""
+    frames = [(f.block, f.ip, list(f.regs)) for f in m.call_stack
+              if m.status is not MachineStatus.TRAPPED]
     return (m.status, frames, m.memory.words(), bytes(m.memory.valid),
             m.memory.sp, m.cycles, m.inj_counter, m.outputs,
-            [vars(e) for e in m.injection_events], str(m.trap))
+            m.iteration_count, [vars(e) for e in m.injection_events],
+            str(m.trap))
 
 
 def assert_states_identical(a, b):
@@ -136,27 +137,42 @@ def assert_states_identical(a, b):
         assert x == y
 
 
+def run_faulted(prog, source, occ, bit, budget=256):
+    """One fault on the planned map, checked against the reference."""
+    faults = [FaultSpec(rank=0, occurrence=occ, bit=bit)]
+    a = run_machine(prog, faults, budget, tier2=True)
+    assert_states_identical(a, run_machine(reference(source), faults, budget))
+    return a
+
+
 def slots(prog):
-    """Every installed trace slot of ``prog``, as (closure, first-block
-    members, first-block marked)."""
-    return [t for cf in prog.functions.values() for t in cf.tier2
-            if t is not None]
+    """Every distinct slot installed in either region map of ``prog``."""
+    found = {id(s): s for cf in prog.functions.values()
+             for rmap in (cf.static, cf.tier2) for row in rmap for s in row
+             if s is not None}
+    return list(found.values())
+
+
+def head_slots(prog):
+    """The slots a golden plan put in: in the profiled map only."""
+    return [cf.tier2[b][0] for cf in prog.functions.values()
+            for b in range(len(cf.blocks)) if cf.tier2[b]
+            and cf.tier2[b][0] is not cf.static[b][0]]
 
 
 def is_compiled(closure):
-    """Is this slot closure an exec-compiled trace (vs a first-entry
-    stub that has not run yet)?"""
+    """Is this slot closure an exec-compiled region, not a stub?"""
     return closure.__code__.co_filename.startswith("<tier2:")
 
 
 def planned(source=SRC_LOOP, mode="blackbox", status=MachineStatus.DONE):
+    # profiled on a throwaway build: every parity test below enters its
+    # regions for the first time inside the run it checks
+    _, edges = profile_edges(build(source, mode), status=status)
     prog = build(source, mode)
-    _, edges = profile_edges(prog, status=status)
     plan = derive_plan(prog, edges)
-    n = install_plan(prog, plan)
-    assert n > 0, "expected at least one installable trace"
-    # nothing ran since install: every parity test below enters its
-    # traces for the first time inside the run it checks
+    install_plan(prog, plan)
+    assert head_slots(prog), "expected at least one installable path"
     assert prog.tier2_compiled == 0
     return prog, plan
 
@@ -173,6 +189,10 @@ class TestPlanning:
         assert p1["version"] == tier2_mod.PLAN_VERSION
         assert all(sorted(t) == ["blocks", "func", "head", "members"]
                    for t in p1["traces"])
+        # without edge counts only statically-resolved control flow is
+        # walkable: planning must not crash, and guards no branch
+        static = derive_plan(prog, None)
+        assert 0 < len(static["traces"]) < len(p1["traces"])
 
     def test_loop_path_closes_on_its_own_head(self):
         # one iteration, never an unrolled body: no block repeats except
@@ -203,8 +223,7 @@ class TestPlanning:
                             "traces": [entry]})
         m = Machine(prog, 0, 1)
         m.start()
-        ref = Machine(prog, 0, 1)
-        ref.use_tier2 = False
+        ref = Machine(reference(SRC_LOOP), 0, 1)
         ref.start()
         assert m.run(entry["members"]) is MachineStatus.READY
         ref.run(entry["members"])
@@ -213,61 +232,65 @@ class TestPlanning:
         assert m.t2_enters == 1 and m.t2_cycles_acc == entry["members"]
         assert_states_identical(m, ref)
 
-    def test_empty_profile_still_plans_straight_lines(self):
-        # without edge counts only statically-resolved control flow is
-        # walkable; planning must not crash and never guards a branch
-        prog = build(SRC_LOOP)
-        plan = derive_plan(prog, None)
-        assert plan["version"] == tier2_mod.PLAN_VERSION
-
-    def test_install_is_idempotent(self):
-        prog = build(SRC_LOOP)
-        _, edges = profile_edges(prog)
-        plan = derive_plan(prog, edges)
-        n1 = install_plan(prog, plan)
-        n2 = install_plan(prog, plan)
-        assert n1 == n2 == prog.tier2_traces
-        assert prog.tier2_installed
-
     def test_stale_plan_degrades_to_tier1(self):
-        # plans travel through artifacts: module drift must skip, not
-        # raise, and leave the program executable
-        prog = build(SRC_LOOP)
+        # plans travel through artifacts: module drift or another plan
+        # version must skip, not raise, and leave the program executable
+        _, edges = profile_edges(build(SRC_LOOP))
+        other = derive_plan(build(SRC_LOOP), edges)
+        other["version"] = tier2_mod.PLAN_VERSION + 1
         bad = {"version": tier2_mod.PLAN_VERSION, "traces": [
             {"func": "nope", "head": 0, "blocks": [0], "members": 10},
             {"func": "main", "head": 999, "blocks": [999], "members": 10},
             {"func": "main", "head": 0, "blocks": [0, 777], "members": 64},
         ]}
-        assert install_plan(prog, bad) == 0
-        m = run_machine(prog)
-        assert m.status is MachineStatus.DONE
-
-    def test_wrong_plan_version_is_ignored(self):
-        prog = build(SRC_LOOP)
-        _, edges = profile_edges(prog)
-        plan = derive_plan(prog, edges)
-        plan["version"] = tier2_mod.PLAN_VERSION + 1
-        assert install_plan(prog, plan) == 0
+        for plan in (bad, other):
+            prog = build(SRC_LOOP)
+            static = prog.tier2_traces
+            assert install_plan(prog, plan) == static
+            assert not head_slots(prog)
+            assert run_machine(prog).status is MachineStatus.DONE
 
     def test_install_fills_one_slot_per_head(self):
-        prog, plan = planned()
-        assert len(slots(prog)) == prog.tier2_traces == len(plan["traces"])
-        for closure, members, marked in slots(prog):
-            assert callable(closure)
-            assert 0 <= marked <= members and members >= 1
+        # the static map holds one slot per entry point — block heads,
+        # the ip after a call barrier, every 16th member of a run — and
+        # a plan replaces head slots of the profiled map only
+        prog, plan = planned(SRC_BARRIER)
+        func = next(fn for fn in prog.module if fn.name == "main")
+        cf = prog.functions["main"]
+        kinds = set()
+        for b, block in enumerate(func.blocks):
+            for ip, slot in enumerate(cf.static[b]):
+                if slot is None:
+                    continue
+                if ip == 0:
+                    kinds.add("head")
+                elif isinstance(block.instructions[ip - 1], Call):
+                    kinds.add("post-barrier")
+                else:
+                    kinds.add("grid")
+                    assert cf.static[b][ip - 16] is not None
+                # mid-block, one object serves both maps
+                assert ip == 0 or cf.tier2[b][ip] is slot
+        assert kinds == {"head", "post-barrier", "grid"}
+        assert len(head_slots(prog)) == len(plan["traces"])
+        assert len(slots(prog)) == prog.tier2_traces
+        for _, members, marked in slots(prog):
+            assert 0 <= marked <= members and 1 <= members <= 16
 
 
 class TestFirstEntryCompilation:
     def test_install_compiles_nothing(self):
+        _, edges = profile_edges(build(SRC_LOOP))
         prog = build(SRC_LOOP)
-        _, edges = profile_edges(prog)
+        static = prog.tier2_traces
+        assert static == len(slots(prog)) > 0
         plan = derive_plan(prog, edges)
-        n = install_plan(prog, plan)
-        # every planned trace validates against the module it was
-        # derived from, so the count is what eager codegen installed
-        assert n == prog.tier2_traces == len(plan["traces"])
+        # every planned path validates against the module it was
+        # derived from
+        assert install_plan(prog, plan) == static + len(plan["traces"])
+        # and is idempotent: a program is installed at most once
+        assert install_plan(prog, plan) == prog.tier2_traces == len(slots(prog))
         assert prog.tier2_compiled == 0 and prog.tier2_codegen_s == 0.0
-        assert slots(prog)
         assert not any(is_compiled(t[0]) for t in slots(prog))
 
     def test_golden_run_compiles_only_what_it_enters(self):
@@ -285,15 +308,14 @@ class TestFirstEntryCompilation:
         # a second run finds everything it needs compiled
         again = run_machine(prog, budget=256)
         assert again.t2_compiled == 0
-        assert_machines_identical(m, again)
+        assert_states_identical(m, again)
 
     @pytest.mark.parametrize("quantum", [16, 64, 256, 10 ** 6])
     def test_at_most_one_variant_per_head_is_ever_compiled(self, quantum):
         prog, _ = planned()
-        golden = run_machine(prog, budget=quantum)
-        for occ in range(1, golden.inj_counter + 1, 9):
-            run_machine(prog, [FaultSpec(rank=0, occurrence=occ, bit=62)],
-                        budget=quantum)
+        total = run_machine(prog, budget=quantum).inj_counter
+        for occ in range(1, total + 1, 9):
+            run_faulted(prog, SRC_LOOP, occ, 62, quantum)
         assert 0 < prog.tier2_compiled <= prog.tier2_traces
 
     def test_machine_built_before_install_picks_traces_up_mid_run(self):
@@ -303,12 +325,13 @@ class TestFirstEntryCompilation:
         m.start()
         for _ in range(3):
             assert m.run(64) is MachineStatus.READY
-        assert m.t2_enters == 0
         install_plan(prog, derive_plan(prog, edges))
+        assert not any(is_compiled(t[0]) for t in head_slots(prog))
         while m.run(64) is MachineStatus.READY:
             pass
-        assert m.t2_enters > 0 and prog.tier2_compiled > 0
-        assert_machines_identical(m, run_machine(prog, budget=64, tier2=False))
+        assert any(is_compiled(t[0]) for t in head_slots(prog))
+        assert_states_identical(m, run_machine(reference(SRC_LOOP),
+                                                 budget=64))
 
     @pytest.mark.parametrize("failing", ["all", "first"])
     def test_codegen_failure_declines_to_tier1(self, failing, monkeypatch):
@@ -328,13 +351,13 @@ class TestFirstEntryCompilation:
         monkeypatch.setattr(tier2_mod, "_codegen", broken)
         with pytest.warns(UserWarning, match="tier-2 codegen failed"):
             a = run_machine(prog, budget=256, tier2=True)
-        b = run_machine(prog, budget=256, tier2=False)
+        b = run_machine(reference(SRC_LOOP), budget=256)
         assert a.status is MachineStatus.DONE and a.trap is None
-        assert_machines_identical(a, b)
-        # each failed trace cleared its slot; nothing is retried
+        assert_states_identical(a, b)
+        # each failed region left the maps — that slot only, a planned
+        # head falling back to its static region — and nothing is retried
         failed = len(calls) if failing == "all" else 1
         assert len(slots(prog)) == installed - failed
-        assert len(set(calls)) == len(calls)
         if failing == "all":
             assert prog.tier2_compiled == 0 and a.t2_cycles_acc == 0
         else:
@@ -343,21 +366,38 @@ class TestFirstEntryCompilation:
 
 
 def at_loop_head(prog, plan, tier2, faults=()):
-    """A machine single-stepped on tier-1 to the first head of a rolled
-    trace it reaches, then switched to ``tier2``; also returns that head
-    and the members of one iteration."""
-    rolled = {t["head"]: t["members"] for t in plan["traces"]
-              if len(t["blocks"]) > 1 and t["blocks"][-1] == t["head"]}
+    """A machine single-stepped to the first head of a rolled region of
+    ``plan`` it reaches, then switched to ``tier2``; also returns that
+    head and the members of one iteration."""
+    heads = {t["head"]: t["members"] for t in plan["traces"]
+             if t["blocks"][-1] == t["head"]}
     m = Machine(prog, 0, 1)
     m.use_tier2 = False
     if faults:
         m.arm_faults(faults)
     m.start()
-    while not (m.call_stack[-1].ip == 0 and m.call_stack[-1].block in rolled):
+    while not (m.call_stack[-1].ip == 0 and m.call_stack[-1].block in heads):
         assert m.run(1) is MachineStatus.READY
     m.use_tier2 = tier2
     head = m.call_stack[-1].block
-    return m, head, rolled[head]
+    return m, head, heads[head]
+
+
+def watch_single_steps(prog):
+    """Wrap every dispatch closure of ``prog`` (generated code calls
+    none); ``seen["best"]`` is the longest single-stepped ip sequence."""
+    seen = {"at": None, "run": 0, "best": 0}
+    for cf in prog.functions.values():
+        for b, code in enumerate(cf.blocks):
+            for ip, step in enumerate(code):
+                def logged(m, f, step=step, at=(cf.name, b, ip)):
+                    follows = seen["at"] == (at[0], at[1], at[2] - 1)
+                    seen["run"] = seen["run"] + 1 if follows else 1
+                    seen["best"] = max(seen["best"], seen["run"])
+                    seen["at"] = at
+                    return step(m, f)
+                code[ip] = logged
+    return seen
 
 
 class TestRolledTraces:
@@ -368,30 +408,42 @@ class TestRolledTraces:
     # reload-after path of a member inside a rolled body
     @pytest.mark.parametrize("mode", ["blackbox", "fpm", "taint"])
     def test_every_budget_lands_on_the_tier1_state(self, mode):
-        prog, plan = planned(SRC_ROLL, mode)
-        length = at_loop_head(prog, plan, True)[2]
-        for budget in range(1, 3 * length + 4):
-            a = at_loop_head(prog, plan, True)[0]
-            b = at_loop_head(prog, plan, False)[0]
-            a.run(budget)
-            b.run(budget)
-            assert_states_identical(a, b)
-            # whole iterations run rolled, and so does the tail up to
-            # the last block boundary that fits
-            assert a.t2_cycles_acc >= budget // length * length
-            assert a.t2_deopts == 0
+        # the call leaves main's blocks as they are: both loops are
+        # entered at the head SRC_ROLL's plan rolls
+        plan = planned(SRC_ROLL, mode)[1]
+        length = at_loop_head(reference(SRC_ROLL, mode), plan, False)[2]
+        for source in (SRC_ROLL, SRC_BARRIER):
+            prog, ref = planned(source, mode)[0], reference(source, mode)
+            seen = watch_single_steps(prog)
+            for budget in range(1, 3 * length + 4):
+                a = at_loop_head(prog, plan, True)[0]
+                s = at_loop_head(prog, plan, False)[0]
+                b = at_loop_head(ref, plan, False)[0]
+                seen.update(at=None, run=0, best=0)
+                a.run(budget)
+                if budget >= 32:
+                    # compiled code resumes at the next entry point
+                    assert seen["best"] <= 16
+                s.run(budget)
+                b.run(budget)
+                assert_states_identical(a, b)
+                assert_states_identical(s, b)
+                assert a.t2_deopts == 0
+                if source is SRC_ROLL:
+                    # all but a tail shorter than a chunk runs compiled
+                    assert a.t2_cycles_acc > budget - 16
 
     @pytest.mark.parametrize("bit", [0, 62])
     def test_fault_in_the_first_three_iterations_fires_like_tier1(self, bit):
         prog, plan = planned(SRC_ROLL)
-        m, _, length = at_loop_head(prog, plan, False)
+        m, _, length = at_loop_head(reference(SRC_ROLL), plan, False)
         first = m.inj_counter + 1
         m.run(3 * length)
         assert m.inj_counter >= first + 3
         for occ in range(first, m.inj_counter + 1):
             faults = [FaultSpec(rank=0, occurrence=occ, bit=bit)]
             a = at_loop_head(prog, plan, True, faults)[0]
-            b = at_loop_head(prog, plan, False, faults)[0]
+            b = at_loop_head(reference(SRC_ROLL), plan, False, faults)[0]
             while a.run(10 ** 6) is MachineStatus.READY:
                 pass
             while b.run(10 ** 6) is MachineStatus.READY:
@@ -402,11 +454,11 @@ class TestRolledTraces:
     def test_minority_exit_in_a_later_iteration_flushes_earlier_writes(self):
         prog, plan = planned(SRC_ROLL)
         a, head, length = at_loop_head(prog, plan, True)
-        b = at_loop_head(prog, plan, False)[0]
+        b = at_loop_head(reference(SRC_ROLL), plan, False)[0]
         f = a.call_stack[-1]
         before = list(f.regs)
-        # straight into the trace: nothing but the guard can end it
-        sig = f.cfunc.tier2[head][0](a, f, 10 ** 6, 1 << 62)
+        # straight into the region: nothing but the guard can end it
+        sig = f.cfunc.tier2[head][0][0](a, f, 10 ** 6, 1 << 62)
         spent = a.tier2_cycles
         assert sig == 1 and a.t2_deopts == 1
         assert spent > 8 * length and spent % length != 0
@@ -423,13 +475,13 @@ class TestRolledTraces:
     def test_trap_in_a_later_iteration_lands_on_the_tier1_cycle(self):
         prog, plan = planned(SRC_ROLL_TRAP, status=MachineStatus.TRAPPED)
         a, _, length = at_loop_head(prog, plan, True)
-        b = at_loop_head(prog, plan, False)[0]
+        b = at_loop_head(reference(SRC_ROLL_TRAP), plan, False)[0]
         start = a.cycles
         assert a.run(10 ** 6) is MachineStatus.TRAPPED
         assert b.run(10 ** 6) is MachineStatus.TRAPPED
         assert a.t2_enters == 1 and a.t2_deopts == 1
         assert a.trap.cycle - start > 4 * length
-        assert_machines_identical(a, b)
+        assert_states_identical(a, b)
 
 
 class TestExecutionParity:
@@ -437,85 +489,70 @@ class TestExecutionParity:
     def test_golden_parity_across_quanta(self, quantum):
         prog, _ = planned()
         a = run_machine(prog, budget=quantum, tier2=True)
-        b = run_machine(prog, budget=quantum, tier2=False)
+        b = run_machine(reference(SRC_LOOP), budget=quantum)
         assert a.status is MachineStatus.DONE
-        assert_machines_identical(a, b)
+        assert_states_identical(a, b)
         if quantum >= 64:
-            assert a.t2_enters > 0, "tier-2 never entered"
-
-    def test_counters_account_trace_cycles(self):
-        prog, _ = planned()
-        a = run_machine(prog, budget=256)
-        assert a.t2_enters > 0
-        assert 0 < a.t2_cycles_acc <= a.cycles
-        assert a.t2_deopts <= a.t2_enters
+            assert any(is_compiled(t[0]) for t in head_slots(prog)), \
+                "no planned region entered"
 
     def test_no_tier2_machine_never_enters(self):
+        # tier2=False means the static map: regions run, the plan's do not
         prog, _ = planned()
         b = run_machine(prog, budget=256, tier2=False)
-        assert b.t2_enters == 0 and b.t2_cycles_acc == 0
+        assert b.t2_enters > 0 and b.t2_deopts == 0
+        assert not any(is_compiled(t[0]) for t in head_slots(prog))
 
     @pytest.mark.parametrize("occ_frac", [0.0, 0.3, 0.7, 1.0])
     @pytest.mark.parametrize("bit", [1, 62])
     def test_armed_parity_across_occurrences(self, occ_frac, bit):
         # armed entry: a pending fault must fire on the exact same
-        # occurrence, cycle and operand whether traces run or not
+        # occurrence, cycle and operand whether regions run or not
         prog, _ = planned()
-        golden = run_machine(prog, budget=256)
-        total = golden.inj_counter
+        total = run_machine(reference(SRC_LOOP)).inj_counter
         occ = max(1, min(total, int(total * occ_frac) or 1))
-        faults = [FaultSpec(rank=0, occurrence=occ, bit=bit)]
-        a = run_machine(prog, faults, budget=256, tier2=True)
-        b = run_machine(prog, faults, budget=256, tier2=False)
-        assert_machines_identical(a, b)
+        a = run_faulted(prog, SRC_LOOP, occ, bit)
         assert len(a.injection_events) == 1
+        assert 0 < a.t2_cycles_acc <= a.cycles and a.t2_deopts <= a.t2_enters
 
     @pytest.mark.parametrize("occ", [5, 40, 90])
     def test_trap_deopt_parity(self, occ):
-        # mid-trace traps: fused_skew must land the trap on the exact
-        # tier-1 virtual cycle
-        prog, _ = planned(SRC_DIV)
-        faults = [FaultSpec(rank=0, occurrence=occ, bit=60)]
-        a = run_machine(prog, faults, budget=256, tier2=True)
-        b = run_machine(prog, faults, budget=256, tier2=False)
-        assert_machines_identical(a, b)
+        # mid-region traps: fused_skew must land the trap on the exact
+        # single-step virtual cycle
+        run_faulted(planned(SRC_DIV)[0], SRC_DIV, occ, 60)
 
     @pytest.mark.parametrize("source,bit", [(SRC_DIV, 60), (SRC_LOOP, 62),
                                             (SRC_LOOP, 0)])
     def test_first_entry_deopt_parity(self, source, bit):
-        # a fresh program per faulty run: the trace that traps (or takes
+        # a fresh program per faulty run: the region that traps (or takes
         # the minority edge) was compiled by that very entry, so the
         # raise crosses the first-entry stub's frame — fused_skew and
-        # the guard exits must still land on the tier-1 virtual cycle
-        total = run_machine(build(source), budget=256).inj_counter
+        # the guard exits must still land on the single-step cycle
+        total = run_machine(reference(source)).inj_counter
         for occ in range(2, total + 1, max(1, total // 12)):
             prog, _ = planned(source)
-            faults = [FaultSpec(rank=0, occurrence=occ, bit=bit)]
-            a = run_machine(prog, faults, budget=256, tier2=True)
+            run_faulted(prog, source, occ, bit)
             assert prog.tier2_compiled > 0
-            b = run_machine(prog, faults, budget=256, tier2=False)
-            assert_machines_identical(a, b)
 
     def test_branch_divergence_deopt_parity(self):
         # faults that flip the guarded loop/if conditions exercise the
-        # mid-trace minority-edge exit
+        # mid-region minority-edge exit
         prog, _ = planned()
-        golden = run_machine(prog, budget=256)
-        for occ in range(1, golden.inj_counter + 1, 7):
+        total = run_machine(reference(SRC_LOOP)).inj_counter
+        for occ in range(1, total + 1, 7):
             for bit in (0, 33, 62):
-                faults = [FaultSpec(rank=0, occurrence=occ, bit=bit)]
-                a = run_machine(prog, faults, budget=256, tier2=True)
-                b = run_machine(prog, faults, budget=256, tier2=False)
-                assert_machines_identical(a, b)
+                run_faulted(prog, SRC_LOOP, occ, bit)
 
 
 class TestJobParity:
     """Whole-job parity on real apps (MPI, fpm shadow chains)."""
 
-    @pytest.mark.parametrize("mode", ["blackbox", "fpm"])
+    @pytest.mark.parametrize("mode", ["blackbox", "fpm", "taint"])
     @pytest.mark.parametrize("app_name", ["matvec", "mcb"])
     def test_job_parity_with_faults(self, app_name, mode):
         spec = get_app(app_name)
+        ref = build_program(spec.source, mode, name=spec.name,
+                            config=spec.config, fuse=False)
         prog = build_program(spec.source, mode, name=spec.name,
                              config=spec.config)
         edges = {}
@@ -524,15 +561,8 @@ class TestJobParity:
         occ = max(2, golden.inj_counts[0] // 2)
         for faults in ([], [FaultSpec(rank=0, occurrence=occ, bit=4)],
                        [FaultSpec(rank=0, occurrence=occ, bit=62)]):
-            a = run_job(prog, spec.config, faults, inj_seed=7)
-            b = run_job(prog, spec.config, faults, inj_seed=7, tier2=False)
-            assert a.status == b.status
-            assert str(a.trap) == str(b.trap)
-            assert a.cycles == b.cycles
-            assert a.rank_cycles == b.rank_cycles
-            assert repr(a.outputs) == repr(b.outputs)  # NaN-safe
-            assert a.inj_counts == b.inj_counts
-            assert a.ever_contaminated == b.ever_contaminated
-            if a.trace is not None:
-                assert a.trace.times == b.trace.times
-                assert a.trace.cml_per_rank == b.trace.cml_per_rank
+            want = run_job(ref, spec.config, faults, inj_seed=7)
+            for tier2 in (None, False):
+                assert_jobs_identical(
+                    run_job(prog, spec.config, faults, inj_seed=7,
+                            tier2=tier2), want)
