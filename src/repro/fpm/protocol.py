@@ -48,9 +48,9 @@ def apply_message(
     been overwritten by clean data).  Returns the number of contaminated
     words installed.
     """
-    memory.write_block(base, list(payload))
-    if shadow is None:
-        return 0
+    memory.write_block(base, payload)  # copies the words in
+    if shadow is None or not (records or shadow.table):
+        return 0  # nothing to install and nothing to heal
     rec = dict(records)
     table = shadow.table
     installed = 0

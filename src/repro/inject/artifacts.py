@@ -52,9 +52,11 @@ from .profiler import GoldenProfile
 #: v3: per-epoch injection counters for fork-at-injection planning;
 #: v4: tier-2 trace plan + golden edge profile;
 #: v5: NumPy world buffers — snapshot payloads carry int64 arrays +
-#: fkind tag bytes and fingerprints digest raw array bytes;
-#: v6: tier-2 plan v2 — one rolled or straight path per head, no cap)
-SCHEMA_VERSION = 6
+#: float-tag bytes and fingerprints digest raw array bytes;
+#: v6: tier-2 plan v2 — one rolled or straight path per head, no cap;
+#: v7: one word is one Python object again — a snapshot's live words
+#: are one pickled blob, fingerprints digest word values, tier-2 plan v3)
+SCHEMA_VERSION = 7
 
 _ARTIFACT_KIND = "repro-golden-artifact"
 _SUFFIX = ".golden"

@@ -196,9 +196,11 @@ class MPIRuntime:
                 f"message truncation: {msg.count} words into {count}-word buffer",
                 rank=machine.rank,
             )
+        # the clock only stamps installed records: skip the max over
+        # every rank for a clean message
         apply_message(
             machine.memory, machine.fpm, buf, msg.payload, msg.records,
-            cycle=self.now(),
+            cycle=self.now() if msg.records else 0,
         )
 
     # ------------------------------------------------------------------
@@ -320,10 +322,22 @@ class MPIRuntime:
             (i, p) for i, (v, p) in enumerate(zip(primary, pristine))
             if not same_value(v, p)
         ]
+        self._store_reduced(parts, to_all, root, primary, records)
+
+    def _store_reduced(self, parts, to_all, root, values, records) -> None:
+        """Deliver a reduction result.  Its words were computed here, not
+        by the VM's wrapping ops: an int sum that left 64 bits must not
+        reach memory, and crashes the job (-> ARITH) as storing it into
+        a machine word would."""
+        wide = [v for v in values
+                if v.__class__ is int and not -2 ** 63 <= v < 2 ** 63]
         t = self.now()
         targets = parts.items() if to_all else [(root, parts[root])]
         for rank, (mm, args) in targets:
-            apply_message(mm.memory, mm.fpm, args[1], primary, records, cycle=t)
+            mm.memory.check_range(args[1], len(values))  # MEM_FAULT first
+            if wide:
+                raise OverflowError(f"reduction result {wide[0]} exceeds int64")
+            apply_message(mm.memory, mm.fpm, args[1], values, records, cycle=t)
 
     def _do_reduce_taint(self, parts, to_all, root, count, fn) -> None:
         """Taint-mode reduction: the result is tainted everywhere if any
@@ -340,10 +354,7 @@ class MPIRuntime:
             else:
                 primary = [fn(a, b) for a, b in zip(primary, vals)]
         records = [(i, True) for i in range(count)] if tainted else []
-        t = self.now()
-        targets = parts.items() if to_all else [(root, parts[root])]
-        for rank, (mm, args) in targets:
-            apply_message(mm.memory, mm.fpm, args[1], primary, records, cycle=t)
+        self._store_reduced(parts, to_all, root, primary, records)
 
     def _do_allgather(self, parts: Dict[int, tuple]) -> None:
         # args = (sbuf, count, rbuf)

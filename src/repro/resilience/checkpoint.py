@@ -31,9 +31,8 @@ class RankCheckpoint:
 
     cycles: int
     status: str
-    # memory (one int64 array copy + float-tag and validity bytes)
-    cells: object
-    fkind: bytes
+    # memory (a copy of the cells list + validity bytes)
+    cells: list
     valid: bytes
     sp: int
     hp: int
@@ -93,8 +92,7 @@ def checkpoint_machine(m: Machine) -> RankCheckpoint:
     return RankCheckpoint(
         cycles=m.cycles,
         status=m.status.value,
-        cells=mem.cells_i.copy(),
-        fkind=bytes(mem.fkind),
+        cells=list(mem.cells),
         valid=bytes(mem.valid),
         sp=mem.sp,
         hp=mem.hp,
@@ -133,8 +131,7 @@ def restore_machine(m: Machine, ck: RankCheckpoint,
             f"rank {m.rank}: cannot restore a checkpoint during a "
             f"COW transaction"
         )
-    mem.cells_i[:] = ck.cells
-    mem.fkind[:] = ck.fkind
+    mem.cells[:] = ck.cells  # in place, to the checkpoint's length
     mem.valid[:] = ck.valid
     mem.sp = ck.sp
     mem.hp = ck.hp

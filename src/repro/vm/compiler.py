@@ -244,8 +244,7 @@ def _compile_load(inst: Load) -> Callable:
             addr = regs[ai]
             mem = m.memory
             if 0 <= addr < mem.capacity and mem.valid[addr]:
-                regs[d] = (mem.cells_f.item(addr) if mem.fkind[addr]
-                           else mem.cells_i.item(addr))
+                regs[d] = mem.cells[addr]
             else:
                 raise Trap(TrapKind.MEM_FAULT, f"load from invalid address {addr}")
     else:
@@ -254,8 +253,7 @@ def _compile_load(inst: Load) -> Callable:
         def step(m, f, d=d, ac=ac):
             mem = m.memory
             if 0 <= ac < mem.capacity and mem.valid[ac]:
-                f.regs[d] = (mem.cells_f.item(ac) if mem.fkind[ac]
-                             else mem.cells_i.item(ac))
+                f.regs[d] = mem.cells[ac]
             else:
                 raise Trap(TrapKind.MEM_FAULT, f"load from invalid address {ac}")
     return step
@@ -273,7 +271,7 @@ def _compile_store(inst: Store) -> Callable:
             if 0 <= addr < mem.capacity and mem.valid[addr]:
                 if not mem.page_owned[addr >> mem.page_shift]:
                     mem.cow_page(addr)
-                mem.poke(addr, get_v(regs))
+                mem.cells[addr] = get_v(regs)
             else:
                 raise Trap(TrapKind.MEM_FAULT, f"store to invalid address {addr}")
     else:
@@ -284,7 +282,7 @@ def _compile_store(inst: Store) -> Callable:
             if 0 <= ac < mem.capacity and mem.valid[ac]:
                 if not mem.page_owned[ac >> mem.page_shift]:
                     mem.cow_page(ac)
-                mem.poke(ac, get_v(f.regs))
+                mem.cells[ac] = get_v(f.regs)
             else:
                 raise Trap(TrapKind.MEM_FAULT, f"store to invalid address {ac}")
     return step
@@ -312,8 +310,7 @@ def _compile_fpm_load(inst: FpmLoad) -> Callable:
             addr = get_a(regs)
             mem = m.memory
             if 0 <= addr < mem.capacity and mem.valid[addr]:
-                v = (mem.cells_f.item(addr) if mem.fkind[addr]
-                     else mem.cells_i.item(addr))
+                v = mem.cells[addr]
             else:
                 raise Trap(TrapKind.MEM_FAULT,
                            f"load from invalid address {addr}")
@@ -326,8 +323,7 @@ def _compile_fpm_load(inst: FpmLoad) -> Callable:
         addr = get_a(regs)
         mem = m.memory
         if 0 <= addr < mem.capacity and mem.valid[addr]:
-            v = (mem.cells_f.item(addr) if mem.fkind[addr]
-                 else mem.cells_i.item(addr))
+            v = mem.cells[addr]
         else:
             raise Trap(TrapKind.MEM_FAULT, f"load from invalid address {addr}")
         addr_p = get_ap(regs)
@@ -337,9 +333,7 @@ def _compile_fpm_load(inst: FpmLoad) -> Callable:
         elif 0 <= addr_p < mem.capacity and mem.valid[addr_p]:
             # Corrupted address register: the pristine chain reads the cell
             # the fault-free execution would have read.
-            base = (mem.cells_f.item(addr_p) if mem.fkind[addr_p]
-                    else mem.cells_i.item(addr_p))
-            vp = ht.get(addr_p, base)
+            vp = ht.get(addr_p, mem.cells[addr_p])
         else:
             # The pristine address is no longer valid along this (diverged)
             # control path; fall back to the primary value so shadow
@@ -371,7 +365,7 @@ def _compile_fpm_store(inst: FpmStore) -> Callable:
             v = get_v(regs)
             if not mem.page_owned[addr >> mem.page_shift]:
                 mem.cow_page(addr)
-            mem.poke(addr, v)
+            mem.cells[addr] = v
             m.fpm.update(addr, v, get_vp(regs) or get_ap(regs), m.cycles)
         return step
 
@@ -388,7 +382,7 @@ def _compile_fpm_store(inst: FpmStore) -> Callable:
         if not mem.page_owned[addr >> mem.page_shift]:
             mem.cow_page(addr)
         if addr_p == addr:
-            mem.poke(addr, v)
+            mem.cells[addr] = v
             if v == vp or v != v and vp != vp:  # equal, or both NaN
                 if addr in fpm.table:
                     del fpm.table[addr]
@@ -400,15 +394,12 @@ def _compile_fpm_store(inst: FpmStore) -> Callable:
             #    content as the pristine value;
             # 2) the cell that *should* have been written now misses the
             #    pristine value vp.
-            old = (mem.cells_f.item(addr) if mem.fkind[addr]
-                   else mem.cells_i.item(addr))
-            mem.poke(addr, v)
+            old = mem.cells[addr]
+            mem.cells[addr] = v
             if not (old == v or (old != old and v != v)):
                 fpm.record(addr, old, m.cycles)
             if 0 <= addr_p < mem.capacity and mem.valid[addr_p]:
-                cur_p = (mem.cells_f.item(addr_p) if mem.fkind[addr_p]
-                         else mem.cells_i.item(addr_p))
-                fpm.update(addr_p, cur_p, vp, m.cycles)
+                fpm.update(addr_p, mem.cells[addr_p], vp, m.cycles)
     return step
 
 

@@ -70,22 +70,20 @@ def _canonical_memory(mem) -> tuple:
     the golden run, hence the sort; ``free_lists`` bucket order is
     semantic (``malloc`` pops from the tail) and is preserved.
 
-    Word content is canonicalised as raw ``int64`` array bytes plus the
-    ``fkind`` tag bytes (one C-speed ``tobytes`` per region instead of a
-    per-word Python tuple) — the tag bytes keep int-vs-float
-    observability, since ``0`` and ``0.0`` share a bit pattern.
+    Word content goes in as plain slices of ``cells``.  Pickle writes
+    an ``int`` and a ``float`` under different opcodes, a float by its
+    bits (``-0.0``, NaN payloads), and memoises neither, so the digest
+    is a function of the words' types and values — not of which objects
+    happen to hold them.
     """
-    ci = mem.cells_i
-    fk = mem.fkind
+    cells = mem.cells
     sp = mem.sp
     return (
         sp,
         mem.hp,
-        ci[1:sp].tobytes(),
-        bytes(fk[1:sp]),
+        cells[1:sp],
         tuple(sorted(
-            (base, ci[base:base + size].tobytes(),
-             bytes(fk[base:base + size]))
+            (base, cells[base:base + size])
             for base, size in mem.heap_blocks.items()
         )),
         tuple(sorted(

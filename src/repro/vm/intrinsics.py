@@ -14,6 +14,12 @@ pristine arguments (the paper's treatment of library calls like ``sin()``);
 impure intrinsics run once with primary arguments and their result is
 copied into the shadow register (replicating them would duplicate side
 effects — "output values printed twice", Sec. 3.2).
+
+Blocking matters to the region generator (:mod:`repro.vm.tier2`): only
+an intrinsic whose handler can return ``BLOCK`` — a receive or a
+collective, which may have to wait for another rank — cuts a
+straight-line run.  Every other call completes in its one cycle and
+takes only argument values, so it is an ordinary region member.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from .ops import wrap_i64
 from .traps import Trap, TrapKind
 
 #: Sentinel returned by blocking intrinsics (MPI) when the calling process
@@ -44,6 +51,8 @@ class IntrinsicSpec:
     ret: str
     pure: bool
     handler: Callable
+    #: the handler may return ``BLOCK`` (suspend, re-execute when woken)
+    blocking: bool = False
 
 
 def _nan_guard(fn):
@@ -178,8 +187,9 @@ INTRINSICS: Dict[str, IntrinsicSpec] = {}
 
 
 def _reg(name: str, params: Tuple[str, ...], ret: str, pure: bool,
-         handler: Callable) -> None:
-    INTRINSICS[name] = IntrinsicSpec(name, params, ret, pure, handler)
+         handler: Callable, blocking: bool = False) -> None:
+    INTRINSICS[name] = IntrinsicSpec(name, params, ret, pure, handler,
+                                     blocking)
 
 
 # Math library (pure -> replicated into the secondary chain).
@@ -197,7 +207,7 @@ _reg("fmin", ("float", "float"), "float", True, lambda m, a: min(a[0], a[1]))
 _reg("fmax", ("float", "float"), "float", True, lambda m, a: max(a[0], a[1]))
 _reg("imin", ("int", "int"), "int", True, lambda m, a: min(a[0], a[1]))
 _reg("imax", ("int", "int"), "int", True, lambda m, a: max(a[0], a[1]))
-_reg("iabs", ("int",), "int", True, lambda m, a: abs(a[0]))
+_reg("iabs", ("int",), "int", True, lambda m, a: wrap_i64(abs(a[0])))
 
 # Memory management (impure: address-space side effects).
 _reg("malloc", ("int",), "pa", False, _h_malloc)
@@ -215,14 +225,19 @@ _reg("mpi_size", (), "int", False, _h_mpi_size)
 _reg("mpi_wtime", (), "float", False, _h_mpi_wtime)
 _reg("mpi_abort", ("int",), "void", False, _h_mpi_abort)
 _reg("mpi_send", ("pa", "int", "int", "int"), "void", False, _h_mpi_send)
-_reg("mpi_recv", ("pa", "int", "int", "int"), "void", False, _h_mpi_recv)
-_reg("mpi_barrier", (), "void", False, _h_mpi_barrier)
-_reg("mpi_bcast", ("pa", "int", "int"), "void", False, _h_mpi_bcast)
-_reg("mpi_allreduce", ("pa", "pa", "int", "int"), "void", False, _h_mpi_allreduce)
-_reg("mpi_reduce", ("pa", "pa", "int", "int", "int"), "void", False, _h_mpi_reduce)
-_reg("mpi_allgather", ("pa", "int", "pa"), "void", False, _h_mpi_allgather)
+_reg("mpi_recv", ("pa", "int", "int", "int"), "void", False, _h_mpi_recv,
+     blocking=True)
+_reg("mpi_barrier", (), "void", False, _h_mpi_barrier, blocking=True)
+_reg("mpi_bcast", ("pa", "int", "int"), "void", False, _h_mpi_bcast,
+     blocking=True)
+_reg("mpi_allreduce", ("pa", "pa", "int", "int"), "void", False,
+     _h_mpi_allreduce, blocking=True)
+_reg("mpi_reduce", ("pa", "pa", "int", "int", "int"), "void", False,
+     _h_mpi_reduce, blocking=True)
+_reg("mpi_allgather", ("pa", "int", "pa"), "void", False, _h_mpi_allgather,
+     blocking=True)
 _reg("mpi_sendrecv", ("pa", "int", "int", "pa", "int", "int", "int"), "void",
-     False, _h_mpi_sendrecv)
+     False, _h_mpi_sendrecv, blocking=True)
 
 #: MPI reduction op codes shared with MiniHPC sources.
 MPI_OP_SUM = 0

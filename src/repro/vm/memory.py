@@ -1,16 +1,16 @@
-"""Word-addressed process memory on flat NumPy world buffers.
+"""Word-addressed process memory: one word is one Python object.
 
 One address holds one 64-bit value (Python ``int`` or ``float``) — the
 paper's unit of contamination is one *memory location*, and this memory
 model makes ``len(shadow table)`` exactly the paper's CML count.
 
-Representation: a single ``int64`` array is the canonical bit store and
-a ``float64`` view aliases the same buffer, so every word is one machine
-word and a page copy, snapshot, or fingerprint is one array-slice
-operation instead of a per-word Python loop.  A one-byte ``fkind`` tag
-per word records which view wrote it last, preserving the exact
-int-vs-float observability of the old mixed Python list (``0`` and
-``0.0`` share bit patterns but remain distinct values).
+Representation: one ``cells`` list of native ``int``/``float`` objects
+beside a ``valid`` bytearray.  A load is one list index and a store one
+list assignment; the object's own type is the word's type, so ``0`` and
+``0.0`` (equal, but distinct values) stay distinct through every copy.
+``valid`` spans the whole address space; ``cells`` starts at the stack
+region and grows with the heap (``valid[a]`` implies ``a < len(cells)``)
+— always in place, so a reference bound by generated code stays live.
 
 Layout::
 
@@ -25,9 +25,8 @@ to access a part of the address space that has not been allocated").
 
 from __future__ import annotations
 
+import pickle
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from .traps import Trap, TrapKind
 
@@ -38,25 +37,19 @@ DEFAULT_PAGE_WORDS = 256
 class ProcessMemory:
     """Flat, validity-checked, word-addressed memory for one process.
 
-    The flat ``cells_i``/``cells_f``/``valid`` buffers double as a
-    forkable world segment: :meth:`begin_tx` opens a page-granular
-    copy-on-write transaction during which every write path saves the
-    pristine content of the first page it touches, and
-    :meth:`rollback_tx` restores exactly those pages — O(pages touched),
-    not O(capacity).  Outside a transaction ``page_owned`` is all-ones,
-    so the per-store guard is a single bytearray index.
-
-    Loads always return *Python* scalars (``.item()``), never NumPy
-    scalars: the interpreter's wrap arithmetic (``& _M64``) and the
-    journal's JSON encoding both require native ``int``/``float``.
+    ``cells``/``valid`` double as a forkable world segment:
+    :meth:`begin_tx` opens a page-granular copy-on-write transaction
+    during which every write path saves the pristine content of the
+    first page it touches, and :meth:`rollback_tx` restores exactly
+    those pages — O(pages touched), not O(capacity).  Outside a
+    transaction ``page_owned`` is all-ones, so the per-store guard is a
+    single bytearray index.
     """
 
     __slots__ = (
         "capacity",
         "stack_words",
-        "cells_i",
-        "cells_f",
-        "fkind",
+        "cells",
         "valid",
         "sp",
         "sp_peak",
@@ -77,10 +70,8 @@ class ProcessMemory:
             raise ValueError("stack region must be smaller than total capacity")
         self.capacity = capacity
         self.stack_words = stack_words
-        self.cells_i = np.zeros(capacity, dtype=np.int64)
-        self.cells_f = self.cells_i.view(np.float64)
-        #: 1 = the word was last written as a float (read via ``cells_f``)
-        self.fkind = bytearray(capacity)
+        #: covers the stack; the heap paths extend it (:meth:`_grow`)
+        self.cells: list = [0] * stack_words
         self.valid = bytearray(capacity)
         self.sp = 1  # address 0 is the null word
         #: stack high-water mark since the last restore — together with
@@ -103,32 +94,33 @@ class ProcessMemory:
         #: 1 = this trial may write the page directly; all-ones outside
         #: a transaction, cleared by :meth:`begin_tx`
         self.page_owned = bytearray(b"\x01" * npages)
-        #: active transaction: {page index: (cells_i, fkind, valid)}
+        #: active transaction: {page index: (cells, valid)}
         self._tx: Optional[Dict[int, tuple]] = None
         self._tx_meta: Optional[tuple] = None
+
+    def _grow(self, upto: int) -> None:
+        """Make ``cells`` cover ``[0, upto)`` before any of it turns
+        valid.  ``extend`` keeps the list object, so regions that bound
+        ``cells`` at entry see the new words."""
+        short = upto - len(self.cells)
+        if short > 0:
+            self.cells.extend([0] * short)
 
     # ------------------------------------------------------------------
     # Raw access (hot path: machine closures may bypass via direct fields)
     # ------------------------------------------------------------------
     def peek(self, addr: int):
-        """Typed read without validity checks (tests, fingerprints)."""
-        return (self.cells_f.item(addr) if self.fkind[addr]
-                else self.cells_i.item(addr))
+        """Read without validity checks (tests, fingerprints)."""
+        return self.cells[addr]
 
     def poke(self, addr: int, value) -> None:
-        """Typed write without validity/COW checks.  Compiled closures
-        call this after performing their own guards."""
-        if value.__class__ is float:
-            self.cells_f[addr] = value
-            self.fkind[addr] = 1
-        else:
-            self.cells_i[addr] = value
-            self.fkind[addr] = 0
+        """Write without validity/COW checks: the caller has performed
+        its own guards."""
+        self.cells[addr] = value
 
     def load(self, addr: int):
         if 0 <= addr < self.capacity and self.valid[addr]:
-            return (self.cells_f.item(addr) if self.fkind[addr]
-                    else self.cells_i.item(addr))
+            return self.cells[addr]
         raise Trap(TrapKind.MEM_FAULT, f"load from invalid address {addr}",
                    rank=self.rank)
 
@@ -136,7 +128,7 @@ class ProcessMemory:
         if 0 <= addr < self.capacity and self.valid[addr]:
             if not self.page_owned[addr >> self.page_shift]:
                 self.cow_page(addr)
-            self.poke(addr, value)
+            self.cells[addr] = value
             return
         raise Trap(TrapKind.MEM_FAULT, f"store to invalid address {addr}",
                    rank=self.rank)
@@ -158,46 +150,20 @@ class ProcessMemory:
             raise Trap(TrapKind.MEM_FAULT,
                        f"access to unallocated address {bad}", rank=self.rank)
 
-    def _typed_list(self, lo: int, hi: int) -> List:
-        """Words in ``[lo, hi)`` as native Python scalars."""
-        out = self.cells_i[lo:hi].tolist()
-        f = self.fkind.find(1, lo, hi)
-        while f >= 0:
-            out[f - lo] = self.cells_f.item(f)
-            f = self.fkind.find(1, f + 1, hi)
-        return out
-
     def words(self) -> List:
-        """Every word as a native Python scalar (tests, debugging)."""
-        return self._typed_list(0, self.capacity)
+        """Every word of the address space (tests, debugging)."""
+        return self.cells + [0] * (self.capacity - len(self.cells))
 
     def read_block(self, addr: int, count: int) -> List:
         self.check_range(addr, count)
-        return self._typed_list(addr, addr + count)
+        return self.cells[addr:addr + count]
 
     def write_block(self, addr: int, values: List) -> None:
         n = len(values)
         self.check_range(addr, n)
         if self._tx is not None:
             self._cow_range(addr, addr + n)
-        has_float = False
-        has_int = False
-        for v in values:
-            if v.__class__ is float:
-                has_float = True
-            else:
-                has_int = True
-        if not has_float:
-            self.cells_i[addr:addr + n] = values
-            self.fkind[addr:addr + n] = b"\x00" * n
-        elif not has_int:
-            self.cells_f[addr:addr + n] = values
-            self.fkind[addr:addr + n] = b"\x01" * n
-        else:
-            # Mixed blocks must not be bulk-assigned into either typed
-            # view (NumPy would silently coerce), so write word-by-word.
-            for k, v in enumerate(values):
-                self.poke(addr + k, v)
+        self.cells[addr:addr + n] = values
 
     # ------------------------------------------------------------------
     # Copy-on-write transactions (fork-at-injection trial execution)
@@ -228,9 +194,9 @@ class ProcessMemory:
         if not self.page_owned[pg]:
             lo = pg << self.page_shift
             hi = lo + (1 << self.page_shift)
-            self._tx[pg] = (self.cells_i[lo:hi].copy(),
-                            bytes(self.fkind[lo:hi]),
-                            bytes(self.valid[lo:hi]))
+            # short (or empty) where the page reaches past ``cells``:
+            # nothing valid lies there, and rollback re-invalidates it
+            self._tx[pg] = (self.cells[lo:hi], bytes(self.valid[lo:hi]))
             self.page_owned[pg] = 1
         return 1
 
@@ -255,14 +221,12 @@ class ProcessMemory:
         tx = self._tx
         if tx is None:
             raise RuntimeError("no COW transaction to roll back")
-        ci = self.cells_i
-        fk = self.fkind
+        cells = self.cells
         valid = self.valid
         psh = self.page_shift
-        for pg, (cell_page, fk_page, valid_page) in tx.items():
+        for pg, (cell_page, valid_page) in tx.items():
             lo = pg << psh
-            ci[lo:lo + len(cell_page)] = cell_page
-            fk[lo:lo + len(fk_page)] = fk_page
+            cells[lo:lo + len(cell_page)] = cell_page
             valid[lo:lo + len(valid_page)] = valid_page
         (self.sp, self.sp_peak, self.hp, self.heap_blocks,
          self.free_lists, self.live_words) = self._tx_meta
@@ -283,8 +247,7 @@ class ProcessMemory:
                        rank=self.rank)
         if self._tx is not None:
             self._cow_range(addr, new_sp)
-        self.cells_i[addr:new_sp] = 0
-        self.fkind[addr:new_sp] = b"\x00" * count
+        self.cells[addr:new_sp] = [0] * count
         self.valid[addr:new_sp] = b"\x01" * count
         self.sp = new_sp
         if new_sp > self.sp_peak:
@@ -322,8 +285,8 @@ class ProcessMemory:
             self.hp = addr + count
         if self._tx is not None:
             self._cow_range(addr, addr + count)
-        self.cells_i[addr:addr + count] = 0
-        self.fkind[addr:addr + count] = b"\x00" * count
+        self._grow(addr + count)
+        self.cells[addr:addr + count] = [0] * count
         self.valid[addr:addr + count] = b"\x01" * count
         self.heap_blocks[addr] = count
         self.live_words += count
@@ -348,79 +311,63 @@ class ProcessMemory:
     def snapshot_state(self) -> tuple:
         """Capture a sparse, immutable copy of all *observable* memory.
 
-        Only live words are copied: the stack ``[1, sp)`` (contiguously
-        valid by construction) and the live heap blocks, each as one
-        array-slice copy plus its ``fkind`` tags.  Invalid cells retain
+        Only live words are copied — the stack ``[1, sp)`` (contiguously
+        valid by construction), then each live heap block — and they are
+        kept as one pickled blob: a snapshot is read only when the
+        golden cursor rewinds, and a tuple of boxed floats would hold
+        32 bytes per word resident until then.  Invalid cells retain
         stale garbage in a live process, but every access path is
-        validity-checked, so restoring them as zeros is observationally
+        validity-checked, so not restoring them is observationally
         exact — and keeps per-snapshot cost proportional to live state,
         not capacity.
         """
-        stack_ci = self.cells_i[1:self.sp].copy()
-        stack_ci.flags.writeable = False
-        heap = {}
-        for base, size in self.heap_blocks.items():
-            blk = self.cells_i[base:base + size].copy()
-            blk.flags.writeable = False
-            heap[base] = (blk, bytes(self.fkind[base:base + size]))
+        cells = self.cells
+        blocks = tuple(self.heap_blocks.items())
+        words = cells[1:self.sp]
+        for base, size in blocks:
+            words += cells[base:base + size]
         return (
             self.sp,
             self.hp,
-            stack_ci,
-            bytes(self.fkind[1:self.sp]),
-            heap,
+            blocks,
+            pickle.dumps(words),
             {size: list(bucket) for size, bucket in self.free_lists.items()},
             self.live_words,
         )
 
-    def _wipe_dirty(self) -> None:
-        """Clear every validity byte this run could have dirtied: the
-        stack up to its high-water mark and the heap up to the bump
-        pointer (``hp`` is monotone between restores; free-list reuse
-        never lowers it).  Cells left under ``valid == 0`` may keep
-        stale values; every access path is validity-checked, so that is
-        observationally exact."""
+    def restore_state(self, state: tuple) -> None:
+        """Reset this memory to a state captured by :meth:`snapshot_state`.
+
+        In place, dirty-delta: only the validity bytes this run could
+        have dirtied are wiped — the stack up to its high-water mark and
+        the heap up to the bump pointer (``hp`` is monotone between
+        restores; free-list reuse never lowers it) — and the snapshot
+        content is overlaid as bulk slice copies.  Cells left under
+        ``valid == 0`` may keep stale values.  On a fresh memory both
+        wipes are empty and the restore is a pure overlay.
+        """
+        if self._tx is not None:
+            raise RuntimeError("cannot restore during a COW transaction")
+        sp, hp, blocks, blob, free_lists, live_words = state
+        cells = self.cells
         valid = self.valid
         if self.sp_peak > 1:
             valid[1:self.sp_peak] = b"\x00" * (self.sp_peak - 1)
         if self.hp > self.stack_words:
             valid[self.stack_words:self.hp] = \
                 b"\x00" * (self.hp - self.stack_words)
-
-    def _set_restored_meta(self, sp: int, hp: int, blocks: Dict[int, int],
-                           free_lists: Dict[int, List[int]],
-                           live_words: int) -> None:
+        self._grow(hp)  # the snapshot's heap may be the deeper one
+        words = pickle.loads(blob)
+        cells[1:sp] = words[:sp - 1]
+        valid[1:sp] = b"\x01" * (sp - 1)
+        at = sp - 1
+        for base, size in blocks:
+            cells[base:base + size] = words[at:at + size]
+            valid[base:base + size] = b"\x01" * size
+            at += size
         self.sp = sp
         self.sp_peak = sp
         self.hp = hp
         self.heap_blocks = dict(blocks)
         self.free_lists = {size: list(b) for size, b in free_lists.items()}
         self.live_words = live_words
-
-    def restore_state(self, state: tuple) -> None:
-        """Reset this memory to a state captured by :meth:`snapshot_state`.
-
-        In place, dirty-delta: instead of reallocating full-capacity
-        buffers per call, only the validity bytes this run could have
-        dirtied are wiped (:meth:`_wipe_dirty`) and the snapshot content
-        is overlaid as bulk slice copies.  On a fresh memory both wipes
-        are empty and the restore is a pure overlay.
-        """
-        if self._tx is not None:
-            raise RuntimeError("cannot restore during a COW transaction")
-        sp, hp, stack_ci, stack_fk, heap, free_lists, live_words = state
-        ci = self.cells_i
-        fk = self.fkind
-        valid = self.valid
-        self._wipe_dirty()
-        ci[1:sp] = stack_ci
-        fk[1:sp] = stack_fk
-        valid[1:sp] = b"\x01" * (sp - 1)
-        blocks: Dict[int, int] = {}
-        for base, (blk_ci, blk_fk) in heap.items():
-            size = len(blk_ci)
-            ci[base:base + size] = blk_ci
-            fk[base:base + size] = blk_fk
-            valid[base:base + size] = b"\x01" * size
-            blocks[base] = size
-        self._set_restored_meta(sp, hp, blocks, free_lists, live_words)

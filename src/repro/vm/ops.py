@@ -17,28 +17,34 @@ import operator
 from typing import Callable, Dict, Tuple
 
 _M64 = (1 << 64) - 1
-_SIGN = 1 << 63
-_WRAP = 1 << 64
+_LO, _HI = -(1 << 63), 1 << 63
 
 
 def wrap_i64(v: int) -> int:
-    v &= _M64
-    return v - _WRAP if v & _SIGN else v
+    """``v`` in 64-bit two's complement.  Nearly every result is already
+    in range, and a range test — unlike masking with ``_M64`` — allocates
+    no bignum; the class test keeps a float (an int register can hold
+    one: memory is untyped) on the arm whose ``&`` raises TypeError."""
+    return v if v.__class__ is int and _LO <= v < _HI else \
+        ((v + _HI) & _M64) - _HI
 
 
 def _iadd(a, b):
-    v = (a + b) & _M64
-    return v - _WRAP if v & _SIGN else v
+    v = a + b
+    return v if v.__class__ is int and _LO <= v < _HI else \
+        ((v + _HI) & _M64) - _HI
 
 
 def _isub(a, b):
-    v = (a - b) & _M64
-    return v - _WRAP if v & _SIGN else v
+    v = a - b
+    return v if v.__class__ is int and _LO <= v < _HI else \
+        ((v + _HI) & _M64) - _HI
 
 
 def _imul(a, b):
-    v = (a * b) & _M64
-    return v - _WRAP if v & _SIGN else v
+    v = a * b
+    return v if v.__class__ is int and _LO <= v < _HI else \
+        ((v + _HI) & _M64) - _HI
 
 
 def _isdiv(a, b):

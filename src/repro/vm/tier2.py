@@ -3,15 +3,16 @@
 :mod:`repro.vm.compiler` turns each instruction into a closure; this
 module turns straight-line runs of instructions into *regions* — one
 ``exec``-compiled function each, registers as locals, memory operations
-(the FPM dual-chain pair included) inlined against the flat buffers,
+(the FPM dual-chain pair included) inlined against the ``cells`` list,
 cycle accounting folded into one per-entry increment.  There is one
 generator (:func:`_codegen`) and one contract, whatever the region
 covers.
 
 **Entry points** (:func:`_entry_points`) are fixed by the module alone:
 within a block, the start of every straight-line run — the block head
-and the ip after each call barrier — and every ``_GRID``-th member of a
-run after it.  :func:`install_static` gives each one a region covering
+and the ip after each barrier (a user call, or a call to an intrinsic
+that can block: :func:`_is_member`) — and every ``_GRID``-th member of
+a run after it.  :func:`install_static` gives each one a region covering
 its own chunk (at most ``_GRID`` members; a terminator may close it).
 Those need no profile and fill both of a function's region maps.
 
@@ -73,6 +74,7 @@ from ..ir import (
     Alloca,
     BinOp,
     Br,
+    Call,
     Cast,
     Cmp,
     Copy,
@@ -91,13 +93,15 @@ from .compiler import (
     _compile_entry,
     _injectable_operands,
 )
+from .intrinsics import get_intrinsic
 from .ops import BINOP_FUNCS, CAST_FUNCS, CMP_FUNCS
 from .traps import Trap, TrapKind
 
 #: plan schema version, embedded in every plan dict; bump on any change
 #: to the walk or codegen contract so stale artifact plans are ignored
-#: (v2: one rolled or straight path per head — no cap, no unrolling)
-PLAN_VERSION = 2
+#: (v2: one rolled or straight path per head — no cap, no unrolling;
+#: v3: calls to non-blocking intrinsics are members, not barriers)
+PLAN_VERSION = 3
 
 #: members between two entry points of a straight-line run.  A region is
 #: entered only when its first chunk fits the remaining quantum, so this
@@ -110,20 +114,30 @@ def _is_marked(inst) -> bool:
     return inst.inject_site is not None and bool(_injectable_operands(inst))
 
 
+def _is_member(inst) -> bool:
+    """Does ``inst`` always fall through?  The pure kinds do, and so
+    does a call to an intrinsic that can never return ``BLOCK``; a user
+    call (``SIG_CALL``) or a blocking intrinsic (``SIG_BLOCK``) is a
+    barrier no region contains."""
+    if isinstance(inst, Call):
+        spec = get_intrinsic(inst.callee)
+        return spec is not None and not spec.blocking
+    return isinstance(inst, _PURE_KINDS)
+
+
 def _entry_points(insts) -> List[Tuple[int, int]]:
     """``(lo, hi)`` member ranges of one block's static regions.
 
-    A straight-line run is a maximal sequence of fall-through
-    instructions, closed by the block terminator when it reaches one;
-    calls (user and intrinsic — anything that may ``SIG_CALL`` /
-    ``SIG_BLOCK``) cut runs and belong to none.  Each run is chunked
+    A straight-line run is a maximal sequence of members
+    (:func:`_is_member`), closed by the block terminator when it reaches
+    one; barriers cut runs and belong to none.  Each run is chunked
     every ``_GRID`` members; a lone instruction gains nothing from
     generated code and gets no entry point.
     """
     runs = []
     start = None
     for i, inst in enumerate(insts):
-        if isinstance(inst, _PURE_KINDS):
+        if _is_member(inst):
             if start is None:
                 start = i
         elif start is not None:
@@ -156,7 +170,7 @@ def _walk(func, head: int, edge_profile: dict):
     """Follow the golden-hot path from block ``head``.
 
     Returns ``(seq, members)``: the block-index sequence and the member
-    count.  The walk ends at a call barrier, a ``ret``, a branch whose
+    count.  The walk ends at a barrier, a ``ret``, a branch whose
     golden edge counts are missing or tied (dual-exit: no majority to
     guard on), or a jump onto a block the path already holds, which
     closes ``seq``: its own head (the path loops) or a later block
@@ -181,8 +195,8 @@ def _walk(func, head: int, edge_profile: dict):
                     nxt = (inst.iftrue.index if counts[1] > counts[0]
                            else inst.iffalse.index)
                 break
-            if not isinstance(inst, _PURE_KINDS):
-                return seq, count  # call barrier
+            if not _is_member(inst):
+                return seq, count  # barrier
             count += 1
         else:
             return seq, count  # unterminated block (defensive)
@@ -229,7 +243,6 @@ def _st_trap(addr):
 
 _M64_LIT = repr((1 << 64) - 1)
 _SIGN_LIT = repr(1 << 63)
-_WRAP_LIT = repr(1 << 64)
 
 #: ops whose 64-bit wrap can be spelled out inline
 _INLINE_INT_OPS = {"add": "+", "sub": "-", "mul": "*", "padd": "+",
@@ -266,8 +279,9 @@ def _fpm_store_slow(m, addr, v, vp, addr_p):
     exactly — validity trap, COW, shadow-table bookkeeping — but takes
     the already-evaluated operand *values* instead of re-reading
     ``f.regs``, so it stays correct when the region has promoted
-    registers to locals.  Returns the stored value so the fast-path
-    assignment rewrites it in place (a no-op)."""
+    registers to locals.  The cell write itself is the member line's:
+    this is the else arm of its ``cells[a] = ...`` and returns ``v``
+    for it, after every check that can trap."""
     mem = m.memory
     if not (0 <= addr < mem.capacity and mem.valid[addr]):
         raise Trap(TrapKind.MEM_FAULT, f"store to invalid address {addr}")
@@ -275,19 +289,17 @@ def _fpm_store_slow(m, addr, v, vp, addr_p):
     if not mem.page_owned[addr >> mem.page_shift]:
         mem.cow_page(addr)
     if addr_p == addr:
-        mem.poke(addr, v)
         if v == vp or v != v and vp != vp:  # equal, or both NaN
             if addr in fpm.table:
                 del fpm.table[addr]
         else:
             fpm.record(addr, vp, m.cycles)
     else:
-        old = mem.peek(addr)
-        mem.poke(addr, v)
+        old = mem.cells[addr]
         if not (old == v or (old != old and v != v)):
             fpm.record(addr, old, m.cycles)
         if 0 <= addr_p < mem.capacity and mem.valid[addr_p]:
-            fpm.update(addr_p, mem.peek(addr_p), vp, m.cycles)
+            fpm.update(addr_p, mem.cells[addr_p], vp, m.cycles)
     return v
 
 
@@ -301,6 +313,11 @@ def _member_line(inst, tag: str):
     messages.  Kinds without a line (the taint-mode memory ops) are
     called as closures.
 
+    A store is ``cells[a] = v if <guards> else <trap or slow path>``:
+    Python evaluates the conditional before the subscript store, so the
+    validity trap and the COW page save both precede the write and the
+    member stays one source line.
+
     The dual-chain store's fast path covers exactly the golden case
     (pristine address chain, empty shadow table, value chains equal);
     anything else defers to :func:`_fpm_store_slow` on the same line,
@@ -313,9 +330,11 @@ def _member_line(inst, tag: str):
         b = _operand_expr(inst.rhs, f"c{tag}b", binds)
         if op in _INLINE_INT_OPS:
             v = f"v{tag}"
-            line = (f"{v} = ({a} {_INLINE_INT_OPS[op]} {b}) & {_M64_LIT}; "
-                    f"regs[{d}] = {v} - {_WRAP_LIT} "
-                    f"if {v} & {_SIGN_LIT} else {v}")
+            # ops.wrap_i64, spelled out: a range test, no bignum
+            line = (f"{v} = {a} {_INLINE_INT_OPS[op]} {b}; "
+                    f"regs[{d}] = {v} if {v}.__class__ is int "
+                    f"and -{_SIGN_LIT} <= {v} < {_SIGN_LIT} else "
+                    f"(({v} + {_SIGN_LIT}) & {_M64_LIT}) - {_SIGN_LIT}")
         elif op in _INLINE_FLOAT_OPS:
             line = f"regs[{d}] = {a} {_INLINE_FLOAT_OPS[op]} {b}"
         else:
@@ -362,22 +381,20 @@ def _member_line(inst, tag: str):
         a = f"a{tag}"
         a_src = _operand_expr(inst.addr, a, binds)
         line = (f"{a} = {a_src}; "
-                f"regs[{inst.dest.index}] = (cf.item({a}) if fk[{a}] "
-                f"else ci.item({a})) if 0 <= {a} < cap "
-                f"and valid[{a}] else lt{tag}({a})")
+                f"regs[{inst.dest.index}] = cells[{a}] "
+                f"if 0 <= {a} < cap and valid[{a}] else lt{tag}({a})")
         return line, binds, _NEEDS_MEM
 
     if isinstance(inst, Store):
         # the COW guard rides the validity conditional: `co(a)` saves
         # the pristine page and returns truthy, so an un-owned page is
-        # privatised before the cell write — all still one source line
-        # (the traceback-lineno member recovery depends on that)
+        # privatised before the cell write
         binds[f"st{tag}"] = _st_trap
         a = f"a{tag}"
         a_src = _operand_expr(inst.addr, a, binds)
         v = _operand_expr(inst.value, f"c{tag}", binds)
         line = (f"{a} = {a_src}; "
-                f"pk({a}, {v}) if 0 <= {a} < cap and valid[{a}] "
+                f"cells[{a}] = {v} if 0 <= {a} < cap and valid[{a}] "
                 f"and (owned[{a} >> psh] or co({a})) "
                 f"else st{tag}({a})")
         return line, binds, _NEEDS_MEM
@@ -389,15 +406,14 @@ def _member_line(inst, tag: str):
         a, q, v = f"a{tag}", f"q{tag}", f"v{tag}"
         line = (
             f"{a} = {a_src}; "
-            f"{v} = (cf.item({a}) if fk[{a}] else ci.item({a})) "
-            f"if 0 <= {a} < cap and valid[{a}] "
+            f"{v} = cells[{a}] if 0 <= {a} < cap and valid[{a}] "
             f"else lt{tag}({a}); "
             f"{q} = {p_src}; "
             f"regs[{inst.dest.index}] = {v}; "
             f"regs[{inst.dest_p.index}] = "
             f"((ht.get({a}, {v}) if ht else {v}) "
             f"if {q} == {a} else "
-            f"(ht.get({q}, cf.item({q}) if fk[{q}] else ci.item({q})) "
+            f"(ht.get({q}, cells[{q}]) "
             f"if 0 <= {q} < cap and valid[{q}] else {v}))"
         )
         return line, binds, _NEEDS_FPM
@@ -412,13 +428,25 @@ def _member_line(inst, tag: str):
         line = (
             f"{a} = {a_src}; {q} = {p_src}; "
             f"{v} = {v_src}; {w} = {w_src}; "
-            f"pk({a}, {v}) if ({q} == {a} and not ht "
+            f"cells[{a}] = {v} if ({q} == {a} and not ht "
             f"and ({v} == {w} or ({v} != {v} and {w} != {w})) "
             f"and 0 <= {a} < cap and valid[{a}] "
             f"and (owned[{a} >> psh] or co({a}))) "
             f"else sl{tag}(m, {a}, {v}, {w}, {q})"
         )
         return line, binds, _NEEDS_FPM
+
+    if isinstance(inst, Call):
+        # a non-blocking intrinsic (:func:`_is_member`): handlers take
+        # argument values, never the frame, so promoted registers need
+        # no flush around the call
+        binds[f"h{tag}"] = get_intrinsic(inst.callee).handler
+        args = ", ".join(_operand_expr(arg, f"c{tag}_{k}", binds)
+                         for k, arg in enumerate(inst.args))
+        line = f"h{tag}(m, [{args}])"
+        if inst.dest is not None:
+            line = f"regs[{inst.dest.index}] = {line}"
+        return line, binds, _REGS_ONLY
 
     return None
 
@@ -486,7 +514,7 @@ def _collect(func, seq: List[int], members: int, start: int = 0):
                     return None
                 term_next = nxt
                 break
-            if not isinstance(inst, _PURE_KINDS):
+            if not _is_member(inst):
                 return None  # barrier where the path expected members
             out.append((inst, "pure", None))
             n += 1
@@ -674,8 +702,8 @@ def _codegen(records, end, loop: bool, program: CompiledProgram, label: str):
 
     prelude = "regs = f.regs"
     if needs >= _NEEDS_MEM:
-        prelude += ("; mem = m.memory; ci = mem.cells_i; "
-                    "cf = mem.cells_f; fk = mem.fkind; pk = mem.poke; "
+        # malloc grows ``cells`` in place, so the bind stays live
+        prelude += ("; mem = m.memory; cells = mem.cells; "
                     "valid = mem.valid; cap = mem.capacity; "
                     "owned = mem.page_owned; psh = mem.page_shift; "
                     "co = mem.cow_page")

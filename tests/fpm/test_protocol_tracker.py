@@ -80,6 +80,31 @@ class TestApplyMessage:
         recv_mem, rbase = make_memory()
         assert apply_message(recv_mem, None, rbase, [1.0], [(0, 9.0)]) == 0
 
+    def test_clean_message_into_a_clean_table_only_writes_the_block(self):
+        # the case of every golden, pre-injection or healed rank: no
+        # header and nothing to heal, so no per-word walk of the table
+        class Untouchable(ShadowTable):
+            def update(self, *a, **k):
+                raise AssertionError("walked a clean delivery")
+
+        recv_mem, rbase = make_memory()
+        shadow = Untouchable()
+        payload = (1.0, 2, 0.0)  # a snapshot-restored message is a tuple
+        assert apply_message(recv_mem, shadow, rbase, payload, []) == 0
+        got = recv_mem.read_block(rbase, 3)
+        assert got == [1.0, 2, 0.0] and type(got[1]) is int
+        assert len(shadow) == 0 and not shadow.ever_contaminated
+
+    def test_delivery_copies_the_payload(self):
+        # one payload list is delivered to every rank of a collective
+        a, abase = make_memory()
+        b, bbase = make_memory()
+        payload = [1.0, 2.0]
+        apply_message(a, ShadowTable(), abase, payload, [])
+        apply_message(b, None, bbase, payload, [])
+        a.store(abase, 9.0)
+        assert payload == [1.0, 2.0] and b.load(bbase) == 1.0
+
     def test_invalid_target_traps(self):
         recv_mem, rbase = make_memory(4)
         with pytest.raises(Trap):

@@ -65,13 +65,14 @@ class TestKeyAndRoundTrip:
         assert pa2.from_artifact
         assert pa2.snapshots is not None and len(pa2.snapshots) > 0
 
-    def test_plan_of_another_version_is_rederived(self, tmp_path):
+    def test_plan_of_another_version_is_rederived(self, tmp_path,
+                                                  version=None):
         # installing it as-is would install 0 traces, latch the program
         # and leave the process on tier-1 for good
         first = PreparedApp(get_app("matvec"), "fpm", snapshot_stride=150,
                             artifact_dir=tmp_path)
         stale = dict(first.tier2_plan,
-                     version=first.tier2_plan["version"] + 1)
+                     version=version or first.tier2_plan["version"] + 1)
         artifacts.save_artifact(*first.artifact_ref, first.golden,
                                 first.snapshots, first.fingerprints,
                                 tier2_plan=stale)
@@ -81,6 +82,11 @@ class TestKeyAndRoundTrip:
         assert pa.ensure_tier2() == pa.program.tier2_traces > 0
         assert pa.tier2_plan_source == "derived"
         assert pa.tier2_plan == first.tier2_plan
+
+    def test_plan_v2_is_rederived(self, tmp_path):
+        # v2 paths stop at every intrinsic call: where they agree with
+        # the module at all, their member counts no longer do
+        self.test_plan_of_another_version_is_rederived(tmp_path, version=2)
 
     def test_env_var_enables_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
@@ -121,6 +127,37 @@ class TestRejection:
         path.write_bytes(json.dumps(header).encode() + blob[newline:])
         with pytest.raises(ArtifactError, match="stale artifact schema"):
             artifacts.load_artifact_strict(directory, key)
+
+    def test_schema_6_artifact_is_reprofiled_never_unpickled(
+            self, tmp_path, monkeypatch):
+        # schema 6 snapshots hold int64 arrays and float-tag bytes, not
+        # the word blob ProcessMemory.restore_state reads
+        assert artifacts.SCHEMA_VERSION >= 7
+        spec = get_app("matvec")
+        key = artifacts.artifact_key(spec, "blackbox", 150, 32)
+        monkeypatch.setattr(artifacts, "SCHEMA_VERSION", 6)
+        assert artifacts.artifact_key(spec, "blackbox", 150, 32) != key
+        monkeypatch.undo()
+
+        # and one found under the current key anyway stops at its header
+        directory, key = self._make(tmp_path)
+        path = artifacts.artifact_path(directory, key)
+        blob = path.read_bytes()
+        newline = blob.find(b"\n")
+        header = dict(json.loads(blob[:newline]), schema=6)
+        path.write_bytes(json.dumps(header).encode() + blob[newline:])
+        campaign_mod._PREPARED_CACHE.clear()
+
+        def boom(payload):
+            raise AssertionError("interpreted a schema-6 payload")
+
+        monkeypatch.setattr(artifacts.pickle, "loads", boom)
+        with pytest.warns(UserWarning, match="stale artifact schema 6"):
+            pa = PreparedApp(spec, "blackbox", snapshot_stride=150,
+                             artifact_dir=tmp_path)
+        assert not pa.from_artifact and pa.golden.cycles > 0
+        monkeypatch.undo()
+        assert artifacts.load_artifact_strict(directory, key) is not None
 
     def test_truncated_and_malformed_rejected(self, tmp_path):
         directory, key = self._make(tmp_path)

@@ -281,6 +281,35 @@ class TestLaneEraJournals:
         assert journal_science_hash(old) == journal_science_hash(plain)
 
 
+class TestParentCommitJournal:
+    """``data/parent_d82b398_mcb_fpm.jsonl`` was written by the commit
+    before memory became a list of Python objects and intrinsic calls
+    became region members (16 trials of mcb, fpm, seed 5: rand(),
+    mpi_send() and emit() in its particle loop).  Cut short and resumed
+    here, the remaining trials must come out as that commit ran them."""
+
+    def test_resumes_to_the_parents_science(self, tmp_path):
+        from pathlib import Path
+
+        from repro.inject.engine import resume_campaign
+        from repro.inject.journal import journal_science_hash
+
+        parent = Path(__file__).parent / "data" / "parent_d82b398_mcb_fpm.jsonl"
+        header, trials = read_journal(parent)
+        assert header["app_name"] == "mcb" and len(trials) == 16
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("".join(
+            parent.read_text().splitlines(keepends=True)[:1 + 6]))
+        resumed = resume_campaign(cut)
+        assert resumed.health.resumed_trials == 6
+        assert resumed.health.forked_trials > 0
+        assert journal_science_hash(cut) == journal_science_hash(parent)
+        # the header's golden profile is checked on resume: cycles and
+        # per-rank marked-instruction counts did not move either
+        assert header["golden"]["cycles"] == resumed.golden_cycles
+        assert tuple(header["golden"]["inj_counts"]) == resumed.inj_counts
+
+
 def _restore_rung_header(header):
     """Recorded with ``--no-fork`` while that meant snapshot restore."""
     return dict(header, fork=False, snapshot_stride=150)

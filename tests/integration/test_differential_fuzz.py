@@ -22,7 +22,7 @@ run can never trap — any trap here is a compiler/VM bug, not a program bug.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import RunConfig
@@ -46,8 +46,10 @@ class ProgramGen:
 
     For the region generator's sake a loop may call a helper mid-block
     (compiled code resumes at the ip after it), run to a bound loaded
-    from memory on every iteration, and carry a call-free straight-line
-    run longer than the 16-member entry-point grid.
+    from memory on every iteration, and carry a straight-line run longer
+    than the 16-member entry-point grid — free of user calls, but with
+    intrinsic calls among its members (``rand()``, ``sqrt()``, ``emit()``:
+    impure with a result, pure, void), as a loop's own store may have.
     """
 
     #: contents of the trip-count array ``cnt``, never written after init
@@ -135,30 +137,46 @@ class ProgramGen:
             return self.straight(name, size, elem)
         # loop over an array, bounded by a literal or a memory cell; the
         # body one store, with or without a call in mid-block, and with
-        # or without a long straight-line run behind it
+        # an emit, a long straight-line run or nothing behind it
         ivar = self.fresh("i")
         bound = self.pick([str(size)] + [f"cnt[{j}]" for j, c in
                                          enumerate(self.COUNTS) if c <= size])
         cur = f"{name}[{ivar}]"
         if elem == "float":
-            rhs = self.pick([cur, f"mix({cur}, {cur} - 1.5)"]) \
+            rhs = self.pick([cur, f"mix({cur}, {cur} - 1.5)",
+                             f"({cur} + rand())"]) \
                 + f" * 0.5 + {self.float_expr()}"
         else:
-            rhs = self.pick([cur, f"int(mix(float({cur}), 2.5))"]) \
+            rhs = self.pick([cur, f"int(mix(float({cur}), 2.5))",
+                             f"({cur} + int(rand() * 3.0))"]) \
                 + f" + {self.int_expr()}"
-        tail = self.pick(["", self.straight(name, size, elem)])
+        out = f"emit({cur});" if elem == "float" else f"emiti({cur});"
+        tail = self.pick(["", self.straight(name, size, elem), out])
         return (f"for (var {ivar}: int = 0; {ivar} < {bound}; {ivar} += 1) "
                 f"{{ {name}[{ivar}] = {rhs}; {tail} }}")
 
     def straight(self, name: str, size: int, elem: str) -> str:
         """Six-plus statements of seven-plus members each over literal
-        subscripts: no call, no growth (values shrink to the constants)."""
-        scale = ("* 0.25", "* 0.5") if elem == "float" else ("/ 4", "/ 2")
+        subscripts: no user call, no growth (values shrink to the
+        constants), and every other one with an intrinsic call in it."""
+        is_float = elem == "float"
+        scale = ("* 0.25", "* 0.5") if is_float else ("/ 4", "/ 2")
         lines = []
         for _ in range(6 + self.rng.next_int(3)):
             i, j, k = (self.rng.next_int(size) for _ in range(3))
-            lines.append(f"{name}[{i}] = ({name}[{j}] {scale[0]} + "
-                         f"{name}[{k}] {scale[1]}) - {self.int_expr(2)};")
+            first, after = f"{name}[{j}]", ""
+            extra = self.pick(["", "", "", "rand", "sqrt", "emit"])
+            if extra == "rand":
+                after = " + rand()" if is_float else " + int(rand() * 4.0)"
+            elif extra == "sqrt":
+                first = f"sqrt(fabs({first}))" if is_float else \
+                    f"int(sqrt(fabs(float({first}))))"
+            lines.append(f"{name}[{i}] = ({first} {scale[0]} + "
+                         f"{name}[{k}] {scale[1]}) - {self.int_expr(2)}"
+                         f"{after};")
+            if extra == "emit":
+                lines.append(f"emit({name}[{i}]);" if is_float else
+                             f"emiti({name}[{i}]);")
         return " ".join(lines)
 
     def generate(self) -> str:
@@ -246,6 +264,7 @@ def test_taint_dominates_dual_chain_under_faults(seed, fault_seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6),
        st.integers(min_value=0, max_value=10 ** 6))
+@example(seed=1658, fault_seed=0)
 def test_regions_match_the_reference_interpreter(seed, fault_seed):
     # one program, three ways: closures only (the reference), the static
     # regions (tier2=False), and the golden plan's regions on top
@@ -261,13 +280,45 @@ def test_regions_match_the_reference_interpreter(seed, fault_seed):
         install_plan(program, derive_plan(program, edges))
         # a fault may turn a loop bound into 2**62: keep hangs short
         knobs = dict(inj_seed=fault_seed, max_cycles=4 * golden.cycles + 1000)
-        fault = [FaultSpec(0, 1 + rng.next_int(golden.inj_counts[0]),
-                           bit=rng.next_int(64))]
+        plans = [()]
+        total = golden.inj_counts[0]
+        if total:  # ProgramGen(1658) marks no instruction at all
+            plans.append([FaultSpec(0, 1 + rng.next_int(total),
+                                    bit=rng.next_int(64))])
         for quantum in (1, 3, 7, 16, 256):
             cfg = config.with_(quantum=quantum)
-            for faults in ((), fault):
+            for faults in plans:
                 want = run_job(reference, cfg, faults, **knobs)
                 for tier2 in (False, None):
                     assert_jobs_identical(
                         run_job(program, cfg, faults, tier2=tier2, **knobs),
                         want)
+
+
+def test_generated_runs_and_loops_carry_intrinsic_members():
+    # what the region property above is worth: members that call
+    # intrinsics inside the straight-line runs and the loop bodies
+    from repro.ir import Call
+    from repro.vm import tier2
+
+    # the example pinned above is still the program with nothing to hit
+    assert _run(ProgramGen(1658).generate(), "fpm")[0].inj_counts == [0]
+    seen = set()
+    in_loop = set()
+    for seed in range(40):
+        source = ProgramGen(seed).generate()
+        program = build_program(source, "blackbox",
+                                config=RunConfig(nranks=1))
+        for func in program.module:
+            for block in func.blocks:
+                insts = block.instructions
+                for lo, hi in tier2._entry_points(insts):
+                    seen.update(i.callee for i in insts[lo:hi]
+                                if isinstance(i, Call))
+        for line in source.splitlines():
+            if line.lstrip().startswith("for ("):
+                in_loop.update(fn for fn in ("rand(", "sqrt(", "emit")
+                               if fn in line)
+    assert {"rand", "sqrt", "emit", "emiti", "fabs"} <= seen
+    assert "mix" not in seen
+    assert in_loop == {"rand(", "sqrt(", "emit"}

@@ -97,6 +97,30 @@ func main(rank: int, size: int) {
         assert got[2] == 10
         assert got[0] == -1 and got[1] == -1 and got[3] == -1
 
+    def test_int_sum_that_leaves_64_bits_crashes(self):
+        # the result is computed by the runtime, not by a wrapping VM
+        # op: it must not reach memory as a 65-bit word.  One rank's
+        # flipped sign bit is enough to get there
+        src = """
+func main(rank: int, size: int) {
+    var s: int[2];
+    var r: int[2];
+    s[0] = 10;
+    s[1] = rank;
+    if (rank == 1) { s[0] = 9223372036854775807 - %s; }
+    mpi_allreduce(&s[0], &r[0], 2, 0);
+    emiti(r[0]); emiti(r[1]);
+}
+"""
+        res = run_source(src % 30, nranks=4)
+        assert all(o == [2 ** 63 - 1, 6] for o in res.outputs)
+        res = run_source(src % 29, nranks=4)
+        assert res.status is JobStatus.TRAPPED
+        assert res.trap.kind is TrapKind.ARITH
+        for mode in ("fpm", "taint"):
+            assert run_source(src % 29, mode, nranks=4).trap.kind \
+                is TrapKind.ARITH
+
     def test_collective_kind_mismatch_traps(self):
         res = run_source("""
 func main(rank: int, size: int) {

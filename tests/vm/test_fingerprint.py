@@ -24,6 +24,7 @@ from repro.vm.fingerprint import (
     fingerprint_world,
     quick_signature,
 )
+from tests.vm.test_memory import TWINS, WORDS, exact_all
 
 SRC = """
 func main(rank: int, size: int) {
@@ -176,6 +177,59 @@ def test_quick_signature_is_a_prefilter_not_a_digest():
     _mutate_register(machines, runtime)
     assert quick_signature(machines) == q
     assert fingerprint_world(machines, runtime) != d
+
+
+@pytest.mark.parametrize("word,twin", TWINS, ids=lambda w: repr(w))
+@pytest.mark.parametrize("where", ["stack", "heap"])
+def test_a_words_type_and_bits_are_part_of_the_digest(word, twin, where):
+    # 0 / 0.0, 0.0 / -0.0, two NaNs: equal (or both NaN) to every
+    # comparison the VM makes, still different worlds
+    machines, runtime = _world()
+    mem = machines[0].memory
+    addr = 1 if where == "stack" else mem.malloc(1)
+    mem.poke(addr, word)
+    one = fingerprint_world(machines, runtime)
+    mem.poke(addr, twin)
+    assert fingerprint_world(machines, runtime) != one
+    mem.poke(addr, word)
+    assert fingerprint_world(machines, runtime) == one
+
+
+def test_digest_follows_values_not_object_identity():
+    # pickle memoises by id(): were words memoised, a world that holds
+    # one float object in two cells would hash apart from a world that
+    # holds two equal ones
+    a_m, a_rt = _world()
+    b_m, b_rt = _world()
+    pa, pb = a_m[0].memory.malloc(4), b_m[0].memory.malloc(4)
+    shared = 1.5
+    a_m[0].memory.write_block(pa, [shared, shared, 10 ** 12, 7])
+    b_m[0].memory.write_block(
+        pb, [0.5 * 3, 3.0 / 2, int("1" + "0" * 12), 3 + 4])
+    a_m[0].call_stack[0].regs[:2] = [shared, shared]
+    b_m[0].call_stack[0].regs[:2] = [0.5 * 3, 3.0 / 2]
+    assert fingerprint_world(a_m, a_rt) == fingerprint_world(b_m, b_rt)
+
+
+def test_checkpoint_restores_every_word_exactly():
+    from repro.resilience.checkpoint import checkpoint_machine, \
+        restore_machine
+    machines, runtime = _world(nranks=1)
+    m = machines[0]
+    base = m.memory.malloc(len(WORDS))
+    m.memory.write_block(base, WORDS)
+    ck = checkpoint_machine(m)
+    want = fingerprint_world(machines, runtime)
+    m.memory.write_block(base, [t for pair in TWINS for t in pair[::-1]])
+    m.memory.malloc(64)  # grows cells past the checkpoint's length
+    assert fingerprint_world(machines, runtime) != want
+    cells = m.memory.cells
+    restore_machine(m, ck)
+    assert m.memory.cells is cells
+    assert exact_all(m.memory.read_block(base, len(WORDS))) \
+        == exact_all(WORDS)
+    assert fingerprint_world(machines, runtime) == want
+    assert m.memory.valid.rfind(1) < len(cells)
 
 
 def test_fingerprint_index_round_trip():

@@ -1,5 +1,7 @@
 """Word-addressed process memory: validity, stack and heap discipline."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -330,3 +332,167 @@ class TestCowTransactions:
             ProcessMemory(capacity=1024, stack_words=256, page_words=100)
         with pytest.raises(ValueError):
             ProcessMemory(capacity=1024, stack_words=256, page_words=0)
+
+
+# ----------------------------------------------------------------------
+# One word is one Python object: its type and bits are the word's
+# ----------------------------------------------------------------------
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: a NaN whose payload a float64 round-trip must not canonicalise
+NAN_PAYLOAD = _from_bits(0x7FF8DEAD0000BEEF)
+#: (word, a different word that compares equal to it or is also NaN)
+TWINS = [(0, 0.0), (0.0, -0.0), (1, 1.0), (NAN_PAYLOAD, float("nan")),
+         (-2 ** 63, -2.0 ** 63), (2 ** 53, 2.0 ** 53)]
+WORDS = [w for pair in TWINS for w in pair]
+
+
+def exact(v):
+    """A word's whole identity: its type, and a float's bits."""
+    return (type(v), struct.pack("<d", v) if type(v) is float else v)
+
+
+def exact_all(values):
+    return [exact(v) for v in values]
+
+
+class TestWordTypes:
+    def test_twins_differ_only_in_type_or_bits(self):
+        for a, b in TWINS:
+            assert a == b or (a != a and b != b)
+            assert exact(a) != exact(b)
+
+    def test_store_then_load(self):
+        m = mem()
+        a = m.stack_alloc(len(WORDS))
+        for i, w in enumerate(WORDS):
+            m.store(a + i, w)
+        assert exact_all(m.load(a + i) for i in range(len(WORDS))) \
+            == exact_all(WORDS)
+
+    def test_block_transfer(self):
+        src, dst = mem(), mem()
+        a = src.stack_alloc(len(WORDS))
+        src.write_block(a, WORDS)  # a mixed block, as an MPI payload is
+        b = dst.malloc(len(WORDS))
+        dst.write_block(b, src.read_block(a, len(WORDS)))
+        assert exact_all(dst.read_block(b, len(WORDS))) == exact_all(WORDS)
+        # the block is a copy in both directions
+        got = dst.read_block(b, 2)
+        got[0] = 99
+        assert exact(dst.load(b)) == exact(WORDS[0])
+
+    def test_cow_rollback(self):
+        m = mem()
+        a = m.malloc(len(TWINS))
+        for i, (w, _) in enumerate(TWINS):
+            m.store(a + i, w)
+        m.begin_tx()
+        for i, (_, twin) in enumerate(TWINS):
+            m.store(a + i, twin)
+        assert exact_all(m.read_block(a, len(TWINS))) \
+            == exact_all(t for _, t in TWINS)
+        m.rollback_tx()
+        assert exact_all(m.read_block(a, len(TWINS))) \
+            == exact_all(w for w, _ in TWINS)
+
+    @pytest.mark.parametrize("dirty", [False, True])
+    def test_snapshot_then_restore(self, dirty):
+        src = mem()
+        s = src.stack_alloc(len(WORDS))
+        src.write_block(s, WORDS)
+        h = src.malloc(len(WORDS))
+        src.write_block(h, WORDS[::-1])
+        state = src.snapshot_state()
+        tgt = mem()
+        if dirty:  # every word currently holds its twin
+            tgt.write_block(tgt.stack_alloc(len(WORDS)),
+                            [t for pair in TWINS for t in pair[::-1]])
+        tgt.restore_state(state)
+        assert exact_all(tgt.read_block(s, len(WORDS))) == exact_all(WORDS)
+        assert exact_all(tgt.read_block(h, len(WORDS))) \
+            == exact_all(WORDS[::-1])
+
+    def test_snapshot_is_immutable_and_value_determined(self):
+        # the same words held by different objects: one float object
+        # stored twice against two equal ones, a cached small int
+        # against a computed one
+        a, b = mem(), mem()
+        pa, pb = a.malloc(4), b.malloc(4)
+        shared = 1.5
+        a.write_block(pa, [shared, shared, 10 ** 12, 7])
+        b.write_block(pb, [0.5 * 3, 3.0 / 2, int("1" + "0" * 12), 3 + 4])
+        assert a.snapshot_state() == b.snapshot_state()
+        state = a.snapshot_state()
+        a.store(pa, 2.5)
+        a.restore_state(state)
+        assert exact(a.load(pa)) == exact(1.5)
+
+
+class TestCellsCoverValid:
+    """``cells`` grows with the heap; wherever ``valid`` is set there is
+    a cell (the one-directional invariant every unchecked index into
+    ``cells`` after a validity test relies on)."""
+
+    @staticmethod
+    def holds(m):
+        return m.valid.rfind(1) < len(m.cells) <= m.capacity
+
+    def test_starts_at_the_stack_and_grows_in_place(self):
+        m = mem(capacity=1024, stack=256)
+        cells = m.cells
+        assert len(cells) == 256
+        p = m.malloc(40)
+        assert m.cells is cells and len(cells) == 256 + 40
+        m.store(p + 39, 1.25)
+        assert m.load(p + 39) == 1.25
+        m.free(p)
+        assert m.malloc(40) == p and len(cells) == 256 + 40  # reuse
+        assert len(m.words()) == m.capacity
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_holds_through_churn_rollback_and_restore(self, seed_a, seed_b):
+        import random
+        m = mem(capacity=2048, stack=512)
+        _churn(m, random.Random(seed_a))
+        assert self.holds(m)
+        state, want = m.snapshot_state(), _world_hash(m)
+        m.begin_tx()
+        _churn(m, random.Random(seed_b))
+        assert self.holds(m)
+        m.rollback_tx()
+        assert self.holds(m) and _world_hash(m) == want
+        fresh = mem(capacity=2048, stack=512)
+        fresh.restore_state(state)  # a rewind onto a shallower heap
+        assert self.holds(fresh) and _world_hash(fresh) == want
+
+    def test_rewind_to_a_deeper_heap(self):
+        deep = mem()
+        blocks = [deep.malloc(32) for _ in range(6)]
+        deep.store(blocks[-1] + 31, 4.5)
+        state = deep.snapshot_state()
+        shallow = mem()
+        cells = shallow.cells
+        shallow.malloc(3)
+        shallow.restore_state(state)
+        assert shallow.cells is cells and self.holds(shallow)
+        assert shallow.load(blocks[-1] + 31) == 4.5
+        assert _world_hash(shallow) == _world_hash(deep)
+
+    def test_out_of_range_address_never_indexes_cells(self):
+        # beyond len(cells) but inside capacity: invalid, so a trap —
+        # not an IndexError — and the same for a block that reaches it
+        m = mem(capacity=1024, stack=256)
+        a = m.stack_alloc(2)
+        for addr in (256, 600, 1023):
+            with pytest.raises(Trap) as exc:
+                m.load(addr)
+            assert exc.value.kind is TrapKind.MEM_FAULT
+            with pytest.raises(Trap):
+                m.store(addr, 1)
+        with pytest.raises(Trap):
+            m.write_block(a, [0] * 300)

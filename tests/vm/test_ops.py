@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.vm.bitflip import flip_bit
+from repro.vm.intrinsics import INTRINSICS
 from repro.vm.ops import BINOP_FUNCS, CAST_FUNCS, CMP_FUNCS, wrap_i64
 
 i64 = st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)
@@ -139,3 +141,94 @@ def test_wrap_i64_range(v):
     r = wrap_i64(v)
     assert I64_MIN <= r <= I64_MAX
     assert (v - r) % (2 ** 64) == 0
+
+
+# ----------------------------------------------------------------------
+# Every int a program can compute fits a memory word.  Memory is a list
+# of Python objects and stores whatever it is handed, so the producers
+# are what keeps a bignum out of it.
+# ----------------------------------------------------------------------
+INT_OPS = ("add", "sub", "mul", "sdiv", "srem", "and", "or", "xor", "shl",
+           "ashr", "padd", "psub")
+edge_i64 = i64 | st.sampled_from(
+    [I64_MIN, I64_MIN + 1, -2 ** 62, -1, 0, 1, 2 ** 62, I64_MAX - 1, I64_MAX])
+
+
+def is_word(r):
+    return type(r) is int and I64_MIN <= r <= I64_MAX
+
+
+def mask_wrap(v):
+    """The wrap as it was spelled before the range test."""
+    v &= 2 ** 64 - 1
+    return v - 2 ** 64 if v & 2 ** 63 else v
+
+
+class TestIntResultsAreWords:
+    @given(edge_i64, edge_i64)
+    def test_binops(self, a, b):
+        for op in INT_OPS:
+            try:
+                r = BINOP_FUNCS[op](a, b)
+            except ZeroDivisionError:
+                assert b == 0 and op in ("sdiv", "srem")
+                continue
+            assert is_word(r), (op, a, b, r)
+
+    @given(edge_i64, edge_i64)
+    def test_add_sub_mul_agree_with_the_mask_spelling(self, a, b):
+        assert BINOP_FUNCS["add"](a, b) == mask_wrap(a + b)
+        assert BINOP_FUNCS["sub"](a, b) == mask_wrap(a - b)
+        assert BINOP_FUNCS["mul"](a, b) == mask_wrap(a * b)
+
+    @given(st.integers())
+    def test_wrap_agrees_with_the_mask_spelling_on_any_int(self, v):
+        assert wrap_i64(v) == mask_wrap(v)
+
+    def test_wrap_at_the_edges(self):
+        # the first value past each bound wraps, the bound itself stays
+        assert wrap_i64(I64_MAX) == I64_MAX
+        assert wrap_i64(I64_MAX + 1) == I64_MIN
+        assert wrap_i64(I64_MIN) == I64_MIN
+        assert wrap_i64(I64_MIN - 1) == I64_MAX
+        assert BINOP_FUNCS["add"](I64_MAX, 1) == I64_MIN
+        assert BINOP_FUNCS["sub"](I64_MIN, 1) == I64_MAX
+        assert BINOP_FUNCS["mul"](2 ** 62, 2) == I64_MIN
+        assert BINOP_FUNCS["mul"](2 ** 62, -2) == I64_MIN
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_fptosi(self, x):
+        assert is_word(CAST_FUNCS["fptosi"](x))
+
+    @given(edge_i64, st.integers(min_value=0, max_value=63))
+    def test_flip_bit(self, a, bit):
+        assert is_word(flip_bit(a, bit, is_float=False))
+
+    @given(edge_i64, edge_i64)
+    def test_int_intrinsics(self, a, b):
+        for name, args in (("iabs", [a]), ("imin", [a, b]),
+                           ("imax", [a, b])):
+            assert is_word(INTRINSICS[name].handler(None, args)), name
+
+    def test_iabs_of_the_most_negative_word_wraps(self):
+        # abs(-2**63) == 2**63 needs 65 bits; like C's labs, it wraps
+        assert INTRINSICS["iabs"].handler(None, [I64_MIN]) == I64_MIN
+        assert INTRINSICS["iabs"].handler(None, [-7]) == 7
+
+
+class TestFloatInAnIntOp:
+    """Memory is untyped, so an int register can hold a float (a load
+    through a corrupted address).  An int op on it is a TypeError — the
+    run loop's POISON trap — never a float result passed along."""
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "padd", "psub",
+                                    "and", "or", "xor", "shl", "ashr"])
+    def test_raises(self, op):
+        for a, b in ((1.5, 2), (2, 1.5), (1.0, 1.0), (float("nan"), 1)):
+            with pytest.raises(TypeError):
+                BINOP_FUNCS[op](a, b)
+
+    def test_wrap_rejects_a_float(self):
+        for x in (0.0, 1.0, -2.0 ** 63, float("inf"), float("nan")):
+            with pytest.raises(TypeError):
+                wrap_i64(x)

@@ -58,7 +58,9 @@ func main(rank: int, size: int) {
 
 # a rolled loop that stores to memory, takes a minority edge early in
 # the body of its ninth iteration, and writes registers after that guard
-# in a straight-line run longer than the 16-member entry-point grid
+# in a straight-line run longer than the 16-member entry-point grid —
+# with intrinsic calls as members of it: pure (evaluated on both chains
+# in fpm), impure with a result, and void
 SRC_ROLL = """
 func main(rank: int, size: int) {
     var a: int[16];
@@ -70,9 +72,11 @@ func main(rank: int, size: int) {
         var y: int = it * it + 3;
         a[it] = y;
         acc += y;
-        a[it] = a[it] * 3 + acc;
-        a[15 - it] = a[it] - y * 2;
+        a[it] = a[it] * 3 + imin(acc, 700);
+        emiti(a[it]);
+        a[15 - it] = a[it] - y * 2 + int(rand() * 4.0);
         acc += a[15 - it] - a[it] * 5;
+        mark_iteration();
     }
     emiti(acc);
     emiti(a[5]);
@@ -126,10 +130,11 @@ def state(m):
     (none reads a trapped one's frames: a raising region flushes none)."""
     frames = [(f.block, f.ip, list(f.regs)) for f in m.call_stack
               if m.status is not MachineStatus.TRAPPED]
-    return (m.status, frames, m.memory.words(), bytes(m.memory.valid),
-            m.memory.sp, m.cycles, m.inj_counter, m.outputs,
-            m.iteration_count, [vars(e) for e in m.injection_events],
-            str(m.trap))
+    # values may be NaN, which equals nothing: compare their spelling
+    return (m.status, repr(frames), repr(m.memory.words()),
+            bytes(m.memory.valid), m.memory.sp, m.cycles, m.inj_counter,
+            repr(m.outputs), m.iteration_count,
+            repr([vars(e) for e in m.injection_events]), str(m.trap))
 
 
 def assert_states_identical(a, b):
@@ -566,3 +571,199 @@ class TestJobParity:
                 assert_jobs_identical(
                     run_job(prog, spec.config, faults, inj_seed=7,
                             tier2=tier2), want)
+
+
+# ----------------------------------------------------------------------
+# Intrinsic calls: members unless they can block
+# ----------------------------------------------------------------------
+# one block, top to bottom: a run that spans rand() and mpi_send(), cut
+# by the receive, a run cut again by the allreduce, and a last run
+# through the emits to the ret
+SRC_MPI = """
+func main(rank: int, size: int) {
+    var s: float[2];
+    var r: float[2];
+    var t: float[2];
+    s[0] = rand() + float(rank);
+    s[1] = s[0] * 0.5;
+    mpi_send(&s[0], 2, (rank + 1) % size, 7);
+    s[1] = s[1] + 1.0;
+    mpi_recv(&r[0], 2, (rank + size - 1) % size, 7);
+    r[1] = r[0] + r[1] + s[1];
+    mpi_allreduce(&r[0], &t[0], 2, 0);
+    emit(t[0]);
+    emit(t[1] + sqrt(r[1]));
+}
+"""
+
+# marked instructions on both sides of a call that traps once n is 3
+SRC_MEMBER_TRAP = """
+func main(rank: int, size: int) {
+    var a: int[4];
+    var n: int = 3;
+    var p: int* = malloc(2);
+    a[0] = n * 2;
+    a[1] = a[0] + n;
+    %s
+    a[2] = a[1] * 2;
+    emiti(a[2]);
+}
+"""
+
+SRC_WRAP = """
+func main(rank: int, size: int) {
+    var big: int = 9223372036854775807;
+    var a: int[5];
+    a[0] = big + 1;
+    a[1] = (0 - big) - 2;
+    a[2] = big * 2;
+    a[3] = a[0] - 1;
+    a[4] = big + 0;
+    for (var i: int = 0; i < 5; i += 1) { emiti(a[i]); }
+}
+"""
+
+# a float buffer received into an int one: memory is untyped
+SRC_FLOAT_IN_INT_OP = """
+func main(rank: int, size: int) {
+    var fa: float[2];
+    var ia: int[2];
+    fa[0] = 1.5;
+    fa[1] = 2.0;
+    mpi_send(&fa[0], 2, 0, 1);
+    mpi_recv(&ia[0], 2, 0, 1);
+    var y: int = ia[0];
+    emiti(y);
+    var x: int = ia[1] %s 1;
+    emiti(x);
+}
+"""
+
+
+def callee_positions(insts):
+    return {inst.callee: i for i, inst in enumerate(insts)
+            if isinstance(inst, Call)}
+
+
+def three_ways(source, mode, nranks, quantum, faults=()):
+    """The same job on the reference interpreter, the static map and
+    the golden plan's; asserts they agree and returns the first."""
+    from repro.core.config import RunConfig
+    config = RunConfig(nranks=nranks, quantum=quantum)
+    ref = build_program(source, mode, config=config, fuse=False)
+    prog = build_program(source, mode, config=config)
+    edges = {}
+    run_job(prog, config, capture_edge_profile=edges)
+    install_plan(prog, derive_plan(prog, edges))
+    want = run_job(ref, config, faults)
+    for tier2 in (False, None):
+        assert_jobs_identical(run_job(prog, config, faults, tier2=tier2),
+                              want)
+    return want
+
+
+class TestIntrinsicMembers:
+    def test_only_blocking_intrinsics_are_flagged(self):
+        from repro.vm import INTRINSICS
+        blocking = {n for n, spec in INTRINSICS.items() if spec.blocking}
+        assert blocking == {"mpi_recv", "mpi_sendrecv", "mpi_barrier",
+                            "mpi_bcast", "mpi_allreduce", "mpi_reduce",
+                            "mpi_allgather"}
+
+    @pytest.mark.parametrize("mode", ["blackbox", "fpm", "taint"])
+    def test_a_run_spans_rand_and_send_and_stops_at_recv_and_allreduce(
+            self, mode):
+        prog = build(SRC_MPI, mode)
+        func = next(fn for fn in prog.module if fn.name == "main")
+        block = max(func.blocks, key=lambda b: len(b.instructions))
+        insts = block.instructions
+        at = callee_positions(insts)
+        chunks = tier2_mod._entry_points(insts)
+        inside = {i for lo, hi in chunks for i in range(lo, hi)}
+        starts = {lo for lo, _ in chunks}
+        for member in ("rand", "mpi_send", "emit", "sqrt"):
+            assert at[member] in inside, member
+            # no entry point on its account: the next ip starts a chunk
+            # only where the 16-member grid falls anyway
+            run_start = max(lo for lo in starts if lo <= at[member]
+                            and all(i in inside for i in range(lo, at[member])))
+            assert at[member] + 1 not in starts \
+                or (at[member] + 1 - run_start) % 16 == 0
+        for barrier in ("mpi_recv", "mpi_allreduce"):
+            assert at[barrier] not in inside, barrier
+            assert at[barrier] + 1 in starts, barrier
+        # and the planner's walk stops where the static chunks do
+        seq, members = tier2_mod._walk(func, block.index, {})
+        assert seq == [block.index]
+        first_barrier = min(at["mpi_recv"], at["mpi_allreduce"])
+        assert members == first_barrier
+
+    @pytest.mark.parametrize("mode", ["blackbox", "fpm", "taint"])
+    @pytest.mark.parametrize("quantum", [1, 5, 16, 256])
+    def test_job_with_member_intrinsics_matches_the_reference(self, mode,
+                                                              quantum):
+        golden = three_ways(SRC_MPI, mode, 3, quantum)
+        assert golden.status.name == "COMPLETED"
+        total = golden.inj_counts[1]
+        for occ in range(1, total + 1, max(1, total // 6)):
+            three_ways(SRC_MPI, mode, 3, quantum,
+                       [FaultSpec(rank=1, occurrence=occ, bit=51)])
+
+    @pytest.mark.parametrize("mode", ["blackbox", "fpm"])
+    @pytest.mark.parametrize("call,kind", [
+        ("mpi_abort(n);", "ABORT"),
+        ("free(p); free(p);", "MEM_FAULT"),
+        ("p = malloc(n - 3);", "ARITH"),
+    ])
+    def test_member_that_traps_lands_on_the_single_stepped_cycle(
+            self, call, kind, mode):
+        source = SRC_MEMBER_TRAP % call
+        for budget in (256, 64):
+            a = run_machine(build(source, mode), budget=budget)
+            b = run_machine(reference(source, mode), budget=budget)
+            assert a.status is MachineStatus.TRAPPED
+            assert a.trap.kind.name == kind
+            assert a.t2_deopts == 1, "the call did not trap inside a region"
+            assert (a.trap.cycle, a.inj_counter) \
+                == (b.trap.cycle, b.inj_counter)
+            assert b.inj_counter > 0
+            assert_states_identical(a, b)
+
+
+class TestMemberTemplates:
+    """The two member lines this representation respelled: the store
+    (a conditional on the right of a subscript assignment) and the
+    64-bit wrap (a range test)."""
+
+    @pytest.mark.parametrize("mode", ["blackbox", "fpm"])
+    def test_inline_store_saves_the_page_before_it_writes(self, mode):
+        # inside a COW transaction the store line's guard is the only
+        # thing that logs the page: the allocas ran before begin_tx
+        m = Machine(build(SRC_ROLL, mode), 0, 1)
+        m.start()
+        assert m.run(60) is MachineStatus.READY
+        f = m.call_stack[-1]
+        while f.cfunc.static[f.block][f.ip] is None:
+            m.run(1)  # to an entry point: no store is single-stepped
+        before = (repr(m.memory.words()), bytes(m.memory.valid))
+        entered = m.t2_cycles_acc
+        m.memory.begin_tx()
+        assert m.run(10 ** 6) is MachineStatus.DONE
+        assert m.t2_cycles_acc - entered > m.cycles - 80
+        assert (repr(m.memory.words()), bytes(m.memory.valid)) != before
+        assert m.memory.rollback_tx() == 1
+        assert (repr(m.memory.words()), bytes(m.memory.valid)) == before
+
+    def test_inline_wrap_at_the_edges_of_int64(self):
+        a = run_machine(build(SRC_WRAP))
+        assert a.t2_cycles_acc > 0
+        assert a.outputs == [-2 ** 63, 2 ** 63 - 1, -2, 2 ** 63 - 1,
+                             2 ** 63 - 1]
+        assert_states_identical(a, run_machine(reference(SRC_WRAP)))
+
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    def test_int_op_on_a_float_word_is_poison_not_a_float(self, op):
+        from repro.vm import TrapKind
+        res = three_ways(SRC_FLOAT_IN_INT_OP % op, "blackbox", 1, 256)
+        assert res.trap.kind is TrapKind.POISON
+        assert res.outputs == [[1.5]]  # moving it is fine; adding is not
