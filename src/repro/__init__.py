@@ -20,9 +20,7 @@ Entry points: :class:`repro.Session` (the facade),
 :class:`repro.CampaignSpec` (one typed value for a whole campaign
 definition) and :class:`repro.core.FaultPropagationFramework` (the full
 driver).  Everything in ``__all__`` is the supported public surface;
-anything else may move between releases (moved engine internals are
-reachable for one deprecation cycle via :mod:`repro.inject.engine`'s
-module ``__getattr__``, which warns).
+anything else may move between releases.
 """
 
 from .api import Session

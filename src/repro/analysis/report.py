@@ -59,17 +59,12 @@ def render_health_summary(health, quarantined_trials: Optional[Sequence] = None)
     lines = [
         f"engine: {health.effective_workers} worker(s)"
         + (f" (of {health.requested_workers} requested)"
-           if health.requested_workers != health.effective_workers else "")
+           if health.requested_workers > health.effective_workers else "")
         + f", wall time {health.wall_time_s:.1f}s"
     ]
-    if getattr(health, "executor", "serial") not in ("serial", "pool") \
-            or getattr(health, "shards", 1) > 1:
-        line = (f"executor: {health.executor}, "
-                f"{health.shards} shard(s)")
-        if getattr(health, "shard_reassignments", 0):
-            line += (f", {health.shard_reassignments} shard(s) reassigned "
-                     "from dead workers")
-        lines.append(line)
+    if getattr(health, "executor", "serial") == "remote":
+        lines.append(f"executor: {health.executor}, "
+                     f"{health.shards} shard(s)")
     if health.resumed_trials:
         lines.append(f"resumed: {health.resumed_trials} trial(s) "
                      "restored from journal")

@@ -40,16 +40,14 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
                    help="process parallelism (default REPRO_WORKERS/1)")
     p.add_argument("--executor", choices=("serial", "pool", "remote"),
                    default=None,
-                   help="execution backend: serial (in-driver), pool "
-                        "(supervised local processes) or remote "
-                        "(controller/worker fabric over localhost "
-                        "sockets); default REPRO_EXECUTOR or auto by "
-                        "--workers")
+                   help="execution backend: serial (in-driver), or the "
+                        "supervised worker fleet over pipes (pool) or "
+                        "over authenticated localhost sockets (remote); "
+                        "default REPRO_EXECUTOR or auto by --workers")
     p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="shard count for the remote executor — the fault "
-                        "plan is partitioned into N epoch-aligned shards, "
-                        "one worker daemon each (default REPRO_SHARDS or "
-                        "--workers)")
+                   help="size of the remote executor's fleet — N worker "
+                        "processes, whose slot is each trial's journal "
+                        "shard tag (default --workers)")
     p.add_argument("--faults", type=int, default=1,
                    help="faults per run (LLFI++ multi-fault extension)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",

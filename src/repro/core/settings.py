@@ -1,8 +1,8 @@
 """One validated view of every ``REPRO_*`` environment knob.
 
 PRs 1-3 each grew their own ad-hoc ``os.environ`` parsing (trials,
-workers, watchdogs, caches, batching, prefetch); this module replaces
-them with a single :class:`Settings` dataclass and one warn-and-fallback
+workers, watchdogs, caches, batching); this module replaces them
+with a single :class:`Settings` dataclass and one warn-and-fallback
 path.  Call sites resolve knobs through :func:`current_settings`, which
 re-reads the environment on every call — campaigns and tests may mutate
 ``os.environ`` between invocations, and the old helpers behaved that
@@ -24,7 +24,6 @@ from typing import Mapping, Optional
 DEFAULT_TRIALS = 120
 DEFAULT_WORKERS = 1
 DEFAULT_PREPARED_CACHE = 8
-DEFAULT_PREFETCH = 2
 DEFAULT_SNAPSHOT_STRIDE = 2048
 DEFAULT_OBS_CML_STRIDE = 0
 DEFAULT_RETRY_BASE_DELAY = 0.05
@@ -56,8 +55,8 @@ def _parse_int(env: Mapping[str, str], name: str, default: int,
         _warn(name, raw, "not an integer", default)
         return default
     if value < minimum:
-        # clamping knobs (prefetch depth, cache sizes, strides) keep
-        # their historical "silently raise to the floor" behaviour
+        # clamping knobs (cache sizes, strides) keep their historical
+        # "silently raise to the floor" behaviour
         if clamp:
             return minimum
         _warn(name, raw, f"must be >= {minimum}", default)
@@ -137,16 +136,11 @@ class Settings:
     #: REPRO_EXECUTOR — execution backend: serial | pool | remote
     #: (unset = auto: serial for one worker, pool for more)
     executor: Optional[str] = None
-    #: REPRO_SHARDS — shard count for distributed backends (0 = auto:
-    #: match the worker count)
-    shards: int = 0
     # -- caches and throughput -----------------------------------------
     #: REPRO_PREPARED_CACHE — prepared apps kept per process (LRU)
     prepared_cache: int = DEFAULT_PREPARED_CACHE
     #: REPRO_ARTIFACT_DIR — shared golden-artifact directory (None = off)
     artifact_dir: Optional[str] = None
-    #: REPRO_PREFETCH — trials in flight per pool worker
-    prefetch: int = DEFAULT_PREFETCH
     # -- trial positioning and execution tiers --------------------------
     #: REPRO_SNAPSHOT_STRIDE — golden capture stride in cycles (0 = off)
     snapshot_stride: int = DEFAULT_SNAPSHOT_STRIDE
@@ -189,12 +183,9 @@ class Settings:
             trial_timeout=_parse_float(env, "REPRO_TRIAL_TIMEOUT", None),
             executor=_parse_opt_choice(
                 env, "REPRO_EXECUTOR", _EXECUTOR_NAMES),
-            shards=_parse_int(env, "REPRO_SHARDS", 0, minimum=0),
             prepared_cache=_parse_int(
                 env, "REPRO_PREPARED_CACHE", DEFAULT_PREPARED_CACHE),
             artifact_dir=_parse_str(env, "REPRO_ARTIFACT_DIR"),
-            prefetch=_parse_int(
-                env, "REPRO_PREFETCH", DEFAULT_PREFETCH, clamp=True),
             snapshot_stride=_parse_int(
                 env, "REPRO_SNAPSHOT_STRIDE", DEFAULT_SNAPSHOT_STRIDE,
                 minimum=0, clamp=True),

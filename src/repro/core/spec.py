@@ -93,8 +93,7 @@ class CampaignSpec:
     #: execution backend: serial | pool | remote (None: REPRO_EXECUTOR
     #: or auto by worker count)
     executor: Optional[str] = None
-    #: shard count for distributed backends (None: REPRO_SHARDS or the
-    #: worker count)
+    #: size of the ``remote`` executor's fleet (None: the worker count)
     shards: Optional[int] = None
 
     def __post_init__(self) -> None:

@@ -300,7 +300,7 @@ def trial_results_equal(a: TrialResult, b: TrialResult) -> bool:
 
 
 class TrialJob(NamedTuple):
-    """One pre-drawn trial, as an executor ships it to a worker.
+    """One pre-drawn trial, as an executor hands it to the trial driver.
 
     Executors treat it as an opaque picklable.  The defaults are the
     plain trial: cold from cycle 0, unobserved, unpruned.
@@ -615,49 +615,6 @@ def plan_fork_batches(jobs: Sequence[TrialJob], workers: int = 1
         else:
             batches.append(idxs)
     return batches
-
-
-def plan_shards(pending: Sequence[int], n_shards: int,
-                batches: Optional[Sequence[Sequence[int]]] = None):
-    """Partition pending trial indices into executor shards.
-
-    A shard is the unit a distributed backend ships to one worker
-    daemon.  With ``batches`` (fork-epoch buckets, already filtered to
-    pending trials), whole batches are assigned greedily to the
-    least-loaded shard — ties to the lowest shard id — so a bucket
-    never splits across daemons and each shard's trials stay
-    epoch-ascending (its golden cursor advances monotonically, exactly
-    like a local pool worker's).  Without batches, indices split into
-    contiguous stripes.  A pure function of its inputs, so resumed
-    campaigns re-plan deterministic shards.
-    """
-    from .executors.base import ShardSpec
-
-    pending = list(pending)
-    if not pending:
-        return []
-    n_shards = max(1, min(n_shards, len(pending)))
-    if batches:
-        units = [list(b) for b in batches if b]
-        loads = [0] * n_shards
-        assigned: List[List[List[int]]] = [[] for _ in range(n_shards)]
-        for unit in units:
-            target = min(range(n_shards), key=lambda s: (loads[s], s))
-            assigned[target].append(unit)
-            loads[target] += len(unit)
-        return [
-            ShardSpec(
-                shard_id,
-                tuple(i for unit in units_of for i in unit),
-                batches=tuple(tuple(unit) for unit in units_of),
-            )
-            for shard_id, units_of in enumerate(assigned) if units_of
-        ]
-    size = -(-len(pending) // n_shards)  # ceil division
-    return [
-        ShardSpec(shard_id, tuple(pending[j:j + size]))
-        for shard_id, j in enumerate(range(0, len(pending), size))
-    ]
 
 
 def run_campaign(

@@ -12,11 +12,10 @@ crash and hang applications):
 * **bounded retry + quarantine** — a trial that repeatedly kills its
   worker is recorded as a ``HARNESS_FAILURE`` trial with a structured
   :class:`~repro.errors.FailureKind`, never silently dropped;
-* **worker respawn + shard reassignment** — a crashed worker (segfault,
-  OOM kill) is replaced with a fresh process and only its in-flight
-  trial is re-executed; a dead remote daemon's unstarted shard trials
-  are reassigned to surviving daemons without a failure mark; every
-  completed trial survives;
+* **worker respawn** — a crashed worker (segfault, OOM kill) is
+  replaced with a fresh process and only the trial it was executing is
+  charged and re-executed; the trials queued behind it go back to the
+  fleet without a failure mark, and every completed trial survives;
 * **incremental checkpointing** — completed trials stream into a
   :class:`~repro.inject.journal.CampaignJournal`;
   :func:`resume_campaign` finishes an interrupted campaign and yields a
@@ -24,8 +23,8 @@ crash and hang applications):
   up front from the campaign seed, so the job list re-derives exactly);
 * **graceful degradation** — trial retries back off with deterministic
   seeded jitter; a respawn budget turns repeated worker deaths into a
-  shrinking pool instead of an infinite respawn storm, and a fully
-  collapsed backend falls back to serial in-driver execution rather
+  shrinking fleet instead of an infinite respawn storm, and a fully
+  collapsed fleet falls back to serial in-driver execution rather
   than aborting; a persistently failing journal is disabled (with the
   event recorded) instead of taking the campaign down.
 
@@ -33,7 +32,6 @@ The controller owns every piece of campaign-level *policy* — the retry
 taxonomy, the journal, the observer, health accounting, the degradation
 ladder — and consumes typed events
 (:class:`~repro.inject.executors.base.TrialDone` /
-:class:`~repro.inject.executors.base.ShardLost` /
 :class:`~repro.inject.executors.base.SupervisionEvent`) from whichever
 backend executes the trials.  Because all randomness is drawn up front
 from the campaign seed, every backend produces bit-identical science.
@@ -43,7 +41,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import (
     CampaignError,
@@ -64,48 +62,21 @@ from .campaign import (
     default_timeout,
     default_workers,
     harness_failure_trial,
-    plan_shards,
 )
 from .executors import (
     Executor,
-    ShardLost,
     ShardSpec,
     SupervisionEvent,
     TrialDone,
     make_executor,
     resolve_backend,
 )
-from .executors.local import (  # re-exported for backward compatibility
-    _PREFETCH,
-    SerialExecutor,
-    prefetch_depth,
-)
+from .executors.local import SerialExecutor
 from .health import CampaignHealth
 from .journal import CampaignJournal, JournalRecovery, read_journal_ex
 
 #: supervisor poll interval while trials are in flight, seconds
 _TICK = 0.05
-#: extra wall-clock slack granted on top of the soft in-VM watchdog
-#: before the supervisor hard-kills the worker
-_KILL_GRACE = 5.0
-
-#: engine internals that moved to the executors package in the fabric
-#: refactor; importing them from here warns but keeps working
-_MOVED_INTERNALS = ("_pool_worker", "_Worker", "_mp_context")
-
-
-def __getattr__(name: str):
-    if name in _MOVED_INTERNALS:
-        warnings.warn(
-            f"repro.inject.engine.{name} moved to "
-            f"repro.inject.executors.local; update the import",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .executors import local as _local
-        return getattr(_local, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
 
 
 class CampaignEngine:
@@ -125,7 +96,7 @@ class CampaignEngine:
         observer: Optional[CampaignObserver] = None,
         degrade_after: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        executor: Union[None, str, Executor] = None,
+        executor: Optional[str] = None,
         shards: Optional[int] = None,
     ) -> None:
         if workers < 1:
@@ -135,8 +106,15 @@ class CampaignEngine:
         if shards is not None and shards < 1:
             raise CampaignError(f"shards must be >= 1, got {shards}")
         self.workers = workers
+        #: execution backend (``serial``/``pool``/``remote``; None picks
+        #: by REPRO_EXECUTOR / worker count) and the number of processes
+        #: it runs trials on: 1 in the driver, ``workers`` on the pool,
+        #: ``shards`` (default ``workers``) on the remote wire
+        self.executor, self.fleet = resolve_backend(executor, shards, workers)
         self.timeout = timeout
-        self.kill_grace = _KILL_GRACE if kill_grace is None else kill_grace
+        #: slack on top of ``timeout`` before a hard kill (None: the
+        #: fleet's default)
+        self.kill_grace = kill_grace
         self.max_retries = max_retries
         self.journal = journal
         # resolved here (not at definition) so monkeypatched trial
@@ -151,9 +129,9 @@ class CampaignEngine:
         #: when the campaign runs unobserved
         self.observer = observer
         #: worker respawns tolerated before the degradation ladder
-        #: shrinks the pool by one (and ultimately falls back to serial)
+        #: shrinks the fleet by one (and ultimately falls back to serial)
         self.degrade_after = (degrade_after if degrade_after is not None
-                              else max(4, 2 * workers))
+                              else max(4, 2 * self.fleet))
         if self.degrade_after < 1:
             raise CampaignError(
                 f"degrade_after must be >= 1, got {self.degrade_after}")
@@ -161,13 +139,6 @@ class CampaignEngine:
         #: budget shared by the journal/artifact IO retry paths)
         self.retry_policy = (retry_policy if retry_policy is not None
                              else RetryPolicy.from_settings())
-        #: execution backend: an :class:`Executor` instance, a backend
-        #: name (``serial``/``pool``/``remote``), or None to pick by
-        #: REPRO_EXECUTOR / worker count
-        self.executor = executor
-        #: shard count for distributed backends (None: REPRO_SHARDS,
-        #: else the worker count)
-        self.shards = shards
 
     # ------------------------------------------------------------------
     def run(
@@ -191,7 +162,8 @@ class CampaignEngine:
         self._serial_fallback = False
         self._faults_of = faults_of or (lambda i: ())
         self._health = CampaignHealth(
-            effective_workers=self.workers, requested_workers=self.workers,
+            effective_workers=self.fleet, requested_workers=self.workers,
+            executor=self.executor, shards=self.fleet,
         )
         self._done = 0
         if completed:
@@ -213,41 +185,38 @@ class CampaignEngine:
                         "repro_trials_total", outcome=trial.outcome)
             self._health.resumed_trials = len(completed)
         pending = [i for i in range(n) if self._results[i] is None]
-        #: batch groups filtered to pending trials (None when batching is
-        #: off); batches exhausted by a resume drop out
-        groups: Optional[List[List[int]]] = None
+        plan = ShardSpec(tuple(pending))
         if self.batches is not None:
+            # the buckets filtered to pending trials, in bucket order;
+            # buckets exhausted by a resume drop out
             pend = set(pending)
-            groups = [[i for i in batch if i in pend]
+            groups = [tuple(i for i in batch if i in pend)
                       for batch in self.batches]
-            groups = [g for g in groups if g]
             covered = {i for g in groups for i in g}
-            stray = [i for i in pending if i not in covered]
-            if stray:  # defensive: batches must cover every pending trial
-                groups.append(stray)
+            # defensive: batches must cover every pending trial
+            groups.append(tuple(i for i in pending if i not in covered))
+            groups = tuple(g for g in groups if g)
+            plan = ShardSpec(tuple(i for g in groups for i in g),
+                             batches=groups)
 
         start = time.monotonic()
         self._jobs_ref = jobs
-        executor = self._resolve_executor()
+        executor = make_executor(self.executor, self.fleet,
+                                 degrade_after=self.degrade_after)
         caps = executor.capabilities()
-        self._health.executor = caps.name
-        #: trial index -> shard id, for journal tags and shard metrics
+        #: trial index -> worker slot that last ran it, for journal
+        #: ``shard`` tags and per-slot metrics
         self._shard_of: Dict[int, int] = {}
         self._active: Executor = executor
-        shard_specs = self._plan(pending, groups, caps)
-        self._health.shards = max(len(shard_specs), 1)
         leftover: List[int] = []
         try:
             executor.start(jobs, task_fn=self.task_fn,
                            timeout=self.timeout, kill_grace=self.kill_grace)
-            for spec in shard_specs:
-                for i in spec.indices:
-                    self._shard_of[i] = spec.shard_id
-                executor.submit_shard(spec)
+            if pending:
+                executor.submit_shard(plan)
             self._drive(executor)
             if self._done < n and not caps.in_driver:
-                drain = getattr(executor, "drain_unfinished", None)
-                leftover = drain() if drain is not None else []
+                leftover = executor.drain_unfinished()
         finally:
             executor.close()
         if self._done < n and not caps.in_driver:
@@ -264,43 +233,6 @@ class CampaignEngine:
         return list(self._results), self._health
 
     # ------------------------------------------------------------------
-    # Backend resolution and shard planning
-    # ------------------------------------------------------------------
-    def _resolve_executor(self) -> Executor:
-        if isinstance(self.executor, Executor):
-            return self.executor
-        name, n_shards, _ = resolve_backend(
-            self.executor, self.shards, self.workers)
-        return make_executor(
-            name,
-            workers=self.workers,
-            shards=n_shards,
-            degrade_after=self.degrade_after,
-        )
-
-    def _plan(self, pending: List[int], groups: Optional[List[List[int]]],
-              caps) -> List[ShardSpec]:
-        """Partition pending trials into shards the backend can take.
-
-        Non-distributed backends get one shard carrying the whole plan
-        (with the batch structure attached for the pool's worker
-        affinity); distributed backends get epoch-bucket-aligned shards
-        from :func:`repro.inject.campaign.plan_shards`.
-        """
-        if not pending:
-            return []
-        if caps.distributed and caps.max_shards > 1:
-            return plan_shards(pending, caps.max_shards, batches=groups)
-        if groups is not None:
-            flat = [i for g in groups for i in g]
-            if caps.in_driver:
-                # serial execution flattens the batch order directly
-                return [ShardSpec(0, tuple(flat))]
-            return [ShardSpec(0, tuple(flat),
-                              batches=tuple(tuple(g) for g in groups))]
-        return [ShardSpec(0, tuple(pending))]
-
-    # ------------------------------------------------------------------
     # Event loop
     # ------------------------------------------------------------------
     def _drive(self, executor: Executor) -> None:
@@ -309,39 +241,18 @@ class CampaignEngine:
             if not executor.has_pending():
                 break
             for ev in executor.poll(_TICK):
-                self._handle_event(executor, ev)
+                self._handle_event(ev)
 
-    def _handle_event(self, executor: Executor, ev: object) -> None:
+    def _handle_event(self, ev: object) -> None:
         if isinstance(ev, TrialDone):
+            self._shard_of[ev.index] = ev.shard_id
             if ev.ok:
                 self._success(ev.index, ev.payload)
             else:
                 kind, detail = ev.payload
                 self._failure(ev.index, FailureKind(kind), detail)
-        elif isinstance(ev, ShardLost):
-            self._reassign(executor, ev)
         elif isinstance(ev, SupervisionEvent):
             self._supervise(ev)
-
-    def _reassign(self, executor: Executor, ev: ShardLost) -> None:
-        """Hand a dead worker's unstarted trials to the survivors.
-
-        The trials never began executing, so they carry no failure mark
-        and no retry-budget charge — the shard just runs elsewhere,
-        preserving its in-shard (epoch-ascending) order.
-        """
-        remaining = tuple(i for i in ev.remaining
-                          if self._results[i] is None)
-        if not remaining:
-            return
-        self._health.shard_reassignments += 1
-        self._journal_event("shard_reassigned", shard=ev.shard_id,
-                            trials=len(remaining), detail=ev.detail)
-        if self.observer is not None:
-            self.observer.metrics.inc("repro_shard_reassignments_total")
-            self.observer.event("shard_reassigned", shard=ev.shard_id,
-                                trials=len(remaining))
-        executor.submit_shard(ShardSpec(ev.shard_id, remaining))
 
     def _supervise(self, ev: SupervisionEvent) -> None:
         if ev.kind == "worker_respawn":
@@ -400,10 +311,7 @@ class CampaignEngine:
         try:
             for i in order:
                 fallback.submit_shard(ShardSpec(
-                    self._shard_of.get(i, 0), (i,),
-                    not_before=self._not_before.get(i, 0.0),
-                    retry=i in self._retries,
-                ))
+                    (i,), not_before=self._not_before.get(i, 0.0)))
             self._drive(fallback)
         finally:
             fallback.close()
@@ -448,9 +356,7 @@ class CampaignEngine:
             self._not_before[index] = time.monotonic() + \
                 self.retry_policy.delay(failures - 1, token=f"trial:{index}")
             self._active.submit_shard(ShardSpec(
-                self._shard_of.get(index, 0), (index,),
-                not_before=self._not_before[index], retry=True,
-            ))
+                (index,), not_before=self._not_before[index]))
 
     def _record(self, index: int, trial: TrialResult) -> None:
         self._results[index] = trial
@@ -540,7 +446,7 @@ def _drive_campaign(
     max_retries: int = 2,
     progress: Optional[Callable[[int, int], None]] = None,
     observe=None,
-    executor: Union[None, str, Executor] = None,
+    executor: Optional[str] = None,
     shards: Optional[int] = None,
 ) -> CampaignResult:
     """Execute the campaign ``header`` defines, minus ``resumed`` trials.
@@ -569,8 +475,7 @@ def _drive_campaign(
     remaining = n_trials - sum(1 for i in done or () if 0 <= i < n_trials)
     effective = 1 if (requested_workers > 1 and remaining < 4) \
         else requested_workers
-    exec_name, n_shards, parallelism = resolve_backend(
-        executor, shards, effective)
+    exec_name, fleet = resolve_backend(executor, shards, effective)
 
     pa = _prepared(app, proto.params, mode, proto.snapshot_stride,
                    proto.artifact_dir)
@@ -586,24 +491,11 @@ def _drive_campaign(
                 f"bit-identical"
             )
     jobs = _build_jobs(header, golden, proto)
-    # Fork buckets are a pure function of the jobs and the backend's
-    # parallelism, so a resumed schedule is the recording run's;
-    # --no-fork dispatches in index order.
-    batches = _campaign.plan_fork_batches(jobs, parallelism) \
+    # Fork buckets are a pure function of the jobs and the fleet size,
+    # so a resumed schedule is the recording run's; --no-fork dispatches
+    # in index order.
+    batches = _campaign.plan_fork_batches(jobs, fleet) \
         if header.get("fork", False) else None
-    if not isinstance(executor, Executor):
-        executor = exec_name
-        if exec_name == "remote":
-            # the fabric gets the golden artifact reference so daemons
-            # fetch shared state instead of re-profiling
-            from .executors.remote import RemoteExecutor
-            executor = RemoteExecutor(
-                n_shards,
-                artifact=(app, proto.params, mode, proto.snapshot_stride,
-                          proto.artifact_dir)
-                if proto.artifact_dir is not None else None,
-                degrade_after=max(4, 2 * n_shards),
-            )
 
     journal_writer = None
     if resumed is not None:
@@ -612,7 +504,7 @@ def _drive_campaign(
         journal_writer = CampaignJournal.create(journal, dict(
             header,
             executor=exec_name,
-            shards=n_shards if exec_name == "remote" else 1,
+            shards=fleet,
             golden={
                 "iterations": golden.iterations,
                 "cycles": golden.cycles,
@@ -637,8 +529,8 @@ def _drive_campaign(
         progress=progress,
         batches=batches,
         observer=observer,
-        executor=executor,
-        shards=n_shards,
+        executor=exec_name,
+        shards=shards,
     )
     try:
         results, health = engine.run(
@@ -682,7 +574,7 @@ def resume_campaign(
     progress: Optional[Callable[[int, int], None]] = None,
     artifact_dir=None,
     observe=None,
-    executor: Union[None, str, Executor] = None,
+    executor: Optional[str] = None,
     shards: Optional[int] = None,
 ) -> CampaignResult:
     """Finish an interrupted journaled campaign.

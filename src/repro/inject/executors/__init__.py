@@ -1,22 +1,21 @@
 """Pluggable campaign execution backends.
 
-One :class:`~repro.inject.executors.base.Executor` contract, three
-backends: in-driver serial, the supervised local ``multiprocessing``
-pool, and the simulated-remote controller/worker fabric over localhost
-sockets.  The campaign controller (:mod:`repro.inject.engine`) is
-backend-agnostic — it plans shards, streams events, and owns every
+One :class:`~repro.inject.executors.base.Executor` contract, two
+implementations: in-driver serial, and the supervised worker fleet that
+``pool`` (pipe wire) and ``remote`` (localhost socket wire) both name.
+The campaign controller (:mod:`repro.inject.engine`) is
+backend-agnostic — it submits the plan, streams events, and owns every
 piece of retry/quarantine/journal/degradation policy.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from ...errors import CampaignError
 from .base import (
     Executor,
     ExecutorCapabilities,
-    ShardLost,
     ShardSpec,
     SupervisionEvent,
     TrialDone,
@@ -44,49 +43,36 @@ def resolve_executor_name(requested: Optional[str], workers: int) -> str:
     return name
 
 
-def resolve_backend(executor: Union[None, str, Executor],
-                    shards: Optional[int], workers: int
-                    ) -> Tuple[str, int, int]:
-    """``(backend name, shard count, planning parallelism)`` of a run.
+def resolve_backend(executor: Optional[str], shards: Optional[int],
+                    workers: int) -> Tuple[str, int]:
+    """``(backend name, fleet size)`` of a run.
 
-    The one resolution of the ``executor`` / ``shards`` arguments and
-    their REPRO_EXECUTOR / REPRO_SHARDS fallbacks, shared by
-    ``run_campaign``, ``resume_campaign`` and the engine so a resumed
-    campaign plans exactly as the recording one did.  The shard count
-    is the explicit argument, else an executor instance's own capacity,
-    else REPRO_SHARDS, else the worker count; the parallelism — how
-    many chunks an oversized fork bucket splits into — is the shard
-    count on a distributed backend and the worker count otherwise.
+    The one resolution of the ``executor`` / ``shards`` arguments,
+    shared by ``run_campaign``, ``resume_campaign`` and the engine so a
+    resumed campaign plans exactly as the recording one did.  The fleet
+    size — processes running trials, and how many chunks an oversized
+    fork bucket splits into — is 1 in the driver, the worker count on
+    ``pool``, and ``shards`` (default: the worker count) on ``remote``.
     """
-    from ...core.settings import current_settings
-
-    if isinstance(executor, Executor):
-        caps = executor.capabilities()
-        name, distributed = caps.name, caps.distributed
-        if shards is None and distributed:
-            shards = caps.max_shards
-    else:
-        name = resolve_executor_name(executor, workers)
-        distributed = name == "remote"
-    if shards is None:
-        configured = current_settings().shards
-        shards = configured if configured > 0 else max(workers, 1)
-    return name, shards, shards if distributed else workers
-
-
-def make_executor(name: str, *, workers: int, shards: int,
-                  degrade_after: int) -> Executor:
-    """Instantiate a backend by name (lazy imports keep cycles out)."""
+    name = resolve_executor_name(executor, workers)
     if name == "serial":
-        from .local import SerialExecutor
+        return name, 1
+    if name == "remote" and shards is not None:
+        return name, shards
+    return name, max(workers, 1)
+
+
+def make_executor(name: str, workers: int, *,
+                  degrade_after: int) -> Executor:
+    """Instantiate a backend by name, ``workers`` processes strong
+    (lazy imports keep cycles out)."""
+    from .local import FleetExecutor, SerialExecutor
+
+    if name == "serial":
         return SerialExecutor()
-    if name == "pool":
-        from .local import LocalPoolExecutor
-        return LocalPoolExecutor(max(workers, 1),
-                                 degrade_after=degrade_after)
-    if name == "remote":
-        from .remote import RemoteExecutor
-        return RemoteExecutor(max(shards, 1), degrade_after=degrade_after)
+    if name in ("pool", "remote"):
+        return FleetExecutor(name, max(workers, 1),
+                             degrade_after=degrade_after)
     raise CampaignError(
         f"unknown executor {name!r}; expected one of "
         f"{', '.join(EXECUTOR_NAMES)}"
@@ -97,7 +83,6 @@ __all__ = [
     "EXECUTOR_NAMES",
     "Executor",
     "ExecutorCapabilities",
-    "ShardLost",
     "ShardSpec",
     "SupervisionEvent",
     "TrialDone",

@@ -1,21 +1,19 @@
-"""Local backends: in-driver serial execution and the supervised pool.
-
-These are the two historical execution paths of
-:class:`repro.inject.engine.CampaignEngine`, ported unchanged onto the
-:class:`~repro.inject.executors.base.Executor` contract:
+"""The two places a trial can run: the driver, or a supervised fleet.
 
 * :class:`SerialExecutor` — trials run inside the driver process, one
   per poll tick; the watchdog is the soft in-VM deadline carried by the
   job itself, and retry backoff is honoured by sleeping in place so
   execution order stays deterministic.
-* :class:`LocalPoolExecutor` — supervised ``multiprocessing`` workers
-  talking over one duplex pipe each (killing a worker cannot corrupt
-  any other worker's channel), with per-trial hard watchdogs, prefetch
-  pipelining, fork-bucket batch affinity, worker respawn after
+* :class:`FleetExecutor` — supervised worker processes with a per-trial
+  hard watchdog, unit dispatch with fork-bucket affinity, respawn after
   crashes, and the respawn-budget rungs of the graceful-degradation
-  ladder (pool shrink; a fully collapsed pool is reported via
-  :attr:`~LocalPoolExecutor.collapsed` and the campaign controller
-  finishes serially in the driver).
+  ladder (pool shrink; a fully collapsed fleet is reported via
+  :attr:`~FleetExecutor.collapsed` and the campaign controller finishes
+  serially in the driver).  ``executor="pool"`` and
+  ``executor="remote"`` are this one class; the name selects only the
+  *wire* each worker talks over — a duplex ``Pipe``, or an
+  HMAC-authenticated ``127.0.0.1`` TCP connection the worker opens back
+  to the driver's ``Listener``.
 
 Campaign *policy* — retry vs. quarantine, journaling, health — stays in
 the controller; these classes only report what happened as events.
@@ -24,13 +22,15 @@ the controller; these classes only report what happened as events.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+import socket
 import time
 from collections import deque
+from multiprocessing.connection import Client, Listener
 from multiprocessing.connection import wait as _conn_wait
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ...core.settings import DEFAULT_PREFETCH, current_settings
-from ...errors import FailureKind, TrialTimeoutError
+from ...errors import CampaignError, FailureKind, TrialTimeoutError
 from .. import chaos
 from .base import (
     Executor,
@@ -42,36 +42,54 @@ from .base import (
 
 #: extra wall-clock slack granted on top of the soft in-VM watchdog
 #: before the supervisor hard-kills the worker
-_KILL_GRACE = 5.0
-#: trials kept in flight per worker (head running + queued in its
-#: pipe), so a worker never idles a supervisor round-trip between
-#: trials; the watchdog deadline always covers the head trial only
-_PREFETCH = DEFAULT_PREFETCH
-
-
-def prefetch_depth() -> int:
-    """Per-worker dispatch pipeline depth (``REPRO_PREFETCH``, min 1).
-
-    Depth 1 reverts to one-at-a-time dispatch: the worker idles for a
-    full supervisor round-trip after every trial.
-    """
-    return current_settings().prefetch
+KILL_GRACE = 5.0
+#: seconds the driver waits for a socket-wire worker to connect back
+#: and say hello before giving the slot up
+HANDSHAKE_TIMEOUT = 30.0
 
 
 def _mp_context():
-    """Fork where available (workers inherit the prepared-app cache);
-    spawn elsewhere."""
+    """Fork where available (workers inherit the prepared-app cache and
+    the job list); spawn elsewhere."""
     if "fork" in mp.get_all_start_methods():
         return mp.get_context("fork")
     return mp.get_context()
 
 
-def _pool_worker(conn, task_fn, fresh: bool, chaos_hang_s: float = 0.0
-                 ) -> None:
-    """Worker loop: receive (index, args), run, send (index, ok, payload).
+def _run_guarded(task_fn, job) -> Tuple[bool, object]:
+    """``(ok, payload)`` of one trial: a TrialResult, or the
+    ``(FailureKind value, detail)`` of the exception it raised."""
+    try:
+        return True, task_fn(job)
+    except TrialTimeoutError as exc:
+        return False, (FailureKind.TIMEOUT.value, str(exc))
+    except Exception as exc:
+        return False, (FailureKind.EXCEPTION.value,
+                       f"{type(exc).__name__}: {exc}")
 
-    ``fresh`` workers (respawned after a crash or watchdog kill) clear
-    the inherited prepared-app cache first: the previous incarnation may
+
+def _nodelay(conn) -> None:
+    """Switch Nagle off on a socket-wire connection.
+
+    ``multiprocessing.connection`` writes a payload above 16 KiB as two
+    segments (header, then body); with Nagle on, the body waits for the
+    header's delayed ACK.  Most FPM results are that large, and the
+    next unit is dispatched on their arrival — both ends need this.
+    """
+    with socket.fromfd(conn.fileno(), socket.AF_INET,
+                       socket.SOCK_STREAM) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def _worker_main(channel, jobs, task_fn, fresh: bool,
+                 chaos_hang_s: float = 0.0) -> None:
+    """Worker loop: receive a unit of trial indices, run them in order,
+    send one ``(index, ok, payload)`` per trial.
+
+    ``channel`` is this worker's end of a pipe, or the ``(address,
+    authkey)`` of the driver's listener to connect back to.  ``fresh``
+    workers (respawned after a crash or watchdog kill) clear the
+    inherited prepared-app cache first: the previous incarnation may
     have died *because* of corrupted cached state.  When chaos is armed
     (:mod:`repro.inject.chaos`), the worker may abruptly die or wedge
     before a trial — ``chaos_hang_s`` is the sleep that outlasts the
@@ -84,51 +102,45 @@ def _pool_worker(conn, task_fn, fresh: bool, chaos_hang_s: float = 0.0
         _campaign._PREPARED_CACHE.clear()
     monkey = chaos.monkey()
     try:
+        if isinstance(channel, tuple):
+            address, authkey = channel
+            conn = Client(address, authkey=authkey)
+            _nodelay(conn)
+            conn.send(("hello", os.getpid()))
+        else:
+            conn = channel
         while True:
-            msg = conn.recv()
-            if msg is None:
+            unit = conn.recv()
+            if unit is None:
                 return
-            index, args = msg
-            if monkey is not None:
-                monkey.maybe_kill_worker(index)
-                monkey.maybe_hang_trial(index, chaos_hang_s)
-            try:
-                result = task_fn(args)
-            except TrialTimeoutError as exc:
-                conn.send((index, False, (FailureKind.TIMEOUT.value, str(exc))))
-            except Exception as exc:
-                conn.send((index, False,
-                           (FailureKind.EXCEPTION.value,
-                            f"{type(exc).__name__}: {exc}")))
-            else:
-                conn.send((index, True, result))
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass
+            for index in unit:
+                if monkey is not None:
+                    monkey.maybe_kill_worker(index)
+                    monkey.maybe_hang_trial(index, chaos_hang_s)
+                conn.send((index, *_run_guarded(task_fn, jobs[index])))
+    except (EOFError, OSError, mp.AuthenticationError, KeyboardInterrupt):
+        pass  # the driver is gone, or refused us
 
 
 class _Worker:
-    """Supervisor-side handle of one worker process."""
+    """Supervisor-side handle of one worker slot."""
 
-    __slots__ = ("proc", "conn", "inflight", "batch", "deadline", "retired")
+    __slots__ = ("slot", "proc", "conn", "inflight", "deadline", "retired")
 
-    def __init__(self, proc, conn) -> None:
+    def __init__(self, slot: int, proc, conn) -> None:
+        #: position in the fleet, stable across respawns — the ``shard``
+        #: tag of every trial this slot runs
+        self.slot = slot
         self.proc = proc
         self.conn = conn
-        #: trial indices dispatched but not yet returned, FIFO — the
-        #: head is executing, the rest sit prefetched in the pipe
+        #: trial indices sent but not yet returned, in execution order —
+        #: the head is executing, the rest wait in the worker
         self.inflight: Deque[int] = deque()
-        #: remainder of the fork-epoch bucket this worker owns
-        self.batch: Deque[int] = deque()
         #: monotonic instant after which the supervisor kills the worker
-        #: (covers the head in-flight trial)
+        #: (covers the head trial; restarts on every result)
         self.deadline: Optional[float] = None
-        #: permanently removed from the pool by the degradation ladder
+        #: permanently removed from the fleet by the degradation ladder
         self.retired = False
-
-    @property
-    def index(self) -> Optional[int]:
-        """Head trial index — the one actually executing (None = idle)."""
-        return self.inflight[0] if self.inflight else None
 
 
 # ----------------------------------------------------------------------
@@ -140,21 +152,20 @@ class SerialExecutor(Executor):
 
     The watchdog is the soft in-VM deadline carried by the job itself
     (``run_job(wall_timeout=...)``); there is no process to kill.
-    Retry shards carry a backoff stamp which is honoured by sleeping
+    Retried trials carry a backoff stamp which is honoured by sleeping
     (rather than reordering), keeping serial execution deterministic.
     """
 
     name = "serial"
 
     def __init__(self) -> None:
-        #: (trial index, not-before stamp, shard id), FIFO
-        self._queue: Deque[Tuple[int, float, int]] = deque()
+        #: (trial index, not-before stamp), FIFO
+        self._queue: Deque[Tuple[int, float]] = deque()
         self._jobs: List[tuple] = []
         self._task_fn = None
 
     # -- lifecycle -----------------------------------------------------
-    def start(self, jobs, *, task_fn, timeout=None,
-              kill_grace: float = _KILL_GRACE) -> None:
+    def start(self, jobs, *, task_fn, timeout=None, kill_grace=None) -> None:
         self._jobs = jobs
         self._task_fn = task_fn
 
@@ -164,139 +175,127 @@ class SerialExecutor(Executor):
     # -- contract ------------------------------------------------------
     def submit_shard(self, shard: ShardSpec) -> None:
         for index in shard.indices:
-            self._queue.append((index, shard.not_before, shard.shard_id))
+            self._queue.append((index, shard.not_before))
 
     def poll(self, timeout: float) -> List[object]:
         if not self._queue:
             return []
-        index, not_before, shard_id = self._queue.popleft()
+        index, not_before = self._queue.popleft()
         wait = not_before - time.monotonic()
         if wait > 0:
-            # honour the retry backoff; sleeping (rather than
-            # reordering) keeps serial execution order deterministic
             time.sleep(wait)
-        try:
-            trial = self._task_fn(self._jobs[index])
-        except TrialTimeoutError as exc:
-            return [TrialDone(shard_id, index, False,
-                              (FailureKind.TIMEOUT.value, str(exc)))]
-        except Exception as exc:
-            return [TrialDone(shard_id, index, False,
-                              (FailureKind.EXCEPTION.value,
-                               f"{type(exc).__name__}: {exc}"))]
-        return [TrialDone(shard_id, index, True, trial)]
+        return [TrialDone(0, index,
+                          *_run_guarded(self._task_fn, self._jobs[index]))]
 
     def cancel(self) -> None:
         self._queue.clear()
 
     def capabilities(self) -> ExecutorCapabilities:
-        return ExecutorCapabilities(
-            name=self.name, distributed=False, max_shards=1,
-            hard_watchdog=False, in_driver=True,
-        )
+        return ExecutorCapabilities(name=self.name, hard_watchdog=False,
+                                    in_driver=True)
 
     def has_pending(self) -> bool:
         return bool(self._queue)
 
 
 # ----------------------------------------------------------------------
-# Local pool
+# The supervised fleet
 # ----------------------------------------------------------------------
 
-class LocalPoolExecutor(Executor):
-    """Supervised worker-process pool behind the executor contract.
+class FleetExecutor(Executor):
+    """Supervised worker processes behind the executor contract.
 
-    One :meth:`poll` call is one supervision tick: top every worker up
-    to the prefetch depth, wait for results, then sweep for crashed or
+    One :meth:`poll` call is one supervision tick: hand every worker
+    holding fewer than two unfinished trials its next *unit* — a whole
+    fork bucket (one message; its trials run in order and their results
+    stream back one each), else one trial from the flat/retry queue —
+    read every result that is ready, then sweep for crashed or
     watchdog-expired workers.  Failures are *reported* (as failed
     :class:`TrialDone` events) but never retried here — the controller
-    owns the retry/quarantine taxonomy and re-submits eligible trials
-    as retry shards.
+    owns the retry/quarantine taxonomy and re-submits eligible trials.
 
-    The respawn budget implements the pool rungs of the graceful
+    A death costs exactly the trial that was executing: the channel is
+    drained first, so trials the worker finished are delivered rather
+    than re-run, the head is reported failed, and the unstarted
+    remainder goes back to the front of the bucket queue as one bucket
+    with no failure mark.
+
+    The respawn budget implements the fleet rungs of the graceful
     degradation ladder: each ``degrade_after`` worker deaths retires a
     slot (``pool_shrink`` supervision event) instead of feeding an
     infinite respawn storm; when every slot is retired the executor is
     :attr:`collapsed` and the controller finishes serially.
     """
 
-    name = "pool"
-
-    def __init__(self, workers: int, *, degrade_after: int = 4) -> None:
+    def __init__(self, name: str, workers: int, *,
+                 degrade_after: int = 4) -> None:
+        #: ``pool`` (pipe wire) or ``remote`` (socket wire)
+        self.name = name
         self.workers = workers
         self.degrade_after = degrade_after
         self._respawn_budget = degrade_after
         self._ctx = None
+        self._listener: Optional[Listener] = None
+        self._authkey = b""
         self._pool: List[_Worker] = []
         self._jobs: List[tuple] = []
         self._task_fn = None
         self.timeout: Optional[float] = None
-        self.kill_grace = _KILL_GRACE
-        #: flat dispatch queue: new trials without batches, plus retries
+        self.kill_grace = KILL_GRACE
+        #: fork buckets (tuples of trial indices) awaiting a worker
+        self._buckets: Deque[Tuple[int, ...]] = deque()
+        #: single trials: bucketless campaigns, plus retries
         self._queue: Deque[int] = deque()
-        #: batch deques (lists of trial indices) awaiting a worker
-        self._batches_q: Optional[Deque[Deque[int]]] = None
         #: earliest monotonic instant a retried trial may re-dispatch
         self._not_before: Dict[int, float] = {}
-        self._shard_of: Dict[int, int] = {}
-        self._started = False
 
     # -- lifecycle -----------------------------------------------------
-    def start(self, jobs, *, task_fn, timeout=None,
-              kill_grace: float = _KILL_GRACE) -> None:
+    def start(self, jobs, *, task_fn, timeout=None, kill_grace=None) -> None:
         self._jobs = jobs
         self._task_fn = task_fn
         self.timeout = timeout
-        self.kill_grace = kill_grace
+        self.kill_grace = KILL_GRACE if kill_grace is None else kill_grace
         self._ctx = _mp_context()
-        self._pool = [self._spawn(fresh=False) for _ in range(self.workers)]
-        self._started = True
+        if self.name == "remote":
+            self._authkey = os.urandom(16)
+            self._listener = Listener(("127.0.0.1", 0), authkey=self._authkey)
+            # accept() must not outwait a worker that never connects
+            self._listener._listener._socket.settimeout(HANDSHAKE_TIMEOUT)
+        # appended one by one: a later spawn that fails must not leak
+        # the earlier workers past close()
+        for slot in range(self.workers):
+            self._pool.append(self._spawn(slot, fresh=False))
 
     def close(self) -> None:
         for w in self._pool:
             try:
                 w.conn.send(None)
-            except (BrokenPipeError, OSError):
+            except OSError:
                 pass
         for w in self._pool:
             w.proc.join(1.0)
-            if w.proc.is_alive():
-                getattr(w.proc, "kill", w.proc.terminate)()
-                w.proc.join(1.0)
-            try:
-                w.conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-        self._pool = []
+        self.cancel()
 
     def cancel(self) -> None:
         for w in self._pool:
             if w.proc.is_alive():
-                getattr(w.proc, "kill", w.proc.terminate)()
+                w.proc.kill()
                 w.proc.join(1.0)
-            try:
-                w.conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
+            w.conn.close()
         self._pool = []
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
 
     # -- contract ------------------------------------------------------
     def submit_shard(self, shard: ShardSpec) -> None:
-        for index in shard.indices:
-            self._shard_of[index] = shard.shard_id
-        if shard.retry:
-            if shard.not_before:
-                for index in shard.indices:
-                    self._not_before[index] = shard.not_before
-            self._queue.extend(shard.indices)
-            return
         if shard.batches is not None:
-            groups = [deque(batch) for batch in shard.batches if batch]
-            q = self._batches_q if self._batches_q is not None else deque()
-            q.extend(groups)
-            self._batches_q = q
-        else:
-            self._queue.extend(shard.indices)
+            self._buckets.extend(b for b in shard.batches if b)
+            return
+        if shard.not_before:
+            for index in shard.indices:
+                self._not_before[index] = shard.not_before
+        self._queue.extend(shard.indices)
 
     def poll(self, timeout: float) -> List[object]:
         events: List[object] = []
@@ -312,214 +311,195 @@ class LocalPoolExecutor(Executor):
             time.sleep(timeout)
             return events
         for conn in _conn_wait(list(busy), timeout=timeout):
-            w = busy[conn]
-            try:
-                index, ok, payload = conn.recv()
-            except (EOFError, OSError):
-                continue  # crash — the liveness sweep handles it
-            if w.inflight and w.inflight[0] == index:
-                w.inflight.popleft()
-            else:  # pragma: no cover - defensive
-                try:
-                    w.inflight.remove(index)
-                except ValueError:
-                    pass
-            # the next prefetched trial starts immediately, so its
-            # watchdog clock starts now
-            w.deadline = (
-                time.monotonic() + self.timeout + self.kill_grace
-                if self.timeout is not None and w.inflight else None
-            )
-            events.append(TrialDone(
-                self._shard_of.get(index, 0), index, ok, payload))
+            self._drain(busy[conn], events)
         now = time.monotonic()
         for w in active:
             if w.retired or not w.inflight:
                 continue
             if not w.proc.is_alive():
-                head = w.inflight.popleft()
-                self._reclaim(w)
-                events.append(TrialDone(
-                    self._shard_of.get(head, 0), head, False,
-                    (FailureKind.WORKER_CRASH.value,
-                     f"worker died with exit code {w.proc.exitcode}"),
-                ))
-                self._respawn(w, events)
+                self._on_death(w, events, FailureKind.WORKER_CRASH)
             elif w.deadline is not None and now > w.deadline:
-                timeout_s = self.timeout
-                kill = getattr(w.proc, "kill", w.proc.terminate)
-                kill()
+                w.proc.kill()
                 w.proc.join(5.0)
-                head = w.inflight.popleft()
-                events.append(SupervisionEvent(
-                    "watchdog_kill", {"trial": head, "timeout_s": timeout_s}))
-                self._reclaim(w)
-                events.append(TrialDone(
-                    self._shard_of.get(head, 0), head, False,
-                    (FailureKind.TIMEOUT.value,
-                     f"trial exceeded its {timeout_s}s wall-clock "
-                     f"watchdog; worker killed"),
-                ))
-                self._respawn(w, events)
+                self._on_death(w, events, FailureKind.TIMEOUT)
         return events
 
     def capabilities(self) -> ExecutorCapabilities:
-        return ExecutorCapabilities(
-            name=self.name, distributed=False, max_shards=1,
-            hard_watchdog=True, in_driver=False,
-        )
+        return ExecutorCapabilities(name=self.name, hard_watchdog=True,
+                                    in_driver=False)
 
     @property
     def collapsed(self) -> bool:
-        return self._started and all(w.retired for w in self._pool)
+        return bool(self._pool) and all(w.retired for w in self._pool)
 
     def has_pending(self) -> bool:
-        return (bool(self._queue)
-                or bool(self._batches_q)
-                or any(w.batch or w.inflight for w in self._pool))
+        return (bool(self._queue) or bool(self._buckets)
+                or any(w.inflight for w in self._pool))
 
     def drain_unfinished(self) -> List[int]:
-        """Undispatched trial indices, in dispatch order (for the
+        """Unreported trial indices, in dispatch order (for the
         controller's serial fallback after a full collapse)."""
         out: List[int] = []
-        out.extend(self._queue)
-        self._queue.clear()
         for w in self._pool:
-            out.extend(w.batch)
-            w.batch = deque()
             out.extend(w.inflight)
             w.inflight.clear()
-        if self._batches_q:
-            for batch in self._batches_q:
-                out.extend(batch)
-        self._batches_q = deque() if self._batches_q is not None else None
+        for bucket in self._buckets:
+            out.extend(bucket)
+        self._buckets.clear()
+        out.extend(self._queue)
+        self._queue.clear()
         return out
 
     # -- internals -----------------------------------------------------
-    def _work_remaining(self, workers: List[_Worker]) -> bool:
-        return (bool(self._queue)
-                or bool(self._batches_q)
-                or any(w.batch for w in workers))
-
-    def _next_index(self, w: _Worker) -> Optional[int]:
-        """Next trial for this worker: its batch, a new batch, a retry."""
-        if w.batch:
-            return w.batch.popleft()
-        while self._batches_q:
-            batch = self._batches_q.popleft()
-            if batch:
-                w.batch = batch
-                return w.batch.popleft()
-        if self._queue:
-            # retries carry a backoff stamp; rotate ineligible ones to
-            # the back rather than busy-waiting on the first
-            now = time.monotonic()
-            for _ in range(len(self._queue)):
-                index = self._queue.popleft()
-                if self._not_before.get(index, 0.0) <= now:
-                    return index
-                self._queue.append(index)
-        return None
-
-    def _reclaim(self, w: _Worker) -> None:
-        """Return undispatched work of a dead worker to the global queues.
-
-        Prefetched trials (everything behind the in-flight head) never
-        started executing, so they are requeued without a failure mark;
-        the worker's remaining batch goes back to the batch queue so its
-        snapshot locality is preserved.
-        """
-        while w.inflight:
-            self._queue.appendleft(w.inflight.pop())
-        if w.batch:
-            if self._batches_q is not None:
-                self._batches_q.appendleft(w.batch)
-            else:  # pragma: no cover - batch implies batching enabled
-                self._queue.extend(w.batch)
-            w.batch = deque()
-
-    def _spawn(self, fresh: bool) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe()
+    def _spawn(self, slot: int, fresh: bool) -> _Worker:
         # a chaos-injected hang must outlast the watchdog to prove the
         # supervisor recovers; with no watchdog, hangs are never injected
         hang_s = (self.timeout + self.kill_grace + 30.0
                   if self.timeout is not None else 0.0)
+        if self._listener is None:
+            conn, channel = self._ctx.Pipe()
+        else:
+            conn, channel = None, (self._listener.address, self._authkey)
         proc = self._ctx.Process(
-            target=_pool_worker,
-            args=(child_conn, self._task_fn, fresh, hang_s),
+            target=_worker_main,
+            args=(channel, self._jobs, self._task_fn, fresh, hang_s),
             daemon=True,
         )
         proc.start()
-        child_conn.close()
-        return _Worker(proc, parent_conn)
+        if conn is None:
+            conn = self._accept(proc, slot)
+        else:
+            channel.close()
+        return _Worker(slot, proc, conn)
 
-    def _respawn(self, w: _Worker, events: List[object]) -> None:
+    def _accept(self, proc, slot: int):
+        """The socket wire's handshake: the connection ``proc`` opened
+        back to the listener, authenticated and greeted."""
+        conn = None
         try:
-            w.conn.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-        self._respawn_budget -= 1
-        if self._respawn_budget <= 0:
-            self._retire(w, events)
-            return
-        replacement = self._spawn(fresh=True)
-        w.proc, w.conn = replacement.proc, replacement.conn
-        w.inflight.clear()
-        w.deadline = None
-        events.append(SupervisionEvent("worker_respawn"))
+            conn = self._listener.accept()  # HMAC challenge, both ways
+            _nodelay(conn)
+            if not conn.poll(HANDSHAKE_TIMEOUT) \
+                    or conn.recv() != ("hello", proc.pid):
+                raise EOFError("no hello from the worker")
+        except (OSError, EOFError, mp.AuthenticationError) as exc:
+            if conn is not None:
+                conn.close()
+            proc.kill()
+            proc.join(1.0)
+            raise CampaignError(
+                f"worker {slot} failed to connect: {exc!r}") from exc
+        return conn
 
-    def _retire(self, w: _Worker, events: List[object]) -> None:
-        """Degradation-ladder rung: shrink the pool by one slot.
-
-        Workers are dying faster than the respawn budget tolerates —
-        instead of feeding an infinite respawn storm, this slot is
-        permanently removed and its undispatched work requeued.  The
-        budget then resets: each further ``degrade_after`` respawns
-        costs one more slot, until the pool collapses entirely.
-        """
-        w.retired = True
-        w.inflight.clear()
-        w.deadline = None
-        self._reclaim(w)
-        self._respawn_budget = self.degrade_after
-        events.append(SupervisionEvent(
-            "pool_shrink", {"degrade_after": self.degrade_after}))
+    def _next_unit(self) -> Optional[Tuple[int, ...]]:
+        """The next bucket, else the first single trial whose backoff
+        stamp has passed."""
+        if self._buckets:
+            return self._buckets.popleft()
+        now = time.monotonic()
+        # rotate trials still backing off to the back rather than
+        # busy-waiting on the first
+        for _ in range(len(self._queue)):
+            index = self._queue.popleft()
+            if self._not_before.get(index, 0.0) <= now:
+                return (index,)
+            self._queue.append(index)
+        return None
 
     def _dispatch(self, w: _Worker, events: List[object]) -> None:
-        """Top the worker up to the prefetch depth."""
-        if w.retired:
-            return
         if not w.proc.is_alive():
             if w.inflight:
-                return  # the liveness sweep re-attributes the head trial
-            if not self._work_remaining([w]):
+                return  # the liveness sweep attributes the head trial
+            if not (self._buckets or self._queue):
                 return
-            # died between trials (nothing in flight to re-attribute)
+            # died between trials (nothing in flight to attribute)
             self._respawn(w, events)
             if w.retired:
                 return
-        while len(w.inflight) < prefetch_depth():
-            index = self._next_index(w)
-            if index is None:
+        while len(w.inflight) < 2:
+            unit = self._next_unit()
+            if unit is None:
                 return
             try:
-                w.conn.send((index, self._jobs[index]))
-            except (BrokenPipeError, OSError):
-                # the pipe closing mid-dispatch means the worker died;
-                # the head trial was executing when it went down, so it
-                # must be attributed like a sweep-detected crash — else
-                # it retries silently, outside the max_retries budget
-                self._queue.appendleft(index)
-                head = w.inflight.popleft() if w.inflight else None
-                self._reclaim(w)
-                if head is not None:
-                    events.append(TrialDone(
-                        self._shard_of.get(head, 0), head, False,
-                        (FailureKind.WORKER_CRASH.value,
-                         f"worker died with exit code {w.proc.exitcode}"),
-                    ))
-                self._respawn(w, events)
+                w.conn.send(unit)
+            except OSError:
+                # the channel closing mid-dispatch means the worker
+                # died: the unit never started, the head was executing
+                self._buckets.appendleft(unit)
+                self._on_death(w, events, FailureKind.WORKER_CRASH)
                 return
-            w.inflight.append(index)
-            if len(w.inflight) == 1 and self.timeout is not None:
-                w.deadline = time.monotonic() + self.timeout + self.kill_grace
+            if not w.inflight:
+                self._arm(w)
+            w.inflight.extend(unit)
+
+    def _arm(self, w: _Worker) -> None:
+        """Start the watchdog clock of the worker's head trial."""
+        w.deadline = (time.monotonic() + self.timeout + self.kill_grace
+                      if self.timeout is not None else None)
+
+    def _drain(self, w: _Worker, events: List[object]) -> None:
+        """Deliver every result ready on the worker's channel."""
+        try:
+            while w.conn.poll(0):
+                index, ok, payload = w.conn.recv()
+                w.inflight.remove(index)  # the head, in practice: O(1)
+                # the worker moves straight on to its next trial
+                self._arm(w)
+                events.append(TrialDone(w.slot, index, ok, payload))
+        except (EOFError, OSError):
+            pass  # the worker is gone — the liveness sweep takes over
+
+    def _on_death(self, w: _Worker, events: List[object],
+                  kind: FailureKind) -> None:
+        """Charge the trial that was executing, requeue the rest, respawn.
+
+        Results still sitting in the channel are delivered first: a
+        worker that streamed trials N and N+1 and died starting N+2
+        within one tick is charged for N+2 only.  Trials behind the
+        head never started, so they return to the front of the bucket
+        queue, as one bucket, with no mark against their retry budget.
+        """
+        self._drain(w, events)
+        if w.inflight:
+            head = w.inflight.popleft()
+            if kind is FailureKind.TIMEOUT:
+                detail = (f"trial exceeded its {self.timeout}s wall-clock "
+                          f"watchdog; worker killed")
+                events.append(SupervisionEvent(
+                    "watchdog_kill",
+                    {"trial": head, "timeout_s": self.timeout}))
+            else:
+                detail = f"worker died with exit code {w.proc.exitcode}"
+            events.append(TrialDone(w.slot, head, False,
+                                    (kind.value, detail)))
+        if w.inflight:
+            self._buckets.appendleft(tuple(w.inflight))
+            w.inflight.clear()
+        self._respawn(w, events)
+
+    def _respawn(self, w: _Worker, events: List[object]) -> None:
+        """Replace a dead worker, or retire its slot.
+
+        Degradation-ladder rung: when workers die faster than the
+        respawn budget tolerates — or a replacement cannot connect —
+        the slot is permanently removed instead of feeding an infinite
+        respawn storm.  The budget then resets: each further
+        ``degrade_after`` respawns costs one more slot, until the fleet
+        collapses entirely.
+        """
+        w.conn.close()
+        w.deadline = None
+        self._respawn_budget -= 1
+        if self._respawn_budget > 0:
+            try:
+                fresh = self._spawn(w.slot, fresh=True)
+            except CampaignError:
+                pass
+            else:
+                w.proc, w.conn = fresh.proc, fresh.conn
+                events.append(SupervisionEvent("worker_respawn"))
+                return
+        w.retired = True
+        self._respawn_budget = self.degrade_after
+        events.append(SupervisionEvent(
+            "pool_shrink", {"degrade_after": self.degrade_after}))

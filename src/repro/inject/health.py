@@ -18,19 +18,17 @@ from typing import Dict, List
 class CampaignHealth:
     """Supervision summary of one campaign execution."""
 
-    #: worker processes actually used (1 = serial in-driver execution)
+    #: processes that ran trials (1 = serial in-driver execution; the
+    #: worker count on the pool, the shard count on the remote wire)
     effective_workers: int = 1
     #: workers the caller asked for (may exceed effective_workers for
     #: tiny campaigns, which run serially)
     requested_workers: int = 1
     #: execution backend that ran the campaign (serial / pool / remote)
     executor: str = "serial"
-    #: shards the campaign plan was partitioned into (1 for local
-    #: backends)
+    #: size of the fleet that ran it — the range of the journal's
+    #: ``shard`` tags (1 for serial)
     shards: int = 1
-    #: dead-worker shards handed to surviving workers (remote backend;
-    #: the reassigned trials carry no failure mark)
-    shard_reassignments: int = 0
     #: trial re-executions after a harness failure
     retries: int = 0
     #: trials that hit the per-trial wall-clock watchdog

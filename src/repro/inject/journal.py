@@ -17,12 +17,12 @@ length and a CRC-32 of the payload::
 
 so a reader can tell a record that was *written wrong* (torn write,
 bit rot, concurrent scribble) from one that was written correctly.
-Campaign *events* — degradation-ladder rungs, shard reassignments —
-use the same frame with an ``E`` tag; they are observability, not
-science: a missing or torn event line never makes a trial re-execute.
-Trials executed by a distributed backend carry their shard id in the
-payload (``shard``), so a merged journal records which worker daemon
-produced each trial; the field is ignored when re-deriving science.
+Campaign *events* — degradation-ladder rungs — use the same frame with
+an ``E`` tag; they are observability, not science: a missing or torn
+event line never makes a trial re-execute, and a kind this version no
+longer writes reads like any other.  Every trial carries the worker
+slot that ran it in the payload (``shard``; 0 in the driver); the field
+is ignored when re-deriving science.
 Recovery is always forward: a torn final line — the driver died
 mid-write — is truncated and its trial simply re-executes on resume; a
 corrupt interior record is dropped the same way.  Format-1 journals
@@ -240,7 +240,7 @@ class CampaignJournal:
             _write, token=f"journal:{index}", on_retry=_on_retry)
 
     def append_event(self, kind: str, **attrs) -> None:
-        """Record a campaign event (degradation rung, shard handoff).
+        """Record a campaign event (a degradation rung).
 
         Events are observability, not science: readers surface them in
         the recovery report, and a torn or missing event never causes a
@@ -388,7 +388,7 @@ def read_journal(path: Union[str, Path]) -> Tuple[dict, Dict[int, object]]:
 
 
 #: trial fields excluded from the science hash: wall-clock artefacts
-#: (timings), scheduling artefacts (retries, which shard/backend ran
+#: (timings), scheduling artefacts (retries, which worker slot ran
 #: the trial) and execution-strategy bookkeeping (pruning/forking
 #: cycles) — everything :func:`repro.inject.campaign.trial_results_equal`
 #: ignores, plus the harness retry count
@@ -403,11 +403,11 @@ def journal_science_hash(path: Union[str, Path]) -> str:
 
     Canonicalises every trial (sorted by index, JSON with sorted keys)
     after stripping the non-science fields, so a campaign journal
-    produced serially, by the local pool, or merged from N remote
-    shards — in any completion order, resumed any number of times —
-    hashes identically iff the trial outcomes are bit-identical.  The
-    CI distributed smoke asserts a 2-shard remote run against serial
-    with exactly this.
+    produced serially or by a worker fleet of any size on either wire
+    — in any completion order, resumed any number of times — hashes
+    identically iff the trial outcomes are bit-identical.  The CI
+    remote smoke asserts a 2-worker socket-wire run against serial with
+    exactly this.
     """
     from ..analysis.export import _trial_to_dict
 

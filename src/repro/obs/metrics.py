@@ -77,9 +77,7 @@ DESCRIPTIONS: Dict[str, str] = {
     "repro_campaign_wall_seconds": "Campaign wall-clock time, seconds.",
     "repro_effective_workers": "Worker processes the campaign actually used.",
     "repro_shard_trials_total":
-        "Completed trials by executor shard (distributed backends).",
-    "repro_shard_reassignments_total":
-        "Dead-worker shards handed to surviving workers.",
+        "Completed trials by the fleet worker slot that ran them.",
 }
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")

@@ -1,9 +1,8 @@
-"""The stable public surface: ``repro.__all__`` and deprecation shims.
+"""The stable public surface: ``repro.__all__``.
 
 Every supported symbol must be importable from the top level, carry a
 docstring, and be mentioned in the README — if it is public, it is
-documented.  Moved engine internals stay importable for one deprecation
-cycle through a module ``__getattr__`` that warns.
+documented.  Nothing else is kept importable from where it used to be.
 """
 
 from __future__ import annotations
@@ -115,22 +114,12 @@ class TestImportHygiene:
 
 
 class TestDeprecationShims:
-    """Engine internals that moved into repro.inject.executors."""
-
-    @pytest.mark.parametrize("name",
-                             ["_pool_worker", "_Worker", "_mp_context"])
-    def test_moved_internal_warns_but_resolves(self, name):
-        from repro.inject import engine
-        with pytest.warns(DeprecationWarning, match="moved"):
-            obj = getattr(engine, name)
-        assert obj is not None
+    """The engine's one-cycle re-exports of moved internals are gone."""
 
     def test_unknown_attribute_still_raises(self):
         from repro.inject import engine
-        with pytest.raises(AttributeError):
-            engine.no_such_thing
-
-    def test_static_reexports_do_not_warn(self, recwarn):
-        from repro.inject.engine import _PREFETCH, prefetch_depth  # noqa: F401
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
+        for name in ("no_such_thing", "_pool_worker", "_Worker",
+                     "_mp_context", "_PREFETCH", "prefetch_depth",
+                     "_KILL_GRACE"):
+            with pytest.raises(AttributeError):
+                getattr(engine, name)

@@ -7,7 +7,8 @@ import warnings
 import pytest
 
 from repro.core.settings import (
-    DEFAULT_PREFETCH,
+    DEFAULT_PREPARED_CACHE,
+    DEFAULT_SNAPSHOT_STRIDE,
     DEFAULT_TRIALS,
     Settings,
     current_settings,
@@ -34,10 +35,11 @@ def test_surface_is_the_remaining_knobs():
     import dataclasses
 
     names = {f.name for f in dataclasses.fields(Settings)}
-    assert len(names) == 20
+    assert len(names) == 18
     assert not names & {"lanes", "world_cache", "world_cache_pages",
                         "batch_by_snapshot", "tier2_cap", "fork_trials",
-                        "snapshot_limit", "page_words", "fuse"}
+                        "snapshot_limit", "page_words", "fuse",
+                        "prefetch", "shards"}
     # a deleted knob left in the environment is simply not read
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -45,7 +47,8 @@ def test_surface_is_the_remaining_knobs():
                          REPRO_BATCH_BY_SNAPSHOT="junk",
                          REPRO_TIER2_CAP="junk", REPRO_FORK_TRIALS="junk",
                          REPRO_SNAPSHOT_LIMIT="junk", REPRO_FUSE="junk",
-                         REPRO_PAGE_WORDS="junk") == Settings()
+                         REPRO_PAGE_WORDS="junk", REPRO_PREFETCH="junk",
+                         REPRO_SHARDS="junk") == Settings()
 
 
 def test_valid_values_parse():
@@ -71,20 +74,18 @@ def test_below_minimum_warns_for_strict_knobs():
 
 
 def test_clamping_knobs_clamp_silently():
-    """Prefetch/cache/stride knobs keep their historical floor-clamp."""
+    """Stride knobs keep their historical floor-clamp."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s = _settings(REPRO_PREFETCH=0,
-                      REPRO_SNAPSHOT_STRIDE=-1, REPRO_OBS_CML_STRIDE=-5)
-    assert s.prefetch == 1
+        s = _settings(REPRO_SNAPSHOT_STRIDE=-1, REPRO_OBS_CML_STRIDE=-5)
     assert s.snapshot_stride == 0
     assert s.obs_cml_stride == 0
 
 
 def test_clamping_knob_still_warns_on_junk():
-    with pytest.warns(UserWarning, match="REPRO_PREFETCH"):
-        s = _settings(REPRO_PREFETCH="junk")
-    assert s.prefetch == DEFAULT_PREFETCH
+    with pytest.warns(UserWarning, match="REPRO_SNAPSHOT_STRIDE"):
+        s = _settings(REPRO_SNAPSHOT_STRIDE="junk")
+    assert s.snapshot_stride == DEFAULT_SNAPSHOT_STRIDE
 
 
 def test_bad_choice_warns_and_falls_back():
@@ -101,10 +102,10 @@ def test_bad_float_warns():
 
 def test_blank_values_mean_unset():
     s = _settings(REPRO_TRIALS="  ", REPRO_ARTIFACT_DIR="",
-                  REPRO_PREFETCH="")
+                  REPRO_PREPARED_CACHE="")
     assert s.trials == DEFAULT_TRIALS
     assert s.artifact_dir is None
-    assert s.prefetch == DEFAULT_PREFETCH
+    assert s.prepared_cache == DEFAULT_PREPARED_CACHE
 
 
 def test_current_settings_rereads_environment(monkeypatch):
@@ -171,16 +172,13 @@ def test_call_sites_resolve_through_settings(monkeypatch):
     """The layers that used to read os.environ directly now agree with
     the schema (the point of the consolidation)."""
     from repro.inject.campaign import default_trials, default_workers
-    from repro.inject.engine import prefetch_depth
     from repro.vm.snapshot import default_snapshot_stride
 
     monkeypatch.setenv("REPRO_TRIALS", "33")
     monkeypatch.setenv("REPRO_WORKERS", "2")
-    monkeypatch.setenv("REPRO_PREFETCH", "5")
     monkeypatch.setenv("REPRO_SNAPSHOT_STRIDE", "512")
     assert default_trials(None) == 33
     assert default_workers(None) == 2
-    assert prefetch_depth() == 5
     assert default_snapshot_stride(None) == 512
     # explicit arguments still beat the environment
     assert default_trials(5) == 5

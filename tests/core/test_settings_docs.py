@@ -37,7 +37,8 @@ def test_deleted_knobs_are_not_documented(doc):
                     for k in ("REPRO_LANES", "REPRO_WORLD_CACHE",
                               "REPRO_BATCH_BY_SNAPSHOT", "REPRO_TIER2_CAP",
                               "REPRO_FORK_TRIALS", "REPRO_SNAPSHOT_LIMIT",
-                              "REPRO_PAGE_WORDS", "REPRO_FUSE")
+                              "REPRO_PAGE_WORDS", "REPRO_FUSE",
+                              "REPRO_PREFETCH", "REPRO_SHARDS")
                     if k in f.read_text()})
     assert not stale, f"{doc} still mentions: {stale}"
 

@@ -27,29 +27,7 @@ class TestCampaignIdentity:
                               artifact_dir=str(tmp_path))
         pooled = run_campaign("matvec", trials=16, mode="blackbox", seed=8,
                               workers=2, snapshot_stride=150,
-                              artifact_dir=str(tmp_path))
-        assert pooled.effective_workers == 2
-        for a, b in zip(serial.trials, pooled.trials):
-            assert trial_results_equal(a, b)
-
-    def test_prefetch_depth_env(self, monkeypatch):
-        from repro.inject.engine import _PREFETCH, prefetch_depth
-        assert prefetch_depth() == _PREFETCH
-        monkeypatch.setenv("REPRO_PREFETCH", "5")
-        assert prefetch_depth() == 5
-        monkeypatch.setenv("REPRO_PREFETCH", "0")
-        assert prefetch_depth() == 1  # clamped: the head must dispatch
-        monkeypatch.setenv("REPRO_PREFETCH", "junk")
-        with pytest.warns(UserWarning, match="REPRO_PREFETCH"):
-            assert prefetch_depth() == _PREFETCH
-
-    def test_single_depth_pool_is_bit_identical(self, monkeypatch):
-        serial = run_campaign("matvec", trials=16, mode="blackbox", seed=8,
-                              snapshot_stride=150)
-        campaign_mod._PREPARED_CACHE.clear()
-        monkeypatch.setenv("REPRO_PREFETCH", "1")
-        pooled = run_campaign("matvec", trials=16, mode="blackbox", seed=8,
-                              workers=2, snapshot_stride=150)
+                              executor="pool", artifact_dir=str(tmp_path))
         assert pooled.effective_workers == 2
         for a, b in zip(serial.trials, pooled.trials):
             assert trial_results_equal(a, b)
@@ -93,7 +71,7 @@ class TestStageTimings:
         # campaign (and trial) that entered them — a repeat of the same
         # campaign in the same process compiles nothing
         campaign_mod._PREPARED_CACHE.clear()
-        knobs = dict(trials=8, mode="blackbox", seed=3, workers=1)
+        knobs = dict(trials=8, mode="blackbox", seed=3, executor="serial")
         first = run_campaign("matvec", **knobs)
         again = run_campaign("matvec", **knobs)
         assert first.health.stage_timings["tier2_codegen"] > 0.0

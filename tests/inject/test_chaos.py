@@ -135,10 +135,14 @@ class TestChaosMonkeyUnit:
 
 # ----------------------------------------------------------------------
 class TestDegradationLadder:
+    #: the fleet wire the ladder runs on (the subclass below repeats it
+    #: on the socket)
+    wire = "pool"
+
     def test_pool_shrinks_then_serial_fallback(self, driver_pid):
         observer = CampaignObserver(ObserveConfig(events=False, cml=False))
         eng = CampaignEngine(workers=2, max_retries=10, degrade_after=1,
-                             executor="pool",
+                             executor=self.wire,
                              task_fn=_die_in_worker_task, observer=observer)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -165,7 +169,7 @@ class TestDegradationLadder:
         monkeypatch.setenv("REPRO_TEST_FLAG_DIR", str(tmp_path))
 
         eng = CampaignEngine(workers=2, max_retries=3, degrade_after=4,
-                             executor="pool", task_fn=_crash_once_task)
+                             executor=self.wire, task_fn=_crash_once_task)
         results, health = eng.run([(i, "x") for i in range(8)])
         assert [r.cycles for r in results] == list(range(8))
         assert health.worker_crashes == 1
@@ -199,6 +203,10 @@ class TestDegradationLadder:
     def test_degrade_after_validated(self):
         with pytest.raises(Exception):
             CampaignEngine(workers=1, degrade_after=0)
+
+
+class TestDegradationLadderOnTheSocketWire(TestDegradationLadder):
+    wire = "remote"
 
 
 def _crash_once_task(args):

@@ -8,9 +8,9 @@ run with the same seed.
 """
 
 import json
+import multiprocessing
 import os
 import time
-import warnings
 
 import pytest
 
@@ -19,6 +19,7 @@ from repro.errors import (
     CampaignError,
     FailureKind,
     JournalError,
+    RetryPolicy,
     TrialTimeoutError,
 )
 from repro.inject import (
@@ -33,8 +34,8 @@ from repro.inject import (
     run_campaign,
 )
 from repro.inject import campaign as campaign_mod
-from repro.inject import engine as engine_mod
 from repro.inject.campaign import TrialResult, harness_failure_trial
+from repro.inject.executors import local as local_mod
 from repro.apps import get_app
 
 
@@ -80,6 +81,31 @@ def _scripted_task(args):
     return _stub_trial(index)
 
 
+def _recording_task(args):
+    """``_scripted_task``, leaving ``pid index cached monotonic`` behind."""
+    with open(_flag("ran"), "a") as fh:
+        fh.write(f"{os.getpid()} {args[0]} "
+                 f"{int('sentinel' in campaign_mod._PREPARED_CACHE)} "
+                 f"{time.monotonic()}\n")
+    return _scripted_task(args)
+
+
+def _ran():
+    with open(_flag("ran")) as fh:
+        return [tuple(float(x) for x in line.split()) for line in fh]
+
+
+_REAL_CLIENT = local_mod.Client
+
+
+def _only_the_first_client_behaves(address, authkey):
+    if _take_flag("connected"):
+        return _REAL_CLIENT(address, authkey=authkey)
+    if os.environ["REPRO_TEST_BAD_CLIENT"] == "wrong-key":
+        return _REAL_CLIENT(address, authkey=b"not the key")
+    raise OSError("never connects")
+
+
 _REAL_RUN_TRIAL = campaign_mod._run_trial
 
 
@@ -104,6 +130,10 @@ def _jobs(spec):
 
 # ----------------------------------------------------------------------
 class TestEngineSupervision:
+    #: the fleet wire the supervised cases run on (the subclass below
+    #: repeats them on the socket)
+    wire = "pool"
+
     def test_serial_results_in_order(self, flag_dir):
         eng = CampaignEngine(workers=1, task_fn=_scripted_task)
         results, health = eng.run(_jobs(["ok"] * 5))
@@ -134,7 +164,7 @@ class TestEngineSupervision:
         assert health.trial_exceptions == 2  # initial + one retry
 
     def test_worker_crash_recovered(self, flag_dir):
-        eng = CampaignEngine(workers=2, max_retries=2, executor="pool",
+        eng = CampaignEngine(workers=2, max_retries=2, executor=self.wire,
                              task_fn=_scripted_task)
         results, health = eng.run(_jobs(["ok", "ok", "crash-once",
                                          "ok", "ok", "ok"]))
@@ -145,7 +175,7 @@ class TestEngineSupervision:
 
     def test_watchdog_kills_hung_trial(self, flag_dir):
         eng = CampaignEngine(workers=2, timeout=0.3, kill_grace=0.3,
-                             max_retries=2, executor="pool",
+                             max_retries=2, executor=self.wire,
                              task_fn=_scripted_task)
         start = time.monotonic()
         results, health = eng.run(_jobs(["ok", "hang-once", "ok", "ok"]))
@@ -155,7 +185,7 @@ class TestEngineSupervision:
         assert health.worker_respawns >= 1
 
     def test_pool_quarantines_repeat_crasher(self, flag_dir):
-        eng = CampaignEngine(workers=2, max_retries=1, executor="pool",
+        eng = CampaignEngine(workers=2, max_retries=1, executor=self.wire,
                              task_fn=_scripted_task)
         results, health = eng.run(
             _jobs(["ok", "always-crash", "ok", "ok"]),
@@ -168,7 +198,7 @@ class TestEngineSupervision:
         assert health.worker_respawns >= 2
 
     def test_harness_failures_never_silently_dropped(self, flag_dir):
-        eng = CampaignEngine(workers=1, max_retries=0,
+        eng = CampaignEngine(workers=2, max_retries=0, executor=self.wire,
                              task_fn=_scripted_task)
         results, health = eng.run(_jobs(["always-raise"] * 3))
         assert len(results) == 3
@@ -181,6 +211,64 @@ class TestEngineSupervision:
             CampaignEngine(workers=0)
         with pytest.raises(CampaignError):
             CampaignEngine(max_retries=-1)
+
+    def test_a_death_costs_only_the_trial_that_was_executing(
+            self, flag_dir, monkeypatch):
+        # slot 1 streams trials 5 and 6 and dies starting 7 inside one
+        # tick: the supervisor hears nothing until the remainder runs
+        real_wait, give_up = local_mod._conn_wait, time.monotonic() + 5
+
+        def deaf_until_8_runs(conns, timeout):
+            if any(row[1] == 8 for row in _ran()) \
+                    or time.monotonic() > give_up:
+                return real_wait(conns, timeout)
+            time.sleep(timeout)
+            return []
+
+        (flag_dir / "ran").touch()
+        monkeypatch.setattr(local_mod, "_conn_wait", deaf_until_8_runs)
+        monkeypatch.setitem(campaign_mod._PREPARED_CACHE, "sentinel", None)
+        eng = CampaignEngine(
+            workers=2, executor=self.wire, task_fn=_recording_task,
+            batches=[[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10, 11]],
+            retry_policy=RetryPolicy(base_delay=0.2, max_delay=0.2))
+        results, health = eng.run(
+            _jobs("crash-once" if i == 7 else "ok" for i in range(12)))
+        # 7 is the only trial charged; 5 and 6 are delivered, not re-run
+        assert health.worker_crashes == health.retries == 1
+        assert [r.retries for r in results] == [0] * 7 + [1] + [0] * 4
+        by_pid = {}
+        for pid, index, cached, at in _ran():
+            by_pid.setdefault(pid, []).append((index, cached, at))
+        # a bucket runs on one process in order, a process sees buckets
+        # in queue order, and the dead worker's remainder came back as
+        # one uncharged bucket — to a respawn with a cleared cache
+        assert sorted([(i, c) for i, c, _ in seq]
+                      for seq in by_pid.values()) == [
+            [(i, 1) for i in (0, 1, 2, 3, 4, 10, 11, 7)],
+            [(5, 1), (6, 1), (7, 1)], [(8, 0), (9, 0)]]
+        died, retried = sorted(at for seq in by_pid.values()
+                               for i, _, at in seq if i == 7)
+        assert retried - died >= 0.2, "retry ignored its backoff stamp"
+
+
+class TestEngineSupervisionOnTheSocketWire(TestEngineSupervision):
+    wire = "remote"
+
+
+@pytest.mark.parametrize("bad", ["wrong-key", "silent"])
+def test_socket_worker_failing_its_handshake_is_given_up(
+        bad, flag_dir, monkeypatch):
+    monkeypatch.setenv("REPRO_TEST_BAD_CLIENT", bad)
+    monkeypatch.setattr(local_mod, "Client",
+                        _only_the_first_client_behaves)
+    monkeypatch.setattr(local_mod, "HANDSHAKE_TIMEOUT", 0.5)
+    eng = CampaignEngine(workers=2, executor="remote",
+                         task_fn=_scripted_task)
+    with pytest.raises(CampaignError, match="worker 1 failed to connect"):
+        eng.run(_jobs(["ok"] * 4))
+    # the first worker did connect, and close() reaped it
+    assert not multiprocessing.active_children()
 
 
 class TestSoftWatchdog:
@@ -296,6 +384,25 @@ class TestEffectiveWorkers:
                          workers=2, executor="pool")
         assert c.effective_workers == 2
         assert c.health.wall_time_s > 0
+
+    @pytest.mark.parametrize("fleet", [{"executor": "pool", "workers": 2},
+                                       {"executor": "remote", "shards": 2}])
+    def test_fleet_size_is_reported_and_tags_every_trial(self, fleet,
+                                                         tmp_path):
+        from repro.analysis import render_health_summary
+
+        path = tmp_path / "c.jsonl"
+        c = run_campaign("matvec", trials=8, mode="blackbox", seed=1,
+                         journal=str(path), **fleet)
+        assert c.effective_workers == c.health.effective_workers == 2
+        assert c.health.shards == 2
+        assert "engine: 2 worker(s)," in render_health_summary(c.health)
+        tags = {json.loads(line.split(" ", 3)[3])["shard"]
+                for line in path.read_text().splitlines()[1:]}
+        assert tags <= {0, 1}
+        # a campaign saved while shards could be reassigned still loads
+        saved = dict(c.health.to_dict(), shard_reassignments=3)
+        assert CampaignHealth.from_dict(saved) == c.health
 
     def test_health_in_report(self):
         from repro.analysis import render_health_summary
@@ -458,7 +565,7 @@ class TestAcceptanceChaosCampaign:
     def test_chaotic_campaign_completes_and_reports(
         self, flag_dir, monkeypatch
     ):
-        monkeypatch.setattr(engine_mod, "_KILL_GRACE", 0.5)
+        monkeypatch.setattr(local_mod, "KILL_GRACE", 0.5)
         monkeypatch.setattr(campaign_mod, "_run_trial", _chaos_run_trial)
         chaotic = run_campaign("matvec", trials=10, mode="blackbox",
                                seed=77, workers=2, timeout=1.5,

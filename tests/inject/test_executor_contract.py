@@ -1,8 +1,8 @@
 """Backend conformance: every executor honours the same contract.
 
 One battery, three backends.  Whatever executes the trials — the
-in-driver serial loop, the supervised local pool, or the socket-fabric
-remote controller/worker split — the campaign must produce the same
+in-driver serial loop, or the supervised fleet on its pipe wire (pool)
+or its socket wire (remote) — the campaign must produce the same
 science:
 
 * **bit-identity** — trial records identical to the serial reference
@@ -102,13 +102,11 @@ class TestResolutionAndCapabilities:
 
     @pytest.mark.parametrize("name", EXECUTORS)
     def test_capabilities_shape(self, name):
-        ex = make_executor(name, workers=2, shards=2, degrade_after=4)
+        ex = make_executor(name, workers=2, degrade_after=4)
         caps = ex.capabilities()
         assert caps.name == name
         assert caps.in_driver == (name == "serial")
         assert caps.hard_watchdog == (name != "serial")
-        assert caps.distributed == (name == "remote")
-        assert caps.max_shards >= 1
 
 
 # ----------------------------------------------------------------------

@@ -267,7 +267,7 @@ class TestCampaignFork:
                               artifact_dir=str(tmp_path))
         pooled = run_campaign("matvec", trials=16, mode="fpm", seed=8,
                               workers=2, snapshot_stride=150,
-                              artifact_dir=str(tmp_path))
+                              executor="pool", artifact_dir=str(tmp_path))
         assert pooled.effective_workers == 2
         for a, b in zip(serial.trials, pooled.trials):
             assert trial_results_equal(a, b)
@@ -317,7 +317,7 @@ class TestCampaignFork:
         monkeypatch.setattr(campaign_mod, "trial_results_equal", flaky)
         with pytest.warns(UserWarning, match="running the trial cold"):
             c = run_campaign("matvec", trials=6, mode="fpm", seed=31,
-                             snapshot_stride=150, workers=1,
+                             snapshot_stride=150, executor="serial",
                              observe=ObserveConfig(events=False, cml=False))
         assert state["failed"], "no fork verify ever ran"
 
@@ -396,7 +396,7 @@ class TestCampaignFork:
         monkeypatch.setattr(GoldenCursor, "fork_run", boom)
         with pytest.warns(UserWarning, match="running the trial cold"):
             cold = run_campaign("matvec", trials=8, mode="fpm", seed=13,
-                                snapshot_stride=0, workers=1)
+                                snapshot_stride=0, executor="serial")
         for a, b in zip(baseline.trials, cold.trials):
             assert b.forked_at_cycle is None
             assert "fork_advance" not in b.stage_timings

@@ -309,6 +309,30 @@ class TestParentCommitJournal:
         assert header["golden"]["cycles"] == resumed.golden_cycles
         assert tuple(header["golden"]["inj_counts"]) == resumed.inj_counts
 
+    @pytest.mark.parametrize("executor", ["pool", "remote"])
+    def test_a_static_shard_era_journal_resumes_on_either_wire(
+            self, tmp_path, executor):
+        """``data/parent_e3a77f0_amg_remote.jsonl``: 16 trials of amg,
+        fpm, seed 5, on that commit's two statically planned remote
+        shards under chaos worker kills.  Its shard tags and its two
+        ``shard_reassigned`` events are read and ignored."""
+        from pathlib import Path
+
+        from repro.inject.engine import resume_campaign
+        from repro.inject.journal import journal_science_hash
+
+        parent = (Path(__file__).parent / "data"
+                  / "parent_e3a77f0_amg_remote.jsonl")
+        lines = parent.read_text().splitlines(keepends=True)
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("".join(lines[:10]))  # header, 8 trials, 1 event
+        assert sum("shard_reassigned" in line for line in lines[:10]) == 1
+        resumed = resume_campaign(cut, executor=executor, workers=2,
+                                  shards=2)
+        assert resumed.health.resumed_trials == 8
+        assert resumed.health.executor == executor
+        assert journal_science_hash(cut) == journal_science_hash(parent)
+
 
 def _restore_rung_header(header):
     """Recorded with ``--no-fork`` while that meant snapshot restore."""
