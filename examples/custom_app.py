@@ -3,14 +3,16 @@
 
 Writes a small distributed heat-diffusion solver in MiniHPC (the paper's
 framework is generic: "we seek a generic methodology that allows the user
-to study a larger set of applications"), wires it into the framework, and
+to study a larger set of applications"), opens a session on it, and
 runs the full analysis pipeline on it.
 
-Run:  python examples/custom_app.py
+Run:  python examples/custom_app.py [trials]
 """
 
-from repro import FaultPropagationFramework, RunConfig
-from repro.analysis import render_outcome_table
+import sys
+
+from repro import RunConfig, Session
+from repro.analysis import co_breakdown, render_outcome_table
 
 HEAT_SOURCE = """
 // 1-D explicit heat diffusion, block-decomposed, halo exchange per step.
@@ -72,29 +74,31 @@ func main(rank: int, size: int) {
 
 
 def main() -> None:
-    fw = FaultPropagationFramework.for_source(
+    trials = int(sys.argv[1]) if len(sys.argv) > 1 else 60
+
+    s = Session.from_source(
         HEAT_SOURCE,
         name="heat1d",
         config=RunConfig(nranks=4),
         tolerance=0.05,
     )
 
-    print("golden outputs per rank:", fw.golden_outputs())
+    print("golden outputs per rank:", s.golden().outputs)
 
-    campaign = fw.fpm_campaign(trials=60, seed=11)
+    campaign = s.campaign(trials=trials, seed=11)
     print("\noutcomes:")
     print(render_outcome_table({"heat1d": campaign.fractions()},
                                blackbox=False))
 
-    fps = fw.fps_factor(campaign)
+    fps = s.fps()
     print(f"\nFPS factor of the custom app: {fps.fps:.3e} CML/cycle")
 
-    bd = fw.co_breakdown(campaign)
+    bd = co_breakdown(s.app, campaign.outcomes())
     if bd.n_co:
         print(f"contaminated share of correct-output runs: "
               f"{100 * bd.ona_share:.0f}%")
 
-    coverage = fw.coverage(campaign)
+    coverage = s.coverage()
     print(f"injection uniformity: chi2 p-value = {coverage.p_value:.3f}")
 
 

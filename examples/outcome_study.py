@@ -13,20 +13,20 @@ Run:  python examples/outcome_study.py [app] [trials]
 
 import sys
 
-from repro import FaultPropagationFramework
-from repro.analysis import render_outcome_table
+from repro import run_campaign
+from repro.analysis import co_breakdown, render_outcome_table
+from repro.apps import get_app
 
 
 def main() -> None:
     app = sys.argv[1] if len(sys.argv) > 1 else "mcb"
     trials = int(sys.argv[2]) if len(sys.argv) > 2 else 80
 
-    fw = FaultPropagationFramework.for_app(app)
-    print(f"app: {app}  ({fw.spec.description})")
+    print(f"app: {app}  ({get_app(app).description})")
     print(f"running 2 x {trials} fault-injection trials...\n")
 
-    blackbox = fw.blackbox_campaign(trials=trials, seed=42)
-    fpm = fw.fpm_campaign(trials=trials, seed=42, keep_series=False)
+    blackbox = run_campaign(app, trials, mode="blackbox", seed=42)
+    fpm = run_campaign(app, trials, mode="fpm", seed=42)
 
     print("black-box (output-variation) classification — paper Sec. 4.2:")
     print(render_outcome_table({app: blackbox.fractions()}, blackbox=True))
@@ -34,7 +34,7 @@ def main() -> None:
     print("\nFPM (propagation-aware) classification — paper Sec. 4.3:")
     print(render_outcome_table({app: fpm.fractions()}, blackbox=False))
 
-    bd = fw.co_breakdown(fpm)
+    bd = co_breakdown(app, fpm.outcomes())
     print(f"\nthe contradiction: of {bd.n_co} runs the black-box analysis "
           f"calls 'correct output',")
     print(f"  {bd.n_ona} ({100 * bd.ona_share:.0f}%) actually finished with "

@@ -16,18 +16,18 @@ import sys
 
 import numpy as np
 
-from repro import FaultPropagationFramework
+from repro import Session
 from repro.analysis import render_series
-from repro.models import fit_profile
+from repro.models import CMLEstimator, fit_profile
 
 
 def main() -> None:
     app = sys.argv[1] if len(sys.argv) > 1 else "mcb"
     trials = int(sys.argv[2]) if len(sys.argv) > 2 else 80
 
-    fw = FaultPropagationFramework.for_app(app)
+    s = Session(app, mode="fpm", seed=7)
     print(f"running {trials} FPM trials on {app}...")
-    campaign = fw.fpm_campaign(trials=trials, seed=7)
+    campaign = s.campaign(trials=trials)
 
     # show one representative propagation profile
     best = max(
@@ -49,12 +49,12 @@ def main() -> None:
               f"(paper Eq. 1: CML(t) = a*t + b), R^2 = {fit.r2:.3f}")
 
     # Table 2 for this app
-    fps = fw.fps_factor(campaign)
+    fps = s.fps()
     print(f"\nFPS factor: {fps.fps:.3e} ± {fps.std:.1e} CML/cycle "
           f"(from {fps.n_trials} propagating trials)")
 
     # Eqs. 2-3: runtime estimation
-    est = fw.estimator(campaign)
+    est = CMLEstimator(fps)
     golden_cycles = campaign.golden_cycles
     t1, t2 = 0.25 * golden_cycles, 0.75 * golden_cycles
     window = est.estimate_window(t1, t2)

@@ -16,27 +16,24 @@ The package builds the paper's entire stack from scratch in Python:
   campaign driver, outcome classification, and the FPS propagation
   models of Sec. 5.
 
-Entry points: :class:`repro.Session` (the facade),
-:class:`repro.CampaignSpec` (one typed value for a whole campaign
-definition) and :class:`repro.core.FaultPropagationFramework` (the full
-driver).  Everything in ``__all__`` is the supported public surface;
+One entry point in two forms: :func:`repro.run_campaign` /
+:func:`repro.resume_campaign` define a campaign, :class:`repro.Session`
+holds one.  Everything in ``__all__`` is the supported public surface;
 anything else may move between releases.
 """
 
 from .api import Session
-from .core import FaultPropagationFramework, RunConfig, build_program, run_job
-from .core.spec import CampaignSpec
+from .core import RunConfig, build_program, run_job
 from .errors import ReproError
 from .inject.campaign import CampaignResult, run_campaign
 from .inject.engine import resume_campaign
 from .models import fit_cml_stream
 from .obs.observer import ObserveConfig
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
-    "CampaignResult", "CampaignSpec", "FaultPropagationFramework",
-    "ObserveConfig", "ReproError", "RunConfig", "Session", "__version__",
-    "build_program", "fit_cml_stream", "resume_campaign", "run_campaign",
-    "run_job",
+    "CampaignResult", "ObserveConfig", "ReproError", "RunConfig", "Session",
+    "__version__", "build_program", "fit_cml_stream", "resume_campaign",
+    "run_campaign", "run_job",
 ]

@@ -17,7 +17,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..inject.campaign import CampaignResult, TrialResult
 from ..inject.health import CampaignHealth
 from ..vm.machine import FaultSpec
 
@@ -76,6 +75,9 @@ def _trial_to_dict(t: TrialResult) -> dict:
 
 
 def _trial_from_dict(d: dict) -> TrialResult:
+    # lazy: inject.campaign imports this package (analysis.classify)
+    from ..inject.campaign import TrialResult
+
     t = TrialResult(
         outcome=d["outcome"],
         trap_kind=d.get("trap_kind"),
@@ -141,6 +143,8 @@ def campaign_from_json(text: str) -> CampaignResult:
     d = json.loads(text)
     if d.get("format") != _FORMAT_VERSION:
         raise ValueError(f"unsupported campaign format {d.get('format')!r}")
+    from ..inject.campaign import CampaignResult
+
     return CampaignResult(
         app_name=d["app_name"],
         mode=d["mode"],

@@ -1,7 +1,9 @@
 """The one-import surface: ``repro.Session``.
 
-Everything a study needs — golden profiling, fault-injection campaigns,
-resume, observability, FPS model fitting — through one object::
+:func:`repro.run_campaign` *defines* a campaign — its signature is the
+only place the knobs are spelled out.  A ``Session`` *holds* one: the
+app, the analysis mode, the prepared golden state and the last result,
+so a study reads as a few method calls::
 
     import repro
 
@@ -9,54 +11,18 @@ resume, observability, FPS model fitting — through one object::
     golden = s.golden()
     result = s.campaign(trials=200, workers=4, observe="on")
     fps = s.fps()                       # Table 2, from the last campaign
-
-The facade delegates to the long-standing call paths
-(:class:`~repro.core.FaultPropagationFramework`,
-:func:`~repro.inject.campaign.run_campaign`,
-:func:`~repro.inject.engine.resume_campaign`) — those remain public and
-unchanged; ``Session`` only packages them and normalises historical
-keyword spellings (``n_trials``/``n_workers``/``wall_timeout``), which
-still work but raise :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Optional, Union
+from typing import Optional
 
-from .core.framework import FaultPropagationFramework
 from .errors import CampaignError
-from .inject.campaign import CampaignResult
-from .models.fps import FPSResult
-
-_MODES = ("blackbox", "fpm", "taint")
-
-#: historical keyword spellings and their current names; accepted
-#: everywhere the current name is, with a DeprecationWarning
-_RENAMED_KWARGS = {
-    "n_trials": "trials",
-    "n_workers": "workers",
-    "wall_timeout": "timeout",
-}
-
-
-def _modernise(kwargs: dict) -> dict:
-    """Map deprecated kwarg spellings onto their current names."""
-    out = dict(kwargs)
-    for old, new in _RENAMED_KWARGS.items():
-        if old not in out:
-            continue
-        warnings.warn(
-            f"keyword {old!r} is deprecated, use {new!r}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if new in out and out[new] is not None:
-            raise CampaignError(
-                f"both {old!r} and {new!r} given; use only {new!r}"
-            )
-        out[new] = out.pop(old)
-    return out
+from .inject.campaign import (
+    CampaignResult, _prepared, check_target, run_campaign,
+)
+from .inject.engine import resume_campaign
+from .inject.journal import read_journal_header
 
 
 class Session:
@@ -65,112 +31,91 @@ class Session:
     ``mode`` is ``"blackbox"`` (output-variation analysis, paper
     Sec. 4.2), ``"fpm"`` (dual-chain propagation analysis, Sec. 4.3) or
     ``"taint"``.  ``params`` forwards application build parameters
-    (problem sizes etc.).  The session caches prepared state between
+    (problem sizes etc.).  The session keeps its prepared app between
     calls — a second campaign skips golden re-profiling — and remembers
-    its last campaign so :meth:`fps` needs no argument.
+    its last campaign so :meth:`fps` and :meth:`coverage` need no
+    argument.
     """
 
     def __init__(self, app: str, *, mode: str = "fpm",
                  params: Optional[dict] = None, seed: int = 2025,
                  artifact_dir: Optional[str] = None) -> None:
-        if mode not in _MODES:
-            raise CampaignError(
-                f"unknown mode {mode!r}; expected one of {_MODES}"
-            )
+        check_target(app, mode)
+        self.app = app
         self.mode = mode
+        self.params = dict(params or {})
         self.seed = seed
         self.artifact_dir = artifact_dir
-        self.framework = FaultPropagationFramework(
-            app, params, artifact_dir=artifact_dir)
-        #: the most recent campaign (run or resumed), for :meth:`fps`
+        self._pa = None
+        #: the most recent campaign (run or resumed)
         self.last_campaign: Optional[CampaignResult] = None
 
-    @property
-    def app(self) -> str:
-        return self.framework.app_name
+    @classmethod
+    def from_source(cls, source: str, name: str = "custom", *,
+                    config=None, tolerance: float = 0.05,
+                    abs_tolerance: float = 1e-6, **session) -> "Session":
+        """A session on your own MiniHPC program.
+
+        Registers ``source`` as the app ``name`` (``config`` is its
+        :class:`~repro.RunConfig`; the tolerances decide when outputs
+        count as correct) and opens a session on it; ``session``
+        forwards to the constructor.
+        """
+        from .apps.registry import APP_BUILDERS, AppSpec, register_app
+        from .core.config import RunConfig
+
+        spec = AppSpec(
+            name=name, source=source, config=config or RunConfig(),
+            tolerance=tolerance, abs_tolerance=abs_tolerance,
+            description="user-provided MiniHPC program",
+        )
+        if name not in APP_BUILDERS:
+            register_app(name)(lambda _spec=spec: _spec)
+        return cls(name, **session)
 
     # ------------------------------------------------------------------
     def golden(self):
-        """The app's golden (fault-free) profile in this session's mode."""
-        return self.framework.prepared(self.mode).golden
+        """The app's golden (fault-free) profile in this session's mode.
 
-    def campaign(self, trials: Optional[int] = None, *,
-                 spec=None,
-                 workers: Optional[int] = None,
-                 observe=None, seed: Optional[int] = None,
-                 **kwargs) -> CampaignResult:
+        Resolved through the process-wide prepared cache campaigns use,
+        so ``golden()`` followed by a campaign prepares once; the
+        session's own reference outlives that bounded cache's
+        evictions."""
+        if self._pa is None:
+            self._pa = _prepared(
+                self.app, tuple(sorted(self.params.items())), self.mode,
+                artifact_dir=self.artifact_dir)
+        return self._pa.golden
+
+    def campaign(self, trials: Optional[int] = None,
+                 **knobs) -> CampaignResult:
         """Run a fault-injection campaign in this session's mode.
 
-        Forwards to :meth:`FaultPropagationFramework.fpm_campaign` /
-        :meth:`~FaultPropagationFramework.blackbox_campaign` (taint mode
-        goes straight to :func:`~repro.inject.campaign.run_campaign`);
-        every keyword those accept passes through.  ``observe`` follows
-        :func:`~repro.inject.campaign.run_campaign`.
-
-        Alternatively pass ``spec=``, a
-        :class:`~repro.core.spec.CampaignSpec` carrying the whole
-        campaign definition — it must name this session's app, and no
-        other keyword may accompany it.
+        ``knobs`` are :func:`repro.run_campaign`'s keywords.  ``seed``
+        and ``artifact_dir`` default to the session's, and
+        ``keep_series`` to True in fpm mode so :meth:`fps` can fit the
+        result.
         """
-        if spec is not None:
-            from .core.spec import CampaignSpec
-            from .inject.campaign import run_campaign
-            if not isinstance(spec, CampaignSpec):
-                raise CampaignError(
-                    f"spec must be a CampaignSpec, got {type(spec).__name__}")
-            if trials is not None or workers is not None \
-                    or observe is not None or seed is not None or kwargs:
-                raise CampaignError(
-                    "pass either spec= or keyword arguments, not both")
-            if spec.app != self.app:
-                raise CampaignError(
-                    f"spec is for app {spec.app!r}, but this session is "
-                    f"{self.app!r}")
-            if spec.mode != self.mode:
-                raise CampaignError(
-                    f"spec mode {spec.mode!r} does not match this "
-                    f"session's mode {self.mode!r}")
-            result = run_campaign(spec)
-            self.last_campaign = result
-            return result
-        kwargs = _modernise(kwargs)
-        for name, given in (("trials", trials), ("workers", workers)):
-            if name in kwargs:
-                if given is not None:
-                    raise CampaignError(
-                        f"both {name!r} and a deprecated spelling of it "
-                        f"given; use only {name!r}"
-                    )
-        trials = kwargs.pop("trials", trials)
-        workers = kwargs.pop("workers", workers)
-        seed = self.seed if seed is None else seed
-        if self.mode == "blackbox":
-            result = self.framework.blackbox_campaign(
-                trials, seed=seed, workers=workers, observe=observe,
-                artifact_dir=kwargs.pop("artifact_dir", self.artifact_dir),
-                **kwargs)
-        elif self.mode == "fpm":
-            result = self.framework.fpm_campaign(
-                trials, seed=seed, workers=workers, observe=observe,
-                artifact_dir=kwargs.pop("artifact_dir", self.artifact_dir),
-                **kwargs)
-        else:
-            from .inject.campaign import run_campaign
-            result = run_campaign(
-                self.app, trials, mode=self.mode, seed=seed,
-                workers=workers, observe=observe,
-                params=self.framework.params,
-                artifact_dir=kwargs.pop("artifact_dir", self.artifact_dir),
-                **kwargs)
-        self.last_campaign = result
-        return result
+        knobs.setdefault("seed", self.seed)
+        knobs.setdefault("artifact_dir", self.artifact_dir)
+        knobs.setdefault("keep_series", self.mode == "fpm")
+        self.last_campaign = run_campaign(
+            self.app, trials, mode=self.mode, params=self.params, **knobs)
+        return self.last_campaign
 
-    def resume(self, journal: str, **kwargs) -> CampaignResult:
-        """Finish an interrupted journaled campaign of this app."""
-        kwargs = _modernise(kwargs)
-        result = self.framework.resume_campaign(journal, **kwargs)
-        self.last_campaign = result
-        return result
+    def resume(self, journal: str, **knobs) -> CampaignResult:
+        """Finish an interrupted journaled campaign of this app and mode.
+
+        ``knobs`` are :func:`repro.resume_campaign`'s keywords.
+        """
+        header = read_journal_header(journal)
+        for key, mine in (("app_name", self.app), ("mode", self.mode)):
+            if header.get(key) != mine:
+                raise CampaignError(
+                    f"journal {journal} records {key} "
+                    f"{header.get(key)!r}; this session's is {mine!r}")
+        self.last_campaign = resume_campaign(journal, **knobs)
+        return self.last_campaign
 
     @property
     def health(self):
@@ -194,16 +139,40 @@ class Session:
         health = self.health
         return list(health.degradation_events) if health is not None else []
 
-    def fps(self, campaign: Optional[CampaignResult] = None) -> FPSResult:
-        """Fault propagation speed (Table 2) from an FPM campaign.
-
-        Defaults to this session's most recent campaign.
-        """
+    # ------------------------------------------------------------------
+    def _campaign_or_last(self, campaign) -> CampaignResult:
         if campaign is None:
             campaign = self.last_campaign
         if campaign is None:
             raise CampaignError(
-                "no campaign to fit; run session.campaign() first or pass "
-                "one explicitly"
+                "no campaign to analyse; run session.campaign() first or "
+                "pass one explicitly"
             )
-        return self.framework.fps_factor(campaign)
+        return campaign
+
+    def coverage(self, campaign: Optional[CampaignResult] = None,
+                 n_bins: int = 500):
+        """Fig. 5: are the injections uniform over execution time?
+
+        A :class:`~repro.analysis.uniformity.UniformityReport` of a
+        campaign's (default: the most recent one's) injection cycles.
+        """
+        from .analysis.uniformity import coverage_histogram
+
+        campaign = self._campaign_or_last(campaign)
+        times = [c for t in campaign.trials for c in t.injected_cycles]
+        return coverage_histogram(times, n_bins=n_bins,
+                                  t_max=float(campaign.golden_cycles))
+
+    def fps(self, campaign: Optional[CampaignResult] = None):
+        """Fault propagation speed (Table 2) from an FPM campaign.
+
+        A :class:`~repro.models.fps.FPSResult`; defaults to this
+        session's most recent campaign.
+        """
+        from .models.fps import compute_fps
+
+        campaign = self._campaign_or_last(campaign)
+        if campaign.mode != "fpm":
+            raise CampaignError("FPS needs an FPM-mode campaign")
+        return compute_fps(self.app, campaign.trials)

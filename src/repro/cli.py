@@ -14,19 +14,24 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from . import __version__
 from .analysis import (
+    co_breakdown,
     render_fps_table,
     render_health_summary,
     render_outcome_table,
 )
+from .api import Session
 from .errors import CampaignError
 from .apps import app_names, get_app
-from .core.framework import FaultPropagationFramework
 from .frontend import compile_source
-from .inject.profiler import PreparedApp
+from .inject.campaign import MODES
+from .inject.engine import resume_campaign
+from .inject.executors import EXECUTOR_NAMES
+from .inject.journal import read_journal_header
 from .ir import format_module
 from .passes import pipeline_for_mode, run_passes
 
@@ -38,8 +43,7 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=2025)
     p.add_argument("--workers", type=int, default=None,
                    help="process parallelism (default REPRO_WORKERS/1)")
-    p.add_argument("--executor", choices=("serial", "pool", "remote"),
-                   default=None,
+    p.add_argument("--executor", choices=EXECUTOR_NAMES, default=None,
                    help="execution backend: serial (in-driver), or the "
                         "supervised worker fleet over pipes (pool) or "
                         "over authenticated localhost sockets (remote); "
@@ -98,15 +102,25 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
                         "(default REPRO_CHAOS_SEED/0; requires --chaos)")
 
 
-def _observe_from_args(args):
-    """Build an ObserveConfig from --trace/--metrics-out (None = defer
-    to REPRO_OBS_TRACE / REPRO_OBS_METRICS)."""
-    trace = getattr(args, "trace", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    if trace is None and metrics_out is None:
-        return None
-    from .obs import ObserveConfig
-    return ObserveConfig.resolve(True).with_outputs(trace, metrics_out)
+def _campaign_kwargs(args) -> dict:
+    """The flags of :func:`_add_campaign_args` as ``run_campaign``
+    keywords — the one place a campaign flag is read."""
+    observe = None  # defer to REPRO_OBS_TRACE / REPRO_OBS_METRICS
+    if args.trace is not None or args.metrics_out is not None:
+        from .obs import ObserveConfig
+        observe = ObserveConfig.resolve(True).with_outputs(
+            args.trace, args.metrics_out)
+    return dict(
+        trials=args.trials, seed=args.seed, workers=args.workers,
+        n_faults=args.faults, timeout=args.timeout,
+        max_retries=args.max_retries,
+        snapshot_stride=args.snapshot_stride,
+        artifact_dir=args.artifact_dir, observe=observe,
+        prune=False if args.no_prune else None,
+        fork=False if args.no_fork else None,
+        tier2=False if args.no_tier2 else None,
+        executor=args.executor, shards=args.shards,
+    )
 
 
 def _save_results(c, args) -> None:
@@ -132,18 +146,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("golden", help="run the fault-free reference")
     p.add_argument("app")
-    p.add_argument("--mode", choices=("blackbox", "fpm", "taint"),
-                   default="blackbox")
+    p.add_argument("--mode", choices=MODES, default="blackbox")
 
     p = sub.add_parser("campaign", help="run a fault-injection campaign")
     _add_campaign_args(p)
-    p.add_argument("--mode", choices=("blackbox", "fpm", "taint"),
-                   default="fpm")
+    p.add_argument("--mode", choices=MODES, default=None,
+                   help="analysis mode (default fpm; with --resume, the "
+                        "journal's, and naming another is an error)")
     p.add_argument("--journal", metavar="PATH",
                    help="checkpoint completed trials to a JSONL journal "
                         "(resumable with --resume)")
     p.add_argument("--resume", metavar="JOURNAL",
-                   help="finish an interrupted journaled campaign "
+                   help="finish an interrupted journaled campaign of APP "
                         "(ignores --trials/--seed; they come from the "
                         "journal header)")
 
@@ -157,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="dump instrumented IR")
     p.add_argument("app")
-    p.add_argument("--mode", choices=("blackbox", "fpm", "taint"),
-                   default="fpm")
+    p.add_argument("--mode", choices=MODES, default="fpm")
     return parser
 
 
@@ -170,8 +183,7 @@ def cmd_apps() -> int:
 
 
 def cmd_golden(args) -> int:
-    pa = PreparedApp(get_app(args.app), args.mode)
-    g = pa.golden
+    g = Session(args.app, mode=args.mode).golden()
     print(f"app: {args.app} ({args.mode})")
     print(f"  cycles: {g.cycles}   iterations: {g.iterations}")
     print(f"  injectable dynamic sites per rank: {list(g.inj_counts)}")
@@ -183,39 +195,22 @@ def cmd_golden(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    fw = FaultPropagationFramework.for_app(args.app)
-    observe = _observe_from_args(args)
-    if getattr(args, "resume", None):
-        c = fw.resume_campaign(args.resume, workers=args.workers,
-                               timeout=args.timeout,
-                               max_retries=args.max_retries,
-                               artifact_dir=args.artifact_dir,
-                               observe=observe,
-                               executor=args.executor,
-                               shards=args.shards)
-        mode = c.mode
+    knobs = _campaign_kwargs(args)
+    if args.resume:
+        s = Session(args.app, mode=args.mode
+                    or read_journal_header(args.resume).get("mode", "fpm"))
+        accepted = inspect.signature(resume_campaign).parameters
+        c = s.resume(args.resume, **{k: v for k, v in knobs.items()
+                                     if k in accepted})
     else:
-        mode = args.mode
-        from .inject import run_campaign
-        c = run_campaign(args.app, args.trials, mode=mode,
-                         seed=args.seed, workers=args.workers,
-                         n_faults=args.faults, timeout=args.timeout,
-                         max_retries=args.max_retries,
-                         journal=getattr(args, "journal", None),
-                         snapshot_stride=args.snapshot_stride,
-                         artifact_dir=args.artifact_dir,
-                         observe=observe,
-                         prune=False if args.no_prune else None,
-                         fork=False if args.no_fork else None,
-                         tier2=False if args.no_tier2 else None,
-                         executor=args.executor,
-                         shards=args.shards)
+        s = Session(args.app, mode=args.mode or "fpm")
+        c = s.campaign(journal=args.journal, **knobs)
     print(f"{c.n_trials} trials, mode={c.mode}, "
           f"{c.n_faults} fault(s)/run")
     print(render_outcome_table({args.app: c.fractions()},
-                               blackbox=(mode == "blackbox")))
-    if mode == "fpm":
-        bd = fw.co_breakdown(c)
+                               blackbox=(c.mode == "blackbox")))
+    if c.mode == "fpm":
+        bd = co_breakdown(args.app, c.outcomes())
         if bd is not None and bd.n_co:
             print(f"\nONA share of correct-output runs: "
                   f"{100 * bd.ona_share:.1f}%")
@@ -231,21 +226,12 @@ def cmd_campaign(args) -> int:
 
 def cmd_sites(args) -> int:
     from .analysis import render_site_ranking, site_vulnerability
-    from .inject import run_campaign
     from .inject.campaign import _prepared
 
-    c = run_campaign(args.app, args.trials, mode="fpm", seed=args.seed,
-                     workers=args.workers, n_faults=args.faults,
-                     timeout=args.timeout, max_retries=args.max_retries,
-                     snapshot_stride=args.snapshot_stride,
-                     artifact_dir=args.artifact_dir,
-                     observe=_observe_from_args(args),
-                     prune=False if args.no_prune else None,
-                     fork=False if args.no_fork else None,
-                     tier2=False if args.no_tier2 else None,
-                     executor=args.executor, shards=args.shards)
-    pa = _prepared(args.app, (), "fpm", args.snapshot_stride,
-                   args.artifact_dir)
+    knobs = _campaign_kwargs(args)
+    c = Session(args.app, mode="fpm").campaign(**knobs)
+    pa = _prepared(args.app, (), "fpm", knobs["snapshot_stride"],
+                   knobs["artifact_dir"])
     ranking = site_vulnerability(c, pa.program.site_table, by=args.by)
     print(f"most vulnerable sites of {args.app} by {args.by} "
           f"({c.n_trials} trials):")
@@ -255,22 +241,14 @@ def cmd_sites(args) -> int:
 
 
 def cmd_fps(args) -> int:
-    fw = FaultPropagationFramework.for_app(args.app)
-    c = fw.fpm_campaign(trials=args.trials, seed=args.seed,
-                        workers=args.workers, n_faults=args.faults,
-                        timeout=args.timeout, max_retries=args.max_retries,
-                        snapshot_stride=args.snapshot_stride,
-                        artifact_dir=args.artifact_dir,
-                        observe=_observe_from_args(args),
-                        prune=False if args.no_prune else None,
-                        fork=False if args.no_fork else None,
-                        tier2=False if args.no_tier2 else None,
-                        executor=args.executor, shards=args.shards)
-    fps = fw.fps_factor(c)
+    from .models import CMLEstimator
+
+    s = Session(args.app, mode="fpm")
+    c = s.campaign(**_campaign_kwargs(args))
+    fps = s.fps()
     print(render_fps_table([fps]))
-    est = fw.estimator(c)
     horizon = c.golden_cycles
-    w = est.estimate_window(0, horizon)
+    w = CMLEstimator(fps).estimate_window(0, horizon)
     print(f"\nCML bound over a full run ({horizon} cycles): "
           f"max {w.max_cml:.1f}, avg {w.avg_cml:.1f}")
     _save_results(c, args)

@@ -1,9 +1,6 @@
-"""Core orchestration: run configuration, job runner, public framework."""
+"""Core orchestration: run configuration, settings and the job runner."""
 
 from .config import RunConfig
-from .framework import FaultPropagationFramework
 from .runner import build_program, run_job
 
-__all__ = [
-    "FaultPropagationFramework", "RunConfig", "build_program", "run_job",
-]
+__all__ = ["RunConfig", "build_program", "run_job"]

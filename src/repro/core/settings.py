@@ -23,12 +23,9 @@ from typing import Mapping, Optional
 #: ``repro --help`` text describe these)
 DEFAULT_TRIALS = 120
 DEFAULT_WORKERS = 1
-DEFAULT_PREPARED_CACHE = 8
 DEFAULT_SNAPSHOT_STRIDE = 2048
-DEFAULT_OBS_CML_STRIDE = 0
 DEFAULT_RETRY_BASE_DELAY = 0.05
 DEFAULT_RETRY_MAX_DELAY = 2.0
-DEFAULT_RETRY_MAX_ATTEMPTS = 4
 DEFAULT_CHAOS_SEED = 0
 
 _VERIFY_MODES = ("off", "first", "all")
@@ -55,8 +52,8 @@ def _parse_int(env: Mapping[str, str], name: str, default: int,
         _warn(name, raw, "not an integer", default)
         return default
     if value < minimum:
-        # clamping knobs (cache sizes, strides) keep their historical
-        # "silently raise to the floor" behaviour
+        # the stride knob keeps its historical "silently raise to the
+        # floor" behaviour
         if clamp:
             return minimum
         _warn(name, raw, f"must be >= {minimum}", default)
@@ -136,9 +133,6 @@ class Settings:
     #: REPRO_EXECUTOR — execution backend: serial | pool | remote
     #: (unset = auto: serial for one worker, pool for more)
     executor: Optional[str] = None
-    # -- caches and throughput -----------------------------------------
-    #: REPRO_PREPARED_CACHE — prepared apps kept per process (LRU)
-    prepared_cache: int = DEFAULT_PREPARED_CACHE
     #: REPRO_ARTIFACT_DIR — shared golden-artifact directory (None = off)
     artifact_dir: Optional[str] = None
     # -- trial positioning and execution tiers --------------------------
@@ -156,8 +150,6 @@ class Settings:
     retry_base_delay: float = DEFAULT_RETRY_BASE_DELAY
     #: REPRO_RETRY_MAX_DELAY — backoff ceiling, seconds
     retry_max_delay: float = DEFAULT_RETRY_MAX_DELAY
-    #: REPRO_RETRY_MAX_ATTEMPTS — retries of one transient IO failure
-    retry_max_attempts: int = DEFAULT_RETRY_MAX_ATTEMPTS
     # -- chaos (harness-fault injection) --------------------------------
     #: REPRO_CHAOS — inject faults into the harness itself (testing)
     chaos: bool = False
@@ -168,9 +160,6 @@ class Settings:
     obs_trace: Optional[str] = None
     #: REPRO_OBS_METRICS — default Prometheus-text output path
     obs_metrics: Optional[str] = None
-    #: REPRO_OBS_CML_STRIDE — min cycle gap between CML stream samples
-    #: (0 keeps every scheduler sample)
-    obs_cml_stride: int = DEFAULT_OBS_CML_STRIDE
 
     @classmethod
     def from_env(cls, env: Optional[Mapping[str, str]] = None) -> "Settings":
@@ -183,8 +172,6 @@ class Settings:
             trial_timeout=_parse_float(env, "REPRO_TRIAL_TIMEOUT", None),
             executor=_parse_opt_choice(
                 env, "REPRO_EXECUTOR", _EXECUTOR_NAMES),
-            prepared_cache=_parse_int(
-                env, "REPRO_PREPARED_CACHE", DEFAULT_PREPARED_CACHE),
             artifact_dir=_parse_str(env, "REPRO_ARTIFACT_DIR"),
             snapshot_stride=_parse_int(
                 env, "REPRO_SNAPSHOT_STRIDE", DEFAULT_SNAPSHOT_STRIDE,
@@ -199,17 +186,11 @@ class Settings:
             retry_max_delay=_parse_float(
                 env, "REPRO_RETRY_MAX_DELAY", DEFAULT_RETRY_MAX_DELAY,
                 allow_zero=True),
-            retry_max_attempts=_parse_int(
-                env, "REPRO_RETRY_MAX_ATTEMPTS", DEFAULT_RETRY_MAX_ATTEMPTS,
-                minimum=0),
             chaos=_parse_bool(env, "REPRO_CHAOS", False),
             chaos_seed=_parse_int(
                 env, "REPRO_CHAOS_SEED", DEFAULT_CHAOS_SEED, minimum=0),
             obs_trace=_parse_str(env, "REPRO_OBS_TRACE"),
             obs_metrics=_parse_str(env, "REPRO_OBS_METRICS"),
-            obs_cml_stride=_parse_int(
-                env, "REPRO_OBS_CML_STRIDE", DEFAULT_OBS_CML_STRIDE,
-                minimum=0, clamp=True),
         )
 
     def to_dict(self) -> dict:

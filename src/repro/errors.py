@@ -209,14 +209,13 @@ class RetryPolicy:
 
     @classmethod
     def from_settings(cls, seed: int = 0) -> "RetryPolicy":
-        """Build from REPRO_RETRY_BASE_DELAY / _MAX_DELAY / _MAX_ATTEMPTS."""
+        """Build from REPRO_RETRY_BASE_DELAY / REPRO_RETRY_MAX_DELAY."""
         from .core.settings import current_settings
 
         s = current_settings()
         return cls(
             base_delay=s.retry_base_delay,
             max_delay=s.retry_max_delay,
-            max_attempts=s.retry_max_attempts,
             seed=seed,
         )
 

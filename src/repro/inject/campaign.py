@@ -27,7 +27,7 @@ from typing import (
 import numpy as np
 
 from ..analysis.classify import Outcome, classify, outcome_fractions, outputs_match
-from ..apps.registry import AppSpec, get_app
+from ..apps.registry import APP_BUILDERS, get_app
 from ..core.runner import run_job
 from ..core.settings import current_settings
 from ..errors import (
@@ -186,6 +186,7 @@ class CampaignResult:
 #: (app, params, mode) keys over a large campaign suite; an unbounded
 #: dict slowly eats the worker's memory.  Respawned workers start empty.
 _PREPARED_CACHE: "OrderedDict[tuple, PreparedApp]" = OrderedDict()
+_PREPARED_LIMIT = 8
 
 
 def _prepared(app_name: str, params: tuple, mode: str,
@@ -202,8 +203,7 @@ def _prepared(app_name: str, params: tuple, mode: str,
         pa = PreparedApp(get_app(app_name, **dict(params)), mode,
                          snapshot_stride=stride, artifact_dir=artifact_dir)
         _PREPARED_CACHE[key] = pa
-        limit = current_settings().prepared_cache
-        while len(_PREPARED_CACHE) > limit:
+        while len(_PREPARED_CACHE) > _PREPARED_LIMIT:
             _PREPARED_CACHE.popitem(last=False)
     else:
         _PREPARED_CACHE.move_to_end(key)
@@ -477,6 +477,30 @@ def _execute_trial(job: TrialJob, stream) -> TrialResult:
 # Driver
 # ----------------------------------------------------------------------
 
+#: analysis modes: output variation (paper Sec. 4.2), dual-chain
+#: propagation (Sec. 4.3) and the naive-taint ablation
+MODES = ("blackbox", "fpm", "taint")
+
+#: the campaign definition: what :func:`run_campaign` resolves its
+#: arguments into, a journal header records, and a resume requires
+DEFINITION_KEYS = (
+    "app_name", "mode", "n_faults", "seed", "n_trials", "keep_series",
+    "rank", "bit", "params", "timeout", "snapshot_stride", "artifact_dir",
+    "prune", "fork", "tier2",
+)
+
+
+def check_target(app: str, mode: str) -> None:
+    """Reject an unregistered app or an unknown analysis mode."""
+    if app not in APP_BUILDERS:
+        raise CampaignError(
+            f"unknown app {app!r}; known apps: "
+            f"{', '.join(sorted(APP_BUILDERS))}")
+    if mode not in MODES:
+        raise CampaignError(
+            f"unknown mode {mode!r}; expected one of {MODES}")
+
+
 def default_trials(requested: Optional[int] = None) -> int:
     """Trial count: explicit argument, else REPRO_TRIALS env, else 120."""
     if requested is not None:
@@ -508,24 +532,22 @@ def _job_template(header: dict,
                   observe: Optional[ObserveConfig] = None) -> TrialJob:
     """What every trial of the campaign ``header`` defines has in common.
 
-    ``header`` is the campaign definition in journal-header form.  Keys
-    a journal from before a feature lacks (``snapshot_stride``,
-    ``prune``, ``tier2``) mean that feature off, so its trials execute
-    the way they were recorded.
+    ``header`` is the campaign definition in journal-header form, every
+    key present (:data:`DEFINITION_KEYS`).
     """
     return TrialJob(
         app=header["app_name"],
-        params=tuple((k, v) for k, v in header.get("params", [])),
+        params=tuple((k, v) for k, v in header["params"]),
         mode=header["mode"],
         faults=(),
         inj_seed=0,
-        keep_series=bool(header.get("keep_series")),
-        wall_timeout=header.get("timeout"),
-        snapshot_stride=header.get("snapshot_stride", 0),
-        artifact_dir=header.get("artifact_dir"),
+        keep_series=bool(header["keep_series"]),
+        wall_timeout=header["timeout"],
+        snapshot_stride=header["snapshot_stride"],
+        artifact_dir=header["artifact_dir"],
         observe=observe,
-        prune=bool(header.get("prune", False)),
-        tier2=bool(header.get("tier2", False)),
+        prune=bool(header["prune"]),
+        tier2=bool(header["tier2"]),
     )
 
 
@@ -538,16 +560,16 @@ def _build_jobs(header: dict, golden: GoldenProfile,
     campaigns resumable: re-drawing with the same seed against the same
     golden profile reproduces the identical job list.
 
-    With ``header["fork"]`` on (absent = off), each job carries its
-    fork epoch: the last golden epoch preceding every occurrence in its
-    fault plan, resolved against the profile's dense per-epoch
-    counters.  The RNG stream is untouched either way, so fork and
-    no-fork campaigns draw identical fault plans.
+    With ``header["fork"]`` on, each job carries its fork epoch: the
+    last golden epoch preceding every occurrence in its fault plan,
+    resolved against the profile's dense per-epoch counters.  The RNG
+    stream is untouched either way, so fork and no-fork campaigns draw
+    identical fault plans.
     """
     rng = np.random.default_rng(int(header["seed"]))
     n_faults = int(header["n_faults"])
-    rank, bit = header.get("rank"), header.get("bit")
-    fork = bool(header.get("fork", False))
+    rank, bit = header["rank"], header["bit"]
+    fork = bool(header["fork"])
     jobs = []
     for _ in range(int(header["n_trials"])):
         faults = tuple(draw_plan(
@@ -618,7 +640,7 @@ def plan_fork_batches(jobs: Sequence[TrialJob], workers: int = 1
 
 
 def run_campaign(
-    app,
+    app: str,
     trials: Optional[int] = None,
     *,
     mode: str = "blackbox",
@@ -644,10 +666,10 @@ def run_campaign(
 ) -> CampaignResult:
     """Run a fault-injection campaign for a registered app.
 
-    ``app`` is a registered application name, or a
-    :class:`repro.core.spec.CampaignSpec` carrying the whole campaign
-    definition (in which case only ``progress`` may accompany it —
-    every other knob lives in the spec).
+    This signature is the one definition of a campaign:
+    :meth:`repro.Session.campaign` and the CLI forward to it.  An
+    out-of-range argument raises :class:`~repro.errors.CampaignError`
+    here, before the golden run is paid for.
 
     ``mode="blackbox"`` reproduces the output-variation analysis of
     Sec. 4.2 (Fig. 6); ``mode="fpm"`` additionally tracks propagation
@@ -706,18 +728,23 @@ def run_campaign(
     fuzz equivalence suite asserts it); ``--no-tier2`` keeps every
     machine on the static, profile-free regions.
     """
-    from ..core.spec import CampaignSpec
     from .artifacts import default_artifact_dir
     from .engine import _drive_campaign  # lazy: engine imports this module
 
-    if isinstance(app, CampaignSpec):
-        if trials is not None:
-            raise CampaignError(
-                "pass either a CampaignSpec or keyword arguments, not both")
-        return run_campaign(progress=progress, **app.kwargs())
-
+    check_target(app, mode)
     n_trials = default_trials(trials)
     requested_workers = default_workers(workers)
+    for ok, rule, got in (
+        (n_faults >= 1, "n_faults must be >= 1", n_faults),
+        (max_retries >= 0, "max_retries must be >= 0", max_retries),
+        (shards is None or shards >= 1, "shards must be >= 1", shards),
+        (rank is None or rank >= 0, "rank must be >= 0", rank),
+        (bit is None or 0 <= bit < 64, "bit must be in [0, 64)", bit),
+        (snapshot_stride is None or snapshot_stride >= 0,
+         "snapshot_stride must be >= 0", snapshot_stride),
+    ):
+        if not ok:
+            raise CampaignError(f"{rule}, got {got!r}")
     if requested_workers > 1 and n_trials < 4:
         warnings.warn(
             f"campaign of {n_trials} trials is too small for "

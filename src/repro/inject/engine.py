@@ -482,7 +482,7 @@ def _drive_campaign(
     pa.ensure_tier2(proto.tier2)
     golden = pa.golden
     if resumed is not None:
-        recorded = header.get("golden", {})
+        recorded = header["golden"]
         if (list(golden.inj_counts) != list(recorded.get("inj_counts", []))
                 or golden.cycles != recorded.get("cycles")):
             raise JournalError(
@@ -495,7 +495,7 @@ def _drive_campaign(
     # so a resumed schedule is the recording run's; --no-fork dispatches
     # in index order.
     batches = _campaign.plan_fork_batches(jobs, fleet) \
-        if header.get("fork", False) else None
+        if header["fork"] else None
 
     journal_writer = None
     if resumed is not None:
@@ -595,8 +595,14 @@ def resume_campaign(
     identically regardless of who ran the completed ones.
     """
     header, done, recovery = read_journal_ex(journal_path)
+    missing = [key for key in _campaign.DEFINITION_KEYS + ("golden",)
+               if key not in header]
+    if missing:
+        raise JournalError(
+            f"journal {journal_path} cannot be resumed: its header lacks "
+            f"{', '.join(missing)}")
     header["timeout"] = default_timeout(
-        timeout if timeout is not None else header.get("timeout"))
+        timeout if timeout is not None else header["timeout"])
     if artifact_dir is not None:
         header["artifact_dir"] = str(artifact_dir)
     return _drive_campaign(

@@ -46,7 +46,6 @@ from ..errors import JournalError, RetryPolicy
 from . import chaos
 
 _JOURNAL_FORMAT = 2
-_READABLE_FORMATS = (1, 2)
 _JOURNAL_KIND = "repro-campaign-journal"
 
 
@@ -273,6 +272,30 @@ class CampaignJournal:
         self.close()
 
 
+def _parse_header(path: Path, line: str) -> dict:
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError:
+        raise JournalError(f"{path}: malformed journal header")
+    if not isinstance(header, dict) or header.get("kind") != _JOURNAL_KIND:
+        raise JournalError(f"{path}: not a campaign journal")
+    if header.get("format") != _JOURNAL_FORMAT:
+        raise JournalError(
+            f"{path}: unsupported journal format {header.get('format')!r}"
+        )
+    return header
+
+
+def read_journal_header(path: Union[str, Path]) -> dict:
+    """A journal's first line — the campaign definition — alone."""
+    path = Path(path)
+    if not path.exists():
+        raise JournalError(f"no campaign journal at {path}")
+    with path.open("rb") as fh:
+        return _parse_header(
+            path, fh.readline().decode("utf-8", errors="replace"))
+
+
 def read_journal_ex(path: Union[str, Path]
                     ) -> Tuple[dict, Dict[int, object], JournalRecovery]:
     """Load a journal: (header, {index: TrialResult}, recovery report).
@@ -293,19 +316,7 @@ def read_journal_ex(path: Union[str, Path]
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    if not lines:
-        raise JournalError(f"{path}: malformed journal header")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        raise JournalError(f"{path}: malformed journal header")
-    if not isinstance(header, dict) or header.get("kind") != _JOURNAL_KIND:
-        raise JournalError(f"{path}: not a campaign journal")
-    fmt = header.get("format")
-    if fmt not in _READABLE_FORMATS:
-        raise JournalError(
-            f"{path}: unsupported journal format {fmt!r}"
-        )
+    header = _parse_header(path, lines[0] if lines else "")
 
     trials: Dict[int, object] = {}
     recovery = JournalRecovery()
@@ -315,48 +326,37 @@ def read_journal_ex(path: Union[str, Path]
         if not line.strip():
             continue
         is_tail = (lineno == n_lines) and not terminated
-        if fmt == 1:
-            # format-1 journals: bare JSON lines, torn tail tolerated
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                if is_tail:
-                    recovery.torn_tail = True
-                else:
-                    recovery.corrupt_records += 1
-                continue
-        else:
-            if line.startswith("E"):
-                # campaign event record: observability, never science.
-                # A torn final event line is the satellite bugfix case —
-                # it must NOT read as a lost trial, or a resume would
-                # pointlessly warn and re-run the last completed trial.
-                payload = _decode_frame(line, "E")
-                if payload is None:
-                    if is_tail:
-                        recovery.torn_event_tail = True
-                    continue
-                try:
-                    event = json.loads(payload)
-                except json.JSONDecodeError:  # pragma: no cover
-                    continue
-                if isinstance(event, dict):
-                    recovery.events.append(event)
-                continue
-            payload = _decode_frame(line)
+        if line.startswith("E"):
+            # campaign event record: observability, never science.  A
+            # torn final event line must NOT read as a lost trial, or a
+            # resume would pointlessly warn and re-run the last
+            # completed trial.
+            payload = _decode_frame(line, "E")
             if payload is None:
                 if is_tail:
-                    recovery.torn_tail = True
-                else:
-                    recovery.corrupt_records += 1
+                    recovery.torn_event_tail = True
                 continue
-            entry = json.loads(payload)
+            try:
+                event = json.loads(payload)
+            except json.JSONDecodeError:  # pragma: no cover
+                continue
+            if isinstance(event, dict):
+                recovery.events.append(event)
+            continue
+        payload = _decode_frame(line)
+        if payload is None:
+            if is_tail:
+                recovery.torn_tail = True
+            else:
+                recovery.corrupt_records += 1
+            continue
+        entry = json.loads(payload)
         try:
             index = int(entry["index"])
             trial = _trial_from_dict(entry["trial"])
         except (KeyError, TypeError, ValueError):
-            # the frame was intact (or format-1 JSON parsed), so this is
-            # a writer bug, not corruption — refuse to guess
+            # the frame was intact, so this is a writer bug, not
+            # corruption — refuse to guess
             raise JournalError(f"{path}:{lineno}: malformed trial record")
         if index in trials:
             recovery.duplicate_records += 1

@@ -35,6 +35,9 @@ def draw_plan(
     nranks = len(inj_counts)
     if nranks == 0:
         raise CampaignError("no ranks profiled")
+    if rank is not None and not 0 <= rank < nranks:
+        raise CampaignError(
+            f"rank {rank} out of range: the job runs {nranks} rank(s)")
     specs: List[FaultSpec] = []
     for _ in range(n_faults):
         r = int(rng.integers(nranks)) if rank is None else rank

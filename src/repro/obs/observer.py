@@ -51,8 +51,7 @@ class ObserveConfig:
         ``None`` defers to the environment (``REPRO_OBS_TRACE`` /
         ``REPRO_OBS_METRICS`` turn observation on); ``False``/``"off"``
         force it off; ``True``/``"on"`` turn it on with environment
-        defaults; an :class:`ObserveConfig` passes through (with an
-        unset ``cml_stride`` of 0 kept as-is — it is a valid stride).
+        output paths; an :class:`ObserveConfig` passes through.
         """
         if isinstance(observe, ObserveConfig):
             return observe
@@ -70,7 +69,6 @@ class ObserveConfig:
         return cls(
             trace=settings.obs_trace,
             metrics_out=settings.obs_metrics,
-            cml_stride=settings.obs_cml_stride,
         )
 
     def with_outputs(self, trace: Optional[str] = None,

@@ -1,5 +1,5 @@
-"""The repro.Session facade: parity with the long-form call paths,
-deprecated-kwarg handling, and the public re-exports."""
+"""repro.Session and repro.run_campaign: the object form forwards to
+the function form, and the function form validates before it spends."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ def test_facade_is_re_exported():
 def test_session_campaign_matches_run_campaign():
     s = repro.Session("matvec", mode="fpm", seed=9)
     via_facade = s.campaign(trials=6, workers=1)
-    # fpm sessions keep the per-rank series (the framework default)
+    # fpm sessions keep the per-rank series, so fps() can fit them
     direct = run_campaign("matvec", trials=6, mode="fpm", seed=9, workers=1,
                           keep_series=True)
     assert via_facade.n_trials == direct.n_trials
@@ -33,12 +33,6 @@ def test_session_blackbox_mode():
     c = s.campaign(trials=4)
     assert c.mode == "blackbox"
     assert c.n_trials == 4
-
-
-def test_session_golden_matches_framework():
-    s = repro.Session("matvec", mode="fpm")
-    fw = repro.FaultPropagationFramework.for_app("matvec")
-    assert s.golden().cycles == fw.prepared("fpm").golden.cycles
 
 
 def test_session_golden_and_campaign_prepare_once(tmp_path, monkeypatch):
@@ -54,8 +48,9 @@ def test_session_golden_and_campaign_prepare_once(tmp_path, monkeypatch):
     monkeypatch.setattr(campaign_mod.PreparedApp, "__init__", counting_init)
     campaign_mod._PREPARED_CACHE.clear()
     s = repro.Session("matvec", mode="fpm", artifact_dir=str(tmp_path))
-    s.golden()
-    pa = s.framework.prepared("fpm")
+    golden = s.golden()
+    (pa,) = campaign_mod._PREPARED_CACHE.values()
+    assert pa.golden is golden
     # golden() honours the session's artifact_dir (it used to build a
     # bare PreparedApp and leave the directory empty)
     assert artifacts.artifact_path(*pa.artifact_ref).exists()
@@ -83,6 +78,12 @@ def test_session_resume(tmp_path):
     for a, b in zip(full.trials, resumed.trials):
         assert trial_results_equal(a, b)
     assert s.last_campaign is resumed
+    # another app's or another mode's session refuses the journal up
+    # front (a wrong mode used to surface later, as an FPS error)
+    with pytest.raises(CampaignError, match="app_name 'matvec'"):
+        repro.Session("lulesh", mode="fpm").resume(journal)
+    with pytest.raises(CampaignError, match="mode 'fpm'"):
+        repro.Session("matvec", mode="blackbox").resume(journal)
 
 
 def test_session_observe_passthrough(tmp_path):
@@ -93,25 +94,6 @@ def test_session_observe_passthrough(tmp_path):
     from repro.obs import read_trace
     header, records = read_trace(trace)
     assert header["n_trials"] == 4
-
-
-def test_deprecated_spellings_warn_and_work():
-    s = repro.Session("matvec", mode="fpm", seed=9)
-    with pytest.warns(DeprecationWarning, match="n_trials"):
-        c = s.campaign(n_trials=4)
-    assert c.n_trials == 4
-    with pytest.warns(DeprecationWarning, match="n_workers"):
-        c = s.campaign(trials=4, n_workers=1)
-    assert c.effective_workers == 1
-    with pytest.warns(DeprecationWarning, match="wall_timeout"):
-        s.campaign(trials=4, wall_timeout=60.0)
-
-
-def test_deprecated_and_current_spelling_conflict():
-    s = repro.Session("matvec", mode="fpm")
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(CampaignError, match="both"):
-            s.campaign(trials=4, n_trials=6)
 
 
 def test_unknown_mode_rejected():
@@ -129,12 +111,30 @@ def test_session_surfaces_health_and_degradation():
     assert s.degradation_events == []
 
 
-def test_old_call_paths_unchanged():
-    """The facade supersedes nothing: the long-form API keeps working."""
-    fw = repro.FaultPropagationFramework.for_app("matvec")
-    c = fw.fpm_campaign(trials=4, seed=3)
-    assert c.n_trials == 4
-    d = run_campaign("matvec", trials=4, mode="fpm", seed=3,
-                     keep_series=True)
-    for a, b in zip(c.trials, d.trials):
-        assert trial_results_equal(a, b)
+@pytest.mark.parametrize("bad", [
+    dict(bit=70), dict(bit=64), dict(bit=-1), dict(rank=-1),
+    dict(n_faults=0), dict(max_retries=-1), dict(shards=0),
+    dict(snapshot_stride=-1),
+    dict(trials=0), dict(workers=0), dict(timeout=0.0),
+    dict(mode="quantum"), dict(executor="carrier-pigeon"),
+    dict(app="not-an-app"),
+], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
+def test_bad_input_is_rejected_before_any_golden_run(bad, monkeypatch):
+    from repro.inject import campaign as campaign_mod
+
+    def no_prepare(*args, **kwargs):
+        raise AssertionError("a PreparedApp was built for invalid input")
+
+    monkeypatch.setattr(campaign_mod, "PreparedApp", no_prepare)
+    monkeypatch.setattr(campaign_mod, "_PREPARED_CACHE",
+                        type(campaign_mod._PREPARED_CACHE)())
+    kwargs = {"app": "matvec", "trials": 6, **bad}
+    with pytest.raises(CampaignError):
+        run_campaign(**kwargs)
+
+
+def test_rank_beyond_the_job_is_rejected_before_any_trial(tmp_path):
+    journal = tmp_path / "j.jsonl"
+    with pytest.raises(CampaignError, match="runs 1 rank"):
+        run_campaign("matvec", 6, rank=9, journal=str(journal))
+    assert not journal.exists()  # no invalid plan is ever journaled

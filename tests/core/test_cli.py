@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import main
@@ -57,6 +59,60 @@ class TestCLI:
                      "--faults", "2", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "2 fault(s)/run" in out
+
+
+class TestOneKnobDict:
+    """A campaign flag is read in ``_campaign_kwargs`` and nowhere else,
+    so all three campaign commands hand ``run_campaign`` the same
+    keywords."""
+
+    FLAGS = ["--trials", "7", "--seed", "3", "--workers", "1",
+             "--executor", "serial", "--shards", "2", "--faults", "2",
+             "--timeout", "30", "--max-retries", "1",
+             "--snapshot-stride", "64", "--no-prune", "--no-fork",
+             "--no-tier2"]
+    EXPECTED = dict(seed=3, workers=1, executor="serial", shards=2,
+                    n_faults=2, timeout=30.0, max_retries=1,
+                    snapshot_stride=64, prune=False, fork=False,
+                    tier2=False)
+
+    @pytest.mark.parametrize("command", ["campaign", "sites", "fps"])
+    def test_every_flag_reaches_run_campaign(self, command, tmp_path,
+                                             monkeypatch, capsys):
+        import repro.api
+        from repro.cli import _add_campaign_args
+        from repro.inject import run_campaign
+
+        real = run_campaign("matvec", 16, mode="fpm", seed=1,
+                            keep_series=True, snapshot_stride=64)
+        calls = []
+
+        def fake(app, trials, **kwargs):
+            calls.append((app, trials, kwargs))
+            return real
+
+        monkeypatch.setattr(repro.api, "run_campaign", fake)
+        art, trace = str(tmp_path / "a"), str(tmp_path / "t.jsonl")
+        prom = str(tmp_path / "m.prom")
+        argv = self.FLAGS + ["--artifact-dir", art, "--trace", trace,
+                             "--metrics-out", prom]
+        # every knob flag of the shared block is exercised above (the
+        # rest say where results go, or set the chaos environment)
+        probe = argparse.ArgumentParser()
+        _add_campaign_args(probe)
+        flags = {a.option_strings[0] for a in probe._actions
+                 if a.option_strings and a.dest != "help"}
+        assert flags - set(argv) == {"--save-json", "--save-csv",
+                                     "--chaos", "--chaos-seed"}
+        assert main([command, "matvec"] + argv) == 0
+        (app, trials, kwargs), = calls
+        assert (app, trials, kwargs.pop("mode")) == ("matvec", 7, "fpm")
+        observe = kwargs.pop("observe")
+        assert (observe.trace, observe.metrics_out) == (trace, prom)
+        assert kwargs.pop("artifact_dir") == art
+        for session_default in ("params", "keep_series", "journal"):
+            kwargs.pop(session_default, None)
+        assert kwargs == self.EXPECTED
 
 
 class TestEngineCLI:

@@ -118,10 +118,9 @@ class TestRetryPolicy:
     def test_from_settings_reads_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_RETRY_BASE_DELAY", "0.25")
         monkeypatch.setenv("REPRO_RETRY_MAX_DELAY", "9.0")
-        monkeypatch.setenv("REPRO_RETRY_MAX_ATTEMPTS", "7")
         p = RetryPolicy.from_settings(seed=3)
         assert (p.base_delay, p.max_delay, p.max_attempts, p.seed) == \
-            (0.25, 9.0, 7, 3)
+            (0.25, 9.0, 4, 3)
 
     def test_failure_kind_enum_unchanged(self):
         # the taxonomy extends — it must not disturb the trial-level kinds

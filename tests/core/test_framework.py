@@ -1,30 +1,31 @@
-"""FaultPropagationFramework: the public API end to end."""
+"""repro.Session end to end: construction, campaigns, analyses."""
 
 import pytest
 
-from repro import FaultPropagationFramework, RunConfig
-from repro.analysis import Outcome
+from repro import RunConfig, Session
+from repro.analysis import co_breakdown
+from repro.apps import get_app
 from repro.errors import CampaignError
 from repro.models import CMLEstimator
 
 
 @pytest.fixture(scope="module")
 def matvec_fw():
-    return FaultPropagationFramework.for_app("matvec", iters=4)
+    return Session("matvec", mode="fpm", params={"iters": 4}, seed=8)
 
 
 @pytest.fixture(scope="module")
 def matvec_fpm(matvec_fw):
-    return matvec_fw.fpm_campaign(trials=40, seed=8)
+    return matvec_fw.campaign(trials=40)
 
 
 class TestConstruction:
     def test_unknown_app(self):
         with pytest.raises(CampaignError):
-            FaultPropagationFramework("nonexistent")
+            Session("nonexistent")
 
     def test_for_source_registers_custom_app(self):
-        fw = FaultPropagationFramework.for_source(
+        fw = Session.from_source(
             """
 func main(rank: int, size: int) {
     var a: float[8];
@@ -40,20 +41,20 @@ func main(rank: int, size: int) {
             name="custom_decay",
             config=RunConfig(nranks=1),
         )
-        c = fw.fpm_campaign(trials=10, seed=1)
+        c = fw.campaign(trials=10, seed=1)
         assert c.n_trials == 10
 
     def test_spec_and_golden_accessors(self, matvec_fw):
-        assert matvec_fw.spec.name == "matvec"
-        assert matvec_fw.golden_outputs()[0]
+        assert get_app(matvec_fw.app).name == "matvec"
+        assert matvec_fw.golden().outputs[0]
 
     def test_params_flow_through(self, matvec_fw):
-        assert matvec_fw.prepared("blackbox").golden.iterations == 4
+        assert matvec_fw.golden().iterations == 4
 
 
 class TestCampaignsAndAnalyses:
-    def test_blackbox_campaign(self, matvec_fw):
-        c = matvec_fw.blackbox_campaign(trials=20, seed=8)
+    def test_blackbox_campaign(self):
+        c = Session("matvec", mode="blackbox").campaign(trials=20, seed=8)
         assert c.mode == "blackbox"
         assert c.n_trials == 20
 
@@ -67,22 +68,21 @@ class TestCampaignsAndAnalyses:
         assert 0.0 <= rep.p_value <= 1.0
 
     def test_fps_factor(self, matvec_fw, matvec_fpm):
-        fps = matvec_fw.fps_factor(matvec_fpm)
+        fps = matvec_fw.fps(matvec_fpm)
         assert fps.fps > 0
         assert fps.n_trials > 0
 
     def test_fps_rejects_blackbox(self, matvec_fw):
-        bb = matvec_fw.blackbox_campaign(trials=5, seed=8)
+        bb = Session("matvec", mode="blackbox").campaign(trials=5, seed=8)
         with pytest.raises(CampaignError):
-            matvec_fw.fps_factor(bb)
+            matvec_fw.fps(bb)
 
     def test_estimator(self, matvec_fw, matvec_fpm):
-        est = matvec_fw.estimator(matvec_fpm)
-        assert isinstance(est, CMLEstimator)
+        est = CMLEstimator(matvec_fw.fps(matvec_fpm))
         w = est.estimate_window(0, 1000)
         assert w.max_cml > 0
         assert w.avg_cml == pytest.approx(w.max_cml / 2)
 
     def test_co_breakdown(self, matvec_fw, matvec_fpm):
-        bd = matvec_fw.co_breakdown(matvec_fpm)
+        bd = co_breakdown(matvec_fw.app, matvec_fpm.outcomes())
         assert bd.n_co == bd.n_vanished + bd.n_ona

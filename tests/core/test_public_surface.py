@@ -23,7 +23,7 @@ PUBLIC = [name for name in repro.__all__ if name != "__version__"]
 
 class TestPublicSurface:
     def test_expected_symbols_present(self):
-        for name in ("Session", "CampaignSpec", "CampaignResult",
+        for name in ("Session", "CampaignResult",
                      "fit_cml_stream", "run_campaign", "resume_campaign"):
             assert name in repro.__all__
 
@@ -53,6 +53,29 @@ class TestPublicSurface:
             for name in gone:
                 assert name not in mod.__all__
                 assert not hasattr(mod, name)
+
+    def test_second_surfaces_left_no_exports(self):
+        import importlib
+        import inspect
+
+        import repro.core
+
+        for name in ("FaultPropagationFramework", "CampaignSpec"):
+            assert name not in repro.__all__ and not hasattr(repro, name)
+            assert not hasattr(repro.core, name)
+        for module in ("repro.core.framework", "repro.core.spec"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+        assert not hasattr(repro.api, "_modernise")
+        # the knobs live in one signature: Session forwards, and names
+        # none of them itself
+        assert list(inspect.signature(
+            repro.Session.campaign).parameters) == ["self", "trials", "knobs"]
+        # ... which the frozen ledger reads by name (cold_knobs)
+        assert {"mode", "seed", "workers", "keep_series", "journal",
+                "progress", "snapshot_stride", "artifact_dir", "observe",
+                "prune", "fork", "tier2", "executor", "shards"} <= set(
+            inspect.signature(repro.run_campaign).parameters)
 
     def test_restore_rung_left_no_surface(self):
         import inspect

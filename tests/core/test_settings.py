@@ -7,7 +7,6 @@ import warnings
 import pytest
 
 from repro.core.settings import (
-    DEFAULT_PREPARED_CACHE,
     DEFAULT_SNAPSHOT_STRIDE,
     DEFAULT_TRIALS,
     Settings,
@@ -28,18 +27,18 @@ def test_defaults_with_empty_environment():
     assert s.snapshot_verify == "first"
     assert s.obs_trace is None
     assert s.obs_metrics is None
-    assert s.obs_cml_stride == 0
 
 
 def test_surface_is_the_remaining_knobs():
     import dataclasses
 
     names = {f.name for f in dataclasses.fields(Settings)}
-    assert len(names) == 18
+    assert len(names) == 15
     assert not names & {"lanes", "world_cache", "world_cache_pages",
                         "batch_by_snapshot", "tier2_cap", "fork_trials",
                         "snapshot_limit", "page_words", "fuse",
-                        "prefetch", "shards"}
+                        "prefetch", "shards", "retry_max_attempts",
+                        "prepared_cache", "obs_cml_stride"}
     # a deleted knob left in the environment is simply not read
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -48,17 +47,18 @@ def test_surface_is_the_remaining_knobs():
                          REPRO_TIER2_CAP="junk", REPRO_FORK_TRIALS="junk",
                          REPRO_SNAPSHOT_LIMIT="junk", REPRO_FUSE="junk",
                          REPRO_PAGE_WORDS="junk", REPRO_PREFETCH="junk",
-                         REPRO_SHARDS="junk") == Settings()
+                         REPRO_SHARDS="junk", REPRO_PREPARED_CACHE="junk",
+                         REPRO_RETRY_MAX_ATTEMPTS="junk",
+                         REPRO_OBS_CML_STRIDE="junk") == Settings()
 
 
 def test_valid_values_parse():
     s = _settings(REPRO_TRIALS=50, REPRO_WORKERS=4, REPRO_TRIAL_TIMEOUT=2.5,
                   REPRO_SNAPSHOT_VERIFY="all",
-                  REPRO_OBS_TRACE="/tmp/t.jsonl", REPRO_OBS_CML_STRIDE=64)
+                  REPRO_OBS_TRACE="/tmp/t.jsonl")
     assert (s.trials, s.workers, s.trial_timeout) == (50, 4, 2.5)
     assert s.snapshot_verify == "all"
     assert s.obs_trace == "/tmp/t.jsonl"
-    assert s.obs_cml_stride == 64
 
 
 def test_non_integer_warns_and_falls_back():
@@ -74,12 +74,11 @@ def test_below_minimum_warns_for_strict_knobs():
 
 
 def test_clamping_knobs_clamp_silently():
-    """Stride knobs keep their historical floor-clamp."""
+    """The stride knob keeps its historical floor-clamp."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s = _settings(REPRO_SNAPSHOT_STRIDE=-1, REPRO_OBS_CML_STRIDE=-5)
+        s = _settings(REPRO_SNAPSHOT_STRIDE=-1)
     assert s.snapshot_stride == 0
-    assert s.obs_cml_stride == 0
 
 
 def test_clamping_knob_still_warns_on_junk():
@@ -101,11 +100,9 @@ def test_bad_float_warns():
 
 
 def test_blank_values_mean_unset():
-    s = _settings(REPRO_TRIALS="  ", REPRO_ARTIFACT_DIR="",
-                  REPRO_PREPARED_CACHE="")
+    s = _settings(REPRO_TRIALS="  ", REPRO_ARTIFACT_DIR="")
     assert s.trials == DEFAULT_TRIALS
     assert s.artifact_dir is None
-    assert s.prepared_cache == DEFAULT_PREPARED_CACHE
 
 
 def test_current_settings_rereads_environment(monkeypatch):
@@ -134,18 +131,15 @@ def test_retry_and_chaos_defaults():
     s = Settings.from_env({})
     assert s.retry_base_delay == 0.05
     assert s.retry_max_delay == 2.0
-    assert s.retry_max_attempts == 4
     assert s.chaos is False
     assert s.chaos_seed == 0
 
 
 def test_retry_and_chaos_valid_values():
     s = _settings(REPRO_RETRY_BASE_DELAY=0, REPRO_RETRY_MAX_DELAY=0.5,
-                  REPRO_RETRY_MAX_ATTEMPTS=0, REPRO_CHAOS=1,
-                  REPRO_CHAOS_SEED=99)
+                  REPRO_CHAOS=1, REPRO_CHAOS_SEED=99)
     assert s.retry_base_delay == 0.0   # zero delay is valid (tests/CI)
     assert s.retry_max_delay == 0.5
-    assert s.retry_max_attempts == 0   # zero attempts disables retry
     assert s.chaos is True
     assert s.chaos_seed == 99
 
@@ -154,9 +148,6 @@ def test_retry_knobs_warn_and_fall_back_on_junk():
     with pytest.warns(UserWarning, match="REPRO_RETRY_BASE_DELAY"):
         s = _settings(REPRO_RETRY_BASE_DELAY="soon")
     assert s.retry_base_delay == 0.05
-    with pytest.warns(UserWarning, match="REPRO_RETRY_MAX_ATTEMPTS"):
-        s = _settings(REPRO_RETRY_MAX_ATTEMPTS=-1)
-    assert s.retry_max_attempts == 4
     with pytest.warns(UserWarning, match="REPRO_CHAOS_SEED"):
         s = _settings(REPRO_CHAOS_SEED="lucky")
     assert s.chaos_seed == 0

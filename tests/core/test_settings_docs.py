@@ -4,7 +4,7 @@ Every field of :class:`repro.core.settings.Settings` maps to a
 ``REPRO_<NAME>`` environment variable; each one must appear in both
 README.md and docs/INTERNALS.md, so a new knob cannot ship silently
 undocumented (the drift this test was added to fix: REPRO_TIER2 was
-initially nowhere, REPRO_PREPARED_CACHE was missing from the README).
+initially nowhere).
 """
 
 import dataclasses
@@ -38,7 +38,10 @@ def test_deleted_knobs_are_not_documented(doc):
                               "REPRO_BATCH_BY_SNAPSHOT", "REPRO_TIER2_CAP",
                               "REPRO_FORK_TRIALS", "REPRO_SNAPSHOT_LIMIT",
                               "REPRO_PAGE_WORDS", "REPRO_FUSE",
-                              "REPRO_PREFETCH", "REPRO_SHARDS")
+                              "REPRO_PREFETCH", "REPRO_SHARDS",
+                              "REPRO_RETRY_MAX_ATTEMPTS",
+                              "REPRO_PREPARED_CACHE",
+                              "REPRO_OBS_CML_STRIDE")
                     if k in f.read_text()})
     assert not stale, f"{doc} still mentions: {stale}"
 

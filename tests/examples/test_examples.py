@@ -36,8 +36,12 @@ class TestExamples:
         assert "FPS factor" in out
         assert "Eq. 3" in out
 
+    def test_every_example_is_run_here(self):
+        mine = Path(__file__).read_text()
+        assert all(p.name in mine for p in EXAMPLES.glob("*.py"))
+
     def test_custom_app(self):
-        out = run_example("custom_app.py")
+        out = run_example("custom_app.py", "20")
         assert "heat1d" in out
         assert "FPS factor" in out
 

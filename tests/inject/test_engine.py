@@ -339,7 +339,7 @@ class TestPreparedCacheLRU:
         return ("matvec", (), mode, stride)
 
     def test_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PREPARED_CACHE", "2")
+        monkeypatch.setattr(campaign_mod, "_PREPARED_LIMIT", 2)
         monkeypatch.setattr(campaign_mod, "_PREPARED_CACHE",
                             type(campaign_mod._PREPARED_CACHE)())
         campaign_mod._prepared("matvec", (), "blackbox")
@@ -350,7 +350,7 @@ class TestPreparedCacheLRU:
         assert self._key("blackbox") not in campaign_mod._PREPARED_CACHE
 
     def test_hit_refreshes_lru_order(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PREPARED_CACHE", "2")
+        monkeypatch.setattr(campaign_mod, "_PREPARED_LIMIT", 2)
         monkeypatch.setattr(campaign_mod, "_PREPARED_CACHE",
                             type(campaign_mod._PREPARED_CACHE)())
         campaign_mod._prepared("matvec", (), "blackbox")
@@ -533,16 +533,6 @@ class TestJournalAndResume:
         path.write_text('{"format": 1, "kind": "something-else"}\n')
         with pytest.raises(JournalError):
             read_journal(path)
-
-    def test_framework_resume_checks_app(self, tmp_path):
-        from repro.core.framework import FaultPropagationFramework
-
-        path = tmp_path / "c.jsonl"
-        run_campaign("matvec", trials=4, mode="blackbox", seed=11,
-                     journal=str(path))
-        fw = FaultPropagationFramework.for_app("lulesh")
-        with pytest.raises(CampaignError):
-            fw.resume_campaign(str(path))
 
     def test_quarantined_trials_land_in_journal(self, tmp_path, flag_dir):
         from repro.inject.journal import CampaignJournal

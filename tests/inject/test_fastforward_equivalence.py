@@ -234,18 +234,3 @@ def test_journaled_resume_with_snapshots_is_bit_identical(tmp_path):
     for t in full_d["trials"] + res_d["trials"]:
         t.pop("stage_timings", None)
     assert res_d["trials"] == full_d["trials"]
-
-
-def test_pre_fastforward_journal_resumes_cold(tmp_path):
-    """Journals recorded before this feature lack the stride field and
-    must resume with snapshots disabled."""
-    path = tmp_path / "old.jsonl"
-    full = run_campaign("matvec", trials=6, mode="blackbox", seed=9,
-                        journal=str(path), snapshot_stride=0)
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
-    del header["snapshot_stride"]
-    path.write_text("\n".join([json.dumps(header)] + lines[1:4]) + "\n")
-    resumed = resume_campaign(path)
-    assert [t.outcome for t in resumed.trials] == \
-        [t.outcome for t in full.trials]

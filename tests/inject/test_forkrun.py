@@ -27,7 +27,9 @@ from repro.inject import (
     trial_results_equal,
 )
 from repro.inject import campaign as campaign_mod
-from repro.inject.campaign import _build_jobs, _job_template
+from repro.inject.campaign import (
+    DEFINITION_KEYS, _build_jobs, _job_template,
+)
 from repro.inject.engine import resume_campaign
 from repro.inject.forkrun import GoldenCursor
 from repro.inject.journal import read_journal
@@ -200,9 +202,10 @@ class TestGoldenCursor:
 # ----------------------------------------------------------------------
 def _fork_jobs(trials=24, seed=17, mode="blackbox", fork=True):
     pa = PreparedApp(get_app("matvec"), mode, snapshot_stride=150)
-    header = {"app_name": "matvec", "mode": mode, "n_trials": trials,
-              "n_faults": 1, "seed": seed, "snapshot_stride": 150,
-              "fork": fork}
+    header = dict.fromkeys(DEFINITION_KEYS) | {
+        "app_name": "matvec", "mode": mode, "n_trials": trials,
+        "n_faults": 1, "seed": seed, "snapshot_stride": 150,
+        "fork": fork, "params": []}
     return _build_jobs(header, pa.golden, _job_template(header))
 
 

@@ -11,7 +11,7 @@ from repro.inject import (
     draw_plan,
     run_campaign,
 )
-from repro.inject.campaign import _PREPARED_CACHE, _run_trial
+from repro.inject.campaign import _run_trial
 from repro.analysis import Outcome
 
 

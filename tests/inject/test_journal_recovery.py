@@ -126,36 +126,35 @@ class TestRepairTail:
         assert recovery.dropped == 0
 
 
-class TestFormatOne:
-    def test_legacy_bare_json_journal_still_reads(self, tmp_path):
-        from repro.analysis.export import _trial_to_dict
+class TestOneHeaderRule:
+    """One journal format, every definition key: a clear error else."""
 
+    def test_another_format_is_refused(self, tmp_path):
         path = tmp_path / "old.jsonl"
-        with path.open("w") as fh:
-            fh.write(json.dumps({"format": 1,
-                                 "kind": "repro-campaign-journal",
-                                 "app_name": "x", "n_trials": 2}) + "\n")
-            for i in range(2):
-                fh.write(json.dumps(
-                    {"index": i, "trial": _trial_to_dict(_trial(i))}) + "\n")
-        header, trials = read_journal(path)
-        assert header["format"] == 1
-        assert sorted(trials) == [0, 1]
+        path.write_text(json.dumps({"format": 1,
+                                    "kind": "repro-campaign-journal",
+                                    "app_name": "x", "n_trials": 2}) + "\n")
+        with pytest.raises(JournalError, match="unsupported journal format 1"):
+            read_journal(path)
 
-    def test_legacy_torn_tail_tolerated(self, tmp_path):
-        from repro.analysis.export import _trial_to_dict
+    def test_resume_names_the_missing_definition_key(self, tmp_path):
+        from repro.inject import campaign as campaign_mod
+        from repro.inject import run_campaign
+        from repro.inject.engine import resume_campaign
 
-        path = tmp_path / "old.jsonl"
-        with path.open("w") as fh:
-            fh.write(json.dumps({"format": 1,
-                                 "kind": "repro-campaign-journal"}) + "\n")
-            fh.write(json.dumps(
-                {"index": 0, "trial": _trial_to_dict(_trial(0))}) + "\n")
-            fh.write('{"index": 1, "trial"')  # torn
-        with pytest.warns(UserWarning, match="partially written"):
-            _, trials, recovery = read_journal_ex(path)
-        assert sorted(trials) == [0]
-        assert recovery.torn_tail
+        path = tmp_path / "c.jsonl"
+        run_campaign("matvec", trials=4, seed=5, journal=str(path))
+        first, *frames = path.read_text().splitlines(keepends=True)
+        header = json.loads(first)
+        required = campaign_mod.DEFINITION_KEYS + ("golden",)
+        # the header is the definition plus what the driver adds to it
+        assert sorted(header) == sorted(
+            required + ("format", "kind", "executor", "shards"))
+        for key in required:
+            cut = {k: v for k, v in header.items() if k != key}
+            path.write_text(json.dumps(cut) + "\n" + "".join(frames[:2]))
+            with pytest.raises(JournalError, match=f"lacks {key}"):
+                resume_campaign(path)
 
 
 class TestEventFrames:
@@ -339,19 +338,12 @@ def _restore_rung_header(header):
     return dict(header, fork=False, snapshot_stride=150)
 
 
-def _pre_feature_header(header):
-    """Recorded before forking, tier-2 and pruning existed."""
-    return {k: v for k, v in header.items()
-            if k not in ("fork", "tier2", "prune")}
-
-
 class TestOldJournals:
-    """A header that says a trial-positioning feature was off — or
-    predates it — resumes with it off, through the one campaign driver,
-    to the science an uninterrupted default run records."""
+    """A header that says a trial-positioning feature was off resumes
+    with it off, through the one campaign driver, to the science an
+    uninterrupted default run records."""
 
-    @pytest.mark.parametrize("rewrite", [_restore_rung_header,
-                                         _pre_feature_header])
+    @pytest.mark.parametrize("rewrite", [_restore_rung_header])
     def test_resumes_to_the_default_runs_science(self, tmp_path, rewrite):
         from repro.inject import run_campaign, trial_results_equal
         from repro.inject.engine import resume_campaign

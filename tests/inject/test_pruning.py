@@ -21,7 +21,7 @@ import pytest
 
 from repro.analysis import campaign_to_json, render_health_summary
 from repro.apps import get_app
-from repro.core.framework import FaultPropagationFramework
+from repro.api import Session
 from repro.core.config import RunConfig
 from repro.inject import PreparedApp, run_campaign, trial_results_equal
 from repro.inject import campaign as campaign_mod
@@ -125,11 +125,11 @@ func main(rank: int, size: int) {
 
 
 def test_register_only_divergence_is_never_pruned():
-    fw = FaultPropagationFramework.for_source(
+    s = Session.from_source(
         REGONLY_SRC, name="regonly_prune",
         config=RunConfig(nranks=2, quantum=64))
-    on = fw.fpm_campaign(trials=80, seed=7, snapshot_stride=64, prune=True)
-    off = fw.fpm_campaign(trials=80, seed=7, snapshot_stride=64, prune=False)
+    on = s.campaign(trials=80, seed=7, snapshot_stride=64, prune=True)
+    off = s.campaign(trials=80, seed=7, snapshot_stride=64, prune=False)
     silent_wrong = 0
     for a, b in zip(on.trials, off.trials):
         assert trial_results_equal(a, b)
@@ -183,23 +183,6 @@ def test_journaled_resume_preserves_pruning(tmp_path):
     for t in full_d["trials"] + res_d["trials"]:
         t.pop("stage_timings", None)
     assert res_d["trials"] == full_d["trials"]
-
-
-def test_pre_pruning_journal_resumes_unpruned(tmp_path):
-    """Journals recorded before this feature lack the prune field and
-    must resume with pruning off, matching how they were recorded."""
-    path = tmp_path / "old.jsonl"
-    full = run_campaign("amg", 12, mode="fpm", seed=9, params=AMG_SMALL,
-                        snapshot_stride=256, prune=False, journal=str(path))
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
-    del header["prune"]
-    path.write_text("\n".join([json.dumps(header)] + lines[1:7]) + "\n")
-    resumed = resume_campaign(path)
-    assert all(t.pruned_at_cycle is None for t in resumed.trials)
-    assert resumed.health.pruned_trials == 0
-    assert [t.outcome for t in resumed.trials] == \
-        [t.outcome for t in full.trials]
 
 
 def test_artifacts_carry_fingerprints(tmp_path):

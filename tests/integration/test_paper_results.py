@@ -8,7 +8,6 @@ qualitative shapes, not exact percentages.
 import numpy as np
 import pytest
 
-from repro import FaultPropagationFramework
 from repro.analysis import Outcome, coverage_histogram
 from repro.inject import run_campaign
 
