@@ -47,11 +47,13 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
                    help="execution backend: serial (in-driver), or the "
                         "supervised worker fleet over pipes (pool) or "
                         "over authenticated localhost sockets (remote); "
-                        "default REPRO_EXECUTOR or auto by --workers")
+                        "default REPRO_EXECUTOR, else serial for a fleet of "
+                        "one and pool for a larger one")
     p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="size of the remote executor's fleet — N worker "
-                        "processes, whose slot is each trial's journal "
-                        "shard tag (default --workers)")
+                   help="size of the worker fleet on either wire (pool, "
+                        "remote) — N processes, whose slot is each "
+                        "trial's journal shard tag (default --workers); "
+                        "serial is one process whatever N")
     p.add_argument("--faults", type=int, default=1,
                    help="faults per run (LLFI++ multi-fault extension)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",

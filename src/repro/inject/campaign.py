@@ -677,7 +677,13 @@ def run_campaign(
     trial's CML(t) series for model fitting.
 
     ``workers`` > 1 distributes trials over supervised processes;
-    ``None`` uses REPRO_WORKERS or 1.  ``timeout`` is the per-trial
+    ``None`` uses REPRO_WORKERS or 1.  ``executor`` names where trials
+    run — ``serial`` (in the driver), ``pool`` (worker processes on
+    pipes) or ``remote`` (on authenticated localhost sockets) — and
+    ``shards`` the fleet's size on either wire (None: ``workers``);
+    with no ``executor`` (and no REPRO_EXECUTOR) a fleet of one is
+    ``serial`` and a larger one ``pool``, and ``serial`` is one
+    process whatever was asked.  ``timeout`` is the per-trial
     wall-clock watchdog in seconds (None: REPRO_TRIAL_TIMEOUT or off);
     ``max_retries`` bounds re-execution after a harness failure before a
     trial is quarantined; ``journal`` names a JSONL checkpoint file so
@@ -737,7 +743,6 @@ def run_campaign(
     for ok, rule, got in (
         (n_faults >= 1, "n_faults must be >= 1", n_faults),
         (max_retries >= 0, "max_retries must be >= 0", max_retries),
-        (shards is None or shards >= 1, "shards must be >= 1", shards),
         (rank is None or rank >= 0, "rank must be >= 0", rank),
         (bit is None or 0 <= bit < 64, "bit must be in [0, 64)", bit),
         (snapshot_stride is None or snapshot_stride >= 0,

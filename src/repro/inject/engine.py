@@ -1,9 +1,9 @@
-"""Backend-agnostic campaign controller.
+"""The campaign controller.
 
-Runs a list of pre-drawn trial jobs to completion over a pluggable
-execution backend (:mod:`repro.inject.executors`) while treating worker
-death, hung trials, and driver interruption as expected events of a
-large fault-injection campaign (the operating regime of ZOFI- and
+Runs a list of pre-drawn trial jobs to completion on the supervised
+fleet (:mod:`repro.inject.executors`) while treating worker death,
+hung trials, and driver interruption as expected events of a large
+fault-injection campaign (the operating regime of ZOFI- and
 FlipTracker-style studies, where thousands of trials *intentionally*
 crash and hang applications):
 
@@ -23,18 +23,19 @@ crash and hang applications):
   up front from the campaign seed, so the job list re-derives exactly);
 * **graceful degradation** — trial retries back off with deterministic
   seeded jitter; a respawn budget turns repeated worker deaths into a
-  shrinking fleet instead of an infinite respawn storm, and a fully
-  collapsed fleet falls back to serial in-driver execution rather
-  than aborting; a persistently failing journal is disabled (with the
+  shrinking fleet instead of an infinite respawn storm, and a fleet
+  with no slot left finishes its queues in the driver rather than
+  aborting; a persistently failing journal is disabled (with the
   event recorded) instead of taking the campaign down.
 
 The controller owns every piece of campaign-level *policy* — the retry
-taxonomy, the journal, the observer, health accounting, the degradation
-ladder — and consumes typed events
-(:class:`~repro.inject.executors.base.TrialDone` /
-:class:`~repro.inject.executors.base.SupervisionEvent`) from whichever
-backend executes the trials.  Because all randomness is drawn up front
-from the campaign seed, every backend produces bit-identical science.
+taxonomy, the journal, the observer, health accounting — and consumes
+typed events (:class:`~repro.inject.executors.TrialDone` /
+:class:`~repro.inject.executors.SupervisionEvent`) from the one
+:class:`~repro.inject.executors.FleetExecutor`, which owns the queues
+and *where* each trial runs: the driver, a pipe worker or a socket
+worker.  Because all randomness is drawn up front from the campaign
+seed, every one of them produces bit-identical science.
 """
 
 from __future__ import annotations
@@ -64,14 +65,11 @@ from .campaign import (
     harness_failure_trial,
 )
 from .executors import (
-    Executor,
-    ShardSpec,
+    FleetExecutor,
     SupervisionEvent,
     TrialDone,
-    make_executor,
     resolve_backend,
 )
-from .executors.local import SerialExecutor
 from .health import CampaignHealth
 from .journal import CampaignJournal, JournalRecovery, read_journal_ex
 
@@ -86,6 +84,7 @@ class CampaignEngine:
         self,
         *,
         workers: int = 1,
+        executor: str = "serial",
         timeout: Optional[float] = None,
         kill_grace: Optional[float] = None,
         max_retries: int = 2,
@@ -96,21 +95,15 @@ class CampaignEngine:
         observer: Optional[CampaignObserver] = None,
         degrade_after: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        executor: Optional[str] = None,
-        shards: Optional[int] = None,
     ) -> None:
         if workers < 1:
             raise CampaignError(f"workers must be >= 1, got {workers}")
         if max_retries < 0:
             raise CampaignError(f"max_retries must be >= 0, got {max_retries}")
-        if shards is not None and shards < 1:
-            raise CampaignError(f"shards must be >= 1, got {shards}")
+        #: the fleet's name (``serial``/``pool``/``remote``) and size,
+        #: as :func:`~repro.inject.executors.resolve_backend` answers
+        self.executor = executor
         self.workers = workers
-        #: execution backend (``serial``/``pool``/``remote``; None picks
-        #: by REPRO_EXECUTOR / worker count) and the number of processes
-        #: it runs trials on: 1 in the driver, ``workers`` on the pool,
-        #: ``shards`` (default ``workers``) on the remote wire
-        self.executor, self.fleet = resolve_backend(executor, shards, workers)
         self.timeout = timeout
         #: slack on top of ``timeout`` before a hard kill (None: the
         #: fleet's default)
@@ -129,9 +122,9 @@ class CampaignEngine:
         #: when the campaign runs unobserved
         self.observer = observer
         #: worker respawns tolerated before the degradation ladder
-        #: shrinks the fleet by one (and ultimately falls back to serial)
+        #: retires one slot of the fleet (the last one leaves the driver)
         self.degrade_after = (degrade_after if degrade_after is not None
-                              else max(4, 2 * self.fleet))
+                              else max(4, 2 * workers))
         if self.degrade_after < 1:
             raise CampaignError(
                 f"degrade_after must be >= 1, got {self.degrade_after}")
@@ -156,14 +149,13 @@ class CampaignEngine:
         n = len(jobs)
         self._results: List[Optional[TrialResult]] = [None] * n
         self._retries: Dict[int, int] = {}
-        #: earliest monotonic instant a retried trial may re-dispatch
-        #: (seeded exponential backoff with jitter)
-        self._not_before: Dict[int, float] = {}
-        self._serial_fallback = False
         self._faults_of = faults_of or (lambda i: ())
+        self._fleet = FleetExecutor(self.executor, self.workers,
+                                    degrade_after=self.degrade_after)
+        size = max(self._fleet.workers, 1)  # the driver counts as one
         self._health = CampaignHealth(
-            effective_workers=self.fleet, requested_workers=self.workers,
-            executor=self.executor, shards=self.fleet,
+            effective_workers=size, requested_workers=self.workers,
+            executor=self.executor, shards=size,
         )
         self._done = 0
         if completed:
@@ -185,44 +177,32 @@ class CampaignEngine:
                         "repro_trials_total", outcome=trial.outcome)
             self._health.resumed_trials = len(completed)
         pending = [i for i in range(n) if self._results[i] is None]
-        plan = ShardSpec(tuple(pending))
+        flat, buckets = pending, []
         if self.batches is not None:
             # the buckets filtered to pending trials, in bucket order;
             # buckets exhausted by a resume drop out
             pend = set(pending)
-            groups = [tuple(i for i in batch if i in pend)
-                      for batch in self.batches]
-            covered = {i for g in groups for i in g}
+            buckets = [tuple(i for i in batch if i in pend)
+                       for batch in self.batches]
+            covered = {i for b in buckets for i in b}
             # defensive: batches must cover every pending trial
-            groups.append(tuple(i for i in pending if i not in covered))
-            groups = tuple(g for g in groups if g)
-            plan = ShardSpec(tuple(i for g in groups for i in g),
-                             batches=groups)
+            flat = [i for i in pending if i not in covered]
 
         start = time.monotonic()
-        self._jobs_ref = jobs
-        executor = make_executor(self.executor, self.fleet,
-                                 degrade_after=self.degrade_after)
-        caps = executor.capabilities()
         #: trial index -> worker slot that last ran it, for journal
         #: ``shard`` tags and per-slot metrics
         self._shard_of: Dict[int, int] = {}
-        self._active: Executor = executor
-        leftover: List[int] = []
-        try:
-            executor.start(jobs, task_fn=self.task_fn,
-                           timeout=self.timeout, kill_grace=self.kill_grace)
-            if pending:
-                executor.submit_shard(plan)
-            self._drive(executor)
-            if self._done < n and not caps.in_driver:
-                leftover = executor.drain_unfinished()
-        finally:
-            executor.close()
-        if self._done < n and not caps.in_driver:
-            # every worker slot was retired by the respawn budget —
-            # last rung of the ladder: finish serially in the driver
-            self._degrade_to_serial(leftover)
+        if pending:  # a complete journal starts no process
+            try:
+                self._fleet.start(jobs, task_fn=self.task_fn,
+                                  timeout=self.timeout,
+                                  kill_grace=self.kill_grace)
+                self._fleet.submit(flat, buckets)
+                while self._done < n and self._fleet.has_pending():
+                    for ev in self._fleet.poll(_TICK):
+                        self._handle_event(ev)
+            finally:
+                self._fleet.close()
         if self.journal is not None:
             self._health.io_retries += self.journal.io_retries
         self._health.wall_time_s = time.monotonic() - start
@@ -235,14 +215,6 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     # Event loop
     # ------------------------------------------------------------------
-    def _drive(self, executor: Executor) -> None:
-        n = len(self._results)
-        while self._done < n and not executor.collapsed:
-            if not executor.has_pending():
-                break
-            for ev in executor.poll(_TICK):
-                self._handle_event(ev)
-
     def _handle_event(self, ev: object) -> None:
         if isinstance(ev, TrialDone):
             self._shard_of[ev.index] = ev.shard_id
@@ -284,37 +256,18 @@ class CampaignEngine:
                 self.observer.metrics.inc("repro_pool_degradations_total")
                 self.observer.event(
                     "pool_shrink", respawns=self._health.worker_respawns)
-
-    def _degrade_to_serial(self, leftover: List[int]) -> None:
-        """Last rung: finish the campaign serially in the driver."""
-        order = list(leftover)
-        queued = set(order)
-        for i, r in enumerate(self._results):
-            if r is None and i not in queued:
-                order.append(i)
-        self._serial_fallback = True
-        self._health.serial_fallback = True
-        self._health.degradation_events.append({"type": "serial_fallback"})
-        self._journal_event("degradation", type="serial_fallback")
-        warnings.warn(
-            "campaign worker pool fully collapsed; finishing the "
-            "remaining trials serially in the driver",
-            stacklevel=2,
-        )
-        if self.observer is not None:
-            self.observer.metrics.inc("repro_serial_fallbacks_total")
-            self.observer.event("serial_fallback")
-        fallback = SerialExecutor()
-        fallback.start(self._jobs_ref, task_fn=self.task_fn,
-                       timeout=self.timeout, kill_grace=self.kill_grace)
-        self._active = fallback
-        try:
-            for i in order:
-                fallback.submit_shard(ShardSpec(
-                    (i,), not_before=self._not_before.get(i, 0.0)))
-            self._drive(fallback)
-        finally:
-            fallback.close()
+        elif ev.kind == "serial_fallback":
+            self._health.serial_fallback = True
+            self._health.degradation_events.append({"type": "serial_fallback"})
+            self._journal_event("degradation", type="serial_fallback")
+            warnings.warn(
+                "campaign worker pool fully collapsed; finishing the "
+                "remaining trials serially in the driver",
+                stacklevel=2,
+            )
+            if self.observer is not None:
+                self.observer.metrics.inc("repro_serial_fallbacks_total")
+                self.observer.event("serial_fallback")
 
     # ------------------------------------------------------------------
     # Shared bookkeeping
@@ -353,10 +306,8 @@ class CampaignEngine:
                 self.observer.event("retry", trial=index, kind=kind.value,
                                     attempt=failures)
             # seeded exponential backoff with jitter before re-dispatch
-            self._not_before[index] = time.monotonic() + \
-                self.retry_policy.delay(failures - 1, token=f"trial:{index}")
-            self._active.submit_shard(ShardSpec(
-                (index,), not_before=self._not_before[index]))
+            delay = self.retry_policy.delay(failures - 1, token=f"trial:{index}")
+            self._fleet.resubmit(index, time.monotonic() + delay)
 
     def _record(self, index: int, trial: TrialResult) -> None:
         self._results[index] = trial
@@ -522,15 +473,14 @@ def _drive_campaign(
         observer = CampaignObserver(obs_config, meta=meta)
 
     engine = CampaignEngine(
-        workers=effective,
+        workers=fleet,
+        executor=exec_name,
         timeout=proto.wall_timeout,
         max_retries=max_retries,
         journal=journal_writer,
         progress=progress,
         batches=batches,
         observer=observer,
-        executor=exec_name,
-        shards=shards,
     )
     try:
         results, health = engine.run(
@@ -590,9 +540,12 @@ def resume_campaign(
     :func:`repro.inject.campaign.run_campaign` — observation covers the
     trials executed by the resume (restored trials contribute outcome
     counters only), and never changes any trial outcome.  ``executor``
-    and ``shards`` pick the backend finishing the campaign — any
-    backend resumes any journal, because the remaining jobs re-derive
-    identically regardless of who ran the completed ones.
+    and ``shards`` pick where the campaign is finished, by
+    ``run_campaign``'s rule (fleet size = ``shards``, else ``workers``;
+    ``serial`` is one process) — any of them resumes any journal,
+    because the remaining jobs re-derive identically regardless of who
+    ran the completed ones.  A journal with no trial missing starts no
+    process.
     """
     header, done, recovery = read_journal_ex(journal_path)
     missing = [key for key in _campaign.DEFINITION_KEYS + ("golden",)

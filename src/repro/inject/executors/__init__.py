@@ -1,11 +1,13 @@
-"""Pluggable campaign execution backends.
+"""Where a campaign's trials execute: one supervised fleet, three names.
 
-One :class:`~repro.inject.executors.base.Executor` contract, two
-implementations: in-driver serial, and the supervised worker fleet that
-``pool`` (pipe wire) and ``remote`` (localhost socket wire) both name.
-The campaign controller (:mod:`repro.inject.engine`) is
-backend-agnostic — it submits the plan, streams events, and owns every
-piece of retry/quarantine/journal/degradation policy.
+:class:`~repro.inject.executors.local.FleetExecutor` runs every trial —
+in the driver (``serial``), or on worker processes over pipes (``pool``)
+or authenticated localhost sockets (``remote``).  The campaign
+controller (:mod:`repro.inject.engine`) submits the plan, streams the
+fleet's events, and owns every piece of retry / quarantine / journal /
+health policy.  This module holds the ``--executor`` vocabulary and the
+one rule that turns ``executor`` / ``shards`` / ``workers`` into a name
+and a fleet size.
 """
 
 from __future__ import annotations
@@ -13,13 +15,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ...errors import CampaignError
-from .base import (
-    Executor,
-    ExecutorCapabilities,
-    ShardSpec,
-    SupervisionEvent,
-    TrialDone,
-)
+from .local import FleetExecutor, SupervisionEvent, TrialDone
 
 #: the --executor / REPRO_EXECUTOR vocabulary
 EXECUTOR_NAMES = ("serial", "pool", "remote")
@@ -27,7 +23,7 @@ EXECUTOR_NAMES = ("serial", "pool", "remote")
 
 def resolve_executor_name(requested: Optional[str], workers: int) -> str:
     """Backend name: explicit argument, else REPRO_EXECUTOR, else by
-    worker count (``serial`` for one worker, ``pool`` for more)."""
+    fleet size (``serial`` for one worker, ``pool`` for more)."""
     from ...core.settings import current_settings
 
     name = requested
@@ -47,46 +43,25 @@ def resolve_backend(executor: Optional[str], shards: Optional[int],
                     workers: int) -> Tuple[str, int]:
     """``(backend name, fleet size)`` of a run.
 
-    The one resolution of the ``executor`` / ``shards`` arguments,
-    shared by ``run_campaign``, ``resume_campaign`` and the engine so a
-    resumed campaign plans exactly as the recording one did.  The fleet
-    size — processes running trials, and how many chunks an oversized
-    fork bucket splits into — is 1 in the driver, the worker count on
-    ``pool``, and ``shards`` (default: the worker count) on ``remote``.
+    The one resolution of the ``executor`` / ``shards`` arguments, made
+    once per ``run_campaign`` / ``resume_campaign`` so a resumed
+    campaign plans exactly as the recording one did.  The fleet size —
+    processes running trials, and how many chunks an oversized fork
+    bucket splits into — is ``shards`` if given, else the worker count,
+    on either wire; ``serial`` is size 1 whatever was asked.
     """
-    name = resolve_executor_name(executor, workers)
-    if name == "serial":
-        return name, 1
-    if name == "remote" and shards is not None:
-        return name, shards
-    return name, max(workers, 1)
-
-
-def make_executor(name: str, workers: int, *,
-                  degrade_after: int) -> Executor:
-    """Instantiate a backend by name, ``workers`` processes strong
-    (lazy imports keep cycles out)."""
-    from .local import FleetExecutor, SerialExecutor
-
-    if name == "serial":
-        return SerialExecutor()
-    if name in ("pool", "remote"):
-        return FleetExecutor(name, max(workers, 1),
-                             degrade_after=degrade_after)
-    raise CampaignError(
-        f"unknown executor {name!r}; expected one of "
-        f"{', '.join(EXECUTOR_NAMES)}"
-    )
+    if shards is not None and shards < 1:
+        raise CampaignError(f"shards must be >= 1, got {shards}")
+    size = shards if shards is not None else max(workers, 1)
+    name = resolve_executor_name(executor, size)
+    return name, 1 if name == "serial" else size
 
 
 __all__ = [
     "EXECUTOR_NAMES",
-    "Executor",
-    "ExecutorCapabilities",
-    "ShardSpec",
+    "FleetExecutor",
     "SupervisionEvent",
     "TrialDone",
-    "make_executor",
     "resolve_backend",
     "resolve_executor_name",
 ]

@@ -1,22 +1,27 @@
-"""The two places a trial can run: the driver, or a supervised fleet.
+"""The supervised fleet: the one place a campaign's trials are run from.
 
-* :class:`SerialExecutor` — trials run inside the driver process, one
-  per poll tick; the watchdog is the soft in-VM deadline carried by the
-  job itself, and retry backoff is honoured by sleeping in place so
-  execution order stays deterministic.
-* :class:`FleetExecutor` — supervised worker processes with a per-trial
-  hard watchdog, unit dispatch with fork-bucket affinity, respawn after
-  crashes, and the respawn-budget rungs of the graceful-degradation
-  ladder (pool shrink; a fully collapsed fleet is reported via
-  :attr:`~FleetExecutor.collapsed` and the campaign controller finishes
-  serially in the driver).  ``executor="pool"`` and
-  ``executor="remote"`` are this one class; the name selects only the
-  *wire* each worker talks over — a duplex ``Pipe``, or an
-  HMAC-authenticated ``127.0.0.1`` TCP connection the worker opens back
-  to the driver's ``Listener``.
+:class:`FleetExecutor` owns the campaign's queues — fork buckets, the
+flat queue, retries backing off — and runs every trial in them.  The
+three ``--executor`` names are this one class:
+
+* ``serial`` — a fleet with no workers: each :meth:`~FleetExecutor.poll`
+  runs the next queued trial in the driver.  The watchdog is the soft
+  in-VM deadline the job itself carries; there is no process to kill.
+* ``pool`` — supervised worker processes, each on a duplex ``Pipe``.
+* ``remote`` — the same workers, each on an HMAC-authenticated
+  ``127.0.0.1`` TCP connection it opens back to the driver's
+  ``Listener``.
+
+A fleet whose every worker slot has been retired by the respawn budget
+is a fleet with no workers too, and finishes its queues the same way.
 
 Campaign *policy* — retry vs. quarantine, journaling, health — stays in
-the controller; these classes only report what happened as events.
+the controller (:mod:`repro.inject.engine`); the fleet only reports
+what happened, as :class:`TrialDone` / :class:`SupervisionEvent`.
+Because every trial's fault plan and RNG seed are drawn up front from
+the campaign seed, any interleaving of execution produces the same
+science (``tests/inject/test_executor_contract.py`` asserts it name by
+name).
 """
 
 from __future__ import annotations
@@ -26,19 +31,40 @@ import os
 import socket
 import time
 from collections import deque
+from dataclasses import dataclass, field
 from multiprocessing.connection import Client, Listener
 from multiprocessing.connection import wait as _conn_wait
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from ...errors import CampaignError, FailureKind, TrialTimeoutError
 from .. import chaos
-from .base import (
-    Executor,
-    ExecutorCapabilities,
-    ShardSpec,
-    SupervisionEvent,
-    TrialDone,
-)
+
+
+@dataclass(frozen=True)
+class TrialDone:
+    """One trial finished: ``ok`` carries a TrialResult in ``payload``;
+    a failure carries ``(FailureKind value, detail string)``.
+    ``shard_id`` is the worker slot that ran it (0 in the driver) — the
+    journal's ``shard`` tag."""
+
+    shard_id: int
+    index: int
+    ok: bool
+    payload: object
+
+
+@dataclass(frozen=True)
+class SupervisionEvent:
+    """Fleet supervision notice.
+
+    ``kind`` is one of ``worker_respawn`` / ``watchdog_kill`` /
+    ``pool_shrink`` / ``serial_fallback``; ``attrs`` carries structured
+    detail for the observer and the health ledger.
+    """
+
+    kind: str
+    attrs: dict = field(default_factory=dict)
+
 
 #: extra wall-clock slack granted on top of the soft in-VM watchdog
 #: before the supervisor hard-kills the worker
@@ -143,76 +169,30 @@ class _Worker:
         self.retired = False
 
 
-# ----------------------------------------------------------------------
-# Serial
-# ----------------------------------------------------------------------
+class FleetExecutor:
+    """The campaign's queues and the processes that run them.
 
-class SerialExecutor(Executor):
-    """In-driver execution, one trial per poll tick.
+    Usage, as driven by the campaign controller::
 
-    The watchdog is the soft in-VM deadline carried by the job itself
-    (``run_job(wall_timeout=...)``); there is no process to kill.
-    Retried trials carry a backoff stamp which is honoured by sleeping
-    (rather than reordering), keeping serial execution deterministic.
-    """
-
-    name = "serial"
-
-    def __init__(self) -> None:
-        #: (trial index, not-before stamp), FIFO
-        self._queue: Deque[Tuple[int, float]] = deque()
-        self._jobs: List[tuple] = []
-        self._task_fn = None
-
-    # -- lifecycle -----------------------------------------------------
-    def start(self, jobs, *, task_fn, timeout=None, kill_grace=None) -> None:
-        self._jobs = jobs
-        self._task_fn = task_fn
-
-    def close(self) -> None:
-        self._queue.clear()
-
-    # -- contract ------------------------------------------------------
-    def submit_shard(self, shard: ShardSpec) -> None:
-        for index in shard.indices:
-            self._queue.append((index, shard.not_before))
-
-    def poll(self, timeout: float) -> List[object]:
-        if not self._queue:
-            return []
-        index, not_before = self._queue.popleft()
-        wait = not_before - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
-        return [TrialDone(0, index,
-                          *_run_guarded(self._task_fn, self._jobs[index]))]
-
-    def cancel(self) -> None:
-        self._queue.clear()
-
-    def capabilities(self) -> ExecutorCapabilities:
-        return ExecutorCapabilities(name=self.name, hard_watchdog=False,
-                                    in_driver=True)
-
-    def has_pending(self) -> bool:
-        return bool(self._queue)
-
-
-# ----------------------------------------------------------------------
-# The supervised fleet
-# ----------------------------------------------------------------------
-
-class FleetExecutor(Executor):
-    """Supervised worker processes behind the executor contract.
+        fleet.start(jobs, task_fn=...)     # bind the job list, spawn
+        fleet.submit(buckets=...)          # the campaign's plan, once
+        while fleet.has_pending():
+            for ev in fleet.poll(tick):    # TrialDone / SupervisionEvent
+                ...
+            fleet.resubmit(index, stamp)   # controller-decided retries
+        fleet.close()                      # graceful; cancel() to abort
 
     One :meth:`poll` call is one supervision tick: hand every worker
     holding fewer than two unfinished trials its next *unit* — a whole
     fork bucket (one message; its trials run in order and their results
     stream back one each), else one trial from the flat/retry queue —
     read every result that is ready, then sweep for crashed or
-    watchdog-expired workers.  Failures are *reported* (as failed
-    :class:`TrialDone` events) but never retried here — the controller
-    owns the retry/quarantine taxonomy and re-submits eligible trials.
+    watchdog-expired workers.  With no live worker the tick instead
+    runs one trial of the same queues in the driver and returns, so the
+    controller journals it before the next one starts.  Failures are
+    *reported* (as failed :class:`TrialDone` events), exactly once, but
+    never retried here — the controller owns the retry/quarantine
+    taxonomy and re-submits eligible trials.
 
     A death costs exactly the trial that was executing: the channel is
     drained first, so trials the worker finished are delivered rather
@@ -220,18 +200,20 @@ class FleetExecutor(Executor):
     remainder goes back to the front of the bucket queue as one bucket
     with no failure mark.
 
-    The respawn budget implements the fleet rungs of the graceful
-    degradation ladder: each ``degrade_after`` worker deaths retires a
-    slot (``pool_shrink`` supervision event) instead of feeding an
-    infinite respawn storm; when every slot is retired the executor is
-    :attr:`collapsed` and the controller finishes serially.
+    The respawn budget is the graceful-degradation ladder: each
+    ``degrade_after`` worker deaths retires a slot (``pool_shrink``
+    supervision event) instead of feeding an infinite respawn storm;
+    the last slot to retire adds ``serial_fallback``, and the fleet
+    carries on in the driver.
     """
 
     def __init__(self, name: str, workers: int, *,
                  degrade_after: int = 4) -> None:
-        #: ``pool`` (pipe wire) or ``remote`` (socket wire)
+        #: ``serial`` (in the driver), ``pool`` (pipe wire) or
+        #: ``remote`` (socket wire)
         self.name = name
-        self.workers = workers
+        #: worker processes to start — none under ``serial``
+        self.workers = 0 if name == "serial" else workers
         self.degrade_after = degrade_after
         self._respawn_budget = degrade_after
         self._ctx = None
@@ -250,7 +232,14 @@ class FleetExecutor(Executor):
         self._not_before: Dict[int, float] = {}
 
     # -- lifecycle -----------------------------------------------------
-    def start(self, jobs, *, task_fn, timeout=None, kill_grace=None) -> None:
+    def start(self, jobs: List[tuple], *, task_fn, timeout=None,
+              kill_grace: Optional[float] = None) -> None:
+        """Bind the campaign's job list and trial driver; spawn.
+
+        ``timeout`` is the per-trial wall-clock watchdog in seconds
+        (None: off); ``kill_grace`` the slack on top of it before a
+        worker is hard-killed (None: :data:`KILL_GRACE`).
+        """
         self._jobs = jobs
         self._task_fn = task_fn
         self.timeout = timeout
@@ -267,6 +256,7 @@ class FleetExecutor(Executor):
             self._pool.append(self._spawn(slot, fresh=False))
 
     def close(self) -> None:
+        """Graceful shutdown: drain nothing, release workers."""
         for w in self._pool:
             try:
                 w.conn.send(None)
@@ -277,6 +267,7 @@ class FleetExecutor(Executor):
         self.cancel()
 
     def cancel(self) -> None:
+        """Abort outstanding work as fast as possible (kill workers)."""
         for w in self._pool:
             if w.proc.is_alive():
                 w.proc.kill()
@@ -287,28 +278,40 @@ class FleetExecutor(Executor):
             self._listener.close()
             self._listener = None
 
-    # -- contract ------------------------------------------------------
-    def submit_shard(self, shard: ShardSpec) -> None:
-        if shard.batches is not None:
-            self._buckets.extend(b for b in shard.batches if b)
-            return
-        if shard.not_before:
-            for index in shard.indices:
-                self._not_before[index] = shard.not_before
-        self._queue.extend(shard.indices)
+    # -- queues --------------------------------------------------------
+    def submit(self, indices: Iterable[int] = (),
+               buckets: Iterable[Tuple[int, ...]] = ()) -> None:
+        """Queue the campaign's plan: fork ``buckets`` (each runs in
+        order in one place), or trial ``indices`` one by one."""
+        self._buckets.extend(b for b in buckets if b)
+        self._queue.extend(indices)
+
+    def resubmit(self, index: int, not_before: float) -> None:
+        """Queue a retry that may not start before the monotonic-clock
+        stamp ``not_before`` (its backoff)."""
+        self._not_before[index] = not_before
+        self._queue.append(index)
+
+    def has_pending(self) -> bool:
+        """Any submitted trial not yet reported?"""
+        return (bool(self._queue) or bool(self._buckets)
+                or any(w.inflight for w in self._pool))
 
     def poll(self, timeout: float) -> List[object]:
+        """Advance the fleet one tick; return every event that occurred,
+        blocking at most ``timeout`` seconds waiting for progress."""
         events: List[object] = []
         active = [w for w in self._pool if not w.retired]
-        if not active:
-            return events
         for w in active:
             self._dispatch(w, events)
         busy = {w.conn: w for w in active if w.inflight and not w.retired}
         if not busy:
-            # nothing in flight (e.g. every queued retry is still
-            # backing off) — idle one tick, don't spin
-            time.sleep(timeout)
+            # no live worker: run one trial here.  Nothing runnable
+            # (e.g. every queued retry is still backing off): idle one
+            # tick, don't spin
+            if not (all(w.retired for w in self._pool)
+                    and self._run_in_driver(events)):
+                time.sleep(timeout)
             return events
         for conn in _conn_wait(list(busy), timeout=timeout):
             self._drain(busy[conn], events)
@@ -323,32 +326,6 @@ class FleetExecutor(Executor):
                 w.proc.join(5.0)
                 self._on_death(w, events, FailureKind.TIMEOUT)
         return events
-
-    def capabilities(self) -> ExecutorCapabilities:
-        return ExecutorCapabilities(name=self.name, hard_watchdog=True,
-                                    in_driver=False)
-
-    @property
-    def collapsed(self) -> bool:
-        return bool(self._pool) and all(w.retired for w in self._pool)
-
-    def has_pending(self) -> bool:
-        return (bool(self._queue) or bool(self._buckets)
-                or any(w.inflight for w in self._pool))
-
-    def drain_unfinished(self) -> List[int]:
-        """Unreported trial indices, in dispatch order (for the
-        controller's serial fallback after a full collapse)."""
-        out: List[int] = []
-        for w in self._pool:
-            out.extend(w.inflight)
-            w.inflight.clear()
-        for bucket in self._buckets:
-            out.extend(bucket)
-        self._buckets.clear()
-        out.extend(self._queue)
-        self._queue.clear()
-        return out
 
     # -- internals -----------------------------------------------------
     def _spawn(self, slot: int, fresh: bool) -> _Worker:
@@ -405,6 +382,21 @@ class FleetExecutor(Executor):
                 return (index,)
             self._queue.append(index)
         return None
+
+    def _run_in_driver(self, events: List[object]) -> bool:
+        """Run the next runnable trial here, as slot 0; False when
+        there is none.  One trial only, and no chaos roll: a kill or a
+        hang injected here would take the campaign down, not a worker.
+        """
+        unit = self._next_unit()
+        if unit is None:
+            return False
+        if len(unit) > 1:
+            self._buckets.appendleft(unit[1:])
+        index = unit[0]
+        events.append(TrialDone(
+            0, index, *_run_guarded(self._task_fn, self._jobs[index])))
+        return True
 
     def _dispatch(self, w: _Worker, events: List[object]) -> None:
         if not w.proc.is_alive():
@@ -484,8 +476,8 @@ class FleetExecutor(Executor):
         respawn budget tolerates — or a replacement cannot connect —
         the slot is permanently removed instead of feeding an infinite
         respawn storm.  The budget then resets: each further
-        ``degrade_after`` respawns costs one more slot, until the fleet
-        collapses entirely.
+        ``degrade_after`` respawns costs one more slot, until none is
+        left and the driver runs the trials itself.
         """
         w.conn.close()
         w.deadline = None
@@ -503,3 +495,5 @@ class FleetExecutor(Executor):
         self._respawn_budget = self.degrade_after
         events.append(SupervisionEvent(
             "pool_shrink", {"degrade_after": self.degrade_after}))
+        if all(w.retired for w in self._pool):
+            events.append(SupervisionEvent("serial_fallback"))

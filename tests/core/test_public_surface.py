@@ -77,6 +77,17 @@ class TestPublicSurface:
                 "prune", "fork", "tier2", "executor", "shards"} <= set(
             inspect.signature(repro.run_campaign).parameters)
 
+    def test_executor_contract_left_no_exports(self):
+        from repro.inject import executors
+
+        for name in ("Executor", "ExecutorCapabilities", "SerialExecutor",
+                     "ShardSpec", "make_executor"):
+            assert name not in executors.__all__
+            assert not hasattr(executors, name)
+            assert not hasattr(executors.local, name)
+        assert not hasattr(executors, "base")
+        assert not hasattr(executors.FleetExecutor, "capabilities")
+
     def test_restore_rung_left_no_surface(self):
         import inspect
 

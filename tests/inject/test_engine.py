@@ -35,6 +35,7 @@ from repro.inject import (
 )
 from repro.inject import campaign as campaign_mod
 from repro.inject.campaign import TrialResult, harness_failure_trial
+from repro.inject.executors import FleetExecutor, SupervisionEvent
 from repro.inject.executors import local as local_mod
 from repro.apps import get_app
 
@@ -271,6 +272,53 @@ def test_socket_worker_failing_its_handshake_is_given_up(
     assert not multiprocessing.active_children()
 
 
+class TestFleetInTheDriver:
+    """A fleet with no live worker runs its own queues in the driver."""
+
+    def test_retired_fleet_finishes_every_queue_in_the_driver(self):
+        driver, ran_at = os.getpid(), {}
+
+        def task(job):
+            if os.getpid() != driver:
+                os._exit(9)
+            ran_at[job[0]] = time.monotonic()
+            return _stub_trial(job[0])
+
+        fleet = FleetExecutor("pool", 2, degrade_after=1)
+        fleet.start([(i,) for i in range(8)], task_fn=task)
+        fleet.submit([5, 6], buckets=[(0, 1, 2), (3, 4)])
+        stamp = time.monotonic() + 0.3
+        fleet.resubmit(7, stamp)
+        done, kinds = [], []
+        while fleet.has_pending():
+            for ev in fleet.poll(0.01):
+                if isinstance(ev, SupervisionEvent):
+                    kinds.append(ev.kind)
+                elif ev.ok:
+                    done.append((ev.shard_id, ev.index))
+                else:  # the two heads that killed their workers
+                    fleet.resubmit(ev.index, time.monotonic() + 0.05)
+        fleet.close()
+        assert sorted(done) == [(0, i) for i in range(8)]
+        assert sorted(ran_at) == list(range(8)) and ran_at[7] >= stamp
+        assert kinds == ["pool_shrink", "pool_shrink", "serial_fallback"]
+
+    def test_one_trial_a_poll_no_chaos_roll_no_idle_tick(self, monkeypatch):
+        # a kill or hang rolled here would take the driver down
+        monkeypatch.setattr(local_mod.chaos, "monkey",
+                            lambda: pytest.fail("chaos rolled in the driver"))
+        monkeypatch.setattr(time, "sleep",
+                            lambda s: pytest.fail("slept on a runnable trial"))
+        fleet = FleetExecutor("serial", 4)
+        fleet.start([(i,) for i in range(3)],
+                    task_fn=lambda job: _stub_trial(job[0]))
+        fleet.submit(buckets=[(0, 1), (2,)])
+        polls = []
+        while fleet.has_pending():
+            polls.append([(e.shard_id, e.index) for e in fleet.poll(0.01)])
+        assert polls == [[(0, 0)], [(0, 1)], [(0, 2)]]
+
+
 class TestSoftWatchdog:
     def test_run_job_wall_timeout_raises(self):
         from repro.core.runner import run_job
@@ -385,8 +433,10 @@ class TestEffectiveWorkers:
         assert c.effective_workers == 2
         assert c.health.wall_time_s > 0
 
-    @pytest.mark.parametrize("fleet", [{"executor": "pool", "workers": 2},
-                                       {"executor": "remote", "shards": 2}])
+    @pytest.mark.parametrize("fleet", [
+        {"executor": "pool", "workers": 2}, {"executor": "remote", "shards": 2},
+        # ``shards`` sizes the fleet on either wire
+        {"executor": "pool", "workers": 4, "shards": 2}])
     def test_fleet_size_is_reported_and_tags_every_trial(self, fleet,
                                                          tmp_path):
         from repro.analysis import render_health_summary
@@ -395,8 +445,8 @@ class TestEffectiveWorkers:
         c = run_campaign("matvec", trials=8, mode="blackbox", seed=1,
                          journal=str(path), **fleet)
         assert c.effective_workers == c.health.effective_workers == 2
-        assert c.health.shards == 2
-        assert "engine: 2 worker(s)," in render_health_summary(c.health)
+        assert c.health.shards == read_journal(path)[0]["shards"] == 2
+        assert "engine: 2 worker(s)" in render_health_summary(c.health)
         tags = {json.loads(line.split(" ", 3)[3])["shard"]
                 for line in path.read_text().splitlines()[1:]}
         assert tags <= {0, 1}
@@ -515,14 +565,37 @@ class TestJournalAndResume:
         resumed = resume_campaign(path)
         assert resumed.n_trials == 6
 
-    def test_fully_complete_journal_resumes_to_same_result(self, tmp_path):
+    def test_fully_complete_journal_resumes_to_same_result(
+            self, tmp_path, monkeypatch):
         path = tmp_path / "c.jsonl"
         full = run_campaign("matvec", trials=6, mode="blackbox", seed=11,
                             journal=str(path))
-        resumed = resume_campaign(path)
-        assert resumed.health.resumed_trials == 6
-        assert [t.outcome for t in resumed.trials] == \
-            [t.outcome for t in full.trials]
+        # with nothing to run, no wire starts a process or a listener
+        for name in ("_spawn", "start"):
+            monkeypatch.setattr(FleetExecutor, name, lambda *a, **kw:
+                                pytest.fail("a fleet started for nothing"))
+        for wire in (None, "pool", "remote"):
+            resumed = resume_campaign(path, executor=wire, workers=2)
+            assert resumed.health.resumed_trials == 6
+            assert [t.outcome for t in resumed.trials] == \
+                [t.outcome for t in full.trials]
+
+    def test_in_driver_bucket_is_journaled_trial_by_trial(self, tmp_path):
+        # a driver killed mid-bucket loses only the trial it was running
+        from repro.inject.journal import CampaignJournal
+
+        path = tmp_path / "b.jsonl"
+        journal = CampaignJournal.create(path, {"n_trials": 3})
+        seen = []
+
+        def task(job):
+            seen.append(sorted(read_journal(path)[1]))
+            return _stub_trial(job[0])
+
+        CampaignEngine(task_fn=task, journal=journal,
+                       batches=[[0, 1, 2]]).run([(i,) for i in range(3)])
+        journal.close()
+        assert seen == [[], [0], [0, 1]]
 
     def test_missing_journal_raises(self, tmp_path):
         with pytest.raises(JournalError):

@@ -1,23 +1,19 @@
-"""Backend conformance: every executor honours the same contract.
+"""One fleet, three names: where a trial runs never shows in the science.
 
-One battery, three backends.  Whatever executes the trials — the
-in-driver serial loop, or the supervised fleet on its pipe wire (pool)
-or its socket wire (remote) — the campaign must produce the same
-science:
+One battery over the three ``--executor`` names.  Whether the fleet
+runs the trials in the driver (serial), or on workers over its pipe
+wire (pool) or its socket wire (remote), the campaign must produce the
+same science:
 
 * **bit-identity** — trial records identical to the serial reference
   (modulo harness provenance like retry counts), and the journal's
   science hash identical too;
 * **chaos worker-kill** — killing every worker once costs retries, not
   results;
-* **journal resume** — a truncated journal finishes under any backend
+* **journal resume** — a truncated journal finishes under any name
   and converges to the reference;
 * **watchdog timeout** — a wedged trial is killed and retried, not
   waited on forever.
-
-These tests are the executable form of the Executor API contract
-(:mod:`repro.inject.executors.base`): a fourth backend that passes this
-file can be dropped in without touching the engine.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from repro.inject import chaos
 from repro.inject.campaign import TrialResult
 from repro.inject.executors import (
     EXECUTOR_NAMES,
-    make_executor,
+    resolve_backend,
     resolve_executor_name,
 )
 from repro.inject.journal import journal_science_hash
@@ -100,13 +96,16 @@ class TestResolutionAndCapabilities:
         with pytest.raises(CampaignError, match="unknown executor"):
             resolve_executor_name("carrier-pigeon", 2)
 
-    @pytest.mark.parametrize("name", EXECUTORS)
-    def test_capabilities_shape(self, name):
-        ex = make_executor(name, workers=2, degrade_after=4)
-        caps = ex.capabilities()
-        assert caps.name == name
-        assert caps.in_driver == (name == "serial")
-        assert caps.hard_watchdog == (name != "serial")
+    def test_shards_size_the_fleet_on_either_wire(self, monkeypatch):
+        from repro.errors import CampaignError
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        assert resolve_backend("pool", 5, 2) == ("pool", 5)
+        assert resolve_backend("remote", None, 3) == ("remote", 3)
+        assert resolve_backend(None, 3, 1) == ("pool", 3)
+        assert resolve_backend(None, 1, 4) == ("serial", 1)
+        assert resolve_backend("serial", 4, 4) == ("serial", 1)
+        with pytest.raises(CampaignError, match="shards must be >= 1"):
+            resolve_backend("pool", 0, 2)
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +218,6 @@ class TestWatchdogTimeout:
         chaos.activate()
         eng = CampaignEngine(workers=2, timeout=0.3, kill_grace=0.3,
                              max_retries=2, executor=executor,
-                             shards=2 if executor == "remote" else None,
                              task_fn=lambda a: _stub_trial(a[0]))
         results, health = eng.run([(i,) for i in range(3)])
         assert [r.cycles for r in results] == [0, 1, 2]
