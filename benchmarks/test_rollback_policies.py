@@ -19,8 +19,8 @@ import numpy as np
 
 from repro.analysis import render_table
 from repro.apps import get_app
-from repro.core.runner import build_program, run_job
 from repro.inject.plan import draw_plan
+from repro.inject.profiler import PreparedApp
 from repro.models import CMLEstimator, compute_fps
 from repro.resilience import (
     AlwaysRollback,
@@ -38,9 +38,11 @@ def test_rollback_policies(benchmark, results_dir):
     n = max(30, trials() // 5)
 
     def run_study():
-        spec = get_app(app)
-        program = build_program(spec.source, "fpm", config=spec.config)
-        golden = run_job(program, spec.config)
+        # compiled, profiled, and with the golden-derived hang budget
+        # in its config — what a campaign runs its trials under
+        prepared = PreparedApp(get_app(app), "fpm")
+        program, golden = prepared.program, prepared.golden
+        config = prepared.run_config()
 
         # FPS model from a training campaign (as the paper prescribes)
         training = run_campaign(app, trials=max(60, n), mode="fpm",
@@ -67,7 +69,7 @@ def test_rollback_policies(benchmark, results_dir):
             contaminated_finishes = crashes = rollbacks = 0
             wasted = 0
             for i, plan in enumerate(plans):
-                runner = ResilientRunner(program, spec.config, policy,
+                runner = ResilientRunner(program, config, policy,
                                          interval=interval,
                                          expected_end=golden.cycles)
                 res = runner.run(faults=plan, inj_seed=i)

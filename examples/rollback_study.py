@@ -17,9 +17,9 @@ import numpy as np
 
 from repro.analysis import render_table
 from repro.apps import get_app
-from repro.core.runner import build_program, run_job
 from repro.inject import run_campaign
 from repro.inject.plan import draw_plan
+from repro.inject.profiler import PreparedApp
 from repro.models import CMLEstimator, compute_fps
 from repro.resilience import (
     AlwaysRollback,
@@ -36,9 +36,11 @@ def main() -> None:
     app = sys.argv[1] if len(sys.argv) > 1 else "mcb"
     trials = int(sys.argv[2]) if len(sys.argv) > 2 else 60
 
-    spec = get_app(app)
-    program = build_program(spec.source, "fpm", config=spec.config)
-    golden = run_job(program, spec.config)
+    # compiled, profiled, and with the golden-derived hang budget in its
+    # config — what a campaign runs its trials under
+    prepared = PreparedApp(get_app(app), "fpm")
+    program, golden = prepared.program, prepared.golden
+    config = prepared.run_config()
     print(f"app: {app}, golden run: {golden.cycles} cycles")
 
     # 1. FPS model
@@ -76,7 +78,7 @@ def main() -> None:
     for policy in policies:
         dirty = wasted = rollbacks = crashes = 0
         for i, plan in enumerate(plans):
-            runner = ResilientRunner(program, spec.config, policy,
+            runner = ResilientRunner(program, config, policy,
                                      interval=interval,
                                      expected_end=golden.cycles)
             res = runner.run(faults=plan, inj_seed=i)

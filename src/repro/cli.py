@@ -28,7 +28,7 @@ from .api import Session
 from .errors import CampaignError
 from .apps import app_names, get_app
 from .frontend import compile_source
-from .inject.campaign import MODES
+from .inject.campaign import MODES, check_target
 from .inject.engine import resume_campaign
 from .inject.executors import EXECUTOR_NAMES
 from .inject.journal import read_journal_header
@@ -258,6 +258,7 @@ def cmd_fps(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    check_target(args.app, args.mode)
     spec = get_app(args.app)
     module = compile_source(spec.source, name=args.app)
     run_passes(module, pipeline_for_mode(args.mode, spec.config.inject_kinds))

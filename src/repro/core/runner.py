@@ -1,14 +1,18 @@
 """Job runner: compile once, run many simulated MPI jobs.
 
 ``build_program`` compiles MiniHPC source through the requested pass
-pipeline; ``run_job`` assembles machines + MPI runtime + scheduler and
-executes to a :class:`~repro.mpi.scheduler.JobResult`.
+pipeline; ``build_world`` turns a program and a :class:`RunConfig` into
+started machines on an MPI runtime and ``make_scheduler`` into the
+scheduler that runs them — the one place either is spelled out, shared
+by ``run_job`` (a world run once to a
+:class:`~repro.mpi.scheduler.JobResult`), the golden cursor and the
+roll-back runner.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..frontend import compile_source
 from ..mpi import JobResult, MPIRuntime, Scheduler
@@ -38,6 +42,72 @@ def build_program(
     module = compile_source(source, name=name, verify=verify)
     run_passes(module, pipeline_for_mode(mode, config.inject_kinds), verify=verify)
     return compile_program(module, fuse=fuse)
+
+
+def build_world(
+    program: CompiledProgram,
+    config: RunConfig,
+    faults: Sequence[FaultSpec] = (),
+    *,
+    inj_seed: Optional[int] = None,
+    tier2: bool = True,
+    edge_profile: Optional[dict] = None,
+) -> Tuple[List[Machine], MPIRuntime]:
+    """One started machine per rank, attached to a fresh MPI runtime.
+
+    ``faults`` are armed before the first instruction; ``tier2=False``
+    puts the machines on the static region map, and so does an
+    ``edge_profile`` dict to fill: the profiling branch closures only
+    run there.
+    """
+    machines = [
+        Machine(program, rank, config.nranks, seed=config.seed,
+                mem_capacity=config.mem_capacity,
+                stack_words=config.stack_words, entry=config.entry)
+        for rank in range(config.nranks)
+    ]
+    runtime = MPIRuntime()
+    runtime.attach(machines)
+    for m in machines:
+        m.use_tier2 = tier2 and edge_profile is None
+        m.edge_profile = edge_profile
+        if faults:
+            m.arm_faults(faults, seed=inj_seed)
+        m.start()
+    return machines, runtime
+
+
+def make_scheduler(
+    machines: Sequence[Machine],
+    runtime: MPIRuntime,
+    config: RunConfig,
+    *,
+    max_cycles: Optional[int] = None,
+    wall_timeout: Optional[float] = None,
+    **hooks,
+) -> Scheduler:
+    """The scheduler ``config`` asks for over a built world.
+
+    The hang budget is ``max_cycles``, else the config's, else the
+    config's golden budget; ``wall_timeout`` (seconds from now) arms the
+    wall-clock watchdog.  ``hooks`` are :class:`Scheduler`'s own
+    keywords: where to resume (``start_epoch``, ``trace``) and what to
+    capture or observe on the way.
+    """
+    if max_cycles is None:
+        max_cycles = config.max_cycles
+    if max_cycles is None:
+        max_cycles = config.golden_max_cycles
+    if wall_timeout is not None:
+        hooks["wall_deadline"] = time.monotonic() + wall_timeout
+    return Scheduler(
+        machines,
+        runtime,
+        quantum=config.quantum,
+        max_cycles=max_cycles,
+        sample_every=config.sample_every,
+        **hooks,
+    )
 
 
 def run_job(
@@ -98,47 +168,17 @@ def run_job(
     than rely on the program having no plan installed.
     """
     config = config or RunConfig()
-    runtime = MPIRuntime()
-    machines = [
-        Machine(
-            program,
-            rank,
-            config.nranks,
-            seed=config.seed,
-            mem_capacity=config.mem_capacity,
-            stack_words=config.stack_words,
-            entry=config.entry,
-        )
-        for rank in range(config.nranks)
-    ]
-    for m in machines:
-        if tier2 is False or capture_edge_profile is not None:
-            m.use_tier2 = False
-        m.edge_profile = capture_edge_profile
-    runtime.attach(machines)
-    for m in machines:
-        if faults:
-            m.arm_faults(faults, seed=inj_seed)
-        m.start()
-    budget = max_cycles
-    if budget is None:
-        budget = config.max_cycles
-    if budget is None:
-        budget = config.golden_max_cycles
-    scheduler = Scheduler(
-        machines,
-        runtime,
-        quantum=config.quantum,
-        max_cycles=budget,
-        sample_every=config.sample_every,
-        wall_deadline=(
-            time.monotonic() + wall_timeout if wall_timeout is not None
-            else None
-        ),
+    machines, runtime = build_world(
+        program, config, faults, inj_seed=inj_seed,
+        tier2=tier2 is not False, edge_profile=capture_edge_profile,
+    )
+    return make_scheduler(
+        machines, runtime, config,
+        max_cycles=max_cycles,
+        wall_timeout=wall_timeout,
         snapshots=capture_snapshots,
         cml_stream=cml_stream,
         fingerprints=capture_fingerprints,
         prune=prune,
         epoch_counters=capture_epoch_counters,
-    )
-    return scheduler.run()
+    ).run()

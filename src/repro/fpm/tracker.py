@@ -49,6 +49,16 @@ class PropagationTrace:
         if self.stream is not None:
             self.stream.push(t, cml_ranks)
 
+    def copy(self) -> "PropagationTrace":
+        """The samples so far as an independent trace (no stream): what
+        a snapshot keeps and what a resumed or forked job appends to."""
+        return PropagationTrace(
+            times=list(self.times),
+            cml_per_rank=[list(row) for row in self.cml_per_rank],
+            live_words=list(self.live_words),
+            ranks_contaminated=list(self.ranks_contaminated),
+        )
+
     # ------------------------------------------------------------------
     # Derived series
     # ------------------------------------------------------------------

@@ -55,8 +55,9 @@ from .profiler import GoldenProfile
 #: float-tag bytes and fingerprints digest raw array bytes;
 #: v6: tier-2 plan v2 — one rolled or straight path per head, no cap;
 #: v7: one word is one Python object again — a snapshot's live words
-#: are one pickled blob, fingerprints digest word values, tier-2 plan v3)
-SCHEMA_VERSION = 7
+#: are one pickled blob, fingerprints digest word values, tier-2 plan v3;
+#: v8: a snapshot holds each rank's ``Machine.capture`` tuple)
+SCHEMA_VERSION = 8
 
 _ARTIFACT_KIND = "repro-golden-artifact"
 _SUFFIX = ".golden"

@@ -1,8 +1,10 @@
 """Checkpoint/roll-back resilience layer — the paper's Sec. 5 use case.
 
 The CML estimator exists to drive roll-back decisions; this package
-provides the coordinated checkpointing, detectors and policies to
-actually make and evaluate them on simulated jobs.
+provides the detectors, the policies and the runner that applies one to
+a simulated job.  It has no checkpoint format of its own: a checkpoint
+is a :class:`~repro.vm.snapshot.WorldSnapshot`, a roll-back is
+:func:`~repro.vm.snapshot.restore_world`.
 """
 
 from .detectors import (
@@ -12,12 +14,6 @@ from .detectors import (
     SampledDetector,
     ThresholdDetector,
     measure_latency,
-)
-from .checkpoint import (
-    JobCheckpoint,
-    RankCheckpoint,
-    checkpoint_machine,
-    restore_machine,
 )
 from .policy import (
     AlwaysRollback,
@@ -30,8 +26,7 @@ from .runner import ResilientResult, ResilientRunner
 
 __all__ = [
     "AlwaysRollback", "Detection", "Detector", "FPSThresholdPolicy",
-    "IntervalDetector", "JobCheckpoint", "LatencyReport", "NeverRollback",
-    "RankCheckpoint", "ResilientResult", "ResilientRunner",
-    "RollbackPolicy", "SampledDetector", "ThresholdDetector",
-    "checkpoint_machine", "measure_latency", "restore_machine",
+    "IntervalDetector", "LatencyReport", "NeverRollback",
+    "ResilientResult", "ResilientRunner", "RollbackPolicy",
+    "SampledDetector", "ThresholdDetector", "measure_latency",
 ]

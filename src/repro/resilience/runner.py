@@ -1,17 +1,22 @@
 """Checkpoint/rollback-capable job runner.
 
-Runs a simulated MPI job like :class:`~repro.mpi.scheduler.Scheduler`,
-but additionally:
+Steps a simulated MPI job one scheduler epoch at a time — the
+:meth:`Scheduler.run(stop_at_epoch=…) <repro.mpi.scheduler.Scheduler.run>`
+pause the golden cursor uses, so crash, deadlock, hang and watchdog
+rules are the scheduler's own — and between epochs:
 
-* takes **coordinated checkpoints** every ``interval`` virtual cycles, at
-  the first quiescent point after the boundary (no rank mid-MPI-op) —
-  message queues included;
+* takes a **coordinated checkpoint** every ``interval`` virtual cycles,
+  at the first quiescent point after the boundary (no rank mid-MPI-op).
+  A checkpoint is a :class:`~repro.vm.snapshot.WorldSnapshot`; the
+  job's start is checkpoint 0;
 * runs an idealised interval **detector**: at each checkpoint boundary it
   inspects the FPM shadow state (the detector a deployed system would
   approximate with checksums or invariants — paper Sec. 6 "Fault
   Detection"); the detection window is (previous boundary, this boundary);
 * consults a :class:`~repro.resilience.policy.RollbackPolicy`; on
-  roll-back it restores the last *clean* checkpoint.  The transient fault
+  roll-back it restores the last *clean* checkpoint
+  (:func:`~repro.vm.snapshot.restore_world`, then a fresh scheduler at
+  the snapshot's epoch — the cursor's rewind).  The transient fault
   does not recur after the rewind (it was transient), so a rolled-back
   run completes cleanly at the cost of the re-executed cycles.
 
@@ -21,18 +26,14 @@ The result records enough to score policies: outcome, total cycles
 
 from __future__ import annotations
 
-import copy
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core.config import RunConfig
-from ..errors import TrialTimeoutError
-from ..mpi.runtime import MPIRuntime
+from ..core.runner import build_world, make_scheduler
 from ..mpi.scheduler import JobStatus
-from ..vm.machine import FaultSpec, Machine, MachineStatus
-from ..vm.traps import Trap, TrapKind
-from .checkpoint import JobCheckpoint, checkpoint_machine, restore_machine
+from ..vm.machine import FaultSpec
+from ..vm.snapshot import capture_world, restore_world
 from .policy import Detection, RollbackPolicy
 
 
@@ -84,118 +85,71 @@ class ResilientRunner:
     # ------------------------------------------------------------------
     def run(self, faults: Sequence[FaultSpec] = (),
             inj_seed: Optional[int] = None,
-            max_cycles: int = 50_000_000,
+            max_cycles: Optional[int] = None,
             wall_timeout: Optional[float] = None) -> ResilientResult:
-        # same contract as run_job(wall_timeout=...): resilient trials
-        # driven by the campaign engine get the same watchdog coverage
-        wall_deadline = (time.monotonic() + wall_timeout
-                         if wall_timeout is not None else None)
+        """Run the job under the policy.  ``max_cycles`` and
+        ``wall_timeout`` mean what they mean to
+        :func:`~repro.core.runner.run_job`."""
         config = self.config
-        runtime = MPIRuntime()
-        machines = [
-            Machine(self.program, rank, config.nranks, seed=config.seed,
-                    mem_capacity=config.mem_capacity,
-                    stack_words=config.stack_words, entry=config.entry)
-            for rank in range(config.nranks)
-        ]
-        runtime.attach(machines)
-        for m in machines:
-            if faults:
-                m.arm_faults(faults, seed=inj_seed)
-            m.start()
-
-        quantum = config.quantum
+        machines, runtime = build_world(self.program, config, faults,
+                                        inj_seed=inj_seed)
+        sched = make_scheduler(machines, runtime, config,
+                               max_cycles=max_cycles,
+                               wall_timeout=wall_timeout)
+        # the job's start is a checkpoint: a fault detected before the
+        # first periodic one still has somewhere clean to go back to
+        last_ck = capture_world(machines, runtime, 0, None)
         next_boundary = self.interval
-        last_ck: Optional[JobCheckpoint] = None
         last_clean_time = 0
         rollbacks = detections = checkpoints = 0
         wasted = 0
-        status = JobStatus.COMPLETED
         waived = False  # a detection was consciously run through
 
-        while True:
-            if (wall_deadline is not None
-                    and time.monotonic() > wall_deadline):
-                raise TrialTimeoutError(
-                    "resilient job exceeded its wall-clock watchdog"
-                )
-            for m in machines:
-                if m.status is MachineStatus.READY:
-                    m.run(quantum)
-                    if m.status is MachineStatus.TRAPPED:
-                        status = JobStatus.TRAPPED
-                        break
-            if status is JobStatus.TRAPPED:
-                break
-
+        while (result := sched.run(stop_at_epoch=sched.start_epoch + 1)) \
+                is None:
             t = max(m.cycles for m in machines)
-            if all(m.status is MachineStatus.DONE for m in machines):
-                break
-            if not any(m.status is MachineStatus.READY for m in machines):
-                status = JobStatus.DEADLOCK
-                break
-            if t > max_cycles:
-                status = JobStatus.HANG
-                break
-
-            if t >= next_boundary and not waived:
-                if not all(m.pending is None for m in machines):
-                    continue  # postpone to the next quiescent epoch
-
-                contaminated = any(m.ever_contaminated for m in machines)
-                if contaminated:
-                    detections += 1
-                    detection = Detection(
-                        t_clean=last_clean_time, t_detect=t,
-                        t_end=self.expected_end,
-                    )
-                    if (
-                        rollbacks < self.max_rollbacks
-                        and last_ck is not None
-                        and self.policy.should_rollback(detection)
-                    ):
-                        self._restore(machines, runtime, last_ck)
-                        wasted += t - last_ck.time
-                        rollbacks += 1
-                        for m in machines:
-                            # the transient fault does not recur on replay
-                            m.arm_faults(())
-                        next_boundary = last_ck.time + self.interval
-                        continue
-                    # The policy decided the predicted end-of-run CML is
-                    # tolerable: commit to running through (the paper's
-                    # "keep the application running" branch).
-                    waived = True
-                    continue
-
+            if t < next_boundary or waived:
+                continue
+            if any(m.pending is not None for m in machines):
+                continue  # postpone to the next quiescent epoch
+            if not any(m.ever_contaminated for m in machines):
                 # clean boundary: take a coordinated checkpoint
-                last_ck = self._checkpoint(machines, runtime, t)
+                last_ck = capture_world(machines, runtime, sched.start_epoch,
+                                        sched.initial_trace)
                 checkpoints += 1
                 last_clean_time = t
                 next_boundary = t + self.interval
+                continue
+            detections += 1
+            detection = Detection(t_clean=last_clean_time, t_detect=t,
+                                  t_end=self.expected_end)
+            if (rollbacks < self.max_rollbacks
+                    and self.policy.should_rollback(detection)):
+                start_epoch, trace = restore_world(last_ck, machines, runtime)
+                sched = make_scheduler(
+                    machines, runtime, config, max_cycles=sched.max_cycles,
+                    wall_deadline=sched.wall_deadline,
+                    start_epoch=start_epoch, trace=trace)
+                wasted += t - last_ck.cycle
+                rollbacks += 1
+                for m in machines:
+                    # the transient fault does not recur on replay
+                    m.arm_faults(())
+                next_boundary = last_ck.cycle + self.interval
+            else:
+                # The policy decided the predicted end-of-run CML is
+                # tolerable: commit to running through (the paper's
+                # "keep the application running" branch).
+                waived = True
 
-        total = max(m.cycles for m in machines) + wasted
         return ResilientResult(
-            status=status,
-            outputs=[list(m.outputs) for m in machines],
-            iterations=max(m.iteration_count for m in machines),
-            total_cycles=total,
+            status=result.status,
+            outputs=result.outputs,
+            iterations=result.max_iterations,
+            total_cycles=result.cycles + wasted,
             wasted_cycles=wasted,
             rollbacks=rollbacks,
             detections=detections,
             checkpoints=checkpoints,
-            final_contaminated=any(m.ever_contaminated for m in machines),
+            final_contaminated=result.any_contaminated,
         )
-
-    # ------------------------------------------------------------------
-    def _checkpoint(self, machines, runtime, t: int) -> JobCheckpoint:
-        ck = JobCheckpoint(label=f"t{t}", time=t)
-        ck.ranks = [checkpoint_machine(m) for m in machines]
-        ck.queues = [copy.deepcopy(q) for q in runtime.queues]
-        return ck
-
-    def _restore(self, machines, runtime, ck: JobCheckpoint) -> None:
-        for m, rck in zip(machines, ck.ranks):
-            restore_machine(m, rck)
-        runtime.queues = [copy.deepcopy(q) for q in ck.queues]
-        runtime.collectives.clear()

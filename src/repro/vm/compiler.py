@@ -390,14 +390,14 @@ def _compile_fpm_store(inst: FpmStore) -> Callable:
                 fpm.record(addr, vp, m.cycles)
         else:
             # Corrupted store address (paper Sec. 3.2 "Store addresses"):
-            # 1) the wrongly-written cell is contaminated with its previous
-            #    content as the pristine value;
+            # 1) the wrongly-written cell keeps *its* pristine value —
+            #    its table entry if it has one, its previous content
+            #    only if it was clean;
             # 2) the cell that *should* have been written now misses the
             #    pristine value vp.
-            old = mem.cells[addr]
+            pristine = fpm.table.get(addr, mem.cells[addr])
             mem.cells[addr] = v
-            if not (old == v or (old != old and v != v)):
-                fpm.record(addr, old, m.cycles)
+            fpm.update(addr, v, pristine, m.cycles)
             if 0 <= addr_p < mem.capacity and mem.valid[addr_p]:
                 fpm.update(addr_p, mem.cells[addr_p], vp, m.cycles)
     return step

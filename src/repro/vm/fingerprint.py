@@ -16,7 +16,8 @@ Soundness argument (the contract the equivalence suite enforces):
   function of (machine states, MPI runtime state, scheduler epoch).
   One instruction is one cycle, quanta are fixed, and the round-robin
   order never changes.
-* The canonical form hashed here covers the *complete* closure of
+* The canonical form hashed here is every rank's
+  :class:`~repro.vm.machine.ExecutionState` — the *complete* closure of
   state a compiled closure or the runtime can observe: per-rank status,
   cycles, iteration/output records, RNG streams, collective sequence
   numbers, pending MPI operations, the full call stack with register
@@ -25,8 +26,9 @@ Soundness argument (the contract the equivalence suite enforces):
   + free lists, whose pop order steers future allocation), and the MPI
   queues and in-flight collectives.
 * What is deliberately excluded cannot influence execution:
-  reporting-only message statistics, injection event records, and the
-  spent fault plan.  The scheduler only consults fingerprints once
+  reporting-only message statistics and the ranks'
+  :class:`~repro.vm.machine.InstrumentationState` (injection event
+  records, the spent fault plan, the shadow table).  The scheduler only consults fingerprints once
   every armed fault has fired (``inj_next == 0`` on every rank) and —
   in FPM/taint modes — once every shadow table is empty, so the
   excluded injection state is inert and an empty shadow table is
@@ -94,32 +96,12 @@ def _canonical_memory(mem) -> tuple:
     )
 
 
-def _canonical_machine(m) -> tuple:
-    return (
-        m.status.value,
-        m.cycles,
-        m.iteration_count,
-        tuple(m.outputs),
-        m.rng.state,
-        m.inj_counter,
-        m.coll_seq,
-        tuple(sorted(m.pending.items())) if m.pending is not None else None,
-        m.ret_val,
-        m.ret_val_p,
-        tuple(
-            (fr.cfunc.name, tuple(fr.regs), fr.block, fr.ip,
-             fr.saved_sp, fr.ret_dest, fr.ret_dest_p)
-            for fr in m.call_stack
-        ),
-        _canonical_memory(m.memory),
-    )
-
-
 def fingerprint_world(machines: Sequence, runtime) -> bytes:
     """Digest of everything that determines the job's future execution."""
     queues, collectives, _stats = runtime.snapshot_state()
     canonical = (
-        tuple(_canonical_machine(m) for m in machines),
+        tuple(tuple(m.execution_state(_canonical_memory(m.memory)))
+              for m in machines),
         queues,
         collectives,
     )

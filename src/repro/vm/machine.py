@@ -18,10 +18,11 @@ The machine also hosts the two instrumentation runtimes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from ..errors import SnapshotError
 from ..fpm.shadow import ShadowTable
 from ..fpm.taint import TaintTable
 from ..obs import runtime as _obs
@@ -99,8 +100,65 @@ class Frame:
         self.ret_dest_p = ret_dest_p
 
 
+class ExecutionState(NamedTuple):
+    """Everything that determines a rank's future execution.
+
+    Fields carry the name of the :class:`Machine` attribute they save,
+    in plain immutable data (a snapshot is pickled into golden
+    artifacts and digested by :mod:`repro.vm.fingerprint`).
+    """
+
+    status: str
+    cycles: int
+    iteration_count: int
+    outputs: tuple
+    rng: int
+    inj_counter: int
+    coll_seq: int
+    #: the blocked MPI operation's sorted items, or None
+    pending: Optional[tuple]
+    ret_val: object
+    ret_val_p: object
+    #: per frame: (function name, regs, block, ip, saved_sp, ret_dest,
+    #: ret_dest_p) — by name, so a state restores into any program
+    #: compiled from the same source
+    call_stack: Tuple[tuple, ...]
+    #: :meth:`ProcessMemory.snapshot_state`; None when memory travels
+    #: some other way (a COW transaction), a canonical form in digests
+    memory: Optional[tuple]
+
+
+class InstrumentationState(NamedTuple):
+    """What observes the execution without steering it: the
+    contamination table, the fault plan and what it fired.  Inert — and
+    excluded from convergence digests — once the plan is spent and the
+    table is empty."""
+
+    fpm: Optional[tuple]
+    armed: Tuple[FaultSpec, ...]
+    armed_idx: int
+    inj_next: int
+    inj_rng: int
+    injection_events: tuple
+
+
+class MachineState(NamedTuple):
+    """One rank's restorable state: :meth:`Machine.capture`'s result."""
+
+    execution: ExecutionState
+    instrumentation: InstrumentationState
+
+
 class Machine:
-    """One simulated MPI process executing a compiled program."""
+    """One simulated MPI process executing a compiled program.
+
+    An attribute is restorable state by being a field of
+    :class:`ExecutionState` or :class:`InstrumentationState` — the one
+    list snapshots, trial forks, roll-backs and digests all read.
+    ``trap``, ``pending_call`` and ``fused_skew`` live within one
+    :meth:`run` call and are reset by :meth:`restore`; everything else
+    is configuration or counters.
+    """
 
     def __init__(
         self,
@@ -225,6 +283,96 @@ class Machine:
             frame.regs[pi] = av
         self.call_stack = [frame]
         self.status = MachineStatus.READY
+
+    # ------------------------------------------------------------------
+    # Restorable state
+    # ------------------------------------------------------------------
+    def execution_state(self, memory: Optional[tuple]) -> ExecutionState:
+        """The execution part, with ``memory`` as its memory field."""
+        if self.pending_call is not None:  # pragma: no cover - epoch boundaries only
+            raise SnapshotError("cannot capture a machine mid-call staging")
+        pending = self.pending
+        return ExecutionState(
+            self.status.value,
+            self.cycles,
+            self.iteration_count,
+            tuple(self.outputs),
+            self.rng.state,
+            self.inj_counter,
+            self.coll_seq,
+            tuple(sorted(pending.items())) if pending is not None else None,
+            self.ret_val,
+            self.ret_val_p,
+            tuple(
+                (fr.cfunc.name, tuple(fr.regs), fr.block, fr.ip,
+                 fr.saved_sp, fr.ret_dest, fr.ret_dest_p)
+                for fr in self.call_stack
+            ),
+            memory,
+        )
+
+    def capture(self, memory: bool = True) -> MachineState:
+        """This rank's state at an epoch boundary, by value.
+
+        ``memory=False`` leaves the words out: a forked trial's memory
+        is undone by its COW transaction, not copied.
+        """
+        return MachineState(
+            self.execution_state(
+                self.memory.snapshot_state() if memory else None),
+            InstrumentationState(
+                self.fpm.snapshot_state() if self.fpm is not None else None,
+                tuple(self._armed),
+                self._armed_idx,
+                self.inj_next,
+                self._inj_rng.state,
+                tuple(self.injection_events),
+            ),
+        )
+
+    def restore(self, state: MachineState) -> None:
+        """Rewind to a state :meth:`capture` returned — from this
+        machine or from any machine of the same program and rank."""
+        ex, ins = state
+        stack: List[Frame] = []
+        for name, regs, block, ip, saved_sp, ret_dest, ret_dest_p \
+                in ex.call_stack:
+            cfunc = self.program.functions.get(name)
+            if cfunc is None:
+                raise SnapshotError(
+                    f"state references unknown function {name!r}; "
+                    "restore target was compiled from a different program"
+                )
+            fr = Frame(cfunc, saved_sp, ret_dest, ret_dest_p)
+            fr.regs = list(regs)
+            fr.block = block
+            fr.ip = ip
+            stack.append(fr)
+        if ins.fpm is not None and self.fpm is None:  # pragma: no cover
+            raise SnapshotError("state has FPM data but machine has none")
+        if ex.memory is not None:
+            self.memory.restore_state(ex.memory)
+        self.call_stack = stack
+        self.status = MachineStatus(ex.status)
+        self.cycles = ex.cycles
+        self.iteration_count = ex.iteration_count
+        self.outputs = list(ex.outputs)
+        self.rng.state = ex.rng
+        self.inj_counter = ex.inj_counter
+        self.coll_seq = ex.coll_seq
+        self.pending = dict(ex.pending) if ex.pending is not None else None
+        self.ret_val = ex.ret_val
+        self.ret_val_p = ex.ret_val_p
+        if ins.fpm is not None:
+            self.fpm.restore_state(ins.fpm)
+        self._armed = list(ins.armed)
+        self._armed_idx = ins.armed_idx
+        self.inj_next = ins.inj_next
+        self._inj_rng.state = ins.inj_rng
+        self.injection_events = list(ins.injection_events)
+        self.trap = None
+        self.pending_call = None
+        self.fused_skew = 0
 
     # ------------------------------------------------------------------
     # Fault injection (called from compiled closures)

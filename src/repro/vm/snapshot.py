@@ -1,40 +1,41 @@
-"""World snapshots of the golden run.
+"""World snapshots: a paused job, by value.
 
-Golden profiling captures full world state — every rank's frames,
-registers, memory, contamination tables, RNG and MPI runtime state — at
-a cycle stride.  Trials are not positioned from these (they fork off the
-golden cursor or run cold, see :mod:`repro.inject.forkrun`); a snapshot
-is what the cursor restores when it has to move *backwards*
-(:meth:`SnapshotStore.best_at_epoch` + :func:`restore_world`), and the
-stride is the one convergence-pruning fingerprints are taken at.
+A :class:`WorldSnapshot` is every rank's :meth:`Machine.capture
+<repro.vm.machine.Machine.capture>` tuple — what a rank's state *is* is
+decided there and nowhere else — plus the MPI runtime's in-flight
+state, the scheduler epoch and the CML trace prefix.  Two things take
+them: golden profiling, at a cycle stride (:class:`SnapshotStore`; the
+golden cursor restores the nearest one when it has to move *backwards*,
+and the stride is the one convergence-pruning fingerprints are taken
+at), and the roll-back runner of :mod:`repro.resilience`, whose
+checkpoints are exactly this.  Trials are not positioned from
+snapshots: they fork off the golden cursor or run cold
+(:mod:`repro.inject.forkrun`).
 
-Correctness contract: a world restored from a snapshot and run forward
-is **bit-identical** to the golden run at the same epoch.  That holds
-because
+Correctness contract: a world restored by :func:`restore_world` and run
+on by a scheduler started at the returned epoch and trace is
+**bit-identical** to the run the snapshot was taken from.  That holds
+because snapshots are only taken at epoch boundaries, after the
+scheduler's trace sample, so the epoch structure (and with it CML
+sampling times and MPI interleaving) is preserved exactly, and because
+the captured tuples cover all state a closure or the runtime can
+observe.
 
-* snapshots are only taken at epoch boundaries, after the scheduler's
-  trace sample, so the epoch structure (and with it CML sampling times
-  and MPI interleaving) is preserved exactly;
-* all mutable state a closure can observe is captured: machine frames
-  and registers, sparse process memory, shadow/taint tables, per-rank
-  RNG streams, MPI queues and in-flight collectives, and the trace
-  prefix.
-
-Snapshots hold compiled-closure references (via ``Frame.cfunc``), so
-they are shared with forked pool workers copy-on-write through the
-prepared-app cache and are never pickled.
+Snapshots are plain data (frames name their function), so a store is
+pickled into golden artifacts and re-attached to any program compiled
+from the same source.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..core.settings import DEFAULT_SNAPSHOT_STRIDE, current_settings
 from ..errors import SnapshotError
 from ..fpm.tracker import PropagationTrace
-from .machine import Frame, Machine, MachineStatus
+from .machine import Machine, MachineState, MachineStatus
 
 #: default capture stride in cycles of global virtual time
 DEFAULT_STRIDE = DEFAULT_SNAPSHOT_STRIDE
@@ -64,100 +65,29 @@ def snapshot_verify_mode() -> str:
 
 
 @dataclass(frozen=True)
-class _MachineState:
-    """Immutable per-rank state (everything Machine.run can observe)."""
-
-    status: str
-    cycles: int
-    iteration_count: int
-    outputs: tuple
-    rng_state: int
-    inj_counter: int
-    coll_seq: int
-    pending: Optional[tuple]
-    ret_val: object
-    ret_val_p: object
-    #: (function name, regs, block, ip, saved_sp, ret_dest, ret_dest_p)
-    frames: Tuple[tuple, ...]
-    memory: tuple
-    fpm: Optional[tuple]
-
-
-@dataclass(frozen=True)
 class WorldSnapshot:
-    """Full job state at one epoch boundary of a golden run."""
+    """Full job state at one epoch boundary."""
 
     #: global virtual time (max rank clock) at capture
     cycle: int
     #: scheduler epoch at capture (restored runs resume the epoch count)
     epoch: int
-    #: per-rank injectable-site execution counters at capture
-    inj_counters: Tuple[int, ...]
-    machines: Tuple[_MachineState, ...]
+    machines: Tuple[MachineState, ...]
     runtime: tuple
-    #: (times, cml_per_rank, live_words, ranks_contaminated) prefix, or
-    #: None for non-FPM runs
-    trace: Optional[tuple]
+    #: the CML trace up to here, or None for non-FPM runs
+    trace: Optional[PropagationTrace]
 
 
-def _capture_machine(m: Machine) -> _MachineState:
-    if m.pending_call is not None:  # pragma: no cover - epoch boundaries only
-        raise SnapshotError("cannot snapshot a machine mid-call staging")
-    return _MachineState(
-        status=m.status.value,
-        cycles=m.cycles,
-        iteration_count=m.iteration_count,
-        outputs=tuple(m.outputs),
-        rng_state=m.rng.state,
-        inj_counter=m.inj_counter,
-        coll_seq=m.coll_seq,
-        pending=tuple(sorted(m.pending.items())) if m.pending is not None else None,
-        ret_val=m.ret_val,
-        ret_val_p=m.ret_val_p,
-        frames=tuple(
-            (fr.cfunc.name, tuple(fr.regs), fr.block, fr.ip,
-             fr.saved_sp, fr.ret_dest, fr.ret_dest_p)
-            for fr in m.call_stack
-        ),
-        memory=m.memory.snapshot_state(),
-        fpm=m.fpm.snapshot_state() if m.fpm is not None else None,
+def capture_world(machines: Sequence[Machine], runtime, epoch: int,
+                  trace: Optional[PropagationTrace]) -> WorldSnapshot:
+    """Snapshot a job paused at the boundary after ``epoch`` epochs."""
+    return WorldSnapshot(
+        cycle=max(m.cycles for m in machines),
+        epoch=epoch,
+        machines=tuple(m.capture() for m in machines),
+        runtime=runtime.snapshot_state(),
+        trace=trace.copy() if trace is not None else None,
     )
-
-
-def _restore_machine(m: Machine, st: _MachineState) -> None:
-    m.memory.restore_state(st.memory)
-    if st.fpm is not None:
-        if m.fpm is None:  # pragma: no cover - program modes must match
-            raise SnapshotError("snapshot has FPM state but machine has none")
-        m.fpm.restore_state(st.fpm)
-    frames: List[Frame] = []
-    for name, regs, block, ip, saved_sp, ret_dest, ret_dest_p in st.frames:
-        cfunc = m.program.functions.get(name)
-        if cfunc is None:
-            raise SnapshotError(
-                f"snapshot frame references unknown function {name!r}; "
-                "restore target was compiled from a different program"
-            )
-        fr = Frame(cfunc, saved_sp, ret_dest, ret_dest_p)
-        fr.regs = list(regs)
-        fr.block = block
-        fr.ip = ip
-        frames.append(fr)
-    m.call_stack = frames
-    m.status = MachineStatus(st.status)
-    m.cycles = st.cycles
-    m.iteration_count = st.iteration_count
-    m.outputs = list(st.outputs)
-    m.rng.state = st.rng_state
-    m.inj_counter = st.inj_counter
-    m.coll_seq = st.coll_seq
-    m.pending = dict(st.pending) if st.pending is not None else None
-    m.ret_val = st.ret_val
-    m.ret_val_p = st.ret_val_p
-    m.pending_call = None
-    m.trap = None
-    m.injection_events = []
-    m.fused_skew = 0
 
 
 class SnapshotStore:
@@ -204,21 +134,7 @@ class SnapshotStore:
             return
         if all(m.status is MachineStatus.DONE for m in machines):
             return
-        snap = WorldSnapshot(
-            cycle=t,
-            epoch=epoch,
-            inj_counters=tuple(m.inj_counter for m in machines),
-            machines=tuple(_capture_machine(m) for m in machines),
-            runtime=runtime.snapshot_state(),
-            trace=(
-                (tuple(trace.times),
-                 tuple(tuple(row) for row in trace.cml_per_rank),
-                 tuple(trace.live_words),
-                 tuple(trace.ranks_contaminated))
-                if trace is not None else None
-            ),
-        )
-        self._snaps[t] = snap
+        self._snaps[t] = capture_world(machines, runtime, epoch, trace)
         self.captures += 1
         if len(self._snaps) > self.limit:
             keys = list(self._snaps)
@@ -244,13 +160,6 @@ class SnapshotStore:
                 break
             best = snap
         return best
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "snapshots": len(self._snaps),
-            "stride": self.stride,
-            "captures": self.captures,
-        }
 
     # ------------------------------------------------------------------
     # Golden-artifact support
@@ -287,11 +196,12 @@ class SnapshotStore:
 
 def restore_world(snap: WorldSnapshot, machines: Sequence[Machine],
                   runtime) -> Tuple[int, Optional[PropagationTrace]]:
-    """Restore a snapshot into freshly constructed machines + runtime.
+    """Put a snapshot back into a job's machines + attached runtime —
+    fresh ones, or the ones it was taken from.
 
     Returns ``(start_epoch, trace)`` for the scheduler: the epoch count
-    resumes where the golden run stood and the trace is pre-filled with
-    the golden prefix so CML(t) curves are bit-identical to cold runs.
+    resumes where the snapshot stood and the trace is pre-filled with
+    its prefix, so CML(t) curves are bit-identical to an unbroken run.
     """
     if len(machines) != len(snap.machines):
         raise SnapshotError(
@@ -299,15 +209,6 @@ def restore_world(snap: WorldSnapshot, machines: Sequence[Machine],
             f"{len(machines)}"
         )
     for m, st in zip(machines, snap.machines):
-        _restore_machine(m, st)
+        m.restore(st)
     runtime.restore_state(snap.runtime)
-    trace: Optional[PropagationTrace] = None
-    if snap.trace is not None:
-        times, cml, live, ranks = snap.trace
-        trace = PropagationTrace(
-            times=list(times),
-            cml_per_rank=[list(row) for row in cml],
-            live_words=list(live),
-            ranks_contaminated=list(ranks),
-        )
-    return snap.epoch, trace
+    return snap.epoch, snap.trace.copy() if snap.trace is not None else None

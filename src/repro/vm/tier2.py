@@ -295,9 +295,8 @@ def _fpm_store_slow(m, addr, v, vp, addr_p):
         else:
             fpm.record(addr, vp, m.cycles)
     else:
-        old = mem.cells[addr]
-        if not (old == v or (old != old and v != v)):
-            fpm.record(addr, old, m.cycles)
+        # wrong-address store: the cell keeps its own pristine value
+        fpm.update(addr, v, fpm.table.get(addr, mem.cells[addr]), m.cycles)
         if 0 <= addr_p < mem.capacity and mem.valid[addr_p]:
             fpm.update(addr_p, mem.cells[addr_p], vp, m.cycles)
     return v

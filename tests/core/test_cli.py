@@ -143,8 +143,10 @@ class TestEngineCLI:
         assert "error:" in err
 
     def test_unknown_app_is_clean_error(self, capsys):
-        assert main(["campaign", "not-an-app", "--trials", "5"]) == 1
-        assert "error:" in capsys.readouterr().err
+        for argv in (["campaign", "not-an-app", "--trials", "5"],
+                     ["golden", "not-an-app"], ["compile", "not-an-app"]):
+            assert main(argv) == 1
+            assert "error: unknown app" in capsys.readouterr().err
 
 
 class TestChaosFlags:

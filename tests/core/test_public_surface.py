@@ -88,6 +88,17 @@ class TestPublicSurface:
         assert not hasattr(executors, "base")
         assert not hasattr(executors.FleetExecutor, "capabilities")
 
+    def test_second_checkpoint_format_left_no_exports(self):
+        import importlib.util
+
+        from repro import resilience
+
+        for name in ("JobCheckpoint", "RankCheckpoint",
+                     "checkpoint_machine", "restore_machine"):
+            assert name not in resilience.__all__
+            assert not hasattr(resilience, name)
+        assert importlib.util.find_spec("repro.resilience.checkpoint") is None
+
     def test_restore_rung_left_no_surface(self):
         import inspect
 

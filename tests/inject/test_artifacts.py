@@ -131,33 +131,37 @@ class TestRejection:
     def test_schema_6_artifact_is_reprofiled_never_unpickled(
             self, tmp_path, monkeypatch):
         # schema 6 snapshots hold int64 arrays and float-tag bytes, not
-        # the word blob ProcessMemory.restore_state reads
-        assert artifacts.SCHEMA_VERSION >= 7
+        # the word blob ProcessMemory.restore_state reads; schema 7 ones
+        # hold _MachineState records, not Machine.capture tuples
+        assert artifacts.SCHEMA_VERSION >= 8
         spec = get_app("matvec")
-        key = artifacts.artifact_key(spec, "blackbox", 150, 32)
-        monkeypatch.setattr(artifacts, "SCHEMA_VERSION", 6)
-        assert artifacts.artifact_key(spec, "blackbox", 150, 32) != key
-        monkeypatch.undo()
+        for stale in (6, 7):
+            key = artifacts.artifact_key(spec, "blackbox", 150, 32)
+            monkeypatch.setattr(artifacts, "SCHEMA_VERSION", stale)
+            assert artifacts.artifact_key(spec, "blackbox", 150, 32) != key
+            monkeypatch.undo()
 
-        # and one found under the current key anyway stops at its header
-        directory, key = self._make(tmp_path)
-        path = artifacts.artifact_path(directory, key)
-        blob = path.read_bytes()
-        newline = blob.find(b"\n")
-        header = dict(json.loads(blob[:newline]), schema=6)
-        path.write_bytes(json.dumps(header).encode() + blob[newline:])
-        campaign_mod._PREPARED_CACHE.clear()
+            # and one found under the current key anyway stops at its
+            # header
+            directory, key = self._make(tmp_path)
+            path = artifacts.artifact_path(directory, key)
+            blob = path.read_bytes()
+            newline = blob.find(b"\n")
+            header = dict(json.loads(blob[:newline]), schema=stale)
+            path.write_bytes(json.dumps(header).encode() + blob[newline:])
+            campaign_mod._PREPARED_CACHE.clear()
 
-        def boom(payload):
-            raise AssertionError("interpreted a schema-6 payload")
+            def boom(payload):
+                raise AssertionError("interpreted a stale payload")
 
-        monkeypatch.setattr(artifacts.pickle, "loads", boom)
-        with pytest.warns(UserWarning, match="stale artifact schema 6"):
-            pa = PreparedApp(spec, "blackbox", snapshot_stride=150,
-                             artifact_dir=tmp_path)
-        assert not pa.from_artifact and pa.golden.cycles > 0
-        monkeypatch.undo()
-        assert artifacts.load_artifact_strict(directory, key) is not None
+            monkeypatch.setattr(artifacts.pickle, "loads", boom)
+            with pytest.warns(UserWarning,
+                              match=f"stale artifact schema {stale}"):
+                pa = PreparedApp(spec, "blackbox", snapshot_stride=150,
+                                 artifact_dir=tmp_path)
+            assert not pa.from_artifact and pa.golden.cycles > 0
+            monkeypatch.undo()
+            assert artifacts.load_artifact_strict(directory, key) is not None
 
     def test_truncated_and_malformed_rejected(self, tmp_path):
         directory, key = self._make(tmp_path)

@@ -115,7 +115,7 @@ def test_snapshot_catches_machines_mid_collective():
         st
         for snap in store._snaps.values()
         for st in snap.machines
-        if st.pending is not None
+        if st.execution.pending is not None
     ]
     assert blocked, "no snapshot caught a rank blocked in MPI"
     # in-flight collective state must be captured too
@@ -136,7 +136,8 @@ def test_fastforward_multirank_mid_collective(mode):
         seed = int(rng.integers(2 ** 31))
         epoch = pa.golden.fork_epoch(faults)
         snap = pa.snapshots.best_at_epoch(epoch)
-        if snap is None or all(st.pending is None for st in snap.machines):
+        if snap is None or all(st.execution.pending is None
+                               for st in snap.machines):
             continue
         hits += 1
         cursor = GoldenCursor(pa)   # fresh: the advance starts at snap

@@ -6,7 +6,6 @@ import pytest
 from repro.apps import get_app
 from repro.core.config import RunConfig
 from repro.core.runner import build_program, run_job
-from repro.errors import ReproError
 from repro.inject.plan import draw_plan
 from repro.mpi import JobStatus
 from repro.models import CMLEstimator, FPSResult
@@ -16,10 +15,9 @@ from repro.resilience import (
     FPSThresholdPolicy,
     NeverRollback,
     ResilientRunner,
-    checkpoint_machine,
-    restore_machine,
 )
 from repro.vm import FaultSpec, Machine, MachineStatus
+from repro.vm.snapshot import capture_world
 
 
 SRC = """
@@ -64,7 +62,7 @@ class TestCheckpointRestore:
         m.start()
         m.run(500)
         assert m.status is MachineStatus.READY
-        ck = checkpoint_machine(m)
+        ck = m.capture()
 
         # run to completion once
         while m.run(10 ** 6) is MachineStatus.READY:
@@ -73,8 +71,8 @@ class TestCheckpointRestore:
         ref_cycles = m.cycles
 
         # rewind and replay: identical end state
-        restore_machine(m, ck)
-        assert m.cycles == ck.cycles
+        m.restore(ck)
+        assert m.cycles == ck.execution.cycles
         while m.run(10 ** 6) is MachineStatus.READY:
             pass
         assert m.outputs == ref_outputs
@@ -85,19 +83,31 @@ class TestCheckpointRestore:
         m = Machine(program, 0, 1)
         m.start()
         m.run(500)
-        ck = checkpoint_machine(m)
+        ck = m.capture()
         cells_before = m.memory.words()
         m.run(2000)
         assert m.memory.words() != cells_before
-        restore_machine(m, ck)
+        m.restore(ck)
         assert m.memory.words() == cells_before
 
-    def test_checkpoint_mid_mpi_rejected(self, prog_and_config):
+    def test_checkpoint_mid_mpi_rejected(self, prog_and_config,
+                                         monkeypatch):
+        # a snapshot may hold a pending op (golden ones always could);
+        # the quiescent rule is the runner's: no checkpoint while any
+        # rank sits in one
+        import repro.resilience.runner as runner_mod
         program, config, _ = prog_and_config
-        m = Machine(program, 0, 1)
-        m.pending = {"kind": "recv", "done": False}
-        with pytest.raises(ReproError, match="pending MPI"):
-            checkpoint_machine(m)
+        taken = []
+
+        def spy(machines, runtime, epoch, trace):
+            taken.append([m.pending for m in machines])
+            return capture_world(machines, runtime, epoch, trace)
+
+        monkeypatch.setattr(runner_mod, "capture_world", spy)
+        res = ResilientRunner(program, config.with_(quantum=7),
+                              AlwaysRollback(), interval=50).run()
+        assert res.checkpoints + 1 == len(taken) > 10  # + world 0
+        assert all(p is None for pending in taken for p in pending)
 
     def test_restore_rewinds_injection_state(self, prog_and_config):
         program, config, golden = prog_and_config
@@ -105,12 +115,13 @@ class TestCheckpointRestore:
         m.arm_faults([FaultSpec(0, 10 ** 9)])  # never fires
         m.start()
         m.run(500)
-        ck = checkpoint_machine(m)
+        ck = m.capture()
         counter = m.inj_counter
         m.run(2000)
         assert m.inj_counter > counter
-        restore_machine(m, ck)
+        m.restore(ck)
         assert m.inj_counter == counter
+        assert m.inj_next == 10 ** 9
 
 
 class TestPolicies:
@@ -158,6 +169,25 @@ class TestResilientRunner:
                 assert res.wasted_cycles > 0
                 recovered += 1
         assert recovered >= 1
+
+    def test_first_interval_fault_rolls_back_to_the_start(
+            self, prog_and_config):
+        program, config, golden = prog_and_config
+        rr = ResilientRunner(program, config, AlwaysRollback(),
+                             interval=golden.cycles // 2)
+        res = rr.run(faults=self._fault_after(golden, 0.2), inj_seed=1)
+        assert (res.detections, res.rollbacks) == (1, 1)
+        assert res.checkpoints == 1  # periodic ones only; world 0 is free
+        assert not res.final_contaminated
+        assert res.outputs == golden.outputs
+
+    def test_hang_budget_is_the_configs(self, prog_and_config):
+        program, config, golden = prog_and_config
+        short = config.with_(max_cycles=golden.cycles // 2)
+        assert run_job(program, short).status is JobStatus.HANG
+        rr = ResilientRunner(program, short, AlwaysRollback(), interval=3000)
+        assert rr.run().status is JobStatus.HANG
+        assert rr.run(max_cycles=golden.cycles).status is JobStatus.COMPLETED
 
     def test_never_rollback_runs_through(self, prog_and_config):
         program, config, golden = prog_and_config

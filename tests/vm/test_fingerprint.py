@@ -212,19 +212,17 @@ def test_digest_follows_values_not_object_identity():
 
 
 def test_checkpoint_restores_every_word_exactly():
-    from repro.resilience.checkpoint import checkpoint_machine, \
-        restore_machine
     machines, runtime = _world(nranks=1)
     m = machines[0]
     base = m.memory.malloc(len(WORDS))
     m.memory.write_block(base, WORDS)
-    ck = checkpoint_machine(m)
+    ck = m.capture()
     want = fingerprint_world(machines, runtime)
     m.memory.write_block(base, [t for pair in TWINS for t in pair[::-1]])
     m.memory.malloc(64)  # grows cells past the checkpoint's length
     assert fingerprint_world(machines, runtime) != want
     cells = m.memory.cells
-    restore_machine(m, ck)
+    m.restore(ck)
     assert m.memory.cells is cells
     assert exact_all(m.memory.read_block(base, len(WORDS))) \
         == exact_all(WORDS)

@@ -248,3 +248,44 @@ class TestEntry:
         m.start(args=(7, 32))
         m.run(1000)
         assert m.outputs == [732]
+
+
+class TestRestorableState:
+    #: attributes that are deliberately not state: configuration, the
+    #: objects whose *state* the tuples hold, within-``run`` staging
+    #: (reset by ``restore``) and observability counters
+    NOT_STATE = {
+        "program", "rank", "size", "runtime", "entry", "max_call_depth",
+        "use_tier2", "edge_profile", "tier2_cycles",
+        "t2_enters", "t2_deopts", "t2_cycles_acc", "t2_compiled",
+        "trap", "pending_call", "fused_skew",
+    }
+
+    def test_every_attribute_is_captured_or_declared_not_state(self):
+        # a new Machine field fails here until someone decides which
+        from repro.vm.machine import ExecutionState, InstrumentationState
+        m = Machine(build("func main(rank: int, size: int) { }", "fpm"))
+        captured = set(ExecutionState._fields + InstrumentationState._fields)
+        attrs = {name.lstrip("_") for name in vars(m)}
+        assert not captured & self.NOT_STATE
+        assert attrs == captured | self.NOT_STATE
+
+    def test_capture_restores_into_a_twin_plan_and_table_included(self):
+        prog = build(TestInjection.SRC, "fpm")
+        a = Machine(prog, 0, 1)
+        a.arm_faults([FaultSpec(0, 5, bit=50), FaultSpec(0, 10 ** 6)], seed=3)
+        a.start()
+        a.run(120)
+        assert a.injection_events and a.cml and a.inj_next == 10 ** 6
+        state = a.capture()
+        b = Machine(prog, 0, 1)
+        b.restore(state)
+        assert b.capture() == state
+        for m in (a, b):
+            while m.run(10 ** 6) is MachineStatus.READY:
+                pass
+        assert repr(a.outputs) == repr(b.outputs) and a.cycles == b.cycles
+        # memory=False leaves the words to whoever carries them
+        light = a.capture(memory=False)
+        assert light.execution.memory is None
+        assert light.instrumentation == a.capture().instrumentation

@@ -34,9 +34,10 @@ class TestCapture:
         _, store = _store(stride=50)
         prev = None
         for snap in store._snaps.values():
+            counters = [st.execution.inj_counter for st in snap.machines]
             if prev is not None:
-                assert all(a <= b for a, b in zip(prev, snap.inj_counters))
-            prev = snap.inj_counters
+                assert all(a <= b for a, b in zip(prev, counters))
+            prev = counters
 
     def test_store_is_bounded_and_thins_deterministically(self):
         _, store = _store(app="mcb", stride=64, limit=4)
