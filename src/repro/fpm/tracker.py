@@ -21,8 +21,9 @@ class PropagationTrace:
 
     #: virtual time of each sample (cycles)
     times: List[int] = field(default_factory=list)
-    #: per-sample list of per-rank CML counts
-    cml_per_rank: List[List[int]] = field(default_factory=list)
+    #: per-sample per-rank CML counts; rows are never mutated once
+    #: sampled, so copies share them
+    cml_per_rank: List[Tuple[int, ...]] = field(default_factory=list)
     #: per-sample total live (allocated) words across ranks
     live_words: List[int] = field(default_factory=list)
     #: per-sample number of ranks ever contaminated
@@ -38,7 +39,7 @@ class PropagationTrace:
     def sample(
         self,
         t: int,
-        cml_ranks: List[int],
+        cml_ranks: Tuple[int, ...],
         live: int,
         n_ranks_contaminated: int,
     ) -> None:
@@ -54,7 +55,7 @@ class PropagationTrace:
         a snapshot keeps and what a resumed or forked job appends to."""
         return PropagationTrace(
             times=list(self.times),
-            cml_per_rank=[list(row) for row in self.cml_per_rank],
+            cml_per_rank=list(self.cml_per_rank),
             live_words=list(self.live_words),
             ranks_contaminated=list(self.ranks_contaminated),
         )

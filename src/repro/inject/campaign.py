@@ -728,8 +728,8 @@ def run_campaign(
     fork rung against, bit-identical by the COW contract.
 
     ``tier2`` controls the golden plan's regions (None: REPRO_TIER2 or
-    on): hot golden paths run as one exec-compiled function per block
-    head, across block boundaries and rolled where they loop,
+    on): each hot golden loop runs as one exec-compiled function,
+    entered at any of its blocks, and each path into one as another,
     bit-identical to single-step dispatch by the guard contract (the
     fuzz equivalence suite asserts it); ``--no-tier2`` keeps every
     machine on the static, profile-free regions.
@@ -750,12 +750,6 @@ def run_campaign(
     ):
         if not ok:
             raise CampaignError(f"{rule}, got {got!r}")
-    if requested_workers > 1 and n_trials < 4:
-        warnings.warn(
-            f"campaign of {n_trials} trials is too small for "
-            f"{requested_workers} workers; running serially",
-            stacklevel=2,
-        )
     art_dir = default_artifact_dir(artifact_dir)
     # Every knob is resolved here, once: the journal records effective
     # values, and workers cannot drift if the environment changes.

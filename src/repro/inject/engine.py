@@ -424,9 +424,19 @@ def _drive_campaign(
     # golden run is paid for
     requested_workers = default_workers(workers)
     remaining = n_trials - sum(1 for i in done or () if 0 <= i < n_trials)
-    effective = 1 if (requested_workers > 1 and remaining < 4) \
-        else requested_workers
-    exec_name, fleet = resolve_backend(executor, shards, effective)
+    small = requested_workers > 1 and remaining < 4
+    exec_name, fleet = resolve_backend(executor, shards,
+                                       1 if small else requested_workers)
+    if small:
+        # said here, once, with what actually runs: an explicit
+        # ``shards`` keeps its fleet, a named wire keeps its backend
+        warnings.warn(
+            f"campaign of {remaining} trial(s) to run is too small for "
+            f"{requested_workers} workers; running "
+            + ("serially" if exec_name == "serial"
+               else f"on a {exec_name} fleet of {fleet}"),
+            stacklevel=3,
+        )
 
     pa = _prepared(app, proto.params, mode, proto.snapshot_stride,
                    proto.artifact_dir)

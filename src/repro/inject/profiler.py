@@ -179,9 +179,10 @@ class PreparedApp:
     def ensure_tier2(self, enabled: bool = True) -> int:
         """Install the golden region plan into the program.
 
-        Installation validates the plan and replaces one head slot of
-        the profiled region map per planned path; each region is
-        codegenned on its first entry, so the cost shows up in
+        Installation validates the plan and replaces head slots of the
+        profiled region map — one per planned path, one per block of
+        each planned loop; each region is codegenned on its first
+        entry, so the cost shows up in
         ``program.tier2_codegen_s`` as trials run, not here.  Idempotent
         per compiled program (repeat calls are free), so both the
         campaign driver and every worker can call it unconditionally.

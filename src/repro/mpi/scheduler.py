@@ -175,7 +175,17 @@ class Scheduler:
                 raise TrialTimeoutError(
                     f"job exceeded its wall-clock watchdog at epoch {epoch}"
                 )
-            t = max(m.cycles for m in machines)
+            # virtual time and the statuses the checks below need, in
+            # one pass over the ranks
+            t, all_done, any_ready = 0, True, False
+            for m in machines:
+                if m.cycles > t:
+                    t = m.cycles
+                st = m.status
+                if st is not MachineStatus.DONE:
+                    all_done = False
+                    if st is MachineStatus.READY:
+                        any_ready = True
             if self.epoch_counters is not None:
                 self.epoch_counters.append(
                     tuple(m.inj_counter for m in machines))
@@ -194,9 +204,9 @@ class Scheduler:
                 if spliced is not None:
                     return spliced
 
-            if all(m.status is MachineStatus.DONE for m in machines):
+            if all_done:
                 break
-            if not any(m.status is MachineStatus.READY for m in machines):
+            if not any_ready:
                 blocked = [m.rank for m in machines
                            if m.status is MachineStatus.BLOCKED]
                 status = JobStatus.DEADLOCK
@@ -322,7 +332,7 @@ class Scheduler:
             frozen = sum(1 for m in machines if m.ever_contaminated)
             for gt, live in zip(fp.trace_times[count:],
                                 fp.trace_live[count:]):
-                trace.sample(gt, [0] * n, live, frozen)
+                trace.sample(gt, (0,) * n, live, frozen)
             trace.first_contamination = [
                 m.fpm.first_contamination_cycle if m.fpm is not None else None
                 for m in machines
@@ -356,7 +366,11 @@ class Scheduler:
         )
 
     def _sample(self, trace: PropagationTrace, t: int) -> None:
-        cml_ranks = [m.cml for m in self.machines]
-        live = sum(m.memory.live_words for m in self.machines)
-        n_cont = sum(1 for m in self.machines if m.ever_contaminated)
-        trace.sample(t, cml_ranks, live, n_cont)
+        # a trace exists only in fpm/taint mode: every rank has a table
+        cml_ranks, live, n_cont = [], 0, 0
+        for m in self.machines:
+            fpm = m.fpm
+            cml_ranks.append(len(fpm.table))
+            live += m.memory.live_words
+            n_cont += fpm.ever_contaminated_count > 0
+        trace.sample(t, tuple(cml_ranks), live, n_cont)

@@ -423,7 +423,7 @@ class Machine:
         Dispatch is two-level: at every ``(block, ip)`` the frame's
         region map is consulted first — a slot holds generated code for
         the straight-line run starting there (or, at a block head with a
-        golden plan installed, for the whole hot path through it) and is
+        golden plan installed, for the hot loop or path through it) and is
         entered when its first chunk fits the remaining budget and,
         while a fault is pending, executes fewer marked instructions
         than remain before the armed occurrence.  The region is handed

@@ -17,23 +17,27 @@ its own chunk (at most ``_GRID`` members; a terminator may close it).
 Those need no profile and fill both of a function's region maps.
 
 During golden profiling the conditional-branch closures record per-site
-edge counts (``machine.edge_profile``).  :func:`derive_plan` walks each
-block head along static branches and the *majority* edge of every
-profiled one, across block boundaries, until the path jumps back onto
-itself, and :func:`install_plan` replaces the *head* slots of the
-``CompiledFunction.tier2`` map with regions covering those paths: a
-path that returns to its own head becomes a *rolled* region — one
+edge counts (``machine.edge_profile``).  :func:`derive_plan` gives each
+block whose body has no barrier one golden successor — its static
+target or the *majority* edge of its profiled branch — and plans the
+cycles of that graph as *loops* and every other block head as a *path*
+along it, cut where it first reaches a loop.  :func:`install_plan`
+replaces *head* slots of the ``CompiledFunction.tier2`` map: every
+block of a loop gets an entry into the loop's one region — one
 iteration's members inside a real ``while`` loop, registers in Python
-locals across iterations — any other a *straight* one.  Installing
-compiles nothing: a region is codegenned the first time the run loop
-enters its slot, so each process pays only for the code it runs.
+locals across iterations, entered at any block of the cycle by first
+finishing that iteration — and a path's first block a *straight*
+region that leaves to the loop's head.  Installing compiles nothing: a
+region is codegenned the first time the run loop enters one of its
+slots, so each process pays only for the code it runs, and a loop only
+once.
 
 The run loop hands every entry the remaining quantum budget ``rem`` and
 the armed occurrence ``gap``; the region decides how far it may go.
 Guards, and how each maps onto the machine contract:
 
 * **fork-epoch / quantum boundary** — a region crosses a block boundary
-  or a grid ip (and a rolled one starts another iteration) only while
+  or a grid ip (and a loop starts another iteration) only while
   the members up to the next such point fit ``rem``, and leaves to that
   ``(block, ip)`` otherwise, so epoch structure (and with it
   ``GoldenCursor`` pause points, CML sampling and MPI interleaving) is
@@ -69,6 +73,7 @@ from typing import Dict, List, Optional, Tuple
 import re
 import time
 import warnings
+from types import FunctionType
 
 from ..ir import (
     Alloca,
@@ -100,8 +105,10 @@ from .traps import Trap, TrapKind
 #: plan schema version, embedded in every plan dict; bump on any change
 #: to the walk or codegen contract so stale artifact plans are ignored
 #: (v2: one rolled or straight path per head — no cap, no unrolling;
-#: v3: calls to non-blocking intrinsics are members, not barriers)
-PLAN_VERSION = 3
+#: v3: calls to non-blocking intrinsics are members, not barriers;
+#: v4: one loop per cycle of the golden successor graph, entered at any
+#: of its blocks, and paths cut where they reach one)
+PLAN_VERSION = 4
 
 #: members between two entry points of a straight-line run.  A region is
 #: entered only when its first chunk fits the remaining quantum, so this
@@ -166,67 +173,107 @@ def _static_target(inst) -> Optional[int]:
     return None
 
 
-def _walk(func, head: int, edge_profile: dict):
-    """Follow the golden-hot path from block ``head``.
+def _successors(func, edge_profile: dict) -> List[Tuple[int, Optional[int]]]:
+    """``(members, successor)`` of every block of ``func``.
 
-    Returns ``(seq, members)``: the block-index sequence and the member
-    count.  The walk ends at a barrier, a ``ret``, a branch whose
-    golden edge counts are missing or tied (dual-exit: no majority to
-    guard on), or a jump onto a block the path already holds, which
-    closes ``seq``: its own head (the path loops) or a later block
-    (the path ends at that block's head).
+    ``members`` is what a path running through the block executes: up
+    to its first barrier, else through its terminator.  ``successor`` is
+    the block's one golden successor — its static target or the
+    *majority* edge of its profiled branch — or None at a barrier, a
+    ``ret``, or a branch whose golden edge counts are missing or tied
+    (dual-exit: no majority to guard on; the branch then closes the
+    path and is dispatched through its real closure).
     """
-    seq = [head]
-    count = 0
-    cur = head
-    while True:
-        for inst in func.blocks[cur].instructions:
+    out = []
+    for b, block in enumerate(func.blocks):
+        count, nxt = 0, None
+        for inst in block.instructions:
             if isinstance(inst, _TERM_KINDS):
                 count += 1
-                if isinstance(inst, Ret):
-                    return seq, count
-                nxt = _static_target(inst)
-                if nxt is None:
-                    counts = edge_profile.get((func.name, cur))
-                    if not counts or counts[0] == counts[1]:
-                        # no majority edge: the branch itself closes the
-                        # path (dispatched through its real closure)
-                        return seq, count
-                    nxt = (inst.iftrue.index if counts[1] > counts[0]
-                           else inst.iffalse.index)
+                if not isinstance(inst, Ret):
+                    nxt = _static_target(inst)
+                    counts = edge_profile.get((func.name, b))
+                    if nxt is None and counts and counts[0] != counts[1]:
+                        nxt = (inst.iftrue.index if counts[1] > counts[0]
+                               else inst.iffalse.index)
                 break
             if not _is_member(inst):
-                return seq, count  # barrier
+                break  # barrier
             count += 1
-        else:
-            return seq, count  # unterminated block (defensive)
-        seq.append(nxt)
-        if nxt in seq[:-1]:
-            return seq, count
-        cur = nxt
+        out.append((count, nxt))
+    return out
+
+
+def _cycles(succ: List[Optional[int]]) -> List[List[int]]:
+    """Every cycle of the successor graph (each block has at most one
+    out-edge, so cycles are disjoint), each rotated to start at its
+    lowest block."""
+    state = [0] * len(succ)  # 0 unseen, 1 on the current walk, 2 done
+    found = []
+    for b in range(len(succ)):
+        walk = []
+        x: Optional[int] = b
+        while x is not None and state[x] == 0:
+            state[x] = 1
+            walk.append(x)
+            x = succ[x]
+        if x is not None and state[x] == 1:
+            cyc = walk[walk.index(x):]
+            low = cyc.index(min(cyc))
+            found.append(cyc[low:] + cyc[:low])
+        for y in walk:
+            state[y] = 2
+    return found
 
 
 def derive_plan(program: CompiledProgram,
                 edge_profile: Optional[dict]) -> dict:
-    """Plan head regions for ``program`` from golden edge counts.
+    """Plan regions for ``program`` from golden edge counts.
+
+    Each block's golden successor (:func:`_successors`) makes a graph in
+    which every block has at most one out-edge.  Each cycle of it is one
+    *loop* record — its blocks in order and one iteration's members —
+    and every other block head gets a *path* record that follows
+    successors until it first reaches a cycle block (the path leaves to
+    that block's head, its last element) or a block without one (the
+    path ends inside it).  A path that executes a single block is what
+    the static regions already cover and is not planned.
 
     Deterministic in (module, edge_profile): the same golden run yields
     the same plan on every worker.  The result is JSON-safe and travels
     inside golden artifacts; :func:`install_plan` re-derives the member
     structure from the module, so only block sequences and counts are
-    stored.  A path that ends inside its head block is what the static
-    regions already cover and is not planned.
+    stored.
     """
-    traces: List[dict] = []
+    loops: List[dict] = []
+    paths: List[dict] = []
     profile = edge_profile or {}
     for func in program.module:
-        for head in range(len(func.blocks)):
-            seq, count = _walk(func, head, profile)
-            if len(seq) > 1:
-                traces.append({"func": func.name, "head": head,
-                               "blocks": [int(b) for b in seq],
-                               "members": int(count)})
-    return {"version": PLAN_VERSION, "traces": traces}
+        walked = _successors(func, profile)
+        cycles = _cycles([nxt for _, nxt in walked])
+        on_cycle = {b for cyc in cycles for b in cyc}
+        for cyc in cycles:
+            loops.append({"func": func.name, "blocks": cyc,
+                          "members": sum(walked[b][0] for b in cyc)})
+        for head in range(len(walked)):
+            if head in on_cycle:
+                continue
+            seq, count, cur = [head], 0, head
+            while True:
+                members, nxt = walked[cur]
+                count += members
+                if nxt is None:
+                    break
+                seq.append(nxt)
+                if nxt in on_cycle:
+                    break
+                cur = nxt
+            # a last block entered at a barrier adds nothing: the path
+            # leaves to its head
+            if len(seq) - (nxt is not None or members == 0) > 1:
+                paths.append({"func": func.name, "blocks": seq,
+                              "members": count})
+    return {"version": PLAN_VERSION, "loops": loops, "paths": paths}
 
 
 # ----------------------------------------------------------------------
@@ -466,10 +513,11 @@ def _collect(func, seq: List[int], members: int, start: int = 0):
     instruction and no member: the grid entry point ``arg = (block,
     ip)``, where the region may leave) — and ``end`` is where dispatch
     resumes after a full region: ``(block, ip)``, or None when the
-    final member stages its own successor; ``end == (seq[0], 0)`` is a
-    path that loops, to be rolled.  Returns None whenever the path does
-    not match the module (plans travel through artifacts, so validate
-    defensively rather than trust).
+    final member stages its own successor; a loop's iteration, walked as
+    its cycle closed on its first block, ends at ``(seq[0], 0)``.
+    Returns None whenever the path does not match the module (plans
+    travel through artifacts, so validate defensively rather than
+    trust).
     """
     out: List[Tuple[object, str, object]] = []
     n = 0  # members so far: every record but the checks
@@ -604,7 +652,15 @@ def _first_chunk(records) -> Tuple[int, int]:
     return members, marked
 
 
-def _codegen(records, end, loop: bool, program: CompiledProgram, label: str):
+def _block_starts(records) -> List[int]:
+    """Index of each block's first record in a loop iteration's
+    records: every cycle block ends in a branch to the next."""
+    return [0] + [i + 1 for i, rec in enumerate(records[:-1])
+                  if rec[1] in ("br", "condbr")]
+
+
+def _codegen(records, end, program: CompiledProgram, label: str,
+             starts: Optional[List[int]] = None):
     """exec-compile one region function from its records.
 
     ``region(m, f, rem, gap)`` runs members while they fit in ``rem``
@@ -612,11 +668,20 @@ def _codegen(records, end, loop: bool, program: CompiledProgram, label: str):
     loop has checked the first chunk, and every *stop line* — a
     terminator or a grid checkpoint — with members after it checks the
     members up to the next one and leaves to its ``(block, ip)`` when
-    they do not fit.  A rolled region (``loop``) wraps one iteration in
+    they do not fit.
+
+    A loop (``starts``: where each cycle block begins in ``records``,
+    one iteration from the cycle's first block) wraps the iteration in
     ``while True``, counts ``rem``/``gap`` down after it and goes round
-    again while the first chunk still fits; its exits all flush the
-    same slots, so they ``break`` to one shared flush-and-settle tail
-    instead of each carrying its own.
+    again while the first chunk still fits; its exits all flush the same
+    slots, so they ``break`` to one shared flush-and-settle tail instead
+    of each carrying its own.  It takes one more parameter, ``s``: the
+    cycle block it is entered at.  Entered past the first block, it
+    first runs the rest of an iteration — a copy of the body whose
+    blocks are each guarded by ``if s <= k``, the only guards of their
+    kind, kept out of the steady loop — after raising ``rem`` and
+    ``gap`` by the members and marked instructions it skipped, so every
+    stop-line check, exit and trap table below stays iteration-relative.
 
     Every record is exactly one source line, so a raising member is
     found from the traceback line number: ``_skew`` maps the line to the
@@ -624,6 +689,7 @@ def _codegen(records, end, loop: bool, program: CompiledProgram, label: str):
     ``_pfx`` to the marked instructions executed through it, both added
     on top of the iterations already completed.
     """
+    loop = starts is not None
     env: Dict[str, object] = {}
     member_lines: List[str] = []
     line_dests: List[Optional[list]] = []  # slots a closure call may write
@@ -696,8 +762,35 @@ def _codegen(records, end, loop: bool, program: CompiledProgram, label: str):
             env[nm] = _compile_entry(inst, program, arg)[1]
             member_lines.append(f"sig = {nm}(m, f)")
             line_dests.append([])
-    member_lines, reg_loads, reg_flushes = _promote(
-        member_lines, line_dests, loop)
+
+    # the body as (indent depth, record index or structural line): a
+    # straight region is its records; a loop with more than one block
+    # first runs the partial iteration its later entries need (``while
+    # s`` runs it at most once; its exits break past the ``else``)
+    entries = loop and len(starts) > 1
+    if not loop:
+        layout = [(2, i) for i in range(len(records))]
+    else:
+        again = f"if {short(stops[0])}: x = {end[0]}; y = c = k = d = 0; break"
+        footer = f"rem -= {total}; gap -= {marked}"
+        layout, depth = [], 2
+        if entries:
+            bounds = starts + [len(records)]
+            layout.append((2, "while s:"))
+            for k in range(1, len(starts)):
+                layout.append((3, f"if s <= {k}:"))
+                layout += [(4, i) for i in range(bounds[k], bounds[k + 1])]
+            layout += [(3, footer + "; s = 0"), (3, again), (2, "else:")]
+            env["_sk"] = tuple(upto[b - 1] if b else 0 for b in starts)
+            env["_sg"] = tuple(pfx[b - 1] if b else 0 for b in starts)
+            depth = 3
+        layout.append((depth, "while True:"))
+        layout += [(depth + 1, i) for i in range(len(records))]
+        layout += [(depth + 1, footer), (depth + 1, again)]
+    body, reg_loads, reg_flushes = _promote(
+        [member_lines[x] if isinstance(x, int) else x for _, x in layout],
+        [line_dests[x] if isinstance(x, int) else None for _, x in layout],
+        loop)
 
     prelude = "regs = f.regs"
     if needs >= _NEEDS_MEM:
@@ -713,24 +806,19 @@ def _codegen(records, end, loop: bool, program: CompiledProgram, label: str):
         prelude += "; ht = m.fpm.table"
     if reg_loads:
         prelude += "; " + reg_loads
-    # + the two loop-footer lines, which cannot raise
-    env["_skew"] = tuple(n - (rec[1] != "check")
-                         for n, rec in zip(upto, records)) + (total,) * 2
-    env["_pfx"] = tuple(pfx) + (marked,) * 2
-    params = ", ".join(f"{nm}={nm}" for nm in env)
-    lines = [f"def region(m, f, rem, gap, {params}):",
-             "    try:",
-             f"        {prelude}"]
-    indent = " " * (12 if loop else 8)
+    # structural lines (loop heads, guards, footers) cannot raise
+    env["_skew"] = tuple(upto[x] - (records[x][1] != "check")
+                         if isinstance(x, int) else 0 for _, x in layout)
+    env["_pfx"] = tuple(pfx[x] if isinstance(x, int) else 0
+                        for _, x in layout)
+    params = ", ".join(["s=0"] * loop + [f"{nm}={nm}" for nm in env])
+    lines = [f"def region(m, f, rem, gap, {params}):"]
     if loop:
-        lines.insert(1, "    rem0 = rem; gap0 = gap")
-        lines.append("        while True:")
+        lines.append("    rem0 = rem; gap0 = gap" + (
+            "; rem += _sk[s]; gap += _sg[s]" if entries else ""))
+    lines += ["    try:", f"        {prelude}"]
     first_line = len(lines) + 1
-    lines.extend(indent + line for line in member_lines)
-    if loop:
-        lines.append(f"{indent}rem -= {total}; gap -= {marked}")
-        lines.append(f"{indent}if {short(stops[0])}: "
-                     f"x = {end[0]}; y = c = k = d = 0; break")
+    lines += ["    " * depth + line for (depth, _), line in zip(layout, body)]
     lines += ["    except BaseException as e:",
               f"        p = e.__traceback__.tb_lineno - {first_line}",
               f"        m.fused_skew = {done}_skew[p]",
@@ -753,56 +841,100 @@ def _codegen(records, end, loop: bool, program: CompiledProgram, label: str):
 # Installation: slots that compile themselves on first entry
 # ----------------------------------------------------------------------
 
-def _slot(program: CompiledProgram, cfunc, func, seq: List[int], ip: int,
-          members: int, first: Tuple[int, int]) -> list:
-    """A region-map slot for the path ``seq`` entered at ``(seq[0], ip)``.
+def _lazy_slots(program: CompiledProgram, cfunc, label: str, build,
+                entries) -> List[list]:
+    """Region-map slots whose code is built on the first entry at any.
 
-    ``[closure, members, marked]``: the run loop enters ``closure`` when
-    the first chunk's ``members`` fit its budget and its ``marked``
-    count stays below the armed gap.  The closure installed here is
-    called exactly like a compiled region: it codegens the region, swaps
-    it into ``slot[0]`` (re-read at every entry, so machines mid-run
-    pick it up) and runs it — a trap inside that first run propagates
-    exactly as from a compiled region.
+    ``entries`` lists ``(block, ip, (members, marked))`` — where a slot
+    is entered and its first chunk — and ``build()`` returns one region
+    function per entry.  A slot is ``[closure, members, marked]``: the
+    run loop enters ``closure`` when the first chunk's ``members`` fit
+    its budget and its ``marked`` count stays below the armed gap.  The
+    closure installed here is called exactly like a compiled region: it
+    builds the regions, swaps them into every ``slot[0]`` (re-read at
+    every entry, so machines mid-run pick them up) and runs its own — a
+    trap inside that first run propagates exactly as from a compiled
+    region.
 
     A codegen failure is a harness fault, never an application trap: it
-    must not reach the run loop's trap clause.  The slot is taken out of
-    the maps instead (the head of a planned path falls back to its
-    static region) and the closure reports a zero-cycle jump to its own
-    entry point, so dispatch retries there with no state touched.
+    must not reach the run loop's trap clause.  The slots are taken out
+    of the maps instead, with one warning (a planned head falls back to
+    its static region) and the closure reports a zero-cycle jump to its
+    own entry point, so dispatch retries there with no state touched.
     """
-    block = seq[0]
-    slot = [None, *first]
+    slots = [[None, *first] for _, _, first in entries]
 
-    def first_entry(m, f, rem, gap):
+    def compiled() -> bool:
         t0 = time.perf_counter()
-        label = f"{func.name}:b{block}" + (f"+{ip}" if ip else "")
         try:
-            records, end = _collect(func, seq, members, ip)
-            region = _codegen(records, end, ip == 0 and end == (block, 0),
-                              program, label)
+            regions = build()
         except Exception as exc:
-            region = None
+            regions = None
             warnings.warn(f"tier-2 codegen failed for {label}: {exc!r}; "
-                          f"the region is declined", stacklevel=2)
+                          f"the region is declined", stacklevel=3)
         program.tier2_codegen_s += time.perf_counter() - t0
-        if region is None:
-            static, profiled = cfunc.static[block], cfunc.tier2[block]
-            if static[ip] is slot:
-                static[ip] = None
-            if profiled[ip] is slot:
-                profiled[ip] = static[ip]
-            m.tier2_cycles = 0
-            f.ip = ip
-            return SIG_JUMP
-        slot[0] = region
+        if regions is None:
+            for (block, ip, _), slot in zip(entries, slots):
+                static, profiled = cfunc.static[block], cfunc.tier2[block]
+                if static[ip] is slot:
+                    static[ip] = None
+                if profiled[ip] is slot:
+                    profiled[ip] = static[ip]
+            return False
+        for slot, region in zip(slots, regions):
+            slot[0] = region
         program.tier2_compiled += 1
-        m.t2_compiled += 1
-        return region(m, f, rem, gap)
+        return True
 
-    slot[0] = first_entry
-    program.tier2_traces += 1
-    return slot
+    def stub(slot, ip):
+        def first_entry(m, f, rem, gap):
+            if not compiled():
+                m.tier2_cycles = 0
+                f.ip = ip
+                return SIG_JUMP
+            m.t2_compiled += 1
+            return slot[0](m, f, rem, gap)
+        return first_entry
+
+    for (_, ip, _), slot in zip(entries, slots):
+        slot[0] = stub(slot, ip)
+    program.tier2_traces += len(slots)
+    return slots
+
+
+def _straight(program: CompiledProgram, cfunc, func, seq: List[int],
+              ip: int, members: int, first: Tuple[int, int]) -> list:
+    """The slot of the path ``seq`` entered at ``(seq[0], ip)``."""
+    label = f"{func.name}:b{seq[0]}" + (f"+{ip}" if ip else "")
+
+    def build():
+        records, end = _collect(func, seq, members, ip)
+        return [_codegen(records, end, program, label)]
+
+    return _lazy_slots(program, cfunc, label, build,
+                       [(seq[0], ip, first)])[0]
+
+
+def _loop(program: CompiledProgram, cfunc, func, cycle: List[int],
+          members: int, records) -> None:
+    """Fill the head slot of every block of ``cycle`` with an entry into
+    its one loop region (``records``: one iteration, validated)."""
+    label = f"{func.name}:loop@b{cycle[0]}"
+    starts = _block_starts(records)
+
+    def build():
+        region = _codegen(*_collect(func, cycle + cycle[:1], members),
+                          program, label, starts)
+        # one code object, entered at block k by binding s = k
+        code, rest = region.__code__, region.__defaults__[1:]
+        return [region] + [
+            FunctionType(code, region.__globals__, region.__name__,
+                         (k,) + rest) for k in range(1, len(cycle))]
+
+    slots = _lazy_slots(program, cfunc, label, build, [
+        (b, 0, _first_chunk(records[lo:])) for b, lo in zip(cycle, starts)])
+    for b, slot in zip(cycle, slots):
+        cfunc.tier2[b][0] = slot
 
 
 def install_static(program: CompiledProgram) -> None:
@@ -815,47 +947,61 @@ def install_static(program: CompiledProgram) -> None:
             insts = block.instructions
             for lo, hi in _entry_points(insts):
                 marked = sum(_is_marked(inst) for inst in insts[lo:hi])
-                cfunc.static[b][lo] = cfunc.tier2[b][lo] = _slot(
+                cfunc.static[b][lo] = cfunc.tier2[b][lo] = _straight(
                     program, cfunc, func, [b], lo, hi - lo,
                     (hi - lo, marked))
 
 
 def install_plan(program: CompiledProgram, plan: Optional[dict]) -> int:
-    """Validate ``plan`` and install its head regions into ``program``.
+    """Validate ``plan`` and install its regions into ``program``.
 
-    Replaces ``CompiledFunction.tier2[head][0]`` in place, so machines
-    constructed before installation pick the regions up on their next
-    jump to that head; the static map is untouched.  Every plan entry is
-    walked against the module here (:func:`_collect`) and its slot
-    carries what the run loop tests before entering — the path's first
-    chunk; codegen waits for the first entry (:func:`_slot`).
-    Idempotent: a program is installed at most once per process.
-    Invalid or stale plan entries (module drift, unknown functions,
-    out-of-range blocks) are skipped, never raised — that head keeps
-    its static region; a bad plan must not kill a campaign.  Returns
+    Replaces head slots (``CompiledFunction.tier2[block][0]``) in place,
+    so machines constructed before installation pick the regions up on
+    their next jump to that head; the static map is untouched.  A loop
+    fills the head slot of every block of its cycle, a path that of its
+    first block.  Every plan record is walked against the module here
+    (:func:`_collect`) and each slot carries what the run loop tests
+    before entering — the first chunk from its block; codegen waits for
+    the first entry (:func:`_lazy_slots`).  Idempotent: a program is
+    installed at most once per process.  Invalid or stale records
+    (module drift, unknown functions, out-of-range or already planned
+    blocks) are skipped, never raised — those heads keep their static
+    regions; a bad plan must not kill a campaign.  Returns
     ``program.tier2_traces``, the slots installed in both maps.
     """
     if program.tier2_installed:
         return program.tier2_traces
     if plan and plan.get("version") == PLAN_VERSION:
         funcs = {fn.name: fn for fn in program.module}
-        for tr in plan.get("traces", ()):
-            func = funcs.get(tr.get("func"))
-            cfunc = program.functions.get(tr.get("func"))
-            if func is None or cfunc is None:
-                continue
-            head = tr.get("head")
-            seq = tr.get("blocks")
-            members = tr.get("members")
-            if not (isinstance(head, int) and isinstance(members, int)
-                    and isinstance(seq, list) and seq
-                    and seq[0] == head and members > 0
-                    and 0 <= head < len(cfunc.tier2)):
-                continue
-            walked = _collect(func, seq, members)
-            if walked is None:
-                continue
-            cfunc.tier2[head][0] = _slot(program, cfunc, func, seq, 0,
-                                         members, _first_chunk(walked[0]))
+        for kind in ("loops", "paths"):
+            for rec in plan.get(kind, ()):
+                func = funcs.get(rec.get("func"))
+                cfunc = program.functions.get(rec.get("func"))
+                seq = rec.get("blocks")
+                members = rec.get("members")
+                if (func is None or cfunc is None
+                        or not isinstance(members, int) or members <= 0
+                        or not isinstance(seq, list) or not seq
+                        or not all(isinstance(b, int) for b in seq)):
+                    continue
+                loop = kind == "loops"
+                heads = seq if loop else seq[:1]
+                # each head is planned once: a record naming a block
+                # twice, or one an earlier record planned, is skipped
+                if (loop and len(set(seq)) != len(seq)) or not all(
+                        0 <= b < len(cfunc.tier2)
+                        and cfunc.tier2[b][0] is cfunc.static[b][0]
+                        for b in heads):
+                    continue
+                walked = _collect(func, seq + seq[:1] if loop else seq,
+                                  members)
+                if walked is None:
+                    continue
+                if not loop:
+                    cfunc.tier2[seq[0]][0] = _straight(
+                        program, cfunc, func, seq, 0, members,
+                        _first_chunk(walked[0]))
+                elif walked[1] == (seq[0], 0):
+                    _loop(program, cfunc, func, seq, members, walked[0])
     program.tier2_installed = True
     return program.tier2_traces

@@ -88,6 +88,10 @@ class TestKeyAndRoundTrip:
         # the module at all, their member counts no longer do
         self.test_plan_of_another_version_is_rederived(tmp_path, version=2)
 
+    def test_plan_v3_is_rederived(self, tmp_path):
+        # v3 planned a path per head, with every rotation of every loop
+        self.test_plan_of_another_version_is_rederived(tmp_path, version=3)
+
     def test_env_var_enables_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
         pa = PreparedApp(get_app("matvec"), "blackbox", snapshot_stride=150)

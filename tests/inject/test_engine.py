@@ -427,6 +427,20 @@ class TestEffectiveWorkers:
         assert c.health.requested_workers == 4
         assert c.health.effective_workers == 1
 
+    @pytest.mark.parametrize("fleet,says,size", [
+        # an explicit fleet size is kept, on the wire that was named
+        ({"executor": "remote", "shards": 2}, "on a remote fleet of 2", 2),
+        ({"executor": "pool"}, "on a pool fleet of 1", 1)],
+        ids=["remote-shards", "pool"])
+    def test_small_campaign_warning_names_what_runs(self, fleet, says, size):
+        with pytest.warns(UserWarning, match="too small") as caught:
+            c = run_campaign("matvec", trials=3, mode="blackbox", seed=1,
+                             workers=2, **fleet)
+        (warning,) = [w for w in caught if "too small" in str(w.message)]
+        assert says in str(warning.message)
+        assert c.effective_workers == c.health.effective_workers == size
+        assert c.health.shards == size
+
     def test_parallel_campaign_records_workers(self):
         c = run_campaign("matvec", trials=8, mode="blackbox", seed=1,
                          workers=2, executor="pool")

@@ -26,7 +26,7 @@ from repro.vm import (
 from repro.vm import tier2 as tier2_mod
 from tests.conftest import assert_jobs_identical
 
-# a hot multi-block loop (planned as a rolled trace), plus a cold tail
+# a hot multi-block loop (planned as one loop), plus a cold tail
 # the golden profile never takes
 SRC_LOOP = """
 func main(rank: int, size: int) {
@@ -95,6 +95,36 @@ SRC_ROLL_TRAP = SRC_DIV.replace("d: int = 8", "d: int = 4").replace(
     "d += 1;", "d -= 1;")
 
 
+# a five-block cycle — loop test, body, then-arm, join, increment — with
+# an if/else whose else arm the golden run takes once in eight
+# iterations, so the cycle runs through the then-arm
+SRC_CYCLE = """
+func main(rank: int, size: int) {
+    var a: int[8];
+    var acc: int = 0;
+    var d: int = 30;
+    for (var it: int = 0; it < 24; it += 1) {
+        var x: int = it * 3 + 1;
+        if (it % 8 != 7) {
+            acc += x * 2;
+        } else {
+            acc -= x;
+        }
+        a[it % 8] = acc + 1000 / d;
+        d -= 1;
+    }
+    emiti(acc);
+    emiti(a[3]);
+}
+"""
+
+# the same cycle trapping (division by zero) in the join block of its
+# fourth iteration
+SRC_CYCLE_TRAP = SRC_CYCLE.replace("d: int = 30", "d: int = 3")
+
+SOURCES = {"loop": SRC_LOOP, "roll": SRC_ROLL, "barrier": SRC_BARRIER}
+
+
 def build(source, mode="blackbox", fuse=True):
     mod = compile_source(source, "t")
     run_passes(mod, pipeline_for_mode(mode))
@@ -131,7 +161,8 @@ def state(m):
     frames = [(f.block, f.ip, list(f.regs)) for f in m.call_stack
               if m.status is not MachineStatus.TRAPPED]
     # values may be NaN, which equals nothing: compare their spelling
-    return (m.status, repr(frames), repr(m.memory.words()),
+    # (of the cells only: every word past them is 0)
+    return (m.status, repr(frames), repr(m.memory.cells),
             bytes(m.memory.valid), m.memory.sp, m.cycles, m.inj_counter,
             repr(m.outputs), m.iteration_count,
             repr([vars(e) for e in m.injection_events]), str(m.trap))
@@ -170,6 +201,16 @@ def is_compiled(closure):
     return closure.__code__.co_filename.startswith("<tier2:")
 
 
+def records(plan):
+    return plan["loops"] + plan["paths"]
+
+
+def planned_codes(prog):
+    """The distinct compiled regions behind the plan's slots: a loop's
+    entries share one code object."""
+    return {t[0].__code__ for t in head_slots(prog) if is_compiled(t[0])}
+
+
 def planned(source=SRC_LOOP, mode="blackbox", status=MachineStatus.DONE):
     # profiled on a throwaway build: every parity test below enters its
     # regions for the first time inside the run it checks
@@ -182,6 +223,36 @@ def planned(source=SRC_LOOP, mode="blackbox", status=MachineStatus.DONE):
     return prog, plan
 
 
+def successor_cycles(prog, edges):
+    """Every cycle of the golden successor graph, found by brute force:
+    a block is on one when following successors brings it back."""
+    found = set()
+    for func in prog.module:
+        succ = [nxt for _, nxt in tier2_mod._successors(func, edges or {})]
+        for b in range(len(succ)):
+            walk, x = [b], succ[b]
+            while x is not None and x != b and len(walk) <= len(succ):
+                walk.append(x)
+                x = succ[x]
+            if x == b:
+                found.add((func.name, frozenset(walk)))
+    return found
+
+
+def with_edges(name):
+    """A program built from one of this file's sources — or a
+    registered app — and the edge counts of its golden run."""
+    if name in SOURCES:
+        m, edges = profile_edges(build(SOURCES[name]))
+        return m.program, edges
+    spec = get_app(name)
+    prog = build_program(spec.source, "blackbox", name=spec.name,
+                         config=spec.config)
+    edges = {}
+    run_job(prog, spec.config, capture_edge_profile=edges)
+    return prog, edges
+
+
 class TestPlanning:
     def test_plan_is_deterministic_and_json_safe(self):
         prog = build(SRC_LOOP)
@@ -190,42 +261,80 @@ class TestPlanning:
         p2 = derive_plan(prog, edges)
         assert p1 == p2
         assert json.loads(json.dumps(p1)) == p1
-        assert sorted(p1) == ["traces", "version"]
-        assert p1["version"] == tier2_mod.PLAN_VERSION
-        assert all(sorted(t) == ["blocks", "func", "head", "members"]
-                   for t in p1["traces"])
+        assert sorted(p1) == ["loops", "paths", "version"]
+        assert p1["version"] == tier2_mod.PLAN_VERSION == 4
+        assert all(sorted(t) == ["blocks", "func", "members"]
+                   for t in records(p1))
         # without edge counts only statically-resolved control flow is
-        # walkable: planning must not crash, and guards no branch
+        # walkable: planning must not crash, and guards no branch — the
+        # loop's exit test is dynamic, so there is no cycle either
         static = derive_plan(prog, None)
-        assert 0 < len(static["traces"]) < len(p1["traces"])
+        assert static["paths"] and not static["loops"]
+        func = next(fn for fn in prog.module if fn.name == "main")
+        for t in static["paths"]:
+            walked, _ = tier2_mod._collect(func, t["blocks"], t["members"])
+            assert "condbr" not in {kind for _, kind, _ in walked}
 
-    def test_loop_path_closes_on_its_own_head(self):
-        # one iteration, never an unrolled body: no block repeats except
-        # the one that closes the path
+    @pytest.mark.parametrize("source", ["loop", "roll", "barrier",
+                                        "matvec", "mcb", "lulesh"])
+    def test_every_cycle_is_planned_exactly_once(self, source):
+        prog, edges = with_edges(source)
+        plan = derive_plan(prog, edges)
+        loops = [(t["func"], frozenset(t["blocks"])) for t in plan["loops"]]
+        # a loop with a call in its body has no cycle: the call is a
+        # barrier, and its block no golden successor
+        assert bool(loops) == (source != "barrier")
+        assert len(set(loops)) == len(loops)
+        assert set(loops) == successor_cycles(prog, edges)
+        for t in plan["loops"]:
+            # each block once, one iteration's members, from its lowest
+            assert len(set(t["blocks"])) == len(t["blocks"])
+            assert t["blocks"][0] == min(t["blocks"])
+        # and no two loop records share a block
+        held = [(t["func"], b) for t in plan["loops"] for b in t["blocks"]]
+        assert len(set(held)) == len(held)
+
+    @pytest.mark.parametrize("source", ["loop", "roll", "mcb"])
+    def test_no_path_holds_a_cycle_block_except_as_its_exit_target(
+            self, source):
+        prog, edges = with_edges(source)
+        plan = derive_plan(prog, edges)
+        on_cycle = {(t["func"], b) for t in plan["loops"]
+                    for b in t["blocks"]}
+        assert plan["paths"]
+        for t in plan["paths"]:
+            inside = [(t["func"], b) for b in t["blocks"][:-1]]
+            assert not on_cycle.intersection(inside), t
+            assert len(set(t["blocks"])) == len(t["blocks"])
+
+    def test_a_campaign_compiles_each_record_at_most_once(self):
+        # tier2_compiled also counts the static regions the campaign
+        # entered; the plan's own are the code objects behind its slots
+        from repro.inject import run_campaign
+        from repro.inject.campaign import _PREPARED_CACHE
+
+        run_campaign("mcb", trials=6, mode="fpm", seed=3, workers=1)
+        pa = next(v for k, v in _PREPARED_CACHE.items()
+                  if k[:3] == ("mcb", (), "fpm"))
+        prog, plan = pa.program, pa.tier2_plan
+        assert 0 < len(planned_codes(prog)) <= len(records(plan))
+        for t in plan["loops"]:
+            cf = prog.functions[t["func"]]
+            assert len({cf.tier2[b][0][0].__code__
+                        for b in t["blocks"]}) == 1
+
+    def test_path_ends_at_the_head_of_the_loop_it_reaches(self):
         prog = build(SRC_LOOP)
         _, edges = profile_edges(prog)
-        traces = derive_plan(prog, edges)["traces"]
-        rolled = [t for t in traces if t["blocks"][-1] == t["head"]
-                  and len(t["blocks"]) > 1]
-        assert rolled, "the hot loop must be planned as a rolled trace"
-        for t in traces:
-            body = t["blocks"][:-1]
-            assert len(set(body)) == len(body)
-        # every rotation of the loop carries the same iteration
-        assert len({t["members"] for t in rolled}) == 1
-
-    def test_path_revisiting_a_non_head_block_ends_at_its_head(self):
-        prog = build(SRC_LOOP)
-        _, edges = profile_edges(prog)
-        traces = derive_plan(prog, edges)["traces"]
-        entry = next(t for t in traces if t["head"] == 0)
+        plan = derive_plan(prog, edges)
+        entry = next(t for t in plan["paths"] if t["blocks"][0] == 0)
         close = entry["blocks"][-1]
-        assert close != 0 and close in entry["blocks"][:-1]
-        # block 0 is where the program starts: with only this trace
+        assert any(close in t["blocks"] for t in plan["loops"])
+        # block 0 is where the program starts: with only this path
         # installed and exactly its members as budget, one run() goes
-        # through the whole trace and stops where it ends
+        # through the whole path and stops at the loop's head
         install_plan(prog, {"version": tier2_mod.PLAN_VERSION,
-                            "traces": [entry]})
+                            "loops": [], "paths": [entry]})
         m = Machine(prog, 0, 1)
         m.start()
         ref = Machine(reference(SRC_LOOP), 0, 1)
@@ -243,12 +352,18 @@ class TestPlanning:
         _, edges = profile_edges(build(SRC_LOOP))
         other = derive_plan(build(SRC_LOOP), edges)
         other["version"] = tier2_mod.PLAN_VERSION + 1
-        bad = {"version": tier2_mod.PLAN_VERSION, "traces": [
-            {"func": "nope", "head": 0, "blocks": [0], "members": 10},
-            {"func": "main", "head": 999, "blocks": [999], "members": 10},
-            {"func": "main", "head": 0, "blocks": [0, 777], "members": 64},
+        bad = {"version": tier2_mod.PLAN_VERSION, "loops": [
+            {"func": "main", "blocks": [0, 0], "members": 10},
+            {"func": "main", "blocks": [1, "x"], "members": 10},
+        ], "paths": [
+            {"func": "nope", "blocks": [0], "members": 10},
+            {"func": "main", "blocks": [999], "members": 10},
+            {"func": "main", "blocks": [0, 777], "members": 64},
         ]}
-        for plan in (bad, other):
+        # a v3 plan: one record per head, every rotation of every loop
+        v3 = {"version": 3, "traces": [
+            dict(t, head=t["blocks"][0]) for t in records(other)]}
+        for plan in (bad, other, v3):
             prog = build(SRC_LOOP)
             static = prog.tier2_traces
             assert install_plan(prog, plan) == static
@@ -258,7 +373,8 @@ class TestPlanning:
     def test_install_fills_one_slot_per_head(self):
         # the static map holds one slot per entry point — block heads,
         # the ip after a call barrier, every 16th member of a run — and
-        # a plan replaces head slots of the profiled map only
+        # a plan replaces head slots of the profiled map only: one per
+        # path, one per block of each loop
         prog, plan = planned(SRC_BARRIER)
         func = next(fn for fn in prog.module if fn.name == "main")
         cf = prog.functions["main"]
@@ -277,7 +393,8 @@ class TestPlanning:
                 # mid-block, one object serves both maps
                 assert ip == 0 or cf.tier2[b][ip] is slot
         assert kinds == {"head", "post-barrier", "grid"}
-        assert len(head_slots(prog)) == len(plan["traces"])
+        assert len(head_slots(prog)) == len(plan["paths"]) + sum(
+            len(t["blocks"]) for t in plan["loops"])
         assert len(slots(prog)) == prog.tier2_traces
         for _, members, marked in slots(prog):
             assert 0 <= marked <= members and 1 <= members <= 16
@@ -290,9 +407,10 @@ class TestFirstEntryCompilation:
         static = prog.tier2_traces
         assert static == len(slots(prog)) > 0
         plan = derive_plan(prog, edges)
-        # every planned path validates against the module it was
-        # derived from
-        assert install_plan(prog, plan) == static + len(plan["traces"])
+        # every planned record validates against the module it was
+        # derived from: one slot per path, one per block of each loop
+        assert install_plan(prog, plan) == static + len(plan["paths"]) \
+            + sum(len(t["blocks"]) for t in plan["loops"])
         # and is idempotent: a program is installed at most once
         assert install_plan(prog, plan) == prog.tier2_traces == len(slots(prog))
         assert prog.tier2_compiled == 0 and prog.tier2_codegen_s == 0.0
@@ -309,7 +427,8 @@ class TestFirstEntryCompilation:
         after = slots(prog)
         # the slots are untouched: same heads, same first blocks
         assert len(after) == installed
-        assert sum(is_compiled(t[0]) for t in after) == prog.tier2_compiled
+        assert len({t[0].__code__ for t in after if is_compiled(t[0])}) \
+            == prog.tier2_compiled
         # a second run finds everything it needs compiled
         again = run_machine(prog, budget=256)
         assert again.t2_compiled == 0
@@ -317,11 +436,17 @@ class TestFirstEntryCompilation:
 
     @pytest.mark.parametrize("quantum", [16, 64, 256, 10 ** 6])
     def test_at_most_one_variant_per_head_is_ever_compiled(self, quantum):
-        prog, _ = planned()
+        # and a loop is compiled once, whichever of its blocks it is
+        # entered at: all its slots run one code object
+        prog, plan = planned()
         total = run_machine(prog, budget=quantum).inj_counter
         for occ in range(1, total + 1, 9):
             run_faulted(prog, SRC_LOOP, occ, 62, quantum)
         assert 0 < prog.tier2_compiled <= prog.tier2_traces
+        assert 0 < len(planned_codes(prog)) <= len(records(plan))
+        cf = prog.functions["main"]
+        for t in plan["loops"]:
+            assert len({cf.tier2[b][0][0].__code__ for b in t["blocks"]}) == 1
 
     def test_machine_built_before_install_picks_traces_up_mid_run(self):
         prog = build(SRC_LOOP)
@@ -345,13 +470,13 @@ class TestFirstEntryCompilation:
         real = tier2_mod._codegen
         calls = []
 
-        def broken(records, end, loop, program, label):
-            calls.append(label)
+        def broken(records, end, program, label, starts=None):
+            calls.append(len(starts or [0]))
             if failing == "all" or len(calls) == 1:
                 # one of the types Machine.run classifies as an
                 # application trap — it must never get that far
                 raise ValueError("synthetic codegen failure")
-            return real(records, end, loop, program, label)
+            return real(records, end, program, label, starts)
 
         monkeypatch.setattr(tier2_mod, "_codegen", broken)
         with pytest.warns(UserWarning, match="tier-2 codegen failed"):
@@ -359,9 +484,10 @@ class TestFirstEntryCompilation:
         b = run_machine(reference(SRC_LOOP), budget=256)
         assert a.status is MachineStatus.DONE and a.trap is None
         assert_states_identical(a, b)
-        # each failed region left the maps — that slot only, a planned
-        # head falling back to its static region — and nothing is retried
-        failed = len(calls) if failing == "all" else 1
+        # each failed region left the maps — its slots only, one per
+        # block of a loop, a planned head falling back to its static
+        # region — and nothing is retried
+        failed = sum(calls) if failing == "all" else calls[0]
         assert len(slots(prog)) == installed - failed
         if failing == "all":
             assert prog.tier2_compiled == 0 and a.t2_cycles_acc == 0
@@ -370,22 +496,33 @@ class TestFirstEntryCompilation:
             assert a.t2_cycles_acc > 0
 
 
-def at_loop_head(prog, plan, tier2, faults=()):
-    """A machine single-stepped to the first head of a rolled region of
-    ``plan`` it reaches, then switched to ``tier2``; also returns that
-    head and the members of one iteration."""
-    heads = {t["head"]: t["members"] for t in plan["traces"]
-             if t["blocks"][-1] == t["head"]}
+def at_loop_head(prog, plan, tier2, faults=(), block=None, visit=1):
+    """A machine single-stepped to a block head of a loop of ``plan`` —
+    ``block`` on its ``visit``-th arrival there, or the first loop block
+    it reaches — then switched to ``tier2``; also returns that block and
+    the members of one iteration."""
+    heads = {b: t["members"] for t in plan["loops"] for b in t["blocks"]}
+    want = heads if block is None else {block}
     m = Machine(prog, 0, 1)
     m.use_tier2 = False
     if faults:
         m.arm_faults(faults)
     m.start()
-    while not (m.call_stack[-1].ip == 0 and m.call_stack[-1].block in heads):
+    while True:
+        f = m.call_stack[-1]
+        if f.ip == 0 and f.block in want:
+            visit -= 1
+            if not visit:
+                break
         assert m.run(1) is MachineStatus.READY
     m.use_tier2 = tier2
-    head = m.call_stack[-1].block
-    return m, head, heads[head]
+    return m, f.block, heads[f.block]
+
+
+def finish(m):
+    while m.run(10 ** 6) is MachineStatus.READY:
+        pass
+    return m
 
 
 def watch_single_steps(prog):
@@ -487,6 +624,92 @@ class TestRolledTraces:
         assert a.t2_enters == 1 and a.t2_deopts == 1
         assert a.trap.cycle - start > 4 * length
         assert_states_identical(a, b)
+
+
+    # ------------------------------------------------------------------
+    # one loop region, entered at every block of its cycle
+    # ------------------------------------------------------------------
+    @pytest.mark.parametrize("mode", ["blackbox", "fpm", "taint"])
+    def test_every_entry_and_budget_lands_on_the_reference_state(self, mode):
+        prog, plan = planned(SRC_CYCLE, mode)
+        ref = reference(SRC_CYCLE, mode)
+        (loop,) = plan["loops"]
+        cycle, length = loop["blocks"], loop["members"]
+        assert len(cycle) >= 5
+        for block in cycle:
+            for budget in range(1, 3 * length + 4):
+                a = at_loop_head(prog, plan, True, block=block)[0]
+                b = at_loop_head(ref, plan, False, block=block)[0]
+                a.run(budget)
+                b.run(budget)
+                assert_states_identical(a, b)
+                assert a.t2_deopts == 0
+                # all but a tail shorter than a chunk runs compiled
+                assert a.t2_cycles_acc > budget - 16
+        # one compiled loop behind every entry
+        cf = prog.functions["main"]
+        (code,) = {cf.tier2[b][0][0].__code__ for b in cycle}
+        assert "loop@" in code.co_filename
+        assert prog.tier2_compiled <= prog.tier2_traces
+
+    @pytest.mark.parametrize("bit", [0, 62])
+    def test_fault_in_the_partial_iteration_fires_like_the_reference(
+            self, bit):
+        prog, plan = planned(SRC_CYCLE)
+        ref = reference(SRC_CYCLE)
+        (loop,) = plan["loops"]
+        fired = 0
+        for block in loop["blocks"][1:]:
+            # the occurrences between this entry and the cycle's first
+            # block: the partial iteration's
+            m = at_loop_head(ref, plan, False, block=block)[0]
+            first = m.inj_counter + 1
+            while (m.call_stack[-1].block, m.call_stack[-1].ip) \
+                    != (loop["blocks"][0], 0):
+                m.run(1)
+            for occ in range(first, m.inj_counter + 1):
+                faults = [FaultSpec(rank=0, occurrence=occ, bit=bit)]
+                a = finish(at_loop_head(prog, plan, True, faults, block)[0])
+                b = finish(at_loop_head(ref, plan, False, faults, block)[0])
+                assert len(a.injection_events) == 1
+                assert_states_identical(a, b)
+                fired += 1
+        assert fired >= len(loop["blocks"]) - 1
+
+    def test_trap_in_the_partial_or_a_later_iteration_lands_on_the_reference(
+            self):
+        prog, plan = planned(SRC_CYCLE_TRAP, status=MachineStatus.TRAPPED)
+        ref = reference(SRC_CYCLE_TRAP)
+        (loop,) = plan["loops"]
+        cycle, length = loop["blocks"], loop["members"]
+        func = next(fn for fn in prog.module if fn.name == "main")
+        sizes = [n for n, _ in tier2_mod._successors(func, {})]
+        # arrivals at each cycle block before the golden run traps
+        visits = dict.fromkeys(cycle, 0)
+        m = Machine(ref, 0, 1)
+        m.start()
+        while m.status is MachineStatus.READY:
+            f = m.call_stack[-1]
+            visits[f.block] = visits.get(f.block, 0) + (f.ip == 0)
+            m.run(1)
+        where = set()
+        for k, block in enumerate(cycle):
+            left = length - sum(sizes[b] for b in cycle[:k])
+            for visit in (1, visits[block]):
+                a = at_loop_head(prog, plan, True, block=block,
+                                 visit=visit)[0]
+                b = at_loop_head(ref, plan, False, block=block,
+                                 visit=visit)[0]
+                start = a.cycles
+                assert a.run(10 ** 6) is MachineStatus.TRAPPED
+                assert b.run(10 ** 6) is MachineStatus.TRAPPED
+                assert a.t2_enters == 1 and a.t2_deopts == 1
+                assert (a.trap.cycle, a.inj_counter) \
+                    == (b.trap.cycle, b.inj_counter)
+                assert_states_identical(a, b)
+                where.add("partial" if k and a.trap.cycle - start < left
+                          else "later")
+        assert where == {"partial", "later"}
 
 
 class TestExecutionParity:
@@ -693,8 +916,8 @@ class TestIntrinsicMembers:
             assert at[barrier] not in inside, barrier
             assert at[barrier] + 1 in starts, barrier
         # and the planner's walk stops where the static chunks do
-        seq, members = tier2_mod._walk(func, block.index, {})
-        assert seq == [block.index]
+        members, nxt = tier2_mod._successors(func, {})[block.index]
+        assert nxt is None
         first_barrier = min(at["mpi_recv"], at["mpi_allreduce"])
         assert members == first_barrier
 
