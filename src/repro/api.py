@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import CampaignError
 from .inject.campaign import (
-    CampaignResult, _prepared, check_target, run_campaign,
+    CampaignResult, _forget_prepared, _prepared, check_target, run_campaign,
 )
 from .inject.engine import resume_campaign
 from .inject.journal import read_journal_header
@@ -59,7 +59,10 @@ class Session:
         Registers ``source`` as the app ``name`` (``config`` is its
         :class:`~repro.RunConfig`; the tolerances decide when outputs
         count as correct) and opens a session on it; ``session``
-        forwards to the constructor.
+        forwards to the constructor.  Calling it again with the same
+        ``name`` and another program replaces the app, and this
+        process's prepared golden state of it; the name of a built-in
+        app is refused.
         """
         from .apps.registry import APP_BUILDERS, AppSpec, register_app
         from .core.config import RunConfig
@@ -69,8 +72,17 @@ class Session:
             tolerance=tolerance, abs_tolerance=abs_tolerance,
             description="user-provided MiniHPC program",
         )
-        if name not in APP_BUILDERS:
-            register_app(name)(lambda _spec=spec: _spec)
+        # a builder this method registered carries the spec it returns
+        known = APP_BUILDERS.get(name)
+        if known is not None and not hasattr(known, "spec"):
+            raise CampaignError(
+                f"{name!r} is a built-in app; give your program another name")
+        if known is None or known.spec != spec:
+            def builder(_spec=spec):
+                return _spec
+            builder.spec = spec
+            register_app(name)(builder)
+            _forget_prepared(name)
         return cls(name, **session)
 
     # ------------------------------------------------------------------

@@ -13,11 +13,6 @@ from __future__ import annotations
 import math
 from typing import Dict, ItemsView, List, Optional, Tuple
 
-import numpy as np
-
-#: minimum size of the lazily-grown presence mask, in words
-_MASK_MIN = 1 << 12
-
 
 def same_value(a, b) -> bool:
     """Value equality used by fpm_store: NaN is equal to NaN.
@@ -37,7 +32,7 @@ class ShadowTable:
     """Per-process contamination map: address -> pristine value."""
 
     __slots__ = ("table", "ever_contaminated_count", "first_contamination_cycle",
-                 "_lo", "_hi", "_mask")
+                 "_lo", "_hi")
 
     def __init__(self) -> None:
         self.table: Dict[int, object] = {}
@@ -54,28 +49,6 @@ class ShadowTable:
         #: frames and heap blocks die clean).
         self._lo = 0
         self._hi = 0
-        #: conservative NumPy presence bitmask over the address space,
-        #: grown lazily on record().  A set bit means "this address *may*
-        #: be contaminated" — heals and the compiled closures' direct
-        #: ``del table[addr]`` bypasses leave stale 1-bits, which is
-        #: sound: the dict stays authoritative and every candidate found
-        #: through the mask is re-checked against it.  Range queries
-        #: (purge/contamination headers) scan it at C speed with
-        #: ``np.flatnonzero`` instead of probing addresses one by one.
-        self._mask: Optional[np.ndarray] = None
-
-    def _mask_set(self, addr: int) -> None:
-        """Mark ``addr`` present in the mask, growing it as needed."""
-        mask = self._mask
-        if mask is None or addr >= mask.shape[0]:
-            n = _MASK_MIN if mask is None else mask.shape[0]
-            while n <= addr:
-                n *= 2
-            grown = np.zeros(n, dtype=np.uint8)
-            if mask is not None:
-                grown[:mask.shape[0]] = mask
-            self._mask = mask = grown
-        mask[addr] = 1
 
     def __len__(self) -> int:
         return len(self.table)
@@ -103,8 +76,6 @@ class ShadowTable:
                 self._lo = addr
             elif addr >= self._hi:
                 self._hi = addr + 1
-            if addr >= 0:
-                self._mask_set(addr)
         self.table[addr] = pristine
 
     def heal(self, addr: int) -> None:
@@ -133,14 +104,7 @@ class ShadowTable:
             return 0
         lo = max(lo, self._lo)
         hi = min(hi, self._hi)
-        mask = self._mask
-        if mask is not None and 0 <= lo and hi <= mask.shape[0]:
-            # C-speed candidate scan; stale mask bits are filtered by the
-            # dict probe, and the purged range goes exactly clean after.
-            doomed = [a for a in (np.flatnonzero(mask[lo:hi]) + lo).tolist()
-                      if a in table]
-            mask[lo:hi] = 0
-        elif hi - lo < len(table):
+        if hi - lo < len(table):
             doomed = [a for a in range(lo, hi) if a in table]
         else:
             doomed = [a for a in table if lo <= a < hi]
@@ -153,12 +117,6 @@ class ShadowTable:
         table = self.table
         if not table or addr + count <= self._lo or addr >= self._hi:
             return []
-        mask = self._mask
-        if mask is not None and 0 <= addr and addr + count <= mask.shape[0]:
-            return [(a - addr, table[a])
-                    for a in (np.flatnonzero(mask[addr:addr + count])
-                              + addr).tolist()
-                    if a in table]
         if len(table) < count:
             return sorted(
                 (a - addr, p) for a, p in table.items() if addr <= a < addr + count
@@ -189,20 +147,12 @@ class ShadowTable:
         self._reset_bounds()
 
     def _reset_bounds(self) -> None:
-        """Recompute the address bounds and presence mask (restore paths
-        only — O(n)).  Also the re-synchronisation point for callers that
-        replace ``table`` wholesale (checkpoint restore)."""
+        """Recompute the address bounds (restore paths only — O(n)).
+        Also the re-synchronisation point for callers that replace
+        ``table`` wholesale (checkpoint restore)."""
         if self.table:
             self._lo = min(self.table)
             self._hi = max(self.table) + 1
-            if self._lo >= 0:
-                self._mask_set(self._hi - 1)
-                self._mask[:] = 0
-                self._mask[list(self.table)] = 1
-            else:
-                self._mask = None
         else:
             self._lo = 0
             self._hi = 0
-            if self._mask is not None:
-                self._mask[:] = 0

@@ -14,8 +14,6 @@ counts quantifies the overestimation.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .shadow import ShadowTable
 
 
@@ -42,11 +40,6 @@ class TaintTable(ShadowTable):
         table = self.table
         if not table or addr + count <= self._lo or addr >= self._hi:
             return False
-        mask = self._mask
-        if mask is not None and 0 <= addr and addr + count <= mask.shape[0]:
-            return any(a in table
-                       for a in (np.flatnonzero(mask[addr:addr + count])
-                                 + addr).tolist())
         if len(table) < count:
             return any(addr <= a < addr + count for a in table)
         return any(addr + i in table for i in range(count))

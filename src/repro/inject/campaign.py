@@ -210,6 +210,12 @@ def _prepared(app_name: str, params: tuple, mode: str,
     return pa
 
 
+def _forget_prepared(app_name: str) -> None:
+    """Evict every prepared entry of ``app_name`` (its program changed)."""
+    for key in [k for k in _PREPARED_CACHE if k[0] == app_name]:
+        del _PREPARED_CACHE[key]
+
+
 def _summarise(
     pa: PreparedApp, result: JobResult, faults: Sequence[FaultSpec],
     keep_series: bool,

@@ -256,21 +256,33 @@ class Scheduler:
         trials), so the counters are drained to the metrics registry
         once per job result and zeroed — a paused golden advance keeps
         accumulating and is drained by the run that finishes on those
-        machines."""
+        machines.  A rank still suspended in a loop region when the job
+        ends is settled first: nothing will resume it, and a suspended
+        region holds its machine."""
         enters = deopts = cycles = compiled = 0
+        suspends = resumes = settles = 0
         for m in self.machines:
+            m.settle()
             enters += m.t2_enters
             deopts += m.t2_deopts
             cycles += m.t2_cycles_acc
             compiled += m.t2_compiled
+            suspends += m.t2_suspends
+            resumes += m.t2_resumes
+            settles += m.t2_settles
             m.t2_enters = m.t2_deopts = m.t2_cycles_acc = 0
             m.t2_compiled = 0
+            m.t2_suspends = m.t2_resumes = m.t2_settles = 0
         if enters or deopts or cycles:
             _obs.inc("repro_tier2_enters_total", enters)
             _obs.inc("repro_tier2_deopts_total", deopts)
             _obs.inc("repro_tier2_cycles_total", cycles)
         if compiled:
             _obs.inc("repro_tier2_variants_compiled_total", compiled)
+        if suspends or settles:
+            _obs.inc("repro_tier2_suspends_total", suspends)
+            _obs.inc("repro_tier2_resumes_total", resumes)
+            _obs.inc("repro_tier2_settles_total", settles)
 
     # ------------------------------------------------------------------
     # Convergence pruning

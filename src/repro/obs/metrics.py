@@ -70,6 +70,12 @@ DESCRIPTIONS: Dict[str, str] = {
         "Virtual cycles executed inside compiled regions (static included).",
     "repro_tier2_variants_compiled_total":
         "Regions compiled on their first entry (at most once per slot).",
+    "repro_tier2_suspends_total":
+        "Quantum boundaries a loop region stopped at with registers live.",
+    "repro_tier2_resumes_total":
+        "Quanta that began by resuming a suspended loop region.",
+    "repro_tier2_settles_total":
+        "Suspended loop regions flushed to their frame instead of resumed.",
     "repro_shadow_entries":
         "Contaminated memory locations (CML) at the last stream sample.",
     "repro_cml_stream_samples_total":

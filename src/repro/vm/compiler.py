@@ -12,6 +12,9 @@ indices or immediate constants ("threaded code").  The run loop in
 * ``SIG_BLOCK``   — an MPI operation must wait; re-execute when woken,
 * ``SIG_INJECT``  — a fault was just injected (loop records the exact cycle).
 
+(A loop region that spends the whole budget returns a negative value
+instead: it has suspended itself on the machine — :mod:`repro.vm.tier2`.)
+
 Instructions marked by the fault-injection pass are wrapped with an
 occurrence counter + bit-flip trigger, which implements LLFI's dynamic
 fault model with near-zero overhead when no fault is armed.

@@ -38,6 +38,7 @@ from .compiler import (
 )
 from .memory import ProcessMemory
 from .rng import Lcg64
+from .tier2 import loop_trap, settle_loop
 from .traps import Trap, TrapKind
 
 
@@ -241,12 +242,24 @@ class Machine:
         self.t2_cycles_acc = 0
         #: regions this machine compiled by entering them first
         self.t2_compiled = 0
+        #: the loop region (a generator, :mod:`repro.vm.tier2`) suspended
+        #: where the last quantum ran out, resumed by the next
+        #: :meth:`run` and settled by :meth:`execution_state`:
+        #: ``(generator, entry budget, entry gap, gap left)``
+        self.t2_cont: Optional[tuple] = None
+        #: quantum boundaries a loop region suspended at, resumed from
+        #: and was settled at (observability; drained with the above)
+        self.t2_suspends = 0
+        self.t2_resumes = 0
+        self.t2_settles = 0
 
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
     def arm_faults(self, specs: Sequence[FaultSpec], seed: Optional[int] = None) -> None:
         """Arm the fault plan for this rank (specs for other ranks ignored)."""
+        # a suspended loop region counts on the armed gap it stopped under
+        self.settle()
         mine = sorted(
             (s for s in specs if s.rank == self.rank), key=lambda s: s.occurrence
         )
@@ -282,13 +295,27 @@ class Machine:
         for pi, av in zip(cfunc.param_indices, args):
             frame.regs[pi] = av
         self.call_stack = [frame]
+        self.t2_cont = None
         self.status = MachineStatus.READY
 
     # ------------------------------------------------------------------
     # Restorable state
     # ------------------------------------------------------------------
+    def settle(self) -> None:
+        """End a loop region suspended at a quantum boundary: it
+        flushes its registers and stages the ``(block, ip)`` it stopped
+        at, with zero cycles, so the frames say where execution stands.
+        The next :meth:`run` dispatches from there."""
+        cont = self.t2_cont
+        if cont is not None:
+            self.t2_cont = None
+            self.t2_settles += 1
+            settle_loop(self, cont[0])
+
     def execution_state(self, memory: Optional[tuple]) -> ExecutionState:
-        """The execution part, with ``memory`` as its memory field."""
+        """The execution part, with ``memory`` as its memory field —
+        the one reader of frame state, so it settles first."""
+        self.settle()
         if self.pending_call is not None:  # pragma: no cover - epoch boundaries only
             raise SnapshotError("cannot capture a machine mid-call staging")
         pending = self.pending
@@ -373,6 +400,8 @@ class Machine:
         self.trap = None
         self.pending_call = None
         self.fused_skew = 0
+        # a suspended loop region ran on the frames just replaced
+        self.t2_cont = None
 
     # ------------------------------------------------------------------
     # Fault injection (called from compiled closures)
@@ -435,6 +464,14 @@ class Machine:
         closure runs.  The map is chosen per frame change by
         ``use_tier2`` alone: ``tier2`` (static regions, head slots
         replaced by the golden plan's) or ``static``.
+
+        A planned loop that the budget runs out inside stops on the
+        exact cycle and suspends (a negative signal, the armed gap it
+        has left): it keeps the frame's registers and position, and the
+        machine keeps it in ``t2_cont``.  The next call resumes it with
+        the new budget before dispatching anything; its counts run from
+        its entry, so the cycles and marked instructions of earlier
+        quanta are taken off (``owed_c``, ``owed_k``).
         """
         if self.status is not MachineStatus.READY:
             return self.status
@@ -453,7 +490,40 @@ class Machine:
         ip = f.ip
         n = 0
         t2n = t2c = 0
+        # what a resumed loop region owes the run loop: it counts from its
+        # entry, this quantum from where it suspended
+        owed_c = owed_k = 0
         try:
+            cont = self.t2_cont
+            if cont is not None:
+                # a loop region suspended where the last quantum ran out:
+                # it goes on from that member with its registers live
+                self.t2_cont = None
+                self.t2_resumes += 1
+                gen, budget0, gap0, left = cont
+                owed_c = budget - budget0
+                owed_k = gap0 - left
+                try:
+                    sig = gen.send(budget)
+                except Exception as exc:
+                    loop_trap(self, exc, gen.gi_code)
+                    raise
+                if sig < 0:
+                    # spent this budget too: the gap it has left since
+                    # the last suspension went to marked instructions
+                    n = t2c = budget
+                    self.inj_counter += left + sig
+                    self.t2_cont = (gen, budget0, gap0, -sig)
+                    self.t2_suspends += 1
+                else:
+                    n = t2c = self.tier2_cycles + owed_c
+                    self.inj_counter -= owed_k
+                    # idle again: back to its loop's pool
+                    gen.gi_frame.f_globals["pool"].append(gen)
+                    ip = f.ip
+                    code = blocks[f.block]
+                    rmap = rblocks[f.block]
+                owed_c = owed_k = 0
             while n < budget:
                 if ((reg := rmap[ip]) is not None
                         and reg[1] <= (rem := budget - n)
@@ -474,6 +544,17 @@ class Machine:
                         code = blocks[b]
                         rmap = rblocks[b]
                         continue
+                    if sig < 0:
+                        # a loop region spent the budget to the cycle and
+                        # suspended, registers live: it holds the frame's
+                        # position, its yield the armed gap it left, and
+                        # it wrote no tier2_cycles
+                        n += rem - c
+                        t2c += rem - c
+                        self.inj_counter += gap + sig
+                        self.t2_cont = (self.t2_cont, rem, gap, -sig)
+                        self.t2_suspends += 1
+                        break
                     # SIG_RET: the region ran through the function's
                     # return — fall through to the shared handling below.
                 else:
@@ -548,11 +629,12 @@ class Machine:
             # raise; fold that skew exactly once so the trap lands on
             # the same virtual cycle as single-step dispatch, then
             # classify the exception into a Trap.
-            n += self.fused_skew
+            n += self.fused_skew + owed_c
+            self.inj_counter -= owed_k
             self.fused_skew = 0
             self.trap = self._as_trap(exc, self.cycles + n)
             self.status = MachineStatus.TRAPPED
-        if t2n:
+        if t2n or t2c:
             self.t2_enters += t2n
             self.t2_cycles_acc += t2c
         self.cycles += n

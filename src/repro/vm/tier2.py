@@ -23,25 +23,29 @@ target or the *majority* edge of its profiled branch — and plans the
 cycles of that graph as *loops* and every other block head as a *path*
 along it, cut where it first reaches a loop.  :func:`install_plan`
 replaces *head* slots of the ``CompiledFunction.tier2`` map: every
-block of a loop gets an entry into the loop's one region — one
-iteration's members inside a real ``while`` loop, registers in Python
-locals across iterations, entered at any block of the cycle by first
-finishing that iteration — and a path's first block a *straight*
-region that leaves to the loop's head.  Installing compiles nothing: a
-region is codegenned the first time the run loop enters one of its
-slots, so each process pays only for the code it runs, and a loop only
-once.
+block of a loop gets an entry into the loop's one region — a generator,
+pooled between entries, with one iteration's members inside a real
+``while`` loop, registers in Python locals across iterations, entered at
+any block of the cycle (:func:`_loop_source`) — and a path's first block a
+*straight* region that leaves to the loop's head.  Installing compiles
+nothing: a region is codegenned the first time the run loop enters one
+of its slots, so each process pays only for the code it runs, and a
+loop only once.
 
 The run loop hands every entry the remaining quantum budget ``rem`` and
 the armed occurrence ``gap``; the region decides how far it may go.
 Guards, and how each maps onto the machine contract:
 
-* **fork-epoch / quantum boundary** — a region crosses a block boundary
-  or a grid ip (and a loop starts another iteration) only while
-  the members up to the next such point fit ``rem``, and leaves to that
-  ``(block, ip)`` otherwise, so epoch structure (and with it
-  ``GoldenCursor`` pause points, CML sampling and MPI interleaving) is
-  bit-identical to single-step dispatch;
+* **fork-epoch / quantum boundary** — a straight region crosses a block
+  boundary or a grid ip only while the members up to the next such
+  point fit ``rem``, and leaves to that ``(block, ip)`` otherwise; a
+  loop runs the chunk that does not fit on its guarded side, stops on
+  the exact member where ``rem`` runs out and *suspends* there, its
+  registers still in locals, until the machine's next quantum resumes
+  it (or a read of the frames *settles* it: :func:`settle_loop`).
+  Either way epoch structure (and with it ``GoldenCursor`` pause points,
+  CML sampling and MPI interleaving) is bit-identical to single-step
+  dispatch;
 * **injection pending** — the same checks keep the marked instructions
   executed strictly below ``gap``, so a region only bulk-advances the
   occurrence counter of a fault that is still waiting, and the fault
@@ -55,8 +59,9 @@ Guards, and how each maps onto the machine contract:
   as deopts (``machine.t2_deopts``): running out of budget or gap is
   how an entry is meant to end;
 * **trap** — every member is one source line, so a raising member is
-  recovered from the traceback line number: the members completed land
-  in ``machine.fused_skew`` and the marked instructions executed in
+  recovered from the traceback line number (a loop's from its frame, by
+  :func:`loop_trap`): the members completed land in
+  ``machine.fused_skew`` and the marked instructions executed in
   ``machine.inj_counter``, and the trap lands on the same virtual cycle
   as single-step dispatch.
 
@@ -288,8 +293,8 @@ def _st_trap(addr):
     raise Trap(TrapKind.MEM_FAULT, f"store to invalid address {addr}")
 
 
-_M64_LIT = repr((1 << 64) - 1)
-_SIGN_LIT = repr(1 << 63)
+#: the 64-bit wrap's bounds, bound by name into every region using it
+_WRAP = {"_N": -(1 << 63), "_S": 1 << 63, "_M": (1 << 64) - 1}
 
 #: ops whose 64-bit wrap can be spelled out inline
 _INLINE_INT_OPS = {"add": "+", "sub": "-", "mul": "*", "padd": "+",
@@ -364,10 +369,11 @@ def _member_line(inst, tag: str):
     validity trap and the COW page save both precede the write and the
     member stays one source line.
 
-    The dual-chain store's fast path covers exactly the golden case
-    (pristine address chain, empty shadow table, value chains equal);
-    anything else defers to :func:`_fpm_store_slow` on the same line,
-    so contamination met mid-region (post-fire tails) stays exact.
+    The dual-chain store's fast path covers exactly the stores that
+    leave the shadow table as it is (pristine address chain, value
+    chains equal, a clean address — every address while the table is
+    empty); anything else defers to :func:`_fpm_store_slow` on the same
+    line, so contamination met mid-region (post-fire tails) stays exact.
     """
     binds: dict = {}
     if isinstance(inst, BinOp):
@@ -377,10 +383,10 @@ def _member_line(inst, tag: str):
         if op in _INLINE_INT_OPS:
             v = f"v{tag}"
             # ops.wrap_i64, spelled out: a range test, no bignum
+            binds.update(_WRAP)
             line = (f"{v} = {a} {_INLINE_INT_OPS[op]} {b}; "
                     f"regs[{d}] = {v} if {v}.__class__ is int "
-                    f"and -{_SIGN_LIT} <= {v} < {_SIGN_LIT} else "
-                    f"(({v} + {_SIGN_LIT}) & {_M64_LIT}) - {_SIGN_LIT}")
+                    f"and _N <= {v} < _S else (({v} + _S) & _M) - _S")
         elif op in _INLINE_FLOAT_OPS:
             line = f"regs[{d}] = {a} {_INLINE_FLOAT_OPS[op]} {b}"
         else:
@@ -474,7 +480,7 @@ def _member_line(inst, tag: str):
         line = (
             f"{a} = {a_src}; {q} = {p_src}; "
             f"{v} = {v_src}; {w} = {w_src}; "
-            f"cells[{a}] = {v} if ({q} == {a} and not ht "
+            f"cells[{a}] = {v} if ({q} == {a} and (not ht or {a} not in ht) "
             f"and ({v} == {w} or ({v} != {v} and {w} != {w})) "
             f"and 0 <= {a} < cap and valid[{a}] "
             f"and (owned[{a} >> psh] or co({a}))) "
@@ -581,7 +587,7 @@ _REG_WRITE_RE = re.compile(r"regs\[(\d+)\] = (?!=)")
 _FLUSH = "§F§"
 
 
-def _promote(member_lines, line_dests, loop: bool):
+def _promote(member_lines, line_dests, loop: bool, guards=None):
     """Promote ``regs[K]`` slots to Python locals ``rK``.
 
     Register traffic dominates region bodies once dispatch and the fpm
@@ -604,6 +610,9 @@ def _promote(member_lines, line_dests, loop: bool):
     loaded — at every point: from the second iteration on, an exit early
     in the body follows writes late in the previous iteration.
 
+    ``guards`` (one prefix per line, or None) goes in front of a line,
+    and in front of a closure member's flush and reload too.
+
     The *trap* path deliberately does not flush: nothing observes a
     TRAPPED machine's registers (results come from memory, the shadow
     table and the trap).  Returns ``(lines, prelude_loads, flush)``.
@@ -611,25 +620,31 @@ def _promote(member_lines, line_dests, loop: bool):
     line_writes = [[int(x) for x in _REG_WRITE_RE.findall(line)]
                    for line in member_lines]
     out = []
-    # insertion-ordered for deterministic codegen
-    dirty = dict.fromkeys(k for ws in line_writes for k in ws) if loop else {}
+    # insertion-ordered for deterministic codegen; a loop's closure
+    # destinations too: an entry past its first block may read one
+    # before any reload in this entry
+    dirty = dict.fromkeys(
+        [k for ws in line_writes for k in ws]
+        + [k for ds in line_dests if ds for k in ds]) if loop else {}
     load = set(dirty)   # slots the prelude loads
     bound = set(dirty)  # slots whose local holds a value so far
 
     def flush():
         return "".join(f"regs[{k}] = r{k}; " for k in dirty)
 
-    for line, dests, writes in zip(member_lines, line_dests, line_writes):
+    for line, dests, writes, guard in zip(member_lines, line_dests,
+                                          line_writes,
+                                          guards or [""] * len(line_dests)):
         # a slot read and written on one line counts as read first
         reads = {int(x) for x in
                  _REG_RE.findall(_REG_WRITE_RE.sub("", line))}
         load |= reads - bound
         if dests is None:
             line = _REG_RE.sub(r"r\1", line)
-            out.append(line.replace(_FLUSH, flush()) if _FLUSH in line
-                       else line)
+            out.append(guard + (line.replace(_FLUSH, flush())
+                                if _FLUSH in line else line))
         else:
-            out.append(flush() + line
+            out.append(guard + flush() + line
                        + "".join(f"; r{k} = regs[{k}]" for k in dests))
         bound.update(reads, writes, dests or ())
         dirty.update(dict.fromkeys(writes))
@@ -671,126 +686,49 @@ def _codegen(records, end, program: CompiledProgram, label: str,
     they do not fit.
 
     A loop (``starts``: where each cycle block begins in ``records``,
-    one iteration from the cycle's first block) wraps the iteration in
-    ``while True``, counts ``rem``/``gap`` down after it and goes round
-    again while the first chunk still fits; its exits all flush the same
-    slots, so they ``break`` to one shared flush-and-settle tail instead
-    of each carrying its own.  It takes one more parameter, ``s``: the
-    cycle block it is entered at.  Entered past the first block, it
-    first runs the rest of an iteration — a copy of the body whose
-    blocks are each guarded by ``if s <= k``, the only guards of their
-    kind, kept out of the steady loop — after raising ``rem`` and
-    ``gap`` by the members and marked instructions it skipped, so every
-    stop-line check, exit and trap table below stays iteration-relative.
+    one iteration from the cycle's first block) is a generator instead
+    (:func:`_loop_source`); what it returns is its ``enter(m, f, rem,
+    gap)``, called like a straight region.
 
-    Every record is exactly one source line, so a raising member is
+    Every member is exactly one source line, so a raising member is
     found from the traceback line number: ``_skew`` maps the line to the
     members completed before it (checkpoint lines are not members) and
-    ``_pfx`` to the marked instructions executed through it, both added
-    on top of the iterations already completed.
+    ``_pfx`` to the marked instructions executed through it.
     """
-    loop = starts is not None
     env: Dict[str, object] = {}
     member_lines: List[str] = []
     line_dests: List[Optional[list]] = []  # slots a closure call may write
+    aways: Dict[int, Tuple[str, int]] = {}  # condbr line -> (away, other)
     needs = _REGS_ONLY
     # members completed / marked instructions executed through each line
     upto = list(accumulate(int(rec[1] != "check") for rec in records))
     pfx = list(accumulate(int(rec[1] != "check" and _is_marked(rec[0]))
                           for rec in records))
-    total, marked = upto[-1], pfx[-1]
-    # cycles / marked instructions of the iterations already completed
-    done = "rem0 - rem + " if loop else ""
-    owed = "gap0 - gap + " if loop else ""
-    # how an exit settles once x, y, c, k, d hold where it leaves to, the
-    # members and marked instructions it completed, and whether it deopts
-    tail = (f"f.block = x; f.ip = y; m.t2_deopts += d; "
-            f"m.tier2_cycles = {done}c; m.inj_counter += {owed}k; return 1")
-    # stop line -> the line whose members it must see fit before going on
-    stops = [i for i, rec in enumerate(records) if rec[1] != "pure"]
-    ahead = {a: b for a, b in zip(stops, stops[1:] + [len(records) - 1])
-             if upto[a] < upto[b]}
-
-    def short(j):
-        """Condition: members through line ``j`` overrun budget or gap."""
-        return f"rem < {upto[j]}" + (f" or gap <= {pfx[j]}" if pfx[j] else "")
-
-    def leave(i, conds, block, ip, deopt):
-        return (f"if {' or '.join(conds)}: x = {block}; y = {ip}; "
-                f"c = {upto[i]}; k = {pfx[i]}; d = {deopt}; "
-                + ("break" if loop else _FLUSH + tail))
-
     for i, (inst, kind, arg) in enumerate(records):
+        line, dests = "", None
         if kind == "pure":
             inline = _member_line(inst, f"_{i}")
             if inline is not None:
                 line, binds, need = inline
                 env.update(binds)
-                member_lines.append(line)
-                line_dests.append(None)
                 needs = max(needs, need)
             else:
-                nm = f"s{i}"
-                env[nm] = _compile_entry(inst, program)[1]  # bare closure
-                member_lines.append(f"{nm}(m, f)")
-                line_dests.append([
-                    getattr(inst, a).index for a in ("dest", "dest_p")
-                    if getattr(inst, a, None) is not None])
-        elif kind == "check":
-            line_dests.append(None)
-            member_lines.append(leave(i, [short(ahead[i])], *arg, 0))
-        elif kind in ("br", "condbr"):
-            # control flow is resolved at codegen time; the branch still
-            # costs its cycle (one member line) and is where the region
-            # leaves: to the minority successor (a deopt), or to the
-            # expected one when what follows overruns budget or gap
-            conds = [short(ahead[i])] if i in ahead else []
-            block, deopt = arg, 0
-            if kind == "condbr":
-                ci = inst.cond.index
-                tt = inst.iftrue.index
-                other = inst.iffalse.index if arg == tt else tt
-                away = f"not regs[{ci}]" if arg == tt else f"regs[{ci}]"
-                conds.insert(0, away)
-                block = f"{other} if {away} else {arg}"
-                deopt = f"1 if {away} else 0"
-            line_dests.append(None)
-            member_lines.append(leave(i, conds, block, 0, deopt)
-                                if conds else "pass")
-        else:  # ret / exit: the terminator closure closes the region
-            nm = f"s{i}"
-            env[nm] = _compile_entry(inst, program, arg)[1]
-            member_lines.append(f"sig = {nm}(m, f)")
-            line_dests.append([])
-
-    # the body as (indent depth, record index or structural line): a
-    # straight region is its records; a loop with more than one block
-    # first runs the partial iteration its later entries need (``while
-    # s`` runs it at most once; its exits break past the ``else``)
-    entries = loop and len(starts) > 1
-    if not loop:
-        layout = [(2, i) for i in range(len(records))]
-    else:
-        again = f"if {short(stops[0])}: x = {end[0]}; y = c = k = d = 0; break"
-        footer = f"rem -= {total}; gap -= {marked}"
-        layout, depth = [], 2
-        if entries:
-            bounds = starts + [len(records)]
-            layout.append((2, "while s:"))
-            for k in range(1, len(starts)):
-                layout.append((3, f"if s <= {k}:"))
-                layout += [(4, i) for i in range(bounds[k], bounds[k + 1])]
-            layout += [(3, footer + "; s = 0"), (3, again), (2, "else:")]
-            env["_sk"] = tuple(upto[b - 1] if b else 0 for b in starts)
-            env["_sg"] = tuple(pfx[b - 1] if b else 0 for b in starts)
-            depth = 3
-        layout.append((depth, "while True:"))
-        layout += [(depth + 1, i) for i in range(len(records))]
-        layout += [(depth + 1, footer), (depth + 1, again)]
-    body, reg_loads, reg_flushes = _promote(
-        [member_lines[x] if isinstance(x, int) else x for _, x in layout],
-        [line_dests[x] if isinstance(x, int) else None for _, x in layout],
-        loop)
+                line = f"s{i}(m, f)"
+                env[f"s{i}"] = _compile_entry(inst, program)[1]  # bare
+                dests = [getattr(inst, a).index for a in ("dest", "dest_p")
+                         if getattr(inst, a, None) is not None]
+        elif kind == "condbr":
+            # the branch is a guard on its majority edge: ``away`` is
+            # true when it takes the other one
+            tt = inst.iftrue.index
+            aways[i] = ((f"not regs[{inst.cond.index}]", inst.iffalse.index)
+                        if arg == tt else (f"regs[{inst.cond.index}]", tt))
+        elif kind in ("ret", "exit"):
+            # the terminator closure closes the region
+            line, dests = f"sig = s{i}(m, f)", []
+            env[f"s{i}"] = _compile_entry(inst, program, arg)[1]
+        member_lines.append(line)
+        line_dests.append(dests)
 
     prelude = "regs = f.regs"
     if needs >= _NEEDS_MEM:
@@ -802,39 +740,266 @@ def _codegen(records, end, program: CompiledProgram, label: str,
     if needs >= _NEEDS_FPM:
         # the dict is mutated in place by every shadow-table op, so the
         # bind stays live across members (restore() replaces the object,
-        # but never mid-quantum, let alone mid-region)
+        # and drops any loop region suspended on it)
         prelude += "; ht = m.fpm.table"
+    if starts is not None:
+        return _loop_source(records, end, starts, env, member_lines,
+                            line_dests, upto, pfx, aways, prelude, label)
+
+    # stop line -> the line whose members it must see fit before going on
+    stops = [i for i, rec in enumerate(records) if rec[1] != "pure"]
+    ahead = {a: b for a, b in zip(stops, stops[1:] + [len(records) - 1])
+             if upto[a] < upto[b]}
+    # how an exit settles once x, y, c, k, d hold where it leaves to,
+    # the members and marked instructions it completed, and whether it
+    # deopts
+    tail = ("f.block = x; f.ip = y; m.t2_deopts += d; "
+            "m.tier2_cycles = c; m.inj_counter += k; return 1")
+    for i, (inst, kind, arg) in enumerate(records):
+        if kind not in ("check", "br", "condbr"):
+            continue
+        # control flow is resolved at codegen time; a branch still costs
+        # its cycle (one member line) and is where the region leaves: to
+        # the minority successor (a deopt), or to the expected one when
+        # what follows overruns budget or gap
+        block, ip = arg if kind == "check" else (arg, 0)
+        away, deopt = None, 0
+        if i in aways:
+            away, other = aways[i]
+            block = f"{other} if {away} else {arg}"
+            deopt = f"1 if {away} else 0"
+        conds = [away] if away else []
+        if i in ahead:
+            j = ahead[i]
+            conds.append(f"rem < {upto[j]}")
+            if pfx[j]:
+                conds.append(f"gap <= {pfx[j]}")
+        member_lines[i] = (f"if {' or '.join(conds)}: x = {block}; "
+                           f"y = {ip}; c = {upto[i]}; k = {pfx[i]}; "
+                           f"d = {deopt}; " + _FLUSH + tail
+                           if conds else "pass")
+    body, reg_loads, reg_flushes = _promote(member_lines, line_dests, False)
     if reg_loads:
         prelude += "; " + reg_loads
-    # structural lines (loop heads, guards, footers) cannot raise
-    env["_skew"] = tuple(upto[x] - (records[x][1] != "check")
-                         if isinstance(x, int) else 0 for _, x in layout)
-    env["_pfx"] = tuple(pfx[x] if isinstance(x, int) else 0
-                        for _, x in layout)
-    params = ", ".join(["s=0"] * loop + [f"{nm}={nm}" for nm in env])
-    lines = [f"def region(m, f, rem, gap, {params}):"]
-    if loop:
-        lines.append("    rem0 = rem; gap0 = gap" + (
-            "; rem += _sk[s]; gap += _sg[s]" if entries else ""))
-    lines += ["    try:", f"        {prelude}"]
+    env["_skew"] = tuple(u - (rec[1] != "check")
+                         for u, rec in zip(upto, records))
+    env["_pfx"] = tuple(pfx)
+    params = ", ".join(f"{nm}={nm}" for nm in env)
+    lines = [f"def region(m, f, rem, gap, {params}):",
+             "    try:", f"        {prelude}"]
     first_line = len(lines) + 1
-    lines += ["    " * depth + line for (depth, _), line in zip(layout, body)]
+    lines += ["        " + line for line in body]
     lines += ["    except BaseException as e:",
               f"        p = e.__traceback__.tb_lineno - {first_line}",
-              f"        m.fused_skew = {done}_skew[p]",
-              f"        m.inj_counter += {owed}_pfx[p]",
+              "        m.fused_skew = _skew[p]",
+              "        m.inj_counter += _pfx[p]",
               "        m.t2_deopts += 1", "        raise"]
     if reg_flushes and end is not None:
         lines.append(f"    {reg_flushes}")
-    if loop:
-        lines.append("    " + tail)
-    else:
-        lines.append(f"    m.tier2_cycles = {total}"
-                     + (f"; m.inj_counter += {marked}" if marked else ""))
-        lines.append("    return sig" if end is None else
-                     f"    f.block = {end[0]}; f.ip = {end[1]}; return 1")
+    total, marked = upto[-1], pfx[-1]
+    lines.append(f"    m.tier2_cycles = {total}"
+                 + (f"; m.inj_counter += {marked}" if marked else ""))
+    lines.append("    return sig" if end is None else
+                 f"    f.block = {end[0]}; f.ip = {end[1]}; return 1")
     exec(compile("\n".join(lines), f"<tier2:{label}>", "exec"), env)
     return env["region"]
+
+
+def _loop_source(records, end, starts, env, member_lines, line_dests, upto,
+                 pfx, aways, prelude, label):
+    """The loop form of :func:`_codegen`: ``region`` is a generator that
+    runs entries sent to it and waits for the next one; ``enter`` —
+    what the slots hold, one per cycle block ``k`` — takes an idle one
+    from the loop's ``pool`` (or starts one), sends it the entry and
+    puts it back when it leaves, or hands it to the machine when it
+    suspends (``m.t2_cont``).
+
+    One iteration is a run of *chunks*, each the members up to the next
+    stop line, and each written twice, side by side:
+
+    * the *steady* copy, taken while the chunk fits the budget and stays
+      short of the armed gap — one test per chunk and none per member;
+    * the *guarded* copy, taken when it does not: the gap falling inside
+      the chunk leaves the region before it (a pending fault fires
+      single-stepped), and the budget running out inside it stops on
+      the exact member: ``rem > i or (rem := rem + (yield ...))`` yields
+      with the registers still in locals, and the machine's next
+      ``run`` sends the new budget in and the chunk goes on from that
+      member.  The next chunk fits again and is steady.
+
+    An entry past the cycle's first block (``_sk``, ``_sg``, ``_ss``)
+    biases ``rem`` by ``-_BIG`` so every chunk before its own takes
+    neither side; its own chunk removes the bias.  Exits ``break`` to
+    one shared flush-and-settle tail and wait at the top for the next
+    entry, holding nothing of the machine they ran on.
+
+    The generator has no handler of its own, so a dropped one closes
+    without touching a counter: a trap is settled from its traceback by
+    :func:`loop_trap`, a suspension from its frame by :func:`settle_loop`.
+    """
+    total, marked = upto[-1], pfx[-1]
+    head = end[0]
+    # per member index: marked instructions before it, where it sits
+    pm, at = [0], []
+    blocks = [head] + [records[b - 1][2] for b in starts[1:]]
+    for k, lo in enumerate(starts):
+        hi = starts[k + 1] if k + 1 < len(starts) else len(records)
+        ip = 0
+        for i in range(lo, hi):
+            if records[i][1] != "check":
+                pm.append(pm[-1] + _is_marked(records[i][0]))
+                at.append((blocks[k], ip))
+                ip += 1
+    skipped = [upto[b - 1] if b else 0 for b in starts]
+    env["_sk"] = (0,) + tuple(n - _BIG for n in skipped[1:])
+    env["_sg"] = tuple(pm[n] for n in skipped)
+    env["_ss"] = tuple(skipped)
+    arrivals = set(skipped[1:])
+
+    def exit_line(block, ip, c, k, deopt):
+        return (f"x = {block}; y = {ip}; c = {c}; k = {k}; d = {deopt}; "
+                "break")
+
+    # chunks: (first member, start (block, ip), fit line, record indices)
+    chunks, cur, start_at = [], [], (head, 0)
+    for i, (inst, kind, arg) in enumerate(records):
+        if kind != "check":
+            cur.append(i)
+        if kind != "pure":
+            if cur:
+                chunks.append((upto[cur[0]] - 1, start_at, cur[-1], cur))
+            cur = []
+            start_at = arg if kind == "check" else (arg, 0)
+
+    # (indent depth, record index or None, line, guard prefix)
+    layout = [(2, None, "while True:", "")]
+    for lo, (block, ip), j, recs in chunks:
+        over, short = upto[j], pfx[j]
+        misfits = f"rem < {over}" + (f" or gap <= {short}" if short else "")
+        steady, guarded = [], []
+        for i in recs:
+            t = upto[i] - 1
+            stop = (f"rem > {t} or (rem := rem + (yield "
+                    + (f"{pm[t]} - gap" if pm[t] else "-gap") + "))")
+            if records[i][1] == "pure":
+                steady.append((4, i, member_lines[i], ""))
+                guarded.append((4, i, member_lines[i], stop + "; "))
+                continue
+            guarded.append((4, i, stop, ""))
+            if i in aways:
+                away, other = aways[i]
+                line = f"if {away}: " + exit_line(other, 0, upto[i],
+                                                  pfx[i], 1)
+                steady.append((4, None, line, ""))
+                guarded.append((4, None, line, ""))
+        # the steady side last: it falls through to the next chunk
+        layout.append((3, None, f"if {misfits}:", ""))
+        layout.append((4, None, "if rem >= 0" + (
+            f" or s <= {lo}:" if lo in arrivals else ":"), ""))
+        if lo in arrivals:
+            layout.append((5, None, f"if rem < 0: rem += {_BIG}", ""))
+        if short:
+            layout.append((5, None, f"if gap <= {short}: " + exit_line(
+                block, ip, lo, pm[lo], 0), ""))
+        layout += [(5, x, line, guard) for _, x, line, guard in guarded]
+        layout.append((3, None, "else:", ""))
+        layout += steady or [(4, None, "pass", "")]
+    layout.append((3, None, f"rem -= {total}; gap -= {marked}", ""))
+    body, reg_loads, reg_flushes = _promote(
+        [line for _, _, line, _ in layout],
+        [line_dests[x] if x is not None else None for _, x, _, _ in layout],
+        True, [guard for _, _, _, guard in layout])
+    if reg_loads:
+        prelude += "; " + reg_loads
+    params = ", ".join(f"{nm}={nm}" for nm in env)
+    # read from the generator's frame, never by its body: per layout
+    # line, the member it runs or stops before (structural lines cannot
+    # raise) and the marked instructions executed through it; per
+    # member, its (block, ip); the slots a settle flushes
+    env["_skew"] = tuple(upto[x] - 1 if x is not None else 0
+                         for _, x, _, _ in layout)
+    env["_pfx"] = tuple(pfx[x] if x is not None else 0
+                        for _, x, _, _ in layout)
+    env["_at"] = tuple(at)
+    env["_flush"] = tuple(int(k) for k in _REG_RE.findall(reg_flushes))
+    env["loop_trap"] = loop_trap
+    env["pool"] = []
+    # what an idle generator lets go of: the machine, frame and memory
+    # objects the prelude bound
+    held = " = ".join(["m", "f"] + [
+        part.split(" = ")[0] for part in prelude.split("; ")
+        if not _REG_RE.search(part) and not part.startswith(("cap", "psh"))])
+    lines = [f"def region({params}):",
+             "    m, f, rem, gap, s = yield",
+             "    while True:",
+             f"        rem0 = rem; gap0 = gap; {prelude}",
+             "        if s: rem += _sk[s]; gap += _sg[s]; s = _ss[s]"]
+    env["_first"] = len(lines) + 1
+    lines += ["    " * depth + line for (depth, *_), line in zip(layout, body)]
+    if reg_flushes:
+        lines.append(f"        {reg_flushes}")
+    lines += ["        f.block = x; f.ip = y; m.t2_deopts += d; "
+              "m.tier2_cycles = rem0 - rem + c; "
+              f"m.inj_counter += gap0 - gap + k; {held} = None",
+              "        m, f, rem, gap, s = yield 1",
+              "def enter(m, f, rem, gap, k=0):",
+              "    if pool:",
+              "        g = pool.pop()",
+              "    else:",
+              "        g = region()",
+              "        next(g)",
+              "    try:",
+              "        sig = g.send((m, f, rem, gap, k))",
+              "    except Exception as e:",
+              "        loop_trap(m, e, region.__code__)",
+              "        raise",
+              "    if sig < 0:",
+              "        m.t2_cont = g",
+              "    else:",
+              "        pool.append(g)",
+              "    return sig"]
+    exec(compile("\n".join(lines), f"<tier2:{label}>", "exec"), env)
+    return env["enter"]
+
+
+#: bias that sends every chunk ahead of a mid-cycle entry past both of
+#: its sides: larger than any budget
+_BIG = 1 << 60
+
+
+def _loop_frame(frame, lineno: int):
+    """A loop region's frame: its tables, the layout line ``lineno``
+    maps to, and its locals."""
+    env = frame.f_globals
+    return env, lineno - env["_first"], frame.f_locals
+
+
+def loop_trap(m, exc: BaseException, code) -> None:
+    """Settle a loop region a member raised in, as a straight region's
+    handler does: the members completed before the raising one land in
+    ``m.fused_skew`` and the marked instructions executed through it in
+    ``m.inj_counter``, both counted from the region's entry."""
+    tb = exc.__traceback__
+    while tb.tb_frame.f_code is not code:
+        tb = tb.tb_next
+    env, p, loc = _loop_frame(tb.tb_frame, tb.tb_lineno)
+    m.fused_skew = loc["rem0"] - loc["rem"] + env["_skew"][p]
+    m.inj_counter += loc["gap0"] - loc["gap"] + env["_pfx"][p]
+    m.t2_deopts += 1
+
+
+def settle_loop(m, gen) -> None:
+    """End a loop region suspended at a quantum boundary: flush its
+    registers and stage the ``(block, ip)`` of the member it stopped
+    before.  Its cycles and marked instructions were counted when it
+    suspended, so nothing else is owed; the caller drops the generator."""
+    frame = gen.gi_frame
+    env, p, loc = _loop_frame(frame, frame.f_lineno)
+    f = loc["f"]
+    regs = f.regs
+    for k in env["_flush"]:
+        regs[k] = loc[f"r{k}"]
+    f.block, f.ip = env["_at"][env["_skew"][p]]
 
 
 # ----------------------------------------------------------------------
@@ -923,13 +1088,12 @@ def _loop(program: CompiledProgram, cfunc, func, cycle: List[int],
     starts = _block_starts(records)
 
     def build():
-        region = _codegen(*_collect(func, cycle + cycle[:1], members),
-                          program, label, starts)
-        # one code object, entered at block k by binding s = k
-        code, rest = region.__code__, region.__defaults__[1:]
-        return [region] + [
-            FunctionType(code, region.__globals__, region.__name__,
-                         (k,) + rest) for k in range(1, len(cycle))]
+        enter = _codegen(*_collect(func, cycle + cycle[:1], members),
+                         program, label, starts)
+        # one code object, entered at block k by binding k
+        return [enter] + [
+            FunctionType(enter.__code__, enter.__globals__, enter.__name__,
+                         (k,)) for k in range(1, len(cycle))]
 
     slots = _lazy_slots(program, cfunc, label, build, [
         (b, 0, _first_chunk(records[lo:])) for b, lo in zip(cycle, starts)])

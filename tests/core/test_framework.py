@@ -44,6 +44,32 @@ func main(rank: int, size: int) {
         c = fw.campaign(trials=10, seed=1)
         assert c.n_trials == 10
 
+    GROWTH = """
+func main(rank: int, size: int) {
+    var x: float = 1.0;
+    for (var i: int = 0; i < 10; i += 1) { x *= %s; }
+    emit(x);
+}
+"""
+
+    def test_for_source_again_runs_the_new_program(self):
+        def golden(factor):
+            return Session.from_source(
+                self.GROWTH % factor, name="custom_growth",
+                config=RunConfig(nranks=1), mode="blackbox").golden()
+
+        first = golden("1.5")
+        assert first.outputs == [[1.5 ** 10]]
+        assert golden("2.5").outputs == [[2.5 ** 10]]
+        # the same program again is the prepared one, not a re-profile
+        again = golden("2.5")
+        assert again is golden("2.5") and again is not first
+
+    def test_for_source_refuses_a_builtin_name(self):
+        with pytest.raises(CampaignError, match="built-in"):
+            Session.from_source(self.GROWTH % "1.5", name="lulesh")
+        assert Session("lulesh", mode="blackbox").app == "lulesh"
+
     def test_spec_and_golden_accessors(self, matvec_fw):
         assert get_app(matvec_fw.app).name == "matvec"
         assert matvec_fw.golden().outputs[0]

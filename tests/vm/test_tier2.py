@@ -157,8 +157,11 @@ def profile_edges(prog, status=MachineStatus.DONE):
 
 def state(m):
     """Everything a later instruction could observe of a paused machine
-    (none reads a trapped one's frames: a raising region flushes none)."""
-    frames = [(f.block, f.ip, list(f.regs)) for f in m.call_stack
+    (none reads a trapped one's frames: a raising region flushes none).
+    Frames are read through ``execution_state``, which settles a loop
+    region suspended at the quantum boundary first."""
+    frames = [(block, ip, list(regs)) for _, regs, block, ip, *_
+              in m.execution_state(None).call_stack
               if m.status is not MachineStatus.TRAPPED]
     # values may be NaN, which equals nothing: compare their spelling
     # (of the cells only: every word past them is 0)
@@ -983,6 +986,30 @@ class TestMemberTemplates:
         assert a.outputs == [-2 ** 63, 2 ** 63 - 1, -2, 2 ** 63 - 1,
                              2 ** 63 - 1]
         assert_states_identical(a, run_machine(reference(SRC_WRAP)))
+
+    def test_clean_store_on_a_contaminated_rank_stays_inline(
+            self, monkeypatch):
+        # one table entry the program never touches (word 0 is never
+        # valid): every store it makes has equal chains to a clean
+        # address, which the member line finishes without the slow path
+        slow = []
+        real = tier2_mod._fpm_store_slow
+
+        def spy(m, addr, v, vp, addr_p):
+            slow.append(addr)
+            return real(m, addr, v, vp, addr_p)
+
+        monkeypatch.setattr(tier2_mod, "_fpm_store_slow", spy)
+        a = Machine(build(SRC_ROLL, "fpm"), 0, 1)
+        b = Machine(reference(SRC_ROLL, "fpm"), 0, 1)
+        for m in (a, b):
+            m.fpm.record(0, 0.0)
+            m.start()
+            finish(m)
+        assert a.t2_cycles_acc > a.cycles // 2
+        assert not slow
+        assert_states_identical(a, b)
+        assert a.fpm.table == b.fpm.table == {0: 0.0}
 
     @pytest.mark.parametrize("op", ["+", "-", "*"])
     def test_int_op_on_a_float_word_is_poison_not_a_float(self, op):
