@@ -14,7 +14,6 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 
 from . import __version__
@@ -29,7 +28,6 @@ from .errors import CampaignError
 from .apps import app_names, get_app
 from .frontend import compile_source
 from .inject.campaign import MODES, check_target
-from .inject.engine import resume_campaign
 from .inject.executors import EXECUTOR_NAMES
 from .inject.journal import read_journal_header
 from .ir import format_module
@@ -66,24 +64,17 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
                    help="golden-run snapshot stride: what a golden "
                         "cursor rewinds to and pruning fingerprints ride "
                         "on (default REPRO_SNAPSHOT_STRIDE/2048; 0 "
-                        "captures neither)")
+                        "captures neither, so every trial runs to "
+                        "completion)")
     p.add_argument("--artifact-dir", metavar="DIR", default=None,
                    help="directory of shared golden artifacts: load the "
                         "golden profile + snapshots from there instead of "
                         "re-profiling, saving after a miss "
                         "(default REPRO_ARTIFACT_DIR/off)")
-    p.add_argument("--no-prune", action="store_true",
-                   help="disable golden-trajectory convergence pruning "
-                        "and run every trial to completion (default: "
-                        "pruning on unless REPRO_PRUNE=0)")
     p.add_argument("--no-fork", action="store_true",
                    help="run every trial cold from cycle 0 instead of "
                         "forking it off the golden cursor — the "
                         "bit-identical reference (default: forking on)")
-    p.add_argument("--no-tier2", action="store_true",
-                   help="run on the static compiled regions only, without "
-                        "the golden plan's hot-path regions (default: "
-                        "plan on unless REPRO_TIER2=0)")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="write a schema-versioned JSONL trace of every "
                         "trial (spans, VM/MPI events, live CML streams)")
@@ -118,9 +109,7 @@ def _campaign_kwargs(args) -> dict:
         max_retries=args.max_retries,
         snapshot_stride=args.snapshot_stride,
         artifact_dir=args.artifact_dir, observe=observe,
-        prune=False if args.no_prune else None,
         fork=False if args.no_fork else None,
-        tier2=False if args.no_tier2 else None,
         executor=args.executor, shards=args.shards,
     )
 
@@ -160,8 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(resumable with --resume)")
     p.add_argument("--resume", metavar="JOURNAL",
                    help="finish an interrupted journaled campaign of APP "
-                        "(ignores --trials/--seed; they come from the "
-                        "journal header)")
+                        "(its definition comes from the journal header: "
+                        "--trials, --seed, --faults, --snapshot-stride or "
+                        "--no-fork is an error)")
 
     p = sub.add_parser("sites", help="rank code locations by vulnerability")
     _add_campaign_args(p)
@@ -196,14 +186,27 @@ def cmd_golden(args) -> int:
     return 0
 
 
+#: the campaign-definition flags, by ``run_campaign`` keyword: a resume
+#: reads these from the journal header, so it cannot honour them
+_DEFINITION_FLAGS = {"trials": "--trials", "seed": "--seed",
+                     "n_faults": "--faults",
+                     "snapshot_stride": "--snapshot-stride",
+                     "fork": "--no-fork"}
+
+
 def cmd_campaign(args) -> int:
     knobs = _campaign_kwargs(args)
     if args.resume:
+        defaults = _campaign_kwargs(
+            build_parser().parse_args(["campaign", args.app]))
+        for key, flag in _DEFINITION_FLAGS.items():
+            if knobs.pop(key) != defaults[key]:
+                raise CampaignError(
+                    f"{flag} cannot change a resumed campaign: journal "
+                    f"{args.resume} records its definition")
         s = Session(args.app, mode=args.mode
                     or read_journal_header(args.resume).get("mode", "fpm"))
-        accepted = inspect.signature(resume_campaign).parameters
-        c = s.resume(args.resume, **{k: v for k, v in knobs.items()
-                                     if k in accepted})
+        c = s.resume(args.resume, **knobs)
     else:
         s = Session(args.app, mode=args.mode or "fpm")
         c = s.campaign(journal=args.journal, **knobs)

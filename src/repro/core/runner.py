@@ -162,10 +162,9 @@ def run_job(
     conditional-branch closures fill with per-site edge counts (golden
     profiling) — the input of region planning; such a job runs on the
     static region map, whose regions dispatch every dynamic branch
-    through its closure.  ``tier2=False`` selects the static map too:
-    compiled programs are shared through the prepared cache, so a
-    ``--no-tier2`` campaign must opt out at the machine level rather
-    than rely on the program having no plan installed.
+    through its closure.  ``tier2=False`` selects the static map too,
+    whatever plan the program has installed: the first-fork verify's
+    cold reference runs there.
     """
     config = config or RunConfig()
     machines, runtime = build_world(

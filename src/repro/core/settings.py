@@ -135,15 +135,12 @@ class Settings:
     executor: Optional[str] = None
     #: REPRO_ARTIFACT_DIR — shared golden-artifact directory (None = off)
     artifact_dir: Optional[str] = None
-    # -- trial positioning and execution tiers --------------------------
-    #: REPRO_SNAPSHOT_STRIDE — golden capture stride in cycles (0 = off)
+    # -- trial positioning ----------------------------------------------
+    #: REPRO_SNAPSHOT_STRIDE — golden capture stride in cycles (0 = off,
+    #: and with it convergence pruning)
     snapshot_stride: int = DEFAULT_SNAPSHOT_STRIDE
     #: REPRO_SNAPSHOT_VERIFY — off | first | all
     snapshot_verify: str = "first"
-    #: REPRO_PRUNE — golden-trajectory convergence pruning (0 = off)
-    prune: bool = True
-    #: REPRO_TIER2 — golden-plan head regions (0 = static regions only)
-    tier2: bool = True
     # -- harness resilience ---------------------------------------------
     #: REPRO_RETRY_BASE_DELAY — first backoff delay for transient
     #: harness IO failures, seconds
@@ -178,8 +175,6 @@ class Settings:
                 minimum=0, clamp=True),
             snapshot_verify=_parse_choice(
                 env, "REPRO_SNAPSHOT_VERIFY", "first", _VERIFY_MODES),
-            prune=_parse_bool(env, "REPRO_PRUNE", True),
-            tier2=_parse_bool(env, "REPRO_TIER2", True),
             retry_base_delay=_parse_float(
                 env, "REPRO_RETRY_BASE_DELAY", DEFAULT_RETRY_BASE_DELAY,
                 allow_zero=True),

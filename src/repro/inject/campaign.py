@@ -309,7 +309,7 @@ class TrialJob(NamedTuple):
     """One pre-drawn trial, as an executor hands it to the trial driver.
 
     Executors treat it as an opaque picklable.  The defaults are the
-    plain trial: cold from cycle 0, unobserved, unpruned.
+    plain trial: cold from cycle 0, unobserved.
     """
 
     app: str
@@ -323,11 +323,9 @@ class TrialJob(NamedTuple):
     artifact_dir: Optional[str] = None
     #: when set, the trial runs recorded (see :func:`_run_trial`)
     observe: Optional[ObserveConfig] = None
-    prune: bool = False
     #: golden epoch to fork at (:meth:`GoldenProfile.fork_epoch`);
     #: 0 = run cold
     fork_epoch: int = 0
-    tier2: bool = True
 
 
 def _run_trial(job: TrialJob) -> TrialResult:
@@ -386,7 +384,6 @@ def _fork_trial(pa: PreparedApp, job: TrialJob, stream, fingerprints,
     if cursor is None:  # worker-local, lazily built per prepared app
         from .forkrun import GoldenCursor  # lazy: forkrun imports vm stack
         cursor = pa._fork_cursor = GoldenCursor(pa)
-    cursor.set_tier2(job.tier2)
     program = pa.program
     t1, cg1 = time.perf_counter(), program.tier2_codegen_s
     with obs_rt.span("fork_advance", fork_epoch=fork_epoch):
@@ -438,8 +435,7 @@ def _execute_trial(job: TrialJob, stream) -> TrialResult:
     with obs_rt.span("arm", faults=len(job.faults)):
         pa = _prepared(job.app, job.params, job.mode, job.snapshot_stride,
                        job.artifact_dir)
-        pa.ensure_tier2(job.tier2)
-    fingerprints = pa.fingerprints if job.prune else None
+    fingerprints = pa.fingerprints
     program = pa.program
     # tier2_codegen is what this trial spent compiling the regions it was
     # first in its process to enter, taken out of the window that
@@ -470,7 +466,6 @@ def _execute_trial(job: TrialJob, stream) -> TrialResult:
             program, pa.run_config(), faults=job.faults,
             inj_seed=job.inj_seed, wall_timeout=job.wall_timeout,
             cml_stream=stream, prune=fingerprints,
-            tier2=None if job.tier2 else False,
         )
     _book(timings, "execute", program, t1, cg1)
     with obs_rt.span("classify"):
@@ -492,7 +487,7 @@ MODES = ("blackbox", "fpm", "taint")
 DEFINITION_KEYS = (
     "app_name", "mode", "n_faults", "seed", "n_trials", "keep_series",
     "rank", "bit", "params", "timeout", "snapshot_stride", "artifact_dir",
-    "prune", "fork", "tier2",
+    "fork",
 )
 
 
@@ -552,8 +547,6 @@ def _job_template(header: dict,
         snapshot_stride=header["snapshot_stride"],
         artifact_dir=header["artifact_dir"],
         observe=observe,
-        prune=bool(header["prune"]),
-        tier2=bool(header["tier2"]),
     )
 
 
@@ -587,33 +580,6 @@ def _build_jobs(header: dict, golden: GoldenProfile,
             fork_epoch=golden.fork_epoch(faults) if fork else 0,
         ))
     return jobs
-
-
-def prune_enabled(requested: Optional[bool] = None) -> bool:
-    """Convergence pruning: argument, else REPRO_PRUNE.
-
-    On by default; set REPRO_PRUNE=0 (or pass ``prune=False`` /
-    ``--no-prune``) to execute every trial to completion — the escape
-    hatch for A/B measurement and equivalence testing.
-    """
-    if requested is not None:
-        return bool(requested)
-    return current_settings().prune
-
-
-def tier2_enabled(requested: Optional[bool] = None) -> bool:
-    """Golden-plan regions: argument, else REPRO_TIER2.
-
-    On by default; set REPRO_TIER2=0 (or pass ``tier2=False`` /
-    ``--no-tier2``) to run on the static region map only — the escape
-    hatch for A/B measurement and equivalence testing.  Compiled
-    programs are shared through the prepared cache, so opting out
-    switches the *machines* to the static map (``Machine.use_tier2``)
-    rather than uninstalling the plan.
-    """
-    if requested is not None:
-        return bool(requested)
-    return current_settings().tier2
 
 
 def plan_fork_batches(jobs: Sequence[TrialJob], workers: int = 1
@@ -664,9 +630,7 @@ def run_campaign(
     snapshot_stride: Optional[int] = None,
     artifact_dir: Union[str, Path, None] = None,
     observe: Union[None, bool, str, ObserveConfig] = None,
-    prune: Optional[bool] = None,
     fork: Optional[bool] = None,
-    tier2: Optional[bool] = None,
     executor: Optional[str] = None,
     shards: Optional[int] = None,
 ) -> CampaignResult:
@@ -699,8 +663,11 @@ def run_campaign(
     ``snapshot_stride`` sets the golden-run snapshot capture stride in
     cycles (None: REPRO_SNAPSHOT_STRIDE or 2048).  Snapshots are what a
     worker's golden cursor rewinds to, and convergence-pruning
-    fingerprints ride on the same stride; ``0`` captures neither, so
-    nothing prunes and a rewind replays the golden run from cycle 0 —
+    fingerprints ride on the same stride: a faulted trial whose world
+    re-converges bit-for-bit with the golden run at a fingerprinted
+    epoch gets the golden tail spliced in instead of executing it, with
+    identical results.  ``0`` captures neither, so every trial runs to
+    completion and a rewind replays the golden run from cycle 0 —
     trials still fork.
 
     ``artifact_dir`` names a directory of shared golden artifacts (None:
@@ -716,14 +683,6 @@ def run_campaign(
     ``False``/``"off"`` to force it off.  Observation never changes
     trial outcomes — it touches no RNG and no execution path.
 
-    ``prune`` controls golden-trajectory convergence pruning (None:
-    REPRO_PRUNE or on): a faulted trial whose world state re-converges
-    bit-for-bit with the golden run at a fingerprinted epoch gets the
-    golden tail spliced in instead of executing it.  Results are
-    identical either way; only wall-clock time changes.  Requires
-    snapshots (``snapshot_stride`` > 0) — with them disabled there are
-    no fingerprints and every trial runs to completion.
-
     ``fork`` controls fork-at-injection execution (None: on): trials
     are grouped into fork-epoch buckets, each worker advances one
     shared golden world through its buckets exactly once, and every
@@ -732,13 +691,6 @@ def run_campaign(
     ``fork=False`` / ``--no-fork`` runs every trial cold from cycle 0
     in index order: the reference the equivalence suites compare the
     fork rung against, bit-identical by the COW contract.
-
-    ``tier2`` controls the golden plan's regions (None: REPRO_TIER2 or
-    on): each hot golden loop runs as one exec-compiled function,
-    entered at any of its blocks, and each path into one as another,
-    bit-identical to single-step dispatch by the guard contract (the
-    fuzz equivalence suite asserts it); ``--no-tier2`` keeps every
-    machine on the static, profile-free regions.
     """
     from .artifacts import default_artifact_dir
     from .engine import _drive_campaign  # lazy: engine imports this module
@@ -773,9 +725,7 @@ def run_campaign(
             "timeout": default_timeout(timeout),
             "snapshot_stride": default_snapshot_stride(snapshot_stride),
             "artifact_dir": str(art_dir) if art_dir is not None else None,
-            "prune": prune_enabled(prune),
             "fork": fork is None or bool(fork),
-            "tier2": tier2_enabled(tier2),
         },
         journal=journal,
         workers=requested_workers,

@@ -440,7 +440,6 @@ def _drive_campaign(
 
     pa = _prepared(app, proto.params, mode, proto.snapshot_stride,
                    proto.artifact_dir)
-    pa.ensure_tier2(proto.tier2)
     golden = pa.golden
     if resumed is not None:
         recorded = header["golden"]

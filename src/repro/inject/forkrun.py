@@ -29,13 +29,12 @@ instruction of the epoch runs — so fork trials are bit-identical to
 cold (``--no-fork``) trials, which the fuzz equivalence suite asserts
 wholesale.
 
-The cursor's golden advance runs on the golden plan's regions when
-the campaign has them on (:meth:`set_tier2`): the shared world is by
-construction on the golden trajectory and unarmed, exactly the regime
-the plan was derived for, so the prefix each worker pays once is the
-fastest path available.  Forked trials inherit the same machines —
-armed entry and the region guards keep them bit-identical (see
-:mod:`repro.vm.tier2`).
+The cursor's golden advance runs on the golden plan's regions: the
+shared world is by construction on the golden trajectory and unarmed,
+exactly the regime the plan was derived for, so the prefix each worker
+pays once is the fastest path available.  Forked trials inherit the
+same machines — armed entry and the region guards keep them
+bit-identical (see :mod:`repro.vm.tier2`).
 
 Rewinds (a trial's fork epoch behind the cursor, e.g. after a retry or
 across unsorted batches) restore the nearest earlier golden snapshot
@@ -70,10 +69,6 @@ class GoldenCursor:
         self.machines: List[Machine] = []
         self.runtime: Optional[MPIRuntime] = None
         self._sched: Optional[Scheduler] = None
-        #: the cursor's machines run on the planned region map (campaign
-        #: --no-tier2 switches them to the static one before the first
-        #: advance)
-        self.use_tier2 = True
         #: observability counters (surfaced via stats())
         self.cold_starts = 0
         self.rewinds = 0
@@ -93,8 +88,8 @@ class GoldenCursor:
         snaps = self.pa.snapshots
         snap = snaps.best_at_epoch(epoch) if snaps is not None else None
         if snap is None or not self.machines:
-            self.machines, self.runtime = build_world(
-                self.pa.program, self.config, tier2=self.use_tier2)
+            self.machines, self.runtime = build_world(self.pa.program,
+                                                      self.config)
             self.cold_starts += 1
         start_epoch, trace = 0, None
         if snap is not None:
@@ -104,16 +99,6 @@ class GoldenCursor:
         self._sched = make_scheduler(self.machines, self.runtime,
                                      self.config, start_epoch=start_epoch,
                                      trace=trace)
-
-    def set_tier2(self, enabled: bool) -> None:
-        """Select the planned or the static region map on the cursor's
-        machines."""
-        enabled = bool(enabled)
-        if enabled == self.use_tier2:
-            return
-        self.use_tier2 = enabled
-        for m in self.machines:
-            m.use_tier2 = enabled
 
     def advance_to(self, epoch: int) -> int:
         """Position the golden world at ``epoch``; returns the virtual
@@ -194,7 +179,6 @@ class GoldenCursor:
     def stats(self) -> dict:
         return {
             "epoch": self.epoch,
-            "tier2": self.use_tier2,
             "trials": self.trials,
             "cold_starts": self.cold_starts,
             "rewinds": self.rewinds,

@@ -85,7 +85,9 @@ class PreparedApp:
     golden profile and snapshot store are loaded from the shared
     content-addressed artifact when one exists — skipping the golden
     run — and saved there after profiling otherwise, so sibling
-    workers, respawned workers, and later campaigns reuse them.
+    workers, respawned workers, and later campaigns reuse them.  The
+    golden region plan (:mod:`repro.vm.tier2`) rides the same artifact
+    and is installed into the program before the constructor returns.
     """
 
     def __init__(
@@ -119,12 +121,6 @@ class PreparedApp:
             key = artifacts.artifact_key(spec, mode, store.stride, store.limit)
             self.artifact_ref = (directory, key)
             art = artifacts.load_artifact(directory, key)
-        #: golden region plan (JSON-safe dict) — from the artifact when
-        #: one exists, else derived after fresh profiling so it rides
-        #: the saved artifact and sibling workers skip planning
-        self.tier2_plan: Optional[dict] = None
-        #: where the installed plan came from: "artifact" or "derived"
-        self.tier2_plan_source: Optional[str] = None
         if art is not None:
             self.golden: GoldenProfile = art.golden
             self.snapshots: Optional[SnapshotStore] = art.snapshot_store()
@@ -133,7 +129,7 @@ class PreparedApp:
             self.fingerprints: Optional[FingerprintIndex] = (
                 art.fingerprint_index()
             )
-            self.tier2_plan = art.tier2_plan
+            plan = art.tier2_plan
             self.from_artifact = True
         else:
             #: world snapshots captured during the golden run (None =
@@ -150,13 +146,15 @@ class PreparedApp:
                 self.program, spec, mode, snapshots=self.snapshots,
                 fingerprints=self.fingerprints,
             )
-            self.tier2_plan = vm_tier2.derive_plan(
-                self.program, self.golden.edge_profile)
+            plan = vm_tier2.derive_plan(self.program,
+                                        self.golden.edge_profile)
             if self.artifact_ref is not None:
+                # the plan rides the saved artifact: sibling workers
+                # skip both profiling and planning
                 try:
                     artifacts.save_artifact(
                         *self.artifact_ref, self.golden, self.snapshots,
-                        self.fingerprints, tier2_plan=self.tier2_plan,
+                        self.fingerprints, tier2_plan=plan,
                     )
                 except OSError as exc:
                     import warnings
@@ -166,51 +164,27 @@ class PreparedApp:
                         stacklevel=2,
                     )
                     self.artifact_ref = None
+        #: where the installed plan came from: "artifact" or "derived"
+        self.tier2_plan_source = (
+            "artifact" if self.from_artifact else "derived")
+        if plan is None or plan.get("version") != vm_tier2.PLAN_VERSION:
+            # an artifact another PLAN_VERSION wrote: re-derived
+            plan = vm_tier2.derive_plan(self.program,
+                                        self.golden.edge_profile)
+            self.tier2_plan_source = "derived"
+        #: the golden region plan (JSON-safe dict), installed here — a
+        #: walk that compiles nothing: each region is codegenned on its
+        #: first entry, so that cost shows up in
+        #: ``program.tier2_codegen_s`` as trials run
+        self.tier2_plan: dict = plan
+        vm_tier2.install_plan(self.program, plan)
         #: wall seconds spent preparing (compile + profile or artifact
-        #: load) — reported once as the artifact-load stage timing
+        #: load + plan installation) — reported once as the
+        #: artifact-load stage timing
         self.prepare_s = time.perf_counter() - t0
 
     def run_config(self) -> RunConfig:
         return self.config.with_(max_cycles=self.golden.max_cycles)
-
-    # ------------------------------------------------------------------
-    # Golden-plan installation
-    # ------------------------------------------------------------------
-    def ensure_tier2(self, enabled: bool = True) -> int:
-        """Install the golden region plan into the program.
-
-        Installation validates the plan and replaces head slots of the
-        profiled region map — one per planned path, one per block of
-        each planned loop; each region is codegenned on its first
-        entry, so the cost shows up in
-        ``program.tier2_codegen_s`` as trials run, not here.  Idempotent
-        per compiled program (repeat calls are free), so both the
-        campaign driver and every worker can call it unconditionally.
-        The plan comes from the golden artifact when one matched
-        (``tier2_plan_source == "artifact"`` — planning cost shared
-        across workers); otherwise — no artifact, or one whose plan
-        another :data:`~repro.vm.tier2.PLAN_VERSION` wrote — it is
-        re-derived from the golden edge profile.  ``enabled=False``
-        installs nothing (a ``--no-tier2`` campaign that shares the
-        prepared cache with a default one is kept off the plan by the
-        machine-level switch in :meth:`~repro.vm.machine.Machine.run`
-        instead).  Returns ``program.tier2_traces``, the slots installed
-        in the program's two region maps.
-        """
-        if not enabled:
-            return self.program.tier2_traces
-        if self.program.tier2_installed:
-            return self.program.tier2_traces
-        plan = self.tier2_plan
-        if plan is not None and plan.get("version") == vm_tier2.PLAN_VERSION:
-            self.tier2_plan_source = (
-                "artifact" if self.from_artifact else "derived")
-        else:
-            plan = vm_tier2.derive_plan(
-                self.program, self.golden.edge_profile)
-            self.tier2_plan = plan
-            self.tier2_plan_source = "derived"
-        return vm_tier2.install_plan(self.program, plan)
 
 
 def profile_golden(

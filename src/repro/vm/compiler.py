@@ -375,35 +375,44 @@ def _compile_fpm_store(inst: FpmStore) -> Callable:
     def step(m, f, get_v=get_v, get_vp=get_vp, get_a=get_a, get_ap=get_ap):
         regs = f.regs
         addr = get_a(regs)
-        mem = m.memory
-        if not (0 <= addr < mem.capacity and mem.valid[addr]):
-            raise Trap(TrapKind.MEM_FAULT, f"store to invalid address {addr}")
-        v = get_v(regs)
-        vp = get_vp(regs)
-        addr_p = get_ap(regs)
-        fpm = m.fpm
-        if not mem.page_owned[addr >> mem.page_shift]:
-            mem.cow_page(addr)
-        if addr_p == addr:
-            mem.cells[addr] = v
-            if v == vp or v != v and vp != vp:  # equal, or both NaN
-                if addr in fpm.table:
-                    del fpm.table[addr]
-            else:
-                fpm.record(addr, vp, m.cycles)
-        else:
-            # Corrupted store address (paper Sec. 3.2 "Store addresses"):
-            # 1) the wrongly-written cell keeps *its* pristine value —
-            #    its table entry if it has one, its previous content
-            #    only if it was clean;
-            # 2) the cell that *should* have been written now misses the
-            #    pristine value vp.
-            pristine = fpm.table.get(addr, mem.cells[addr])
-            mem.cells[addr] = v
-            fpm.update(addr, v, pristine, m.cycles)
-            if 0 <= addr_p < mem.capacity and mem.valid[addr_p]:
-                fpm.update(addr_p, mem.cells[addr_p], vp, m.cycles)
+        m.memory.cells[addr] = _fpm_store(m, addr, get_v(regs), get_vp(regs),
+                                          get_ap(regs))
     return step
+
+
+def _fpm_store(m, addr, v, vp, addr_p):
+    """The dual-chain store rule (non-taint), on operand *values*.
+
+    Validity trap, COW page save and shadow-table bookkeeping for
+    storing ``v`` (pristine ``vp``) at ``addr`` (pristine ``addr_p``);
+    returns ``v`` for the caller's ``cells[addr] = ...``, after every
+    check that can trap.  The one spelling of the rule: the closure
+    above calls it, and so does every region's store line off its fast
+    path (:mod:`repro.vm.tier2`), where registers may live in locals.
+    """
+    mem = m.memory
+    if not (0 <= addr < mem.capacity and mem.valid[addr]):
+        raise Trap(TrapKind.MEM_FAULT, f"store to invalid address {addr}")
+    fpm = m.fpm
+    if not mem.page_owned[addr >> mem.page_shift]:
+        mem.cow_page(addr)
+    if addr_p == addr:
+        if v == vp or v != v and vp != vp:  # equal, or both NaN
+            if addr in fpm.table:
+                del fpm.table[addr]
+        else:
+            fpm.record(addr, vp, m.cycles)
+    else:
+        # Corrupted store address (paper Sec. 3.2 "Store addresses"):
+        # 1) the wrongly-written cell keeps *its* pristine value — its
+        #    table entry if it has one, its previous content only if it
+        #    was clean;
+        # 2) the cell that *should* have been written now misses the
+        #    pristine value vp.
+        fpm.update(addr, v, fpm.table.get(addr, mem.cells[addr]), m.cycles)
+        if 0 <= addr_p < mem.capacity and mem.valid[addr_p]:
+            fpm.update(addr_p, mem.cells[addr_p], vp, m.cycles)
+    return v
 
 
 def _compile_br(inst: Br) -> Callable:

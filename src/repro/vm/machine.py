@@ -220,10 +220,9 @@ class Machine:
 
         # Compiled-region execution state.
         #: which region map ``run`` dispatches through: the profiled one
-        #: or, when off, the static one.  Campaigns running --no-tier2
-        #: share compiled programs (and their installed plans) with
-        #: default campaigns through the prepared cache, so the choice
-        #: must be per machine
+        #: or, when off, the static one (golden profiling, and the
+        #: first-fork verify's cold reference, on a program whose plan
+        #: is installed — so the choice is per machine)
         self.use_tier2 = True
         #: ``(func name, block index) -> [false count, true count]`` edge
         #: counts, filled by profiling condbr closures during golden runs

@@ -101,6 +101,7 @@ from .compiler import (
     SIG_JUMP,
     CompiledProgram,
     _compile_entry,
+    _fpm_store,
     _injectable_operands,
 )
 from .intrinsics import get_intrinsic
@@ -324,36 +325,6 @@ def _operand_expr(val, name: str, binds: dict) -> str:
     return name
 
 
-def _fpm_store_slow(m, addr, v, vp, addr_p):
-    """Slow path of the inlined dual-chain store.
-
-    Mirrors :func:`repro.vm.compiler._compile_fpm_store` (non-taint)
-    exactly — validity trap, COW, shadow-table bookkeeping — but takes
-    the already-evaluated operand *values* instead of re-reading
-    ``f.regs``, so it stays correct when the region has promoted
-    registers to locals.  The cell write itself is the member line's:
-    this is the else arm of its ``cells[a] = ...`` and returns ``v``
-    for it, after every check that can trap."""
-    mem = m.memory
-    if not (0 <= addr < mem.capacity and mem.valid[addr]):
-        raise Trap(TrapKind.MEM_FAULT, f"store to invalid address {addr}")
-    fpm = m.fpm
-    if not mem.page_owned[addr >> mem.page_shift]:
-        mem.cow_page(addr)
-    if addr_p == addr:
-        if v == vp or v != v and vp != vp:  # equal, or both NaN
-            if addr in fpm.table:
-                del fpm.table[addr]
-        else:
-            fpm.record(addr, vp, m.cycles)
-    else:
-        # wrong-address store: the cell keeps its own pristine value
-        fpm.update(addr, v, fpm.table.get(addr, mem.cells[addr]), m.cycles)
-        if 0 <= addr_p < mem.capacity and mem.valid[addr_p]:
-            fpm.update(addr_p, mem.cells[addr_p], vp, m.cycles)
-    return v
-
-
 def _member_line(inst, tag: str):
     """``inst``'s semantics spelled out as one source line, or None.
 
@@ -372,7 +343,8 @@ def _member_line(inst, tag: str):
     The dual-chain store's fast path covers exactly the stores that
     leave the shadow table as it is (pristine address chain, value
     chains equal, a clean address — every address while the table is
-    empty); anything else defers to :func:`_fpm_store_slow` on the same
+    empty); anything else defers to the store rule itself
+    (:func:`repro.vm.compiler._fpm_store`) on the same
     line, so contamination met mid-region (post-fire tails) stays exact.
     """
     binds: dict = {}
@@ -471,7 +443,7 @@ def _member_line(inst, tag: str):
         return line, binds, _NEEDS_FPM
 
     if isinstance(inst, FpmStore) and not inst.taint:
-        binds[f"sl{tag}"] = _fpm_store_slow
+        binds[f"sl{tag}"] = _fpm_store
         a_src = _operand_expr(inst.addr, f"c{tag}a", binds)
         p_src = _operand_expr(inst.addr_p, f"c{tag}p", binds)
         v_src = _operand_expr(inst.value, f"c{tag}v", binds)

@@ -47,7 +47,8 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-    @pytest.mark.parametrize("flag", [["--lanes", "8"], ["--no-lanes"]])
+    @pytest.mark.parametrize("flag", [["--lanes", "8"], ["--no-lanes"],
+                                      ["--no-prune"], ["--no-tier2"]])
     def test_deleted_lane_flags_are_usage_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["campaign", "matvec", "--trials", "4"] + flag)
@@ -69,12 +70,10 @@ class TestOneKnobDict:
     FLAGS = ["--trials", "7", "--seed", "3", "--workers", "1",
              "--executor", "serial", "--shards", "2", "--faults", "2",
              "--timeout", "30", "--max-retries", "1",
-             "--snapshot-stride", "64", "--no-prune", "--no-fork",
-             "--no-tier2"]
+             "--snapshot-stride", "64", "--no-fork"]
     EXPECTED = dict(seed=3, workers=1, executor="serial", shards=2,
                     n_faults=2, timeout=30.0, max_retries=1,
-                    snapshot_stride=64, prune=False, fork=False,
-                    tier2=False)
+                    snapshot_stride=64, fork=False)
 
     @pytest.mark.parametrize("command", ["campaign", "sites", "fps"])
     def test_every_flag_reaches_run_campaign(self, command, tmp_path,
@@ -135,6 +134,23 @@ class TestEngineCLI:
         # same outcome table either way
         table_line = [l for l in first.splitlines() if "matvec" in l]
         assert table_line[0] in resumed
+
+    @pytest.mark.parametrize("flag", [
+        ["--trials", "500"], ["--seed", "9"], ["--faults", "2"],
+        ["--snapshot-stride", "64"], ["--no-fork"]])
+    def test_resume_rejects_definition_flags(self, flag, tmp_path, capsys):
+        # the journal header defines the campaign: a definition flag that
+        # differs from its default is an error, not silently dropped
+        journal = str(tmp_path / "c.jsonl")
+        assert main(["campaign", "matvec", "--trials", "4", "--seed", "1",
+                     "--mode", "blackbox", "--journal", journal]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "matvec", "--resume", journal] + flag) == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag[0]} " in err and journal in err
+        # the parser default is no change, so it still resumes
+        assert main(["campaign", "matvec", "--resume", journal,
+                     "--seed", "2025", "--workers", "1"]) == 0
 
     def test_resume_missing_journal_exit_code(self, tmp_path, capsys):
         assert main(["campaign", "matvec",

@@ -74,8 +74,27 @@ class TestPublicSurface:
         # ... which the frozen ledger reads by name (cold_knobs)
         assert {"mode", "seed", "workers", "keep_series", "journal",
                 "progress", "snapshot_stride", "artifact_dir", "observe",
-                "prune", "fork", "tier2", "executor", "shards"} <= set(
+                "fork", "executor", "shards"} <= set(
             inspect.signature(repro.run_campaign).parameters)
+
+    def test_speed_path_opt_outs_left_no_surface(self):
+        import inspect
+
+        from repro.inject import campaign
+        from repro.inject.forkrun import GoldenCursor
+        from repro.inject.profiler import PreparedApp
+
+        # the golden plan is installed by PreparedApp, pruning rides the
+        # snapshot stride: neither is a campaign knob any more
+        assert not {"prune", "tier2"} & set(
+            inspect.signature(repro.run_campaign).parameters)
+        assert not {"prune", "tier2"} & set(campaign.TrialJob._fields)
+        assert not {"prune", "tier2"} & set(campaign.DEFINITION_KEYS)
+        for owner, name in ((PreparedApp, "ensure_tier2"),
+                            (GoldenCursor, "set_tier2"),
+                            (campaign, "prune_enabled"),
+                            (campaign, "tier2_enabled")):
+            assert not hasattr(owner, name), name
 
     def test_executor_contract_left_no_exports(self):
         from repro.inject import executors

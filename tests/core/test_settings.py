@@ -33,12 +33,13 @@ def test_surface_is_the_remaining_knobs():
     import dataclasses
 
     names = {f.name for f in dataclasses.fields(Settings)}
-    assert len(names) == 15
+    assert len(names) == 13
     assert not names & {"lanes", "world_cache", "world_cache_pages",
                         "batch_by_snapshot", "tier2_cap", "fork_trials",
                         "snapshot_limit", "page_words", "fuse",
                         "prefetch", "shards", "retry_max_attempts",
-                        "prepared_cache", "obs_cml_stride"}
+                        "prepared_cache", "obs_cml_stride", "prune",
+                        "tier2"}
     # a deleted knob left in the environment is simply not read
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -49,7 +50,8 @@ def test_surface_is_the_remaining_knobs():
                          REPRO_PAGE_WORDS="junk", REPRO_PREFETCH="junk",
                          REPRO_SHARDS="junk", REPRO_PREPARED_CACHE="junk",
                          REPRO_RETRY_MAX_ATTEMPTS="junk",
-                         REPRO_OBS_CML_STRIDE="junk") == Settings()
+                         REPRO_OBS_CML_STRIDE="junk", REPRO_TIER2="0",
+                         REPRO_PRUNE="0") == Settings()
 
 
 def test_valid_values_parse():

@@ -3,8 +3,8 @@
 Every field of :class:`repro.core.settings.Settings` maps to a
 ``REPRO_<NAME>`` environment variable; each one must appear in both
 README.md and docs/INTERNALS.md, so a new knob cannot ship silently
-undocumented (the drift this test was added to fix: REPRO_TIER2 was
-initially nowhere).
+undocumented (the drift this test was added to fix: a region-plan knob
+was once documented nowhere).
 """
 
 import dataclasses
@@ -41,7 +41,8 @@ def test_deleted_knobs_are_not_documented(doc):
                               "REPRO_PREFETCH", "REPRO_SHARDS",
                               "REPRO_RETRY_MAX_ATTEMPTS",
                               "REPRO_PREPARED_CACHE",
-                              "REPRO_OBS_CML_STRIDE")
+                              "REPRO_OBS_CML_STRIDE", "REPRO_TIER2",
+                              "REPRO_PRUNE")
                     if k in f.read_text()})
     assert not stale, f"{doc} still mentions: {stale}"
 

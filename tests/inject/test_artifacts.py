@@ -78,8 +78,8 @@ class TestKeyAndRoundTrip:
                                 tier2_plan=stale)
         pa = PreparedApp(get_app("matvec"), "fpm", snapshot_stride=150,
                          artifact_dir=tmp_path)
-        assert pa.from_artifact and pa.tier2_plan == stale
-        assert pa.ensure_tier2() == pa.program.tier2_traces > 0
+        assert pa.from_artifact and pa.program.tier2_installed
+        assert pa.program.tier2_traces == first.program.tier2_traces
         assert pa.tier2_plan_source == "derived"
         assert pa.tier2_plan == first.tier2_plan
 

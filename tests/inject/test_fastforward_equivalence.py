@@ -49,10 +49,10 @@ def _cached_matvec(mode="blackbox"):
     return pa
 
 
-def test_minimal_job_means_cold_unobserved_unpruned():
+def test_minimal_job_means_cold_unobserved():
     """What the old 6-/8-slot job tuples meant by leaving slots off."""
     job = TrialJob("matvec", (), "fpm", (), 1, False)
-    assert job[6:] == (None, None, None, None, False, 0, True)
+    assert job[6:] == (None, None, None, None, 0)
     assert job == ("matvec", (), "fpm", (), 1, False) + job[6:]
 
 

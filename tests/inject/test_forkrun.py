@@ -195,8 +195,8 @@ class TestGoldenCursor:
     def test_stats_shape(self):
         pa = PreparedApp(get_app("matvec"), "fpm")
         cursor = GoldenCursor(pa)
-        assert set(cursor.stats()) == {"epoch", "tier2", "trials",
-                                       "cold_starts", "rewinds"}
+        assert set(cursor.stats()) == {"epoch", "trials", "cold_starts",
+                                       "rewinds"}
 
 
 # ----------------------------------------------------------------------

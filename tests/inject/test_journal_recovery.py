@@ -338,12 +338,20 @@ def _restore_rung_header(header):
     return dict(header, fork=False, snapshot_stride=150)
 
 
-class TestOldJournals:
-    """A header that says a trial-positioning feature was off resumes
-    with it off, through the one campaign driver, to the science an
-    uninterrupted default run records."""
+def _speed_path_header(header):
+    """Recorded with pruning and the golden plan switched off, while
+    both were campaign knobs: the keys are read and ignored."""
+    return dict(header, prune=False, tier2=False)
 
-    @pytest.mark.parametrize("rewrite", [_restore_rung_header])
+
+class TestOldJournals:
+    """A header that says a trial-positioning feature was off resumes,
+    through the one campaign driver, to the science an uninterrupted
+    default run records: with forking off when it says so, and on the
+    golden plan with pruning whatever it says of those."""
+
+    @pytest.mark.parametrize("rewrite", [_restore_rung_header,
+                                         _speed_path_header])
     def test_resumes_to_the_default_runs_science(self, tmp_path, rewrite):
         from repro.inject import run_campaign, trial_results_equal
         from repro.inject.engine import resume_campaign
@@ -365,12 +373,12 @@ class TestOldJournals:
             entry["trial"]["stage_timings"]["snapshot_restore"] = 0.25
             old_frames.append(_frame("T", json.dumps(entry)))
         old = tmp_path / "old.jsonl"
-        old.write_text(json.dumps(rewrite(json.loads(header))) + "\n"
-                       + "".join(old_frames))
+        old_header = rewrite(json.loads(header))
+        old.write_text(json.dumps(old_header) + "\n" + "".join(old_frames))
 
         resumed = resume_campaign(old)
         assert resumed.health.resumed_trials == 5
-        assert resumed.health.forked_trials == 0
+        assert (resumed.health.forked_trials > 0) == old_header["fork"]
         assert resumed.health.stage_timings["snapshot_restore"] == 1.25
         for a, b in zip(full.trials, resumed.trials):
             assert trial_results_equal(a, b)

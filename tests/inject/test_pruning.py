@@ -4,7 +4,8 @@ The pruning contract has two halves, both enforced here over a fuzzed
 corpus of 500+ faulted trials spanning all three modes:
 
 * *Equivalence* — a campaign with pruning on matches one with pruning
-  off trial-for-trial (outcomes, fractions, series, CML streams, fitted
+  off (``snapshot_stride=0``: no golden fingerprints to converge on)
+  trial-for-trial (outcomes, fractions, series, CML streams, fitted
   propagation models, journals).  Pruning is a pure wall-clock
   optimisation; it must never be observable in the science.
 * *Soundness* — only trials whose corrupted state genuinely healed can
@@ -25,7 +26,6 @@ from repro.api import Session
 from repro.core.config import RunConfig
 from repro.inject import PreparedApp, run_campaign, trial_results_equal
 from repro.inject import campaign as campaign_mod
-from repro.inject.campaign import prune_enabled
 from repro.inject.engine import resume_campaign
 from repro.models import fit_cml_stream
 from repro.obs import ObserveConfig
@@ -65,11 +65,9 @@ def _pair(app, params, mode, trials, stride, seed=2025, **kw):
     """One (pruned, unpruned) campaign pair, prepared cache shared."""
     keep = mode != "blackbox"
     on = run_campaign(app, trials, mode=mode, seed=seed, params=params,
-                      keep_series=keep, snapshot_stride=stride, prune=True,
-                      **kw)
+                      keep_series=keep, snapshot_stride=stride, **kw)
     off = run_campaign(app, trials, mode=mode, seed=seed, params=params,
-                       keep_series=keep, snapshot_stride=stride, prune=False,
-                       **kw)
+                       keep_series=keep, snapshot_stride=0, **kw)
     return on, off
 
 
@@ -128,8 +126,8 @@ def test_register_only_divergence_is_never_pruned():
     s = Session.from_source(
         REGONLY_SRC, name="regonly_prune",
         config=RunConfig(nranks=2, quantum=64))
-    on = s.campaign(trials=80, seed=7, snapshot_stride=64, prune=True)
-    off = s.campaign(trials=80, seed=7, snapshot_stride=64, prune=False)
+    on = s.campaign(trials=80, seed=7, snapshot_stride=64)
+    off = s.campaign(trials=80, seed=7, snapshot_stride=0)
     silent_wrong = 0
     for a, b in zip(on.trials, off.trials):
         assert trial_results_equal(a, b)
@@ -147,10 +145,10 @@ def test_cml_streams_and_fitted_models_identical(tmp_path):
     on_cfg = ObserveConfig(trace=str(tmp_path / "on.jsonl"))
     off_cfg = ObserveConfig(trace=str(tmp_path / "off.jsonl"))
     on = run_campaign("amg", 40, mode="fpm", seed=5, params=AMG_SMALL,
-                      snapshot_stride=256, prune=True, observe=on_cfg)
+                      snapshot_stride=256, observe=on_cfg)
     campaign_mod._PREPARED_CACHE.clear()
     off = run_campaign("amg", 40, mode="fpm", seed=5, params=AMG_SMALL,
-                       snapshot_stride=256, prune=False, observe=off_cfg)
+                       snapshot_stride=0, observe=off_cfg)
     assert any(t.pruned_at_cycle is not None for t in on.trials)
     compared = 0
     for i, (a, b) in enumerate(zip(on.trials, off.trials)):
@@ -170,10 +168,10 @@ def test_cml_streams_and_fitted_models_identical(tmp_path):
 def test_journaled_resume_preserves_pruning(tmp_path):
     path = tmp_path / "pruned.jsonl"
     full = run_campaign("amg", 30, mode="fpm", seed=11, params=AMG_SMALL,
-                        snapshot_stride=256, prune=True, journal=str(path))
+                        snapshot_stride=256, journal=str(path))
     assert any(t.pruned_at_cycle is not None for t in full.trials)
     lines = path.read_text().splitlines()
-    assert json.loads(lines[0])["prune"] is True
+    assert json.loads(lines[0])["snapshot_stride"] == 256
     # interrupt: keep header + first 8 trials
     path.write_text("\n".join(lines[:9]) + "\n")
     resumed = resume_campaign(path)
@@ -204,11 +202,11 @@ def test_pruning_identical_through_shared_artifacts(tmp_path):
     base_on, base_off = _pair("amg", AMG_SMALL, "fpm", 25, 256, seed=13)
     campaign_mod._PREPARED_CACHE.clear()
     run_campaign("amg", 25, mode="fpm", seed=13, params=AMG_SMALL,
-                 keep_series=True, snapshot_stride=256, prune=True,
+                 keep_series=True, snapshot_stride=256,
                  artifact_dir=str(tmp_path))  # profiles + saves artifact
     campaign_mod._PREPARED_CACHE.clear()
     via_art = run_campaign("amg", 25, mode="fpm", seed=13, params=AMG_SMALL,
-                           keep_series=True, snapshot_stride=256, prune=True,
+                           keep_series=True, snapshot_stride=256,
                            artifact_dir=str(tmp_path))  # loads artifact
     for a, b in zip(base_on.trials, via_art.trials):
         assert trial_results_equal(a, b)
@@ -220,9 +218,9 @@ def test_pruning_identical_through_shared_artifacts(tmp_path):
 
 def test_pool_workers_prune_identically():
     serial = run_campaign("amg", 24, mode="fpm", seed=17, params=AMG_SMALL,
-                          snapshot_stride=256, prune=True, workers=1)
+                          snapshot_stride=256, workers=1)
     pooled = run_campaign("amg", 24, mode="fpm", seed=17, params=AMG_SMALL,
-                          snapshot_stride=256, prune=True, workers=2)
+                          snapshot_stride=256, workers=2)
     for a, b in zip(serial.trials, pooled.trials):
         assert trial_results_equal(a, b)
         assert a.pruned_at_cycle == b.pruned_at_cycle
@@ -241,31 +239,19 @@ def test_health_and_summary_report_pruning():
     assert "pruned" not in render_health_summary(off.health, [])
 
 
-def test_prune_knob_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_PRUNE", raising=False)
-    assert prune_enabled(None) is True
-    assert prune_enabled(False) is False
-    assert prune_enabled(True) is True
-    monkeypatch.setenv("REPRO_PRUNE", "0")
-    assert prune_enabled(None) is False
-    assert prune_enabled(True) is True  # explicit argument wins
-    monkeypatch.setenv("REPRO_PRUNE", "1")
-    assert prune_enabled(None) is True
-
-
 def test_env_escape_hatch_disables_pruning(monkeypatch):
-    monkeypatch.setenv("REPRO_PRUNE", "0")
-    c = run_campaign("minife", 20, mode="fpm", seed=19, params=MINIFE_SMALL,
-                     snapshot_stride=256)
+    # stride 0 captures no fingerprints: the one way to run unpruned
+    monkeypatch.setenv("REPRO_SNAPSHOT_STRIDE", "0")
+    c = run_campaign("minife", 20, mode="fpm", seed=19, params=MINIFE_SMALL)
     assert all(t.pruned_at_cycle is None for t in c.trials)
     assert c.health.pruned_trials == 0
 
 
-def test_no_prune_cli_flag(tmp_path, capsys):
+def test_snapshot_stride_zero_cli_flag_runs_unpruned(tmp_path, capsys):
     from repro.cli import main
     out = tmp_path / "c.json"
     assert main(["campaign", "matvec", "--trials", "4", "--mode", "fpm",
-                 "--no-prune", "--save-json", str(out)]) == 0
+                 "--snapshot-stride", "0", "--save-json", str(out)]) == 0
     from repro.analysis import load_campaign
     c = load_campaign(out)
     assert all(t.pruned_at_cycle is None for t in c.trials)

@@ -1,10 +1,13 @@
-"""Fuzz equivalence: tier-2 campaigns vs ``--no-tier2``.
+"""Fuzz equivalence: campaigns on the golden plan vs the static map.
 
 The mandatory acceptance suite of the tier-2 contract, mirroring the
 fork and fast-forward equivalence suites: across >500 seeded trials on
 amg and FPM-mode apps, a campaign executed through compiled golden
 traces must be bit-identical — every field of every trial — to the same
-campaign interpreted through tier-1 dispatch.  The sweeps deliberately
+campaign on the static, profile-free regions.  Every prepared app
+installs its plan, so the reference side reaches the static map through
+a test seam: plan installation stubbed out, which leaves each planned
+head slot holding its static region.  The sweeps deliberately
 cover every deopt guard: faults firing *inside* compiled segments
 (armed entry + branch divergence), trap-raising members (fused_skew
 recovery), fork-epoch boundaries landing mid-trace (the budget guard
@@ -19,6 +22,7 @@ import pytest
 
 from repro.inject import run_campaign, trial_results_equal
 from repro.inject import campaign as campaign_mod
+from repro.vm import tier2 as vm_tier2
 
 
 def _science_equal(a, b):
@@ -33,12 +37,30 @@ def fresh_cache(monkeypatch):
                         type(campaign_mod._PREPARED_CACHE)())
 
 
+def _static_map_campaign(app, **kw):
+    """``run_campaign`` in this process with no golden plan installed:
+    the reference side.  Serial, so no worker process escapes the seam,
+    and the prepared cache is cleared on both sides of it."""
+    installed = []
+
+    def install_nothing(program, plan):
+        installed.append(program.tier2_installed)
+        return program.tier2_traces
+
+    campaign_mod._PREPARED_CACHE.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vm_tier2, "install_plan", install_nothing)
+        result = run_campaign(app, executor="serial", **kw)
+    campaign_mod._PREPARED_CACHE.clear()
+    assert installed == [False], "the reference ran on an installed plan"
+    return result
+
+
 def _assert_equivalent(app, mode, trials, seed, **kw):
     hot = run_campaign(app, trials=trials, mode=mode, seed=seed,
                        keep_series=True, **kw)
-    campaign_mod._PREPARED_CACHE.clear()
-    cold = run_campaign(app, trials=trials, mode=mode, seed=seed,
-                        keep_series=True, tier2=False, **kw)
+    cold = _static_map_campaign(app, trials=trials, mode=mode, seed=seed,
+                                keep_series=True, **kw)
     for i, (a, b) in enumerate(zip(hot.trials, cold.trials)):
         assert trial_results_equal(a, b), (app, mode, seed, i, a, b)
     assert hot.fractions() == cold.fractions()
@@ -71,19 +93,18 @@ def test_fuzz_lulesh_blackbox_tier2_equals_tier1():
 
 
 def test_fuzz_no_fork_no_prune_tier2_equals_tier1():
-    # the restore/cold path without pruning: traces carry whole trials
+    # the cold path without pruning (stride 0: no fingerprints): traces
+    # carry whole trials
     _assert_equivalent("matvec", "blackbox", trials=100, seed=91,
-                       snapshot_stride=150, fork=False, prune=False)
+                       snapshot_stride=0, fork=False)
 
 
 def test_chaos_worker_kill_with_tier2(tmp_path, monkeypatch):
     """Chaos-killed workers respawn, reinstall traces from the artifact
-    plan, and finish bit-identical to a clean --no-tier2 run."""
+    plan, and finish bit-identical to a clean run on the static map."""
     N = 12
-    clean = run_campaign("matvec", trials=N, mode="blackbox", seed=78,
-                         workers=1, timeout=5.0, snapshot_stride=150,
-                         tier2=False)
-    campaign_mod._PREPARED_CACHE.clear()
+    clean = _static_map_campaign("matvec", trials=N, mode="blackbox",
+                                 seed=78, timeout=5.0, snapshot_stride=150)
 
     monkeypatch.setenv("REPRO_CHAOS", "1")
     monkeypatch.setenv("REPRO_CHAOS_SEED", "7")

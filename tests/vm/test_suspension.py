@@ -237,7 +237,7 @@ class TestForkFromSuspendedMachines:
         from repro.inject.profiler import PreparedApp
 
         pa = PreparedApp(get_app("amg"), "fpm")
-        pa.ensure_tier2()
+        assert pa.program.tier2_installed
         cursor = GoldenCursor(pa)
         config = pa.run_config()
         total = pa.golden.inj_counts[0]

@@ -993,13 +993,13 @@ class TestMemberTemplates:
         # valid): every store it makes has equal chains to a clean
         # address, which the member line finishes without the slow path
         slow = []
-        real = tier2_mod._fpm_store_slow
+        real = tier2_mod._fpm_store
 
         def spy(m, addr, v, vp, addr_p):
             slow.append(addr)
             return real(m, addr, v, vp, addr_p)
 
-        monkeypatch.setattr(tier2_mod, "_fpm_store_slow", spy)
+        monkeypatch.setattr(tier2_mod, "_fpm_store", spy)
         a = Machine(build(SRC_ROLL, "fpm"), 0, 1)
         b = Machine(reference(SRC_ROLL, "fpm"), 0, 1)
         for m in (a, b):
