@@ -28,7 +28,6 @@ DEFAULT_RETRY_BASE_DELAY = 0.05
 DEFAULT_RETRY_MAX_DELAY = 2.0
 DEFAULT_CHAOS_SEED = 0
 
-_VERIFY_MODES = ("off", "first", "all")
 # mirrors repro.inject.executors.EXECUTOR_NAMES (kept literal: settings
 # must stay importable before the inject package)
 _EXECUTOR_NAMES = ("serial", "pool", "remote")
@@ -91,20 +90,9 @@ def _parse_str(env: Mapping[str, str], name: str) -> Optional[str]:
     return raw or None
 
 
-def _parse_choice(env: Mapping[str, str], name: str, default: str,
-                  choices: tuple) -> str:
-    raw = env.get(name, "").strip().lower()
-    if not raw:
-        return default
-    if raw not in choices:
-        _warn(name, raw, f"expected one of {choices}", default)
-        return default
-    return raw
-
-
 def _parse_opt_choice(env: Mapping[str, str], name: str,
                       choices: tuple) -> Optional[str]:
-    """Like :func:`_parse_choice` but unset means None (auto)."""
+    """One of ``choices``, or None (auto) when unset or invalid."""
     raw = env.get(name, "").strip().lower()
     if not raw:
         return None
@@ -139,8 +127,6 @@ class Settings:
     #: REPRO_SNAPSHOT_STRIDE — golden capture stride in cycles (0 = off,
     #: and with it convergence pruning)
     snapshot_stride: int = DEFAULT_SNAPSHOT_STRIDE
-    #: REPRO_SNAPSHOT_VERIFY — off | first | all
-    snapshot_verify: str = "first"
     # -- harness resilience ---------------------------------------------
     #: REPRO_RETRY_BASE_DELAY — first backoff delay for transient
     #: harness IO failures, seconds
@@ -173,8 +159,6 @@ class Settings:
             snapshot_stride=_parse_int(
                 env, "REPRO_SNAPSHOT_STRIDE", DEFAULT_SNAPSHOT_STRIDE,
                 minimum=0, clamp=True),
-            snapshot_verify=_parse_choice(
-                env, "REPRO_SNAPSHOT_VERIFY", "first", _VERIFY_MODES),
             retry_base_delay=_parse_float(
                 env, "REPRO_RETRY_BASE_DELAY", DEFAULT_RETRY_BASE_DELAY,
                 allow_zero=True),

@@ -38,7 +38,7 @@ from ..obs import runtime as obs_rt
 from ..obs.cml import CMLStream
 from ..obs.observer import ObserveConfig
 from ..vm.machine import FaultSpec
-from ..vm.snapshot import default_snapshot_stride, snapshot_verify_mode
+from ..vm.snapshot import default_snapshot_stride
 from .health import CampaignHealth
 from .plan import draw_plan
 from .profiler import GoldenProfile, PreparedApp
@@ -375,9 +375,8 @@ def _fork_trial(pa: PreparedApp, job: TrialJob, stream, fingerprints,
 
     Verify-first contract: the first fork trial per prepared app per
     process is re-executed cold (unobserved, unpruned, static regions
-    only) and must
-    be bit-identical, so a broken COW layer fails loudly instead of
-    corrupting a campaign.
+    only) and must be bit-identical, so a broken COW layer fails loudly
+    instead of corrupting a campaign.
     """
     faults, fork_epoch = job.faults, job.fork_epoch
     cursor = getattr(pa, "_fork_cursor", None)
@@ -401,9 +400,7 @@ def _fork_trial(pa: PreparedApp, job: TrialJob, stream, fingerprints,
     tr.forked_at_cycle = forked_at
     tr.pages_copied = pages
     tr.stage_timings = timings
-    verify = snapshot_verify_mode()
-    if verify == "all" or (verify == "first"
-                           and not getattr(pa, "_fork_verified", False)):
+    if not pa._fork_verified:
         # The cold re-execution is harness bookkeeping: its VM/MPI
         # events must not pollute the observed trial's records.
         with obs_rt.suspended():
@@ -689,8 +686,9 @@ def run_campaign(
     trial runs COW-forked off that world at its injection epoch —
     paying only its divergent window plus the pages it touches.
     ``fork=False`` / ``--no-fork`` runs every trial cold from cycle 0
-    in index order: the reference the equivalence suites compare the
-    fork rung against, bit-identical by the COW contract.
+    in index order: the reference the equivalence oracle
+    (``tests/integration/test_oracle.py``) compares the fork rung
+    against, bit-identical by the COW contract.
     """
     from .artifacts import default_artifact_dir
     from .engine import _drive_campaign  # lazy: engine imports this module

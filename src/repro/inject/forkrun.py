@@ -26,7 +26,7 @@ cursor's world (the pause sits at the top of the epoch loop).  The
 trial scheduler starts with the identical ``start_epoch`` and golden
 trace prefix, and the fault is armed on that state before any
 instruction of the epoch runs — so fork trials are bit-identical to
-cold (``--no-fork``) trials, which the fuzz equivalence suite asserts
+cold (``--no-fork``) trials, which the equivalence oracle asserts
 wholesale.
 
 The cursor's golden advance runs on the golden plan's regions: the

@@ -90,6 +90,10 @@ class PreparedApp:
     and is installed into the program before the constructor returns.
     """
 
+    #: set once this process's first forked trial of the app matched
+    #: its cold re-run (:func:`repro.inject.campaign._fork_trial`)
+    _fork_verified = False
+
     def __init__(
         self,
         spec: AppSpec,

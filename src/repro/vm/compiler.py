@@ -330,21 +330,31 @@ def _compile_fpm_load(inst: FpmLoad) -> Callable:
         else:
             raise Trap(TrapKind.MEM_FAULT, f"load from invalid address {addr}")
         addr_p = get_ap(regs)
-        ht = m.fpm.table
         if addr_p == addr:
+            ht = m.fpm.table
             vp = ht.get(addr, v) if ht else v
-        elif 0 <= addr_p < mem.capacity and mem.valid[addr_p]:
-            # Corrupted address register: the pristine chain reads the cell
-            # the fault-free execution would have read.
-            vp = ht.get(addr_p, mem.cells[addr_p])
         else:
-            # The pristine address is no longer valid along this (diverged)
-            # control path; fall back to the primary value so shadow
-            # bookkeeping never crashes the run on its own.
-            vp = v
+            vp = _fpm_load_pristine(m, addr_p, v)
         regs[d] = v
         regs[dp] = vp
     return step
+
+
+def _fpm_load_pristine(m, addr_p, v):
+    """The dual-chain load's pristine value at a corrupted address.
+
+    The pristine chain reads the cell the fault-free execution would
+    have read, ``addr_p``: its table entry, else its content.  When
+    ``addr_p`` is no longer valid along this (diverged) control path
+    the primary value ``v`` stands in, so shadow bookkeeping never
+    crashes the run on its own.  The one spelling of the rule off the
+    ``addr_p == addr`` fast path: the closure above calls it, and so
+    does every region's load line (:mod:`repro.vm.tier2`).
+    """
+    mem = m.memory
+    if 0 <= addr_p < mem.capacity and mem.valid[addr_p]:
+        return m.fpm.table.get(addr_p, mem.cells[addr_p])
+    return v
 
 
 def _compile_fpm_store(inst: FpmStore) -> Callable:

@@ -10,7 +10,7 @@ recorded.  This module captures a compact per-epoch digest of the
 golden world so the scheduler can detect that re-convergence and splice
 in the golden finals instead of simulating the tail.
 
-Soundness argument (the contract the equivalence suite enforces):
+Soundness argument (the contract the equivalence oracle enforces):
 
 * The simulator is deterministic: the next state of a job is a pure
   function of (machine states, MPI runtime state, scheduler epoch).

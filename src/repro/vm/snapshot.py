@@ -54,16 +54,6 @@ def default_snapshot_stride(requested: Optional[int] = None) -> int:
     return current_settings().snapshot_stride
 
 
-def snapshot_verify_mode() -> str:
-    """REPRO_SNAPSHOT_VERIFY: ``off`` | ``first`` (default) | ``all``.
-
-    ``first`` re-runs the first forked trial per prepared app cold
-    and asserts bit-identity; ``all`` does so for every trial
-    (slow — for debugging); ``off`` trusts the invariants.
-    """
-    return current_settings().snapshot_verify
-
-
 @dataclass(frozen=True)
 class WorldSnapshot:
     """Full job state at one epoch boundary."""

@@ -101,6 +101,7 @@ from .compiler import (
     SIG_JUMP,
     CompiledProgram,
     _compile_entry,
+    _fpm_load_pristine,
     _fpm_store,
     _injectable_operands,
 )
@@ -346,6 +347,8 @@ def _member_line(inst, tag: str):
     empty); anything else defers to the store rule itself
     (:func:`repro.vm.compiler._fpm_store`) on the same
     line, so contamination met mid-region (post-fire tails) stays exact.
+    The dual-chain load reads a corrupted address's pristine value
+    through :func:`repro.vm.compiler._fpm_load_pristine` the same way.
     """
     binds: dict = {}
     if isinstance(inst, BinOp):
@@ -425,6 +428,7 @@ def _member_line(inst, tag: str):
 
     if isinstance(inst, FpmLoad) and not inst.taint:
         binds[f"lt{tag}"] = _ld_trap
+        binds[f"lp{tag}"] = _fpm_load_pristine
         a_src = _operand_expr(inst.addr, f"c{tag}a", binds)
         p_src = _operand_expr(inst.addr_p, f"c{tag}p", binds)
         a, q, v = f"a{tag}", f"q{tag}", f"v{tag}"
@@ -436,9 +440,7 @@ def _member_line(inst, tag: str):
             f"regs[{inst.dest.index}] = {v}; "
             f"regs[{inst.dest_p.index}] = "
             f"((ht.get({a}, {v}) if ht else {v}) "
-            f"if {q} == {a} else "
-            f"(ht.get({q}, cells[{q}]) "
-            f"if 0 <= {q} < cap and valid[{q}] else {v}))"
+            f"if {q} == {a} else lp{tag}(m, {q}, {v}))"
         )
         return line, binds, _NEEDS_FPM
 

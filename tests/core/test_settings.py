@@ -24,7 +24,6 @@ def test_defaults_with_empty_environment():
     assert s.trials == DEFAULT_TRIALS
     assert s.workers == 1
     assert s.trial_timeout is None
-    assert s.snapshot_verify == "first"
     assert s.obs_trace is None
     assert s.obs_metrics is None
 
@@ -33,13 +32,13 @@ def test_surface_is_the_remaining_knobs():
     import dataclasses
 
     names = {f.name for f in dataclasses.fields(Settings)}
-    assert len(names) == 13
+    assert len(names) == 12
     assert not names & {"lanes", "world_cache", "world_cache_pages",
                         "batch_by_snapshot", "tier2_cap", "fork_trials",
                         "snapshot_limit", "page_words", "fuse",
                         "prefetch", "shards", "retry_max_attempts",
                         "prepared_cache", "obs_cml_stride", "prune",
-                        "tier2"}
+                        "tier2", "snapshot_verify"}
     # a deleted knob left in the environment is simply not read
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -51,15 +50,15 @@ def test_surface_is_the_remaining_knobs():
                          REPRO_SHARDS="junk", REPRO_PREPARED_CACHE="junk",
                          REPRO_RETRY_MAX_ATTEMPTS="junk",
                          REPRO_OBS_CML_STRIDE="junk", REPRO_TIER2="0",
-                         REPRO_PRUNE="0") == Settings()
+                         REPRO_PRUNE="0",
+                         REPRO_SNAPSHOT_VERIFY="junk") == Settings()
 
 
 def test_valid_values_parse():
     s = _settings(REPRO_TRIALS=50, REPRO_WORKERS=4, REPRO_TRIAL_TIMEOUT=2.5,
-                  REPRO_SNAPSHOT_VERIFY="all",
-                  REPRO_OBS_TRACE="/tmp/t.jsonl")
+                  REPRO_EXECUTOR="remote", REPRO_OBS_TRACE="/tmp/t.jsonl")
     assert (s.trials, s.workers, s.trial_timeout) == (50, 4, 2.5)
-    assert s.snapshot_verify == "all"
+    assert s.executor == "remote"
     assert s.obs_trace == "/tmp/t.jsonl"
 
 
@@ -90,9 +89,9 @@ def test_clamping_knob_still_warns_on_junk():
 
 
 def test_bad_choice_warns_and_falls_back():
-    with pytest.warns(UserWarning, match="REPRO_SNAPSHOT_VERIFY"):
-        s = _settings(REPRO_SNAPSHOT_VERIFY="sometimes")
-    assert s.snapshot_verify == "first"
+    with pytest.warns(UserWarning, match="REPRO_EXECUTOR"):
+        s = _settings(REPRO_EXECUTOR="carrier-pigeon")
+    assert s.executor is None
 
 
 def test_bad_float_warns():

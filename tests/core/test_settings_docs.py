@@ -42,7 +42,7 @@ def test_deleted_knobs_are_not_documented(doc):
                               "REPRO_RETRY_MAX_ATTEMPTS",
                               "REPRO_PREPARED_CACHE",
                               "REPRO_OBS_CML_STRIDE", "REPRO_TIER2",
-                              "REPRO_PRUNE")
+                              "REPRO_PRUNE", "REPRO_SNAPSHOT_VERIFY")
                     if k in f.read_text()})
     assert not stale, f"{doc} still mentions: {stale}"
 

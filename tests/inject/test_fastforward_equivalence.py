@@ -1,12 +1,10 @@
 """Positioned trials are bit-identical to cold runs.
 
-The equivalence suite of trial positioning: for every mode, for a
-golden cursor rewound to a snapshot that caught ranks blocked
-mid-collective, at the trial level and the campaign level (including
-journaled resume), forking a trial off the golden world and executing
-only its tail must produce exactly the result of running the trial
-from cycle 0 — and the first-fork cold cross-check that guards it must
-run once, fail loudly, and leave the cold rung under the trial.
+A golden cursor rewound to a snapshot that caught ranks blocked
+mid-collective forks trials bit-identical to cold runs, a journaled
+resume keeps them so, and the first-fork cold cross-check runs once,
+fails loudly and leaves the cold rung under the trial.  Forked against
+cold campaigns in every mode: ``tests/integration/test_oracle.py``.
 """
 
 import json
@@ -54,25 +52,6 @@ def test_minimal_job_means_cold_unobserved():
     job = TrialJob("matvec", (), "fpm", (), 1, False)
     assert job[6:] == (None, None, None, None, 0)
     assert job == ("matvec", (), "fpm", (), 1, False) + job[6:]
-
-
-@pytest.mark.parametrize("mode", ["blackbox", "fpm", "taint"])
-def test_fastforward_trial_bit_identical(mode):
-    """Drawn fault plans, cold vs forked, all fields equal."""
-    pa = _cached_matvec(mode)
-    rng = np.random.default_rng(42)
-    hits = 0
-    for _ in range(12):
-        faults = draw_plan(rng, pa.golden.inj_counts, 1)
-        seed = int(rng.integers(2 ** 31))
-        cold = _run_trial(_job(mode, faults, seed))
-        fast = _run_trial(
-            _job(mode, faults, seed, pa.golden.fork_epoch(faults)))
-        assert cold.forked_at_cycle is None
-        assert trial_results_equal(cold, fast), (faults, cold, fast)
-        if fast.forked_at_cycle is not None:
-            hits += 1
-    assert hits > 0, "no trial ever forked"
 
 
 MIDCOLL_SRC = """
@@ -157,23 +136,6 @@ def test_fastforward_multirank_mid_collective(mode):
             assert cold.trace.first_contamination == \
                 fast.trace.first_contamination
     assert hits > 0
-
-
-def test_campaign_with_snapshots_matches_cold_campaign():
-    on = run_campaign("matvec", trials=20, mode="fpm", seed=13,
-                      keep_series=True, snapshot_stride=150)
-    cold = run_campaign("matvec", trials=20, mode="fpm", seed=13,
-                        keep_series=True, snapshot_stride=0)
-    assert on.n_trials == cold.n_trials
-    for a, b in zip(on.trials, cold.trials):
-        assert trial_results_equal(a, b)
-
-
-def test_verify_mode_all_passes(monkeypatch):
-    monkeypatch.setenv("REPRO_SNAPSHOT_VERIFY", "all")
-    res = run_campaign("matvec", trials=8, mode="fpm", seed=5,
-                       snapshot_stride=150)
-    assert res.n_trials == 8
 
 
 def _late_fault_job(pa, inj_seed):

