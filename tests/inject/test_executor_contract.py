@@ -3,13 +3,13 @@
 One battery over the three ``--executor`` names.  Whether the fleet
 runs the trials in the driver (serial), or on workers over its pipe
 wire (pool) or its socket wire (remote), the campaign must produce the
-same science.  Bit-identity with the serial reference and chaos
-worker kills on either wire are drawn dimensions of the equivalence
-oracle (``tests/integration/test_oracle.py``); here:
+same science:
 
-* **name resolution** — the names, the auto choice and the fleet size;
-* **chaos worker-kill on four shards** — a journal hash equal to the
-  clean serial run's;
+* **bit-identity** — trial records identical to the serial reference
+  (modulo harness provenance like retry counts), and the journal's
+  science hash identical too (:func:`tests.integration.oracle.check`);
+* **chaos worker-kill** — killing every worker once costs retries, not
+  results;
 * **journal resume** — a truncated journal finishes under any name
   and converges to the reference;
 * **watchdog timeout** — a wedged trial is killed and retried, not
@@ -38,6 +38,7 @@ from repro.inject.executors import (
     resolve_executor_name,
 )
 from repro.inject.journal import journal_science_hash
+from tests.integration.oracle import Config, check
 
 EXECUTORS = list(EXECUTOR_NAMES)
 #: backends with killable worker processes and a hard watchdog
@@ -109,7 +110,13 @@ class TestResolutionAndCapabilities:
 
 # ----------------------------------------------------------------------
 class TestBitIdentity:
-    """What the fleet reports about itself."""
+    """Same seed, any backend: identical science, identical journal."""
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_trials_and_journal_hash_match_serial(self, executor):
+        got = check(Config("matvec", "blackbox", True, 150, True, executor,
+                           False, N, SEED))
+        assert got.health.executor == executor
 
     def test_remote_shard_count_lands_in_health(self, tmp_path):
         c = _run("remote", tmp_path, shards=2)
@@ -120,6 +127,11 @@ class TestBitIdentity:
 # ----------------------------------------------------------------------
 class TestChaosWorkerKill:
     """Killing every worker once costs retries, never results."""
+
+    @pytest.mark.parametrize("executor", DISTRIBUTED)
+    def test_kills_are_absorbed(self, executor):
+        check(Config("matvec", "blackbox", True, 150, True, executor, True,
+                     N, SEED))
 
     def test_remote_kills_with_journal_hash_equality(self, tmp_path,
                                                      chaos_env,

@@ -1,10 +1,13 @@
 """Positioned trials are bit-identical to cold runs.
 
-A golden cursor rewound to a snapshot that caught ranks blocked
-mid-collective forks trials bit-identical to cold runs, a journaled
-resume keeps them so, and the first-fork cold cross-check runs once,
-fails loudly and leaves the cold rung under the trial.  Forked against
-cold campaigns in every mode: ``tests/integration/test_oracle.py``.
+For every mode, for a golden cursor rewound to a snapshot that caught
+ranks blocked mid-collective, at the trial level and the campaign level
+(including journaled resume), forking a trial off the golden world and
+executing only its tail must produce exactly the result of running the
+trial from cycle 0 — and the first-fork cold cross-check that guards it
+must run once, fail loudly, and leave the cold rung under the trial.
+Forked against cold campaigns is the equivalence oracle's check
+(:func:`tests.integration.oracle.check`).
 """
 
 import json
@@ -24,6 +27,7 @@ from repro.inject.engine import resume_campaign
 from repro.inject.forkrun import GoldenCursor
 from repro.inject.plan import draw_plan
 from repro.vm import FaultSpec
+from tests.integration.oracle import MIDCOLL_SRC, Config, check
 
 import numpy as np
 
@@ -54,27 +58,12 @@ def test_minimal_job_means_cold_unobserved():
     assert job == ("matvec", (), "fpm", (), 1, False) + job[6:]
 
 
-MIDCOLL_SRC = """
-// Rank-skewed work before a collective: while slow ranks grind through
-// their longer loops, fast ranks sit blocked inside mpi_allreduce — so a
-// cycle-stride snapshot catches machines mid-collective.
-func main(rank: int, size: int) {
-    var acc: int[1];
-    var out: int[1];
-    var total: int = 0;
-    for (var round: int = 0; round < 4; round += 1) {
-        var s: int = 0;
-        for (var i: int = 0; i < 40 + rank * 120; i += 1) {
-            s += (i * (rank + 3)) % 17;
-        }
-        acc[0] = s;
-        mpi_allreduce(&acc[0], &out[0], 1, 0);
-        total += out[0];
-        mark_iteration();
-    }
-    emiti(total);
-}
-"""
+@pytest.mark.parametrize("mode", ["blackbox", "fpm", "taint"])
+def test_fastforward_trial_bit_identical(mode):
+    """Drawn fault plans, forked vs cold, all fields equal."""
+    got = check(Config("matvec", mode, True, 150, False, "serial", False,
+                       12, 42))
+    assert got.health.forked_trials > 0, "no trial ever forked"
 
 
 def _midcoll_spec():
@@ -136,6 +125,12 @@ def test_fastforward_multirank_mid_collective(mode):
             assert cold.trace.first_contamination == \
                 fast.trace.first_contamination
     assert hits > 0
+
+
+def test_campaign_with_snapshots_matches_cold_campaign():
+    got = check(Config("matvec", "fpm", True, 150, False, "serial", False,
+                       20, 13))
+    assert got.health.forked_trials > 0
 
 
 def _late_fault_job(pa, inj_seed):

@@ -35,6 +35,7 @@ from repro.inject.forkrun import GoldenCursor
 from repro.inject.journal import read_journal
 from repro.inject.plan import draw_plan
 from repro.vm import FaultSpec
+from tests.integration.oracle import Config, check
 
 
 @pytest.fixture(autouse=True)
@@ -251,6 +252,12 @@ class TestPlanForkBatches:
 
 # ----------------------------------------------------------------------
 class TestCampaignFork:
+    @pytest.mark.parametrize("mode", ["blackbox", "fpm"])
+    def test_fork_campaign_bit_identical_to_no_fork(self, mode):
+        got = check(Config("matvec", mode, True, 150, False, "serial", False,
+                           20, 23))
+        assert got.health.forked_trials > 0
+
     def test_pooled_fork_equals_serial(self, tmp_path):
         serial = run_campaign("matvec", trials=16, mode="fpm", seed=8,
                               snapshot_stride=150,

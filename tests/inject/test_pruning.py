@@ -13,8 +13,8 @@ The pruning contract has two halves:
   corrupted register that never touched memory, leaving CML at zero the
   whole run — must never match a golden fingerprint.
 
-Both halves over drawn apps, modes and strides are checked by the
-equivalence oracle (``tests/integration/test_oracle.py``).
+Both halves are the equivalence oracle's (``tests/integration/oracle.py``),
+which this corpus pins; ``test_oracle.py`` draws apps, modes and strides.
 """
 
 import json
@@ -31,6 +31,7 @@ from repro.inject import campaign as campaign_mod
 from repro.inject.engine import resume_campaign
 from repro.models import fit_cml_stream
 from repro.obs import ObserveConfig
+from tests.integration.oracle import AMG_SMALL, MINIFE_SMALL, Config, check
 
 
 @pytest.fixture(autouse=True)
@@ -40,11 +41,12 @@ def fresh_cache(monkeypatch):
                         type(campaign_mod._PREPARED_CACHE)())
 
 
-# Small-parameter builds keep golden runs short while leaving room for
-# faults to heal before the end (the pruning window); strides are sized
-# so each golden trajectory carries many fingerprint epochs.
-AMG_SMALL = {"n": 8, "max_cycles": 30}
-MINIFE_SMALL = {"n": 8, "max_iters": 120}
+#: the acceptance corpus: each mode, pruned at its app's stride
+CORPUS = [
+    Config("amg", "taint", True, 256, False, "serial", False, 8, 5),
+    Config("minife", "blackbox", True, 256, False, "serial", False, 12, 2025),
+    Config("matvec", "fpm", True, 150, False, "serial", False, 16, 2025),
+]
 
 
 def _pair(app, params, mode, trials, stride, seed=2025, **kw):
@@ -55,6 +57,14 @@ def _pair(app, params, mode, trials, stride, seed=2025, **kw):
     off = run_campaign(app, trials, mode=mode, seed=seed, params=params,
                        keep_series=keep, snapshot_stride=0, **kw)
     return on, off
+
+
+def test_fuzz_corpus_bit_identity_and_soundness():
+    """The acceptance gate: pruned campaigns agree with unpruned cold
+    ones on everything, and every pruned trial lands in its mode's
+    masked classes (:func:`tests.integration.oracle.check`)."""
+    pruned = sum(check(c).health.pruned_trials for c in CORPUS)
+    assert pruned > 0, "corpus never exercised a pruned splice"
 
 
 REGONLY_SRC = """

@@ -1,132 +1,52 @@
-"""Fuzz equivalence: campaigns on the golden plan vs the static map.
+"""Campaigns on the golden region plan have the closure-only science.
 
-The mandatory acceptance suite of the tier-2 contract, mirroring the
-fork and fast-forward equivalence suites: across >500 seeded trials on
-amg and FPM-mode apps, a campaign executed through compiled golden
-traces must be bit-identical — every field of every trial — to the same
-campaign on the static, profile-free regions.  Every prepared app
-installs its plan, so the reference side reaches the static map through
-a test seam: plan installation stubbed out, which leaves each planned
-head slot holding its static region.  The sweeps deliberately
-cover every deopt guard: faults firing *inside* compiled segments
-(armed entry + branch divergence), trap-raising members (fused_skew
-recovery), fork-epoch boundaries landing mid-trace (the budget guard
-refuses entry, so the cursor pauses on the exact tier-1 epoch), and
-chaos-stressed workers dying with installed traces.
+Every prepared app installs its plan; the oracle's reference runs every
+program built with ``fuse=False`` and plan installation stubbed.  The
+cases cover the regions' deopt guards: faults firing inside regions,
+tails re-entering them, trap-raising members, fork epochs landing
+mid-region, whole trials with no fingerprints, and chaos-killed workers
+that reload their plan from the artifact.  Each is a pinned
+configuration of the equivalence oracle (:mod:`tests.integration.oracle`).
 """
-
-import dataclasses
-import warnings
 
 import pytest
 
-from repro.inject import run_campaign, trial_results_equal
-from repro.inject import campaign as campaign_mod
-from repro.vm import tier2 as vm_tier2
+from tests.integration.oracle import Config, check
 
 
-def _science_equal(a, b):
-    """Trial bit-identity modulo harness provenance (retry counts)."""
-    return trial_results_equal(dataclasses.replace(a, retries=0),
-                               dataclasses.replace(b, retries=0))
-
-
-@pytest.fixture(autouse=True)
-def fresh_cache(monkeypatch):
-    monkeypatch.setattr(campaign_mod, "_PREPARED_CACHE",
-                        type(campaign_mod._PREPARED_CACHE)())
-
-
-def _static_map_campaign(app, **kw):
-    """``run_campaign`` in this process with no golden plan installed:
-    the reference side.  Serial, so no worker process escapes the seam,
-    and the prepared cache is cleared on both sides of it."""
-    installed = []
-
-    def install_nothing(program, plan):
-        installed.append(program.tier2_installed)
-        return program.tier2_traces
-
-    campaign_mod._PREPARED_CACHE.clear()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vm_tier2, "install_plan", install_nothing)
-        result = run_campaign(app, executor="serial", **kw)
-    campaign_mod._PREPARED_CACHE.clear()
-    assert installed == [False], "the reference ran on an installed plan"
-    return result
-
-
-def _assert_equivalent(app, mode, trials, seed, **kw):
-    hot = run_campaign(app, trials=trials, mode=mode, seed=seed,
-                       keep_series=True, **kw)
-    cold = _static_map_campaign(app, trials=trials, mode=mode, seed=seed,
-                                keep_series=True, **kw)
-    for i, (a, b) in enumerate(zip(hot.trials, cold.trials)):
-        assert trial_results_equal(a, b), (app, mode, seed, i, a, b)
-    assert hot.fractions() == cold.fractions()
-    return hot
-
-
-# 120 amg + 2x140 matvec + 100 lulesh + 12 chaos = 512 seeded trials
 def test_fuzz_amg_fpm_tier2_equals_tier1():
-    # amg: long epochs, fpm shadow chains, fork path on — fork epochs
-    # routinely land inside what a compiled segment would cover, so the
-    # budget guard's refusal to enter is exercised on every bucket
-    hot = _assert_equivalent("amg", "fpm", trials=120, seed=43)
-    forked = sum(1 for t in hot.trials if t.forked_at_cycle is not None)
-    assert forked > 0, "fork + tier-2 never composed"
+    # long epochs, shadow chains, fork on: fork epochs land inside
+    # regions, so the budget guard refuses entry on every bucket
+    got = check(Config("amg", "fpm", True, 256, False, "serial", False, 8, 43))
+    assert got.health.forked_trials > 0
 
 
 @pytest.mark.parametrize("seed", [11, 29])
 def test_fuzz_matvec_fpm_tier2_equals_tier1(seed):
-    # matvec: dense injectable sites (every occurrence band reachable),
-    # snapshot restore path, pruning on — faults fire inside traces and
-    # post-fire tails re-enter them
-    _assert_equivalent("matvec", "fpm", trials=140, seed=seed,
-                       snapshot_stride=150)
+    # dense injectable sites, snapshot restore, pruning, a pool with
+    # artifacts: faults fire inside regions and tails re-enter them
+    got = check(Config("matvec", "fpm", True, 150, True, "pool", False,
+                       24, seed))
+    assert got.health.forked_trials > 0 and got.effective_workers == 2
 
 
 def test_fuzz_lulesh_blackbox_tier2_equals_tier1():
-    # blackbox mode: no shadow binds in the traces, trap-heavy app —
-    # the fused_skew trap-recovery guard fires across the sweep
-    _assert_equivalent("lulesh", "blackbox", trials=100, seed=5)
+    # trap-heavy: the region trap-recovery guard fires
+    got = check(Config("lulesh", "blackbox", True, 150, False, "serial",
+                       False, 8, 2))
+    assert any(t.trap_kind is not None for t in got.trials)
 
 
 def test_fuzz_no_fork_no_prune_tier2_equals_tier1():
-    # the cold path without pruning (stride 0: no fingerprints): traces
-    # carry whole trials
-    _assert_equivalent("matvec", "blackbox", trials=100, seed=91,
-                       snapshot_stride=0, fork=False)
+    # the cold path with no fingerprints: regions carry whole trials
+    got = check(Config("matvec", "blackbox", False, 0, False, "serial",
+                       False, 16, 91))
+    assert got.health.forked_trials == got.health.pruned_trials == 0
 
 
-def test_chaos_worker_kill_with_tier2(tmp_path, monkeypatch):
-    """Chaos-killed workers respawn, reinstall traces from the artifact
-    plan, and finish bit-identical to a clean run on the static map."""
-    N = 12
-    clean = _static_map_campaign("matvec", trials=N, mode="blackbox",
-                                 seed=78, timeout=5.0, snapshot_stride=150)
-
-    monkeypatch.setenv("REPRO_CHAOS", "1")
-    monkeypatch.setenv("REPRO_CHAOS_SEED", "7")
-    monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path / "ledger"))
-    monkeypatch.setenv("REPRO_CHAOS_KILL", "1.0")
-    monkeypatch.setenv("REPRO_CHAOS_HANG", "0")
-    monkeypatch.setenv("REPRO_CHAOS_IO", "0")
-    monkeypatch.setenv("REPRO_CHAOS_ARTIFACT", "0")
-    monkeypatch.setenv("REPRO_CHAOS_TEAR", "0")
-    monkeypatch.setenv("REPRO_RETRY_BASE_DELAY", "0")
-    monkeypatch.setenv("REPRO_RETRY_MAX_DELAY", "0")
-    monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "artifacts"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        chaotic = run_campaign("matvec", trials=N, mode="blackbox",
-                               seed=78, workers=2, timeout=5.0,
-                               max_retries=2, snapshot_stride=150,
-                               executor="pool")
-
-    health = chaotic.health
-    assert health.worker_crashes > 0, "chaos never killed a worker"
-    assert not health.quarantined
-    assert len(chaotic.trials) == N
-    for i, (a, b) in enumerate(zip(chaotic.trials, clean.trials)):
-        assert _science_equal(a, b), i
+def test_chaos_worker_kill_with_tier2():
+    # killed workers respawn and install the plan they load from the
+    # artifact
+    got = check(Config("matvec", "blackbox", True, 150, True, "pool", True,
+                       12, 78))
+    assert got.health.worker_crashes > 0

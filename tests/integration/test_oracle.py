@@ -1,155 +1,26 @@
-"""One equivalence oracle: every way to run a campaign has one science.
+"""One property over app, mode, fork, pruning, region plan, executor and
+chaos: every drawn configuration has the reference science
+(:func:`.oracle.check`).
 
-The paper defines a trial's outcome class and CML(t) from the faulty run
-alone; fork-at-injection, convergence pruning, the golden region plan,
-shared artifacts, the executors and a fleet that loses workers are only
-faster or sturdier ways to the same numbers.  So one property draws a
-target, a mode and a way to run, and asserts:
-
-* **same science** — the journal's science hash, every trial (modulo
-  retry counts) and the outcome fractions equal the reference's: the
-  same campaign run serial, cold (``fork=False``), unpruned
-  (``snapshot_stride=0``) on closures only (``fuse=False``, no plan);
-* **sound pruning** — a pruned trial ends masked, at a cycle inside
-  its run;
-* **chaos costs retries, not results** — workers die, nothing is
-  quarantined;
-* **ground truth** — under fpm, one drawn trial's shadow table is the
-  real golden-vs-faulty memory difference (:mod:`.lockstep`).
-
-Each pinned example is the headline case of a suite this replaced, with
-a check that the path it pins was taken.
+The headline cases of the suites this replaced stay pinned under their
+own ids, each a call of :func:`.oracle.check` with a check that the path
+it pins was taken: the fork, pruning, region-plan, fast-forward,
+executor and fork-run suites in ``tests/inject``.  The examples pinned
+here have no such home.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import tempfile
-from pathlib import Path
-from typing import NamedTuple
-
-import numpy as np
-import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.api import Session
-from repro.core.config import RunConfig
-from repro.inject import run_campaign, trial_results_equal
-from repro.inject import campaign as campaign_mod
-from repro.inject import profiler
-from repro.inject.journal import journal_science_hash
-from repro.inject.plan import draw_plan
-from repro.vm import tier2 as vm_tier2
-from tests.inject.test_fastforward_equivalence import MIDCOLL_SRC
-from tests.inject.test_pruning import AMG_SMALL, MINIFE_SMALL
-from tests.integration.lockstep import golden, lockstep
-from tests.integration.test_differential_fuzz import ProgramGen
-
-#: what a pruned trial may end as: a world bit-identical to golden ends
-#: masked (blackbox folds V and ONA into CO), never WO / PEX / C / HF
-_PRUNABLE = {"blackbox": {"CO"}, "fpm": {"V", "ONA"}, "taint": {"V", "ONA"}}
-_PARAMS = {"amg": AMG_SMALL, "minife": MINIFE_SMALL}
-_CHAOS = (("CHAOS", 1), ("CHAOS_SEED", 7), ("CHAOS_KILL", 1.0),
-          ("CHAOS_HANG", 0), ("CHAOS_IO", 0), ("CHAOS_ARTIFACT", 0),
-          ("CHAOS_TEAR", 0), ("RETRY_BASE_DELAY", 0), ("RETRY_MAX_DELAY", 0))
-
-
-class Config(NamedTuple):
-    target: str       # an app, "midcoll", or "gen<seed>" (a ProgramGen)
-    mode: str
-    fork: bool
-    stride: int       # snapshot_stride: 0 runs unpruned
-    artifacts: bool
-    executor: str     # each fleet has 2 workers
-    chaos: bool       # kill = 1.0; pool and remote only
-    trials: int
-    seed: int
-
-
-def _app(target):
-    """``(app, params)`` of a target, registering the custom ones."""
-    if target == "midcoll":
-        Session.from_source(MIDCOLL_SRC, name=target,
-                            config=RunConfig(nranks=4, quantum=64))
-    elif target.startswith("gen"):
-        Session.from_source(ProgramGen(int(target[3:])).generate(),
-                            name=target, config=RunConfig(nranks=1))
-        assume(any(golden(target)[2]))  # a program may mark none at all
-    return target, tuple(sorted(_PARAMS.get(target, {}).items()))
-
-
-def _campaign(c, journal, chaos=False, reference=False, **kw):
-    """``c``'s campaign, journaled; ``kw`` says how it runs."""
-    app, params = _app(c.target)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("REPRO_ARTIFACT_DIR", raising=False)
-        mp.delenv("REPRO_CHAOS", raising=False)
-        if chaos:  # kill each worker once, no backoff
-            for var, value in _CHAOS + (("CHAOS_DIR", journal.parent),):
-                mp.setenv(f"REPRO_{var}", str(value))
-        if reference:
-            build = profiler.build_program
-            mp.setattr(profiler, "build_program",
-                       lambda *a, **k: build(*a, **dict(k, fuse=False)))
-            mp.setattr(vm_tier2, "install_plan",
-                       lambda program, plan: program.tier2_traces)
-        campaign_mod._PREPARED_CACHE.clear()
-        result = run_campaign(
-            app, c.trials, mode=c.mode, seed=c.seed, params=dict(params),
-            journal=str(journal), keep_series=c.mode != "blackbox",
-            timeout=60.0, **kw)
-        campaign_mod._PREPARED_CACHE.clear()
-    return result, journal_science_hash(journal)
-
-
-_REFERENCES = {}
-
-
-def _reference(c):
-    """The reference of ``c``'s (target, mode, seed, trials), every
-    program built with ``fuse=False`` and plan installation stubbed;
-    under fpm, the ground truth of one drawn trial is checked too."""
-    key = (c.target, c.mode, c.seed, c.trials)
-    if key not in _REFERENCES:
-        with tempfile.TemporaryDirectory() as d:
-            reference = _campaign(
-                c, Path(d) / "reference.jsonl", reference=True,
-                executor="serial", fork=False, snapshot_stride=0)
-        if c.mode == "fpm":
-            app, params = _app(c.target)
-            faults = draw_plan(np.random.default_rng(c.seed),
-                               golden(app, params)[2], 1)
-            lockstep(app, faults, c.seed, params)
-        _REFERENCES[key] = reference
-    return _REFERENCES[key]
-
+from tests.integration.oracle import Config, check
 
 #: each pinned example's liveness check: the path it pins was taken
 PINNED = {
-    # fork: amg's long epochs give every drawn plan a fork epoch
-    Config("amg", "fpm", True, 256, False, "serial", False, 8, 41):
-        lambda r: r.health.forked_trials == r.n_trials,
-    # regions, fork, snapshot restore and pruning on a pool with
-    # artifacts: faults fire inside regions, tails re-enter them
-    Config("matvec", "fpm", True, 150, True, "pool", False, 24, 11):
-        lambda r: r.health.forked_trials > 0 and r.effective_workers == 2,
-    # trap-heavy: the region trap-recovery guard fires
-    Config("lulesh", "blackbox", True, 150, False, "serial", False, 8, 2):
-        lambda r: any(t.trap_kind is not None for t in r.trials),
-    # the cold path with no fingerprints: regions carry whole trials
-    Config("matvec", "blackbox", False, 0, False, "serial", False, 16, 91):
-        lambda r: r.health.forked_trials == r.health.pruned_trials == 0,
-    # pruning under taint
-    Config("amg", "taint", True, 256, False, "serial", False, 8, 5):
-        lambda r: r.health.pruned_trials > 0,
     # a cursor rewound to snapshots of ranks blocked mid-collective
     Config("midcoll", "fpm", True, 40, False, "serial", False, 12, 7):
         lambda r: r.health.forked_trials > 0,
-    # workers killed mid-bucket: siblings requeued, not lost, and the
-    # respawned ones fork again on the plan they load from the artifact
-    Config("matvec", "blackbox", True, 150, True, "pool", True, 12, 77):
-        lambda r: r.health.worker_crashes > 0 and r.health.forked_trials > 0,
     # ground truth: seed 162's plan stores through corrupted addresses
     # onto contaminated cells, which keep their own pristine values
     Config("mcb", "fpm", True, 256, True, "remote", False, 8, 162):
@@ -183,28 +54,5 @@ def _pinned(test):
 @given(configs)
 @_pinned
 def test_every_configuration_has_the_reference_science(c):
-    ref, ref_science = _reference(c)
-    with tempfile.TemporaryDirectory() as d:
-        got, science = _campaign(
-            c, Path(d) / "run.jsonl", chaos=c.chaos, fork=c.fork,
-            snapshot_stride=c.stride, executor=c.executor, workers=2,
-            artifact_dir=str(Path(d) / "artifacts") if c.artifacts else None)
-
-    assert science == ref_science, c
-    assert got.n_trials == ref.n_trials == c.trials
-    for i, (a, b) in enumerate(zip(got.trials, ref.trials)):
-        assert trial_results_equal(dataclasses.replace(a, retries=0),
-                                   dataclasses.replace(b, retries=0)), \
-            (c, i, a, b)
-    assert got.fractions() == ref.fractions()
-
-    pruned = [t for t in got.trials if t.pruned_at_cycle is not None]
-    assert got.health.pruned_trials == len(pruned)
-    assert not pruned or c.stride > 0
-    for t in pruned:
-        assert t.outcome in _PRUNABLE[c.mode], (c, t)
-        assert 0 < t.pruned_at_cycle <= t.cycles, (c, t)
-
-    assert not got.health.quarantined, c
-    assert got.health.worker_crashes > 0 or not c.chaos, c
+    got = check(c)
     assert PINNED.get(c, lambda r: True)(got), c
