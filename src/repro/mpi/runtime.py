@@ -22,15 +22,23 @@ message itself."*
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import operator
+from typing import Dict, List, Sequence
 
 from ..fpm.protocol import apply_message, build_payload
 from ..fpm.shadow import same_value
 from ..fpm.taint import TaintTable
 from ..obs import runtime as _obs
-from ..vm.intrinsics import MPI_OP_MAX, MPI_OP_MIN, MPI_OP_SUM
+from ..vm.intrinsics import BLOCK, MPI_OP_MAX, MPI_OP_MIN, MPI_OP_SUM
+from ..vm.machine import MachineStatus
 from ..vm.traps import Trap, TrapKind
 from .message import ANY, Message
+
+#: reduction op code -> fold (``min``/``max`` keep the earlier operand)
+_REDUCE_OPS = {MPI_OP_SUM: operator.add, MPI_OP_MIN: min, MPI_OP_MAX: max}
+
+#: builds a :class:`Message` from its field tuple without a Python frame
+_new_message = tuple.__new__
 
 
 class MPIRuntime:
@@ -51,10 +59,6 @@ class MPIRuntime:
         self.queues = [[] for _ in self.machines]
         for m in self.machines:
             m.runtime = self
-
-    @property
-    def size(self) -> int:
-        return len(self.machines)
 
     def now(self) -> int:
         """Global virtual time: the most advanced rank's clock."""
@@ -132,160 +136,178 @@ class MPIRuntime:
     # ------------------------------------------------------------------
     # Point-to-point
     # ------------------------------------------------------------------
-    def send(self, m, buf: int, count: int, dest: int, tag: int) -> None:
-        if not 0 <= dest < self.size:
+    # The intrinsic handlers pass the raw argument list and return the
+    # result: None when the call completed, ``BLOCK`` to suspend and
+    # re-execute it when woken.  A clean message stays in these frames;
+    # ``check_range`` is called only to raise its trap.
+    def send(self, m, a):
+        """``mpi_send(buf, count, dest, tag)``: eager, never blocks."""
+        buf, count, dest, tag = int(a[0]), int(a[1]), int(a[2]), int(a[3])
+        if not 0 <= dest < len(self.machines):
             raise Trap(TrapKind.MPI, f"send to invalid rank {dest}", rank=m.rank)
         if count < 0:
             raise Trap(TrapKind.MPI, f"send with negative count {count}", rank=m.rank)
-        payload, records = build_payload(m.memory, m.fpm, buf, count)
-        msg = Message(m.rank, dest, tag, payload, records, sent_at=m.cycles)
+        mem = m.memory
+        end = buf + count
+        if not (0 <= buf and end <= mem.capacity
+                and mem.valid.find(0, buf, end) < 0):
+            mem.check_range(buf, count)
+        payload = mem.cells[buf:end]
+        shadow = m.fpm
         self.messages_sent += 1
         self.words_sent += count
-        if records:
-            self.contaminated_messages += 1
-            self.contaminated_words_sent += len(records)
-            if _obs._CURRENT is not None:
-                _obs.emit("mpi_send_contaminated", src=m.rank, dest=dest,
-                          words=len(records), cycle=m.cycles)
+        if shadow is not None and shadow.table:
+            records = shadow.contaminated_in(buf, count)
+            if records:
+                self.contaminated_messages += 1
+                self.contaminated_words_sent += len(records)
+                if _obs._CURRENT is not None:
+                    _obs.emit("mpi_send_contaminated", src=m.rank, dest=dest,
+                              words=len(records), cycle=m.cycles)
+        else:
+            records = []
 
         dm = self.machines[dest]
         pending = dm.pending
-        if (
-            pending is not None
-            and pending.get("kind") == "recv"
-            and not pending.get("done")
-            and msg.matches(pending["src"], pending["tag"])
-        ):
-            self._deliver(msg, dm, pending["buf"], pending["count"])
+        if (pending is not None and pending["kind"] == "recv"
+                and not pending["done"]
+                and ((want := pending["src"]) == ANY or m.rank == want)
+                and ((want := pending["tag"]) == ANY or tag == want)):
+            self._deliver(payload, records, dm, pending["buf"],
+                          pending["count"])
             pending["done"] = True
-            dm.wake()
+            if dm.status is MachineStatus.BLOCKED:
+                dm.status = MachineStatus.READY
         else:
-            self.queues[dest].append(msg)
+            self.queues[dest].append(_new_message(
+                Message, (m.rank, dest, tag, payload, records, m.cycles)))
 
-    def recv(self, m, buf: int, count: int, src: int, tag: int) -> bool:
-        """Returns True when the receive completed, False to block."""
+    def recv(self, m, a):
+        """``mpi_recv(buf, count, src, tag)``: the first queued message
+        that matches, else wait for a send to deliver one."""
+        buf, count, src, tag = int(a[0]), int(a[1]), int(a[2]), int(a[3])
         pending = m.pending
         if pending is not None:
-            if pending.get("done"):
+            if pending["done"]:
                 m.pending = None
-                return True
-            return False
+                return None
+            return BLOCK
         queue = self.queues[m.rank]
         for i, msg in enumerate(queue):
-            if msg.matches(src, tag):
+            if (src == ANY or msg.src == src) and (tag == ANY or msg.tag == tag):
                 del queue[i]
-                self._deliver(msg, m, buf, count)
-                return True
+                self._deliver(msg.payload, msg.records, m, buf, count)
+                return None
         m.pending = {
             "kind": "recv", "buf": buf, "count": count,
             "src": src, "tag": tag, "done": False,
         }
-        return False
+        return BLOCK
 
-    def sendrecv(self, m, args: Sequence[int]) -> bool:
-        """Combined send+recv (halo exchange); send happens exactly once."""
-        sbuf, scount, dest, rbuf, rcount, src, tag = args
+    def sendrecv(self, m, a):
+        """Combined send+recv (halo exchange); send happens exactly once.
+        ``a`` is ``(sbuf, scount, dest, rbuf, rcount, src, tag)``."""
+        sbuf, scount, dest, rbuf, rcount, src, tag = [int(x) for x in a]
         if m.pending is None:
-            self.send(m, sbuf, scount, dest, tag)
-        return self.recv(m, rbuf, rcount, src, tag)
+            self.send(m, (sbuf, scount, dest, tag))
+        return self.recv(m, (rbuf, rcount, src, tag))
 
-    def _deliver(self, msg: Message, machine, buf: int, count: int) -> None:
-        if msg.count > count:
+    def _deliver(self, payload: list, records: list, machine, buf: int,
+                 count: int) -> None:
+        n = len(payload)
+        if n > count:
             raise Trap(
                 TrapKind.MPI,
-                f"message truncation: {msg.count} words into {count}-word buffer",
+                f"message truncation: {n} words into {count}-word buffer",
                 rank=machine.rank,
             )
-        # the clock only stamps installed records: skip the max over
-        # every rank for a clean message
-        apply_message(
-            machine.memory, machine.fpm, buf, msg.payload, msg.records,
-            cycle=self.now() if msg.records else 0,
-        )
+        shadow = machine.fpm
+        if records or (shadow is not None and shadow.table):
+            # the clock only stamps installed records: skip the max over
+            # every rank for a clean message
+            apply_message(machine.memory, shadow, buf, payload, records,
+                          cycle=self.now() if records else 0)
+            return
+        mem = machine.memory  # nothing to install and nothing to heal
+        end = buf + n
+        if not (0 <= buf and end <= mem.capacity
+                and mem.valid.find(0, buf, end) < 0):
+            mem.check_range(buf, n)
+        if mem._tx is not None:
+            mem._cow_range(buf, end)
+        mem.cells[buf:end] = payload
 
     # ------------------------------------------------------------------
     # Collectives
     # ------------------------------------------------------------------
-    def collective(self, m, kind: str, args: tuple) -> bool:
-        """Generic rendezvous; returns True when the operation completed."""
+    def collective(self, m, kind: str, args: tuple):
+        """Generic rendezvous: None when the operation completed (this
+        rank arrived last, or was woken after it did), else ``BLOCK``."""
         pending = m.pending
         if pending is not None:
-            if pending.get("done"):
+            if pending["done"]:
                 m.pending = None
-                return True
-            return False
+                return None
+            return BLOCK
 
         seq = m.coll_seq
         m.coll_seq += 1
         inst = self.collectives.get(seq)
         if inst is None:
             inst = self.collectives[seq] = {"kind": kind, "parts": {}}
-        if inst["kind"] != kind:
+        elif inst["kind"] != kind:
             raise Trap(
                 TrapKind.MPI,
                 f"collective mismatch at sequence {seq}: "
                 f"{kind} vs {inst['kind']}",
                 rank=m.rank,
             )
-        inst["parts"][m.rank] = (m, args)
-        if len(inst["parts"]) < self.size:
+        parts = inst["parts"]
+        parts[m.rank] = (m, args)
+        if len(parts) < len(self.machines):
             m.pending = {"kind": "coll", "done": False}
-            return False
+            return BLOCK
 
         del self.collectives[seq]
-        self._execute_collective(kind, inst["parts"])
-        for rank, (mm, _) in inst["parts"].items():
+        if kind != "barrier":
+            self._execute_collective(kind, parts)
+        for mm, _ in parts.values():
             if mm is not m:
                 mm.pending["done"] = True
-                mm.wake()
-        return True
+                if mm.status is MachineStatus.BLOCKED:
+                    mm.status = MachineStatus.READY
+        return None
 
     def _execute_collective(self, kind: str, parts: Dict[int, tuple]) -> None:
-        if kind == "barrier":
-            return
-        if kind == "bcast":
+        if kind == "allreduce" or kind == "reduce":
+            self._do_reduce(parts, to_all=kind == "allreduce")
+        elif kind == "bcast":
             self._do_bcast(parts)
-        elif kind == "allreduce":
-            self._do_reduce(parts, to_all=True)
-        elif kind == "reduce":
-            self._do_reduce(parts, to_all=False)
-        elif kind == "allgather":
+        else:  # allgather: intrinsics constrain kinds
             self._do_allgather(parts)
-        else:  # pragma: no cover - intrinsics constrain kinds
-            raise Trap(TrapKind.MPI, f"unknown collective {kind!r}")
 
     def _common_int(self, parts: Dict[int, tuple], idx: int, what: str) -> int:
-        values = {rank: args[idx] for rank, (mm, args) in parts.items()}
-        uniq = set(values.values())
-        if len(uniq) != 1:
+        values = [args[idx] for _, args in parts.values()]
+        if values.count(values[0]) != len(values):
             raise Trap(
                 TrapKind.MPI,
-                f"collective {what} mismatch across ranks: {sorted(uniq)}",
+                f"collective {what} mismatch across ranks: {sorted(set(values))}",
             )
-        return uniq.pop()
+        return values[0]
 
     def _do_bcast(self, parts: Dict[int, tuple]) -> None:
         # args = (buf, count, root)
         count = self._common_int(parts, 1, "count")
         root = self._common_int(parts, 2, "root")
-        if not 0 <= root < self.size:
+        if not 0 <= root < len(self.machines):
             raise Trap(TrapKind.MPI, f"bcast with invalid root {root}")
         rm, rargs = parts[root]
         payload, records = build_payload(rm.memory, rm.fpm, rargs[0], count)
-        t = self.now()
+        t = self.now() if records else 0
         for rank, (mm, args) in parts.items():
             if rank == root:
                 continue
             apply_message(mm.memory, mm.fpm, args[0], payload, records, cycle=t)
-
-    def _reduce_fn(self, op: int):
-        if op == MPI_OP_SUM:
-            return lambda a, b: a + b
-        if op == MPI_OP_MIN:
-            return lambda a, b: b if b < a else a
-        if op == MPI_OP_MAX:
-            return lambda a, b: b if b > a else a
-        raise Trap(TrapKind.MPI, f"unknown reduction op {op}")
 
     def _do_reduce(self, parts: Dict[int, tuple], to_all: bool) -> None:
         # allreduce args = (sbuf, rbuf, count, op); reduce adds root at [4].
@@ -294,34 +316,48 @@ class MPIRuntime:
         root = None
         if not to_all:
             root = self._common_int(parts, 4, "root")
-            if not 0 <= root < self.size:
+            if not 0 <= root < len(self.machines):
                 raise Trap(TrapKind.MPI, f"reduce with invalid root {root}")
-        fn = self._reduce_fn(op)
+        fn = _REDUCE_OPS.get(op)
+        if fn is None:
+            raise Trap(TrapKind.MPI, f"unknown reduction op {op}")
 
-        if any(isinstance(mm.fpm, TaintTable) for mm, _ in parts.values()):
-            self._do_reduce_taint(parts, to_all, root, count, fn)
-            return
-
-        primary = None
-        pristine = None
-        for rank in sorted(parts):
-            mm, args = parts[rank]
-            vals = mm.memory.read_block(args[0], count)
+        # rank order fixes the fold order (float sums are not associative)
+        contribs = [parts[rank] for rank in sorted(parts)]
+        inputs = []
+        dirty = False
+        for mm, args in contribs:
+            inputs.append(mm.memory.read_block(args[0], count))
             if mm.fpm is not None and mm.fpm.table:
-                pvals = [mm.fpm.pristine(args[0] + i, v) for i, v in enumerate(vals)]
+                dirty = True
+        primary = inputs[0]
+        for vals in inputs[1:]:
+            primary = list(map(fn, primary, vals))
+        records: list = []
+        if dirty:
+            # a header can only come from a rank with contamination; the
+            # pristine fold still starts from rank 0, clean ranks adding
+            # their primary values
+            if isinstance(contribs[0][0].fpm, TaintTable):
+                # the result is tainted everywhere if any contribution
+                # overlaps a tainted buffer
+                if any(mm.fpm.tainted_in(args[0], count)
+                       for mm, args in contribs):
+                    records = [(i, True) for i in range(count)]
             else:
-                pvals = vals
-            if primary is None:
-                primary = list(vals)
-                pristine = list(pvals)
-            else:
-                primary = [fn(a, b) for a, b in zip(primary, vals)]
-                pristine = [fn(a, b) for a, b in zip(pristine, pvals)]
-
-        records = [
-            (i, p) for i, (v, p) in enumerate(zip(primary, pristine))
-            if not same_value(v, p)
-        ]
+                pristine = None
+                for (mm, args), vals in zip(contribs, inputs):
+                    table = mm.fpm.table if mm.fpm is not None else None
+                    if table:
+                        base = args[0]
+                        vals = [table.get(base + i, v)
+                                for i, v in enumerate(vals)]
+                    pristine = vals if pristine is None \
+                        else list(map(fn, pristine, vals))
+                records = [
+                    (i, p) for i, (v, p) in enumerate(zip(primary, pristine))
+                    if not same_value(v, p)
+                ]
         self._store_reduced(parts, to_all, root, primary, records)
 
     def _store_reduced(self, parts, to_all, root, values, records) -> None:
@@ -331,30 +367,13 @@ class MPIRuntime:
         a machine word would."""
         wide = [v for v in values
                 if v.__class__ is int and not -2 ** 63 <= v < 2 ** 63]
-        t = self.now()
+        t = self.now() if records else 0
         targets = parts.items() if to_all else [(root, parts[root])]
         for rank, (mm, args) in targets:
-            mm.memory.check_range(args[1], len(values))  # MEM_FAULT first
             if wide:
+                mm.memory.check_range(args[1], len(values))  # MEM_FAULT first
                 raise OverflowError(f"reduction result {wide[0]} exceeds int64")
             apply_message(mm.memory, mm.fpm, args[1], values, records, cycle=t)
-
-    def _do_reduce_taint(self, parts, to_all, root, count, fn) -> None:
-        """Taint-mode reduction: the result is tainted everywhere if any
-        contribution overlaps a tainted buffer."""
-        primary = None
-        tainted = False
-        for rank in sorted(parts):
-            mm, args = parts[rank]
-            vals = mm.memory.read_block(args[0], count)
-            if mm.fpm is not None and mm.fpm.tainted_in(args[0], count):
-                tainted = True
-            if primary is None:
-                primary = list(vals)
-            else:
-                primary = [fn(a, b) for a, b in zip(primary, vals)]
-        records = [(i, True) for i in range(count)] if tainted else []
-        self._store_reduced(parts, to_all, root, primary, records)
 
     def _do_allgather(self, parts: Dict[int, tuple]) -> None:
         # args = (sbuf, count, rbuf)

@@ -23,6 +23,10 @@ from ..vm.traps import Trap, TrapKind
 from .runtime import MPIRuntime
 
 
+#: ``stop_at_epoch`` of a run that does not pause
+_NEVER = 1 << 62
+
+
 class JobStatus(Enum):
     #: every rank ran to completion
     COMPLETED = "completed"
@@ -152,16 +156,26 @@ class Scheduler:
         status = JobStatus.COMPLETED
         trap: Optional[Trap] = None
         epoch = self.start_epoch
+        # per-job tests, hoisted out of the epoch loop on every call: a
+        # paused golden cursor resumes after fork trials restored it
+        stop = stop_at_epoch if stop_at_epoch is not None else _NEVER
+        deadline = self.wall_deadline
+        counters = self.epoch_counters
+        sample_every = self.sample_every
+        # a trace exists only in fpm/taint mode: every rank has a table
+        fpms = [m.fpm for m in machines]
+        mems = [m.memory for m in machines]
+        snapshots = self.snapshots
+        fingerprints = self.fingerprints
+        digests = self.prune.digests if self.prune is not None else None
 
         while True:
-            if stop_at_epoch is not None and epoch >= stop_at_epoch:
+            if epoch >= stop:
                 self.start_epoch = epoch
                 self.initial_trace = trace
                 return None
-            ran_any = False
             for m in machines:
                 if m.status is MachineStatus.READY:
-                    ran_any = True
                     if m.run(quantum) is MachineStatus.TRAPPED:
                         status = JobStatus.TRAPPED
                         trap = m.trap
@@ -170,8 +184,7 @@ class Scheduler:
                 break
 
             epoch += 1
-            if (self.wall_deadline is not None
-                    and time.monotonic() > self.wall_deadline):
+            if deadline is not None and time.monotonic() > deadline:
                 raise TrialTimeoutError(
                     f"job exceeded its wall-clock watchdog at epoch {epoch}"
                 )
@@ -186,20 +199,17 @@ class Scheduler:
                     all_done = False
                     if st is MachineStatus.READY:
                         any_ready = True
-            if self.epoch_counters is not None:
-                self.epoch_counters.append(
-                    tuple(m.inj_counter for m in machines))
-            if trace is not None and epoch % self.sample_every == 0:
-                self._sample(trace, t)
-            if self.snapshots is not None:
-                self.snapshots.maybe_capture(
-                    t, epoch, machines, self.runtime, trace
-                )
-            if self.fingerprints is not None:
-                self.fingerprints.maybe_capture(
-                    t, epoch, machines, self.runtime, trace
-                )
-            if self.prune is not None:
+            if counters is not None:
+                counters.append(tuple(m.inj_counter for m in machines))
+            if trace is not None and epoch % sample_every == 0:
+                _sample(trace, t, fpms, mems)
+            if snapshots is not None:
+                snapshots.maybe_capture(t, epoch, machines, self.runtime,
+                                        trace)
+            if fingerprints is not None:
+                fingerprints.maybe_capture(t, epoch, machines, self.runtime,
+                                           trace)
+            if digests is not None and epoch in digests:
                 spliced = self._try_prune(epoch, t, trace)
                 if spliced is not None:
                     return spliced
@@ -218,14 +228,10 @@ class Scheduler:
                 trap = Trap(TrapKind.HANG,
                             f"virtual time {t} exceeded budget {self.max_cycles}")
                 break
-            if not ran_any:  # pragma: no cover - defensive
-                status = JobStatus.DEADLOCK
-                trap = Trap(TrapKind.DEADLOCK, "no runnable machine")
-                break
 
         if trace is not None:
             # Final sample so the last contamination state is recorded.
-            self._sample(trace, max(m.cycles for m in machines))
+            _sample(trace, max(m.cycles for m in machines), fpms, mems)
             trace.first_contamination = [
                 m.fpm.first_contamination_cycle if m.fpm is not None else None
                 for m in machines
@@ -294,8 +300,8 @@ class Scheduler:
         Preconditions are checked cheapest-first; every one of them is
         *required* for soundness, not just speed:
 
-        * a golden digest must exist at this exact epoch (golden
-          profiling captured here, so per-rank clocks are comparable);
+        * a golden digest must exist at this exact epoch (:meth:`run`
+          tests it; clocks captured here are comparable);
         * every armed fault must have fired (``inj_next == 0``) —
           otherwise the excluded fault plan is not inert;
         * in FPM/taint modes every shadow table must be empty
@@ -306,9 +312,7 @@ class Scheduler:
           not line up (defensive — sample cadence is epoch-determined).
         """
         fp = self.prune
-        digest = fp.digests.get(epoch)
-        if digest is None:
-            return None
+        digest = fp.digests[epoch]
         machines = self.machines
         if any(m.inj_next for m in machines):
             return None
@@ -377,12 +381,9 @@ class Scheduler:
             pruned_at_cycle=t,
         )
 
-    def _sample(self, trace: PropagationTrace, t: int) -> None:
-        # a trace exists only in fpm/taint mode: every rank has a table
-        cml_ranks, live, n_cont = [], 0, 0
-        for m in self.machines:
-            fpm = m.fpm
-            cml_ranks.append(len(fpm.table))
-            live += m.memory.live_words
-            n_cont += fpm.ever_contaminated_count > 0
-        trace.sample(t, tuple(cml_ranks), live, n_cont)
+
+def _sample(trace: PropagationTrace, t: int, fpms: list, mems: list) -> None:
+    """One CML sample over the ranks' shadow tables and memories."""
+    trace.sample(t, tuple([len(fpm.table) for fpm in fpms]),
+                 sum([mem.live_words for mem in mems]),
+                 sum([fpm.ever_contaminated_count > 0 for fpm in fpms]))

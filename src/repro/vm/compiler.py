@@ -29,6 +29,7 @@ runs of these instructions on their first entry.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
@@ -501,8 +502,30 @@ def _compile_ret(inst: Ret) -> Callable:
     return step
 
 
+def _args_reader(values) -> Callable:
+    """``regs -> argument values``, reading register arguments by index:
+    a C ``itemgetter`` when every argument is a register (a slice for
+    one argument or none, so the result is always a sequence), else the
+    constants' template with the registers filled in."""
+    if all(isinstance(v, Register) for v in values):
+        if len(values) > 1:
+            return itemgetter(*(v.index for v in values))
+        i = values[0].index if values else 0
+        return itemgetter(slice(i, i + len(values)))
+    template = [None if isinstance(v, Register) else v.value for v in values]
+    slots = tuple((k, v.index) for k, v in enumerate(values)
+                  if isinstance(v, Register))
+
+    def read(regs, template=template, slots=slots):
+        args = template.copy()
+        for k, i in slots:
+            args[k] = regs[i]
+        return args
+    return read
+
+
 def _compile_call(inst: Call, program: CompiledProgram) -> Callable:
-    getters = [_value_getter(a) for a in inst.args]
+    read = _args_reader(inst.args)
     d = inst.dest.index if inst.dest is not None else None
     dp = inst.dest_p.index if inst.dest_p is not None else None
 
@@ -510,10 +533,9 @@ def _compile_call(inst: Call, program: CompiledProgram) -> Callable:
     if spec is not None:
         handler = spec.handler
 
-        def step(m, f, handler=handler, getters=getters, d=d):
+        def step(m, f, handler=handler, read=read, d=d):
             regs = f.regs
-            args = [g(regs) for g in getters]
-            res = handler(m, args)
+            res = handler(m, read(regs))
             if res is BLOCK:
                 return SIG_BLOCK
             if d is not None:
@@ -528,9 +550,8 @@ def _compile_call(inst: Call, program: CompiledProgram) -> Callable:
             f"(not in module, not an intrinsic)"
         )
 
-    def step(m, f, target=target, getters=getters, d=d, dp=dp):
-        regs = f.regs
-        m.pending_call = (target, [g(regs) for g in getters], d, dp)
+    def step(m, f, target=target, read=read, d=d, dp=dp):
+        m.pending_call = (target, read(f.regs), d, dp)
         return SIG_CALL
     return step
 

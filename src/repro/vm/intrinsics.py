@@ -132,55 +132,49 @@ def _h_mpi_wtime(m, a):
     return m.cycles * 1e-9
 
 
-def _need_runtime(m):
-    if m.runtime is None:
-        raise Trap(TrapKind.MPI, "MPI runtime not attached", rank=m.rank)
-    return m.runtime
+def _detached(m):
+    raise Trap(TrapKind.MPI, "MPI runtime not attached", rank=m.rank)
 
+
+# The MPI handlers hand the raw argument list to the runtime
+# (:class:`repro.mpi.MPIRuntime`), which converts it and returns None or
+# ``BLOCK`` itself.
 
 def _h_mpi_send(m, a):
-    _need_runtime(m).send(m, int(a[0]), int(a[1]), int(a[2]), int(a[3]))
-    return None
+    return (m.runtime or _detached(m)).send(m, a)
 
 
 def _h_mpi_recv(m, a):
-    done = _need_runtime(m).recv(m, int(a[0]), int(a[1]), int(a[2]), int(a[3]))
-    return None if done else BLOCK
+    return (m.runtime or _detached(m)).recv(m, a)
 
 
 def _h_mpi_barrier(m, a):
-    done = _need_runtime(m).collective(m, "barrier", ())
-    return None if done else BLOCK
+    return (m.runtime or _detached(m)).collective(m, "barrier", ())
 
 
 def _h_mpi_bcast(m, a):
-    done = _need_runtime(m).collective(
+    return (m.runtime or _detached(m)).collective(
         m, "bcast", (int(a[0]), int(a[1]), int(a[2])))
-    return None if done else BLOCK
 
 
 def _h_mpi_allreduce(m, a):
-    done = _need_runtime(m).collective(
+    return (m.runtime or _detached(m)).collective(
         m, "allreduce", (int(a[0]), int(a[1]), int(a[2]), int(a[3])))
-    return None if done else BLOCK
 
 
 def _h_mpi_reduce(m, a):
-    done = _need_runtime(m).collective(
+    return (m.runtime or _detached(m)).collective(
         m, "reduce", (int(a[0]), int(a[1]), int(a[2]), int(a[3]), int(a[4])))
-    return None if done else BLOCK
 
 
 def _h_mpi_allgather(m, a):
-    done = _need_runtime(m).collective(
+    return (m.runtime or _detached(m)).collective(
         m, "allgather", (int(a[0]), int(a[1]), int(a[2])))
-    return None if done else BLOCK
 
 
 def _h_mpi_sendrecv(m, a):
     # sendrecv(sbuf, scount, dest, rbuf, rcount, src, tag)
-    rt = _need_runtime(m)
-    return None if rt.sendrecv(m, [int(x) for x in a]) else BLOCK
+    return (m.runtime or _detached(m)).sendrecv(m, a)
 
 
 INTRINSICS: Dict[str, IntrinsicSpec] = {}

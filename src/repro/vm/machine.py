@@ -46,6 +46,9 @@ from .traps import Trap, TrapKind
 #: executes this many marked instructions
 _UNARMED = 1 << 62
 
+#: what a raising instruction may throw: each becomes a :class:`Trap`
+_TRAPS = (Trap, ZeroDivisionError, OverflowError, ValueError, TypeError)
+
 
 class MachineStatus(Enum):
     READY = "ready"
@@ -468,76 +471,77 @@ class Machine:
         exact cycle and suspends (a negative signal, the armed gap it
         has left): it keeps the frame's registers and position, and the
         machine keeps it in ``t2_cont``.  The next call resumes it with
-        the new budget before dispatching anything; its counts run from
-        its entry, so the cycles and marked instructions of earlier
-        quanta are taken off (``owed_c``, ``owed_k``).
+        the new budget before it builds any dispatch state; its counts
+        run from its entry, so the cycles and marked instructions of
+        earlier quanta are taken off.  A loop that suspends again books
+        the whole budget and returns: a quantum boundary inside a hot
+        loop costs one generator resume.
         """
         if self.status is not MachineStatus.READY:
             return self.status
-        if not self.call_stack:
-            raise RuntimeError("Machine.run() before start()")
-        mem = self.memory
+        cont = self.t2_cont
+        if cont is None:
+            n = t2c = 0
+        else:
+            # a loop region suspended where the last quantum ran out: it
+            # goes on from that member with its registers live, before
+            # any dispatch state is built
+            self.t2_cont = None
+            self.t2_resumes += 1
+            gen, budget0, gap0, left = cont
+            try:
+                sig = gen.send(budget)
+            except Exception as exc:
+                loop_trap(self, exc, gen.gi_code)
+                if not isinstance(exc, _TRAPS):
+                    raise
+                self.inj_counter -= gap0 - left
+                return self._trapped(exc, budget - budget0)
+            if sig < 0:
+                # spent this budget too: the gap it has left since the
+                # last suspension went to marked instructions
+                self.inj_counter += left + sig
+                self.t2_cont = (gen, budget0, gap0, -sig)
+                self.t2_suspends += 1
+                self.t2_cycles_acc += budget
+                self.cycles += budget
+                return MachineStatus.READY
+            n = t2c = self.tier2_cycles + budget - budget0
+            self.inj_counter -= gap0 - left
+            # idle again: back to its loop's pool
+            gen.gi_frame.f_globals["pool"].append(gen)
         stack = self.call_stack
-        self.fused_skew = 0
+        if not stack:
+            raise RuntimeError("Machine.run() before start()")
         use2 = self.use_tier2
         f = stack[-1]
         cfunc = f.cfunc
         blocks = cfunc.blocks
         rblocks = cfunc.tier2 if use2 else cfunc.static
-        code = blocks[f.block]
-        rmap = rblocks[f.block]
+        b = f.block
+        code = blocks[b]
+        rmap = rblocks[b]
         ip = f.ip
-        n = 0
-        t2n = t2c = 0
-        # what a resumed loop region owes the run loop: it counts from its
-        # entry, this quantum from where it suspended
-        owed_c = owed_k = 0
+        t2n = 0
+        # the pending fault's occurrence: only a fired fault moves it, and
+        # it fires single-stepped (SIG_INJECT)
+        armed = self.inj_next
         try:
-            cont = self.t2_cont
-            if cont is not None:
-                # a loop region suspended where the last quantum ran out:
-                # it goes on from that member with its registers live
-                self.t2_cont = None
-                self.t2_resumes += 1
-                gen, budget0, gap0, left = cont
-                owed_c = budget - budget0
-                owed_k = gap0 - left
-                try:
-                    sig = gen.send(budget)
-                except Exception as exc:
-                    loop_trap(self, exc, gen.gi_code)
-                    raise
-                if sig < 0:
-                    # spent this budget too: the gap it has left since
-                    # the last suspension went to marked instructions
-                    n = t2c = budget
-                    self.inj_counter += left + sig
-                    self.t2_cont = (gen, budget0, gap0, -sig)
-                    self.t2_suspends += 1
-                else:
-                    n = t2c = self.tier2_cycles + owed_c
-                    self.inj_counter -= owed_k
-                    # idle again: back to its loop's pool
-                    gen.gi_frame.f_globals["pool"].append(gen)
-                    ip = f.ip
-                    code = blocks[f.block]
-                    rmap = rblocks[f.block]
-                owed_c = owed_k = 0
             while n < budget:
                 if ((reg := rmap[ip]) is not None
                         and reg[1] <= (rem := budget - n)
-                        and reg[2] < (gap := self.inj_next - self.inj_counter
-                                      if self.inj_next else _UNARMED)):
+                        and reg[2] < (gap := armed - self.inj_counter
+                                      if armed else _UNARMED)):
                     # its first chunk fits the budget and stays short of
                     # a pending fault's occurrence; the region stops
                     # itself where (rem, gap) run out, so the fault still
                     # fires on the exact single-stepped marked instruction
                     t2n += 1
                     sig = reg[0](self, f, rem, gap)
-                    c = self.tier2_cycles
-                    n += c
-                    t2c += c
                     if sig == SIG_JUMP:
+                        c = self.tier2_cycles
+                        n += c
+                        t2c += c
                         ip = f.ip
                         b = f.block
                         code = blocks[b]
@@ -548,14 +552,17 @@ class Machine:
                         # suspended, registers live: it holds the frame's
                         # position, its yield the armed gap it left, and
                         # it wrote no tier2_cycles
-                        n += rem - c
-                        t2c += rem - c
+                        n += rem
+                        t2c += rem
                         self.inj_counter += gap + sig
                         self.t2_cont = (self.t2_cont, rem, gap, -sig)
                         self.t2_suspends += 1
                         break
                     # SIG_RET: the region ran through the function's
                     # return — fall through to the shared handling below.
+                    c = self.tier2_cycles
+                    n += c
+                    t2c += c
                 else:
                     sig = code[ip](self, f)
                     n += 1
@@ -574,13 +581,12 @@ class Machine:
                         if len(stack) >= self.max_call_depth:
                             raise Trap(TrapKind.STACK_OVERFLOW,
                                        f"call depth {len(stack)} exceeded")
-                        nf = Frame(target, mem.sp, dest, dest_p)
+                        nf = Frame(target, self.memory.sp, dest, dest_p)
                         regs = nf.regs
                         for pi, av in zip(target.param_indices, args):
                             regs[pi] = av
                         stack.append(nf)
                         f = nf
-                        cfunc = target
                         blocks = target.blocks
                         rblocks = target.tier2 if use2 else target.static
                         code = blocks[0]
@@ -595,6 +601,7 @@ class Machine:
                         break
                     if sig == SIG_INJECT:
                         self.injection_events[-1].cycle = self.cycles + n
+                        armed = self.inj_next
                         ip += 1
                         continue
                 # SIG_RET (from either dispatch path)
@@ -605,7 +612,7 @@ class Machine:
                     # inspectable after exit, like a core dump.
                     self.status = MachineStatus.DONE
                     break
-                lo, hi = mem.stack_release(done.saved_sp)
+                lo, hi = self.memory.stack_release(done.saved_sp)
                 if self.fpm is not None and hi > lo:
                     self.fpm.purge_range(lo, hi)
                 f = stack[-1]
@@ -622,22 +629,27 @@ class Machine:
             else:
                 # Budget exhausted mid-run: stay READY for the next quantum.
                 f.ip = ip
-        except (Trap, ZeroDivisionError, OverflowError, ValueError,
-                TypeError) as exc:
-            # A region records how many members completed before the
-            # raise; fold that skew exactly once so the trap lands on
-            # the same virtual cycle as single-step dispatch, then
-            # classify the exception into a Trap.
-            n += self.fused_skew + owed_c
-            self.inj_counter -= owed_k
-            self.fused_skew = 0
-            self.trap = self._as_trap(exc, self.cycles + n)
-            self.status = MachineStatus.TRAPPED
-        if t2n or t2c:
+        except _TRAPS as exc:
             self.t2_enters += t2n
             self.t2_cycles_acc += t2c
+            return self._trapped(exc, n)
+        self.t2_enters += t2n
+        self.t2_cycles_acc += t2c
         self.cycles += n
         return self.status
+
+    def _trapped(self, exc: BaseException, n: int) -> MachineStatus:
+        """End a quantum on a raising instruction after ``n`` counted
+        cycles.  A region records how many members completed before the
+        raise; that skew is folded in exactly once so the trap lands on
+        the same virtual cycle as single-step dispatch, then the
+        exception is classified into a Trap."""
+        n += self.fused_skew
+        self.fused_skew = 0
+        self.trap = self._as_trap(exc, self.cycles + n)
+        self.status = MachineStatus.TRAPPED
+        self.cycles += n
+        return MachineStatus.TRAPPED
 
     def _as_trap(self, exc: BaseException, cycle: int) -> Trap:
         """Normalise a raising instruction into a :class:`Trap` at ``cycle``.
@@ -674,11 +686,6 @@ class Machine:
     @property
     def ever_contaminated(self) -> bool:
         return self.fpm is not None and self.fpm.ever_contaminated
-
-    def wake(self) -> None:
-        """Called by the MPI runtime when a blocking operation completed."""
-        if self.status is MachineStatus.BLOCKED:
-            self.status = MachineStatus.READY
 
     def __repr__(self) -> str:
         return (

@@ -154,16 +154,23 @@ class ProcessMemory:
         """Every word of the address space (tests, debugging)."""
         return self.cells + [0] * (self.capacity - len(self.cells))
 
+    # The block operations test a range inline and call check_range only
+    # to raise its trap: a valid transfer is one frame.
     def read_block(self, addr: int, count: int) -> List:
-        self.check_range(addr, count)
-        return self.cells[addr:addr + count]
+        end = addr + count
+        if not (0 <= addr <= end <= self.capacity
+                and self.valid.find(0, addr, end) < 0):
+            self.check_range(addr, count)
+        return self.cells[addr:end]
 
     def write_block(self, addr: int, values: List) -> None:
-        n = len(values)
-        self.check_range(addr, n)
+        end = addr + len(values)
+        if not (0 <= addr and end <= self.capacity
+                and self.valid.find(0, addr, end) < 0):
+            self.check_range(addr, len(values))
         if self._tx is not None:
-            self._cow_range(addr, addr + n)
-        self.cells[addr:addr + n] = values
+            self._cow_range(addr, end)
+        self.cells[addr:end] = values
 
     # ------------------------------------------------------------------
     # Copy-on-write transactions (fork-at-injection trial execution)

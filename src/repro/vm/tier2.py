@@ -105,6 +105,7 @@ from .compiler import (
     _fpm_store,
     _injectable_operands,
 )
+from . import rng as _rng
 from .intrinsics import get_intrinsic
 from .ops import BINOP_FUNCS, CAST_FUNCS, CMP_FUNCS
 from .traps import Trap, TrapKind
@@ -297,6 +298,9 @@ def _st_trap(addr):
 
 #: the 64-bit wrap's bounds, bound by name into every region using it
 _WRAP = {"_N": -(1 << 63), "_S": 1 << 63, "_M": (1 << 64) - 1}
+#: :class:`repro.vm.rng.Lcg64`'s constants, for the inline ``rand``
+_LCG = {"_LM": _rng._MULT, "_LI": _rng._INC, "_LK": _rng._MASK,
+        "_L53": _rng._INV53}
 
 #: ops whose 64-bit wrap can be spelled out inline
 _INLINE_INT_OPS = {"add": "+", "sub": "-", "mul": "*", "padd": "+",
@@ -463,13 +467,21 @@ def _member_line(inst, tag: str):
         return line, binds, _NEEDS_FPM
 
     if isinstance(inst, Call):
+        if inst.callee == "rand" and inst.dest is not None:
+            # Lcg64.next_float spelled out: the same state, no frames
+            binds.update(_LCG)
+            u = f"u{tag}"
+            line = (f"rg{tag} = m.rng; "
+                    f"{u} = rg{tag}.state = (rg{tag}.state * _LM + _LI) & _LK; "
+                    f"regs[{inst.dest.index}] = ({u} >> 11) * _L53")
+            return line, binds, _REGS_ONLY
         # a non-blocking intrinsic (:func:`_is_member`): handlers take
         # argument values, never the frame, so promoted registers need
         # no flush around the call
         binds[f"h{tag}"] = get_intrinsic(inst.callee).handler
         args = ", ".join(_operand_expr(arg, f"c{tag}_{k}", binds)
                          for k, arg in enumerate(inst.args))
-        line = f"h{tag}(m, [{args}])"
+        line = f"h{tag}(m, ({args},))" if args else f"h{tag}(m, ())"
         if inst.dest is not None:
             line = f"regs[{inst.dest.index}] = {line}"
         return line, binds, _REGS_ONLY

@@ -118,6 +118,24 @@ func main(rank: int, size: int) {
 }
 """
 
+# a cycle whose body block loads a[it % 8] into a temporary that only
+# the block after the short-circuit's blocks reads (the product); under
+# taint the load is a closure member, so the temporary is a closure
+# destination read in a later block of the cycle
+SRC_CLOSURE_READ = """
+func main(rank: int, size: int) {
+    var a: int[8];
+    var acc: int = 0;
+    for (var i: int = 0; i < 8; i += 1) { a[i] = i * 5 + 2; }
+    for (var it: int = 0; it < 24; it += 1) {
+        acc += a[it % 8] * (it % 8 != 7 && acc > -5);
+        a[(it + 3) % 8] = acc - it;
+    }
+    emiti(acc);
+    emiti(a[3]);
+}
+"""
+
 # the same cycle trapping (division by zero) in the join block of its
 # fourth iteration
 SRC_CYCLE_TRAP = SRC_CYCLE.replace("d: int = 30", "d: int = 3")
@@ -654,6 +672,25 @@ class TestRolledTraces:
         (code,) = {cf.tier2[b][0][0].__code__ for b in cycle}
         assert "loop@" in code.co_filename
         assert prog.tier2_compiled <= prog.tier2_traces
+
+    def test_entry_past_a_closure_member_reads_its_destination(self):
+        # entered at a block after the taint load, the region reads the
+        # load's destination before this entry has run the closure: its
+        # local must come from the frame, so a rolled loop's prelude
+        # loads every closure destination
+        prog, plan = planned(SRC_CLOSURE_READ, "taint")
+        ref = reference(SRC_CLOSURE_READ, "taint")
+        loop = max(plan["loops"], key=lambda t: len(t["blocks"]))
+        cycle, length = loop["blocks"], loop["members"]
+        assert len(cycle) >= 4
+        for block in cycle[1:]:
+            for budget in (1, length, 3 * length + 1, 10 ** 6):
+                a = at_loop_head(prog, plan, True, block=block, visit=2)[0]
+                b = at_loop_head(ref, plan, False, block=block, visit=2)[0]
+                a.run(budget)
+                b.run(budget)
+                assert_states_identical(a, b)
+                assert_states_identical(finish(a), finish(b))
 
     @pytest.mark.parametrize("bit", [0, 62])
     def test_fault_in_the_partial_iteration_fires_like_the_reference(
