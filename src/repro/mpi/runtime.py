@@ -227,15 +227,8 @@ class MPIRuntime:
             # every rank for a clean message
             apply_message(machine.memory, shadow, buf, payload, records,
                           cycle=self.now() if records else 0)
-            return
-        mem = machine.memory  # nothing to install and nothing to heal
-        end = buf + n
-        if not (0 <= buf and end <= mem.capacity
-                and mem.valid.find(0, buf, end) < 0):
-            mem.check_range(buf, n)
-        if mem._tx is not None:
-            mem._cow_range(buf, end)
-        mem.cells[buf:end] = payload
+        else:  # nothing to install and nothing to heal
+            machine.memory.write_block(buf, payload)
 
     # ------------------------------------------------------------------
     # Collectives
