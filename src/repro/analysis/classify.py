@@ -35,10 +35,6 @@ class Outcome(Enum):
     #: after exhausting retries — not an application outcome
     HARNESS_FAILURE = "HF"
 
-    @property
-    def is_correct_output(self) -> bool:
-        return self in (Outcome.VANISHED, Outcome.ONA, Outcome.CO)
-
 
 def values_match(a, b, rel_tol: float, abs_tol: float) -> bool:
     """Per-value comparison with relative + absolute tolerance.

@@ -97,13 +97,3 @@ class PropagationTrace:
                 if frac > best:
                     best = frac
         return best
-
-    def rank_spread_series(self) -> List[Tuple[int, int]]:
-        """(time, number of contaminated ranks) step series — Fig. 8."""
-        out: List[Tuple[int, int]] = []
-        prev = -1
-        for t, n in zip(self.times, self.ranks_contaminated):
-            if n != prev:
-                out.append((t, n))
-                prev = n
-        return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ..apps.registry import AppSpec
 from ..core.config import RunConfig
@@ -51,10 +51,6 @@ class GoldenProfile:
     #: (``(func, block) -> [false, true]``), recorded by the profiling
     #: condbr closures — the input of tier-2 trace planning.
     edge_profile: dict
-
-    @property
-    def total_inj_sites(self) -> int:
-        return sum(self.inj_counts)
 
     def fork_epoch(self, faults) -> int:
         """Largest epoch that precedes every occurrence in ``faults``

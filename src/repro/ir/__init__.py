@@ -30,9 +30,8 @@ from .instructions import (
     result_type,
 )
 from .module import Module
-from .parser import parse_module
 from .printer import format_function, format_instruction, format_module
-from .types import FLOAT, INT, PTR, Type, VOID, type_by_name
+from .types import FLOAT, INT, PTR, Type, VOID
 from .values import Constant, Register, Value, const_float, const_int, const_ptr
 from .verifier import verify_function, verify_module
 
@@ -42,7 +41,6 @@ __all__ = [
     "Function", "INT", "INT_BINOPS", "IRBuilder", "Instruction", "Load",
     "Module", "PTR", "PTR_BINOPS", "Register", "Ret", "Store", "Type",
     "VOID", "Value", "const_float", "const_int", "const_ptr",
-    "format_function", "format_instruction", "format_module", "parse_module",
-    "result_type",
-    "type_by_name", "verify_function", "verify_module",
+    "format_function", "format_instruction", "format_module", "result_type",
+    "verify_function", "verify_module",
 ]

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..errors import IRError
 from .types import FLOAT, INT, PTR, Type
-from .values import Constant, Register, Value
+from .values import Register, Value
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .basicblock import BasicBlock
@@ -65,9 +65,6 @@ class Instruction:
         """All value operands read by this instruction."""
         return ()
 
-    def replace_operands(self, mapping) -> None:
-        """Rewrite operands through ``mapping`` (Value -> Value callable)."""
-
     @property
     def is_terminator(self) -> bool:
         return False
@@ -95,10 +92,6 @@ class BinOp(Instruction):
 
     def operands(self) -> Tuple[Value, ...]:
         return (self.lhs, self.rhs)
-
-    def replace_operands(self, mapping) -> None:
-        self.lhs = mapping(self.lhs)
-        self.rhs = mapping(self.rhs)
 
 
 class Cmp(Instruction):
@@ -128,10 +121,6 @@ class Cmp(Instruction):
     def operands(self) -> Tuple[Value, ...]:
         return (self.lhs, self.rhs)
 
-    def replace_operands(self, mapping) -> None:
-        self.lhs = mapping(self.lhs)
-        self.rhs = mapping(self.rhs)
-
 
 class Cast(Instruction):
     """``dest = castop src`` between INT, FLOAT and PTR."""
@@ -150,9 +139,6 @@ class Cast(Instruction):
     def operands(self) -> Tuple[Value, ...]:
         return (self.src,)
 
-    def replace_operands(self, mapping) -> None:
-        self.src = mapping(self.src)
-
 
 class Copy(Instruction):
     """``dest = src`` — register move, created by scalar promotion."""
@@ -167,9 +153,6 @@ class Copy(Instruction):
 
     def operands(self) -> Tuple[Value, ...]:
         return (self.src,)
-
-    def replace_operands(self, mapping) -> None:
-        self.src = mapping(self.src)
 
 
 class Alloca(Instruction):
@@ -205,9 +188,6 @@ class Load(Instruction):
     def operands(self) -> Tuple[Value, ...]:
         return (self.addr,)
 
-    def replace_operands(self, mapping) -> None:
-        self.addr = mapping(self.addr)
-
 
 class Store(Instruction):
     """``store value, addr``."""
@@ -223,10 +203,6 @@ class Store(Instruction):
 
     def operands(self) -> Tuple[Value, ...]:
         return (self.value, self.addr)
-
-    def replace_operands(self, mapping) -> None:
-        self.value = mapping(self.value)
-        self.addr = mapping(self.addr)
 
 
 class Call(Instruction):
@@ -255,9 +231,6 @@ class Call(Instruction):
 
     def operands(self) -> Tuple[Value, ...]:
         return tuple(self.args)
-
-    def replace_operands(self, mapping) -> None:
-        self.args = [mapping(a) for a in self.args]
 
 
 class Br(Instruction):
@@ -297,9 +270,6 @@ class CondBr(Instruction):
     def operands(self) -> Tuple[Value, ...]:
         return (self.cond,)
 
-    def replace_operands(self, mapping) -> None:
-        self.cond = mapping(self.cond)
-
     @property
     def is_terminator(self) -> bool:
         return True
@@ -328,12 +298,6 @@ class Ret(Instruction):
         if self.value_p is not None:
             ops.append(self.value_p)
         return tuple(ops)
-
-    def replace_operands(self, mapping) -> None:
-        if self.value is not None:
-            self.value = mapping(self.value)
-        if self.value_p is not None:
-            self.value_p = mapping(self.value_p)
 
     @property
     def is_terminator(self) -> bool:
@@ -368,10 +332,6 @@ class FpmLoad(Instruction):
     def operands(self) -> Tuple[Value, ...]:
         return (self.addr, self.addr_p)
 
-    def replace_operands(self, mapping) -> None:
-        self.addr = mapping(self.addr)
-        self.addr_p = mapping(self.addr_p)
-
 
 class FpmStore(Instruction):
     """Fused FPM store: ``mem[addr] = value`` plus contamination tracking.
@@ -397,12 +357,6 @@ class FpmStore(Instruction):
 
     def operands(self) -> Tuple[Value, ...]:
         return (self.value, self.value_p, self.addr, self.addr_p)
-
-    def replace_operands(self, mapping) -> None:
-        self.value = mapping(self.value)
-        self.value_p = mapping(self.value_p)
-        self.addr = mapping(self.addr)
-        self.addr_p = mapping(self.addr_p)
 
 
 def result_type(op: str, lhs: Type, rhs: Type) -> Type:

@@ -13,7 +13,8 @@ class Type:
     """A singleton IR type.
 
     Instances are compared by identity; use the module-level constants
-    :data:`INT`, :data:`FLOAT`, :data:`PTR` and :data:`VOID`.
+    :data:`INT`, :data:`FLOAT`, :data:`PTR` and :data:`VOID`.  ``name``
+    is how the IR printer spells the type.
     """
 
     __slots__ = ("name",)
@@ -54,13 +55,3 @@ FLOAT = Type("float")
 PTR = Type("ptr")
 #: Absence of a value (function returns only).
 VOID = Type("void")
-
-_BY_NAME = {t.name: t for t in (INT, FLOAT, PTR, VOID)}
-
-
-def type_by_name(name: str) -> Type:
-    """Look up a type by its textual name (used by the IR parser/printer)."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise KeyError(f"unknown IR type {name!r}") from None

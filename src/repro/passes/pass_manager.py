@@ -6,22 +6,16 @@ from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from ..errors import PassError
 from ..ir import Module, verify_module
-from . import constfold, dce, dualchain, faultinject, mem2reg, taintchain
+from . import dce, dualchain, faultinject, mem2reg, taintchain
 
 #: name -> pass entry point ``run(module, **options)``
 REGISTRY: Dict[str, Callable] = {
-    "constfold": constfold.run,
     "mem2reg": mem2reg.run,
     "dce": dce.run,
     "faultinject": faultinject.run,
     "dualchain": dualchain.run,
     "taintchain": taintchain.run,
 }
-
-#: Black-box build: fault injection only — what a plain LLFI binary is.
-BLACKBOX_PIPELINE: Tuple[str, ...] = ("mem2reg", "dce", "faultinject")
-#: FPM build: fault injection + dual-chain propagation tracking.
-FPM_PIPELINE: Tuple[str, ...] = ("mem2reg", "dce", "faultinject", "dualchain")
 
 PassSpec = Union[str, Tuple[str, Mapping]]
 
@@ -52,7 +46,12 @@ def run_passes(
 
 
 def pipeline_for_mode(mode: str, inject_kinds: Iterable[str] = ("arith",)):
-    """Standard pipeline for a build mode: "blackbox" or "fpm"."""
+    """Standard pipeline for a build mode.
+
+    ``"blackbox"`` is fault injection only (what a plain LLFI binary is),
+    ``"fpm"`` adds dual-chain propagation tracking and ``"taint"`` the
+    over-approximating taint chain.
+    """
     inject = ("faultinject", {"kinds": tuple(inject_kinds)})
     if mode == "blackbox":
         return ("mem2reg", "dce", inject)

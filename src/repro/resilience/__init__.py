@@ -11,7 +11,6 @@ from .detectors import (
     Detector,
     IntervalDetector,
     LatencyReport,
-    SampledDetector,
     ThresholdDetector,
     measure_latency,
 )
@@ -28,5 +27,5 @@ __all__ = [
     "AlwaysRollback", "Detection", "Detector", "FPSThresholdPolicy",
     "IntervalDetector", "LatencyReport", "NeverRollback",
     "ResilientResult", "ResilientRunner", "RollbackPolicy",
-    "SampledDetector", "ThresholdDetector", "measure_latency",
+    "ThresholdDetector", "measure_latency",
 ]

@@ -10,9 +10,7 @@ so Eq. 2's correction can be calibrated per deployment:
 * :class:`IntervalDetector` — a check (checksum, invariant scan) runs
   every ``period`` cycles and sees any contamination present;
 * :class:`ThresholdDetector` — contamination is only noticeable once it
-  reaches ``min_cml`` locations (weak symptom-based detection);
-* :class:`SampledDetector` — each periodic check catches existing
-  contamination only with probability ``hit_rate`` (partial coverage).
+  reaches ``min_cml`` locations (weak symptom-based detection).
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-
-from ..vm.rng import Lcg64
 
 
 class Detector:
@@ -84,31 +80,6 @@ class ThresholdDetector(Detector):
     def detect(self, times, cml, t_fault):
         hit = np.nonzero(cml >= self.min_cml)[0]
         return int(times[hit[0]]) if hit.size else None
-
-
-class SampledDetector(Detector):
-    """Periodic check with partial coverage: hit probability per check."""
-
-    name = "sampled"
-
-    def __init__(self, period: int, hit_rate: float, seed: int = 0) -> None:
-        if not 0.0 < hit_rate <= 1.0:
-            raise ValueError("hit_rate must be in (0, 1]")
-        self.period = period
-        self.hit_rate = hit_rate
-        self.seed = seed
-
-    def detect(self, times, cml, t_fault):
-        rng = Lcg64(self.seed ^ (t_fault * 2654435761))
-        t_end = int(times[-1])
-        boundary = self.period
-        while boundary <= t_end:
-            idx = np.searchsorted(times, boundary)
-            if idx < times.size and cml[idx] > 0 and \
-                    rng.next_float() < self.hit_rate:
-                return int(times[idx])
-            boundary += self.period
-        return None
 
 
 @dataclass(frozen=True)

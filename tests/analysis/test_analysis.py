@@ -1,6 +1,7 @@
 """Classification, coverage uniformity, statistics and report rendering."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.analysis import (
     crash_kind_histogram,
     outcome_fractions,
     outputs_match,
+    rank_spread_curve,
     render_fps_table,
     render_histogram,
     render_outcome_table,
@@ -162,6 +164,15 @@ class TestStats:
                   _T()]
         hist = crash_kind_histogram(trials)
         assert hist == {"mem_fault": 2, "abort": 1}
+
+    def test_rank_spread_curve_deduplicates(self):
+        trial = SimpleNamespace(times=np.array([0, 10, 20, 30]),
+                                ranks_series=np.array([0, 1, 2, 2]))
+        assert rank_spread_curve(trial) == [(0, 0), (10, 1), (20, 2)]
+
+    def test_rank_spread_curve_without_series(self):
+        trial = SimpleNamespace(times=None, ranks_series=None)
+        assert rank_spread_curve(trial) == []
 
 
 class TestRendering:

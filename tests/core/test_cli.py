@@ -42,6 +42,8 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "fpm_store" in out
         assert "!site" in out
+        assert "!sec" in out
+        assert "func [dual] " in out
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

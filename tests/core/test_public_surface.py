@@ -149,6 +149,33 @@ class TestPublicSurface:
             for rmap in (cfunc.static, cfunc.tier2) for row in rmap
             for slot in row)
 
+    def test_unreached_code_left_no_exports(self):
+        import importlib.util
+
+        from repro import ir, passes, resilience
+        from repro.errors import PassError
+        from repro.frontend import compile_source
+        from repro.passes import REGISTRY, pipeline_for_mode, run_passes
+
+        for mod, gone in ((ir, ("parse_module", "type_by_name")),
+                          (passes, ("constfold", "BLACKBOX_PIPELINE",
+                                    "FPM_PIPELINE")),
+                          (resilience, ("SampledDetector",))):
+            for name in gone:
+                assert name not in mod.__all__
+                assert not hasattr(mod, name)
+        for spec in ("repro.ir.parser", "repro.passes.constfold"):
+            assert importlib.util.find_spec(spec) is None
+        module = compile_source(
+            "func main(rank: int, size: int) { emiti(rank + size); }")
+        with pytest.raises(PassError, match="unknown pass 'constfold'"):
+            run_passes(module, ["constfold"])
+        # a registered pass that no pipeline runs is dead code
+        run = {spec if isinstance(spec, str) else spec[0]
+               for m in ("blackbox", "fpm", "taint")
+               for spec in pipeline_for_mode(m)}
+        assert set(REGISTRY) == run
+
 
 class TestImportHygiene:
     """``import repro`` is paid by every process a campaign starts."""

@@ -136,10 +136,6 @@ class TestPropagationTrace:
         tr.sample(1, [8], 16, 1)   # memory shrank: fraction jumps
         assert tr.peak_cml_fraction == pytest.approx(0.5)
 
-    def test_rank_spread_series_deduplicates(self):
-        tr = self.make_trace()
-        assert tr.rank_spread_series() == [(0, 0), (10, 1), (20, 2)]
-
     def test_empty_trace(self):
         tr = PropagationTrace()
         assert tr.final_cml == 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import IRError, VerifierError
+from repro.frontend import compile_source
 from repro.ir import (
     BinOp,
     Br,
@@ -22,6 +23,20 @@ from repro.ir import (
     verify_function,
     verify_module,
 )
+from repro.passes import pipeline_for_mode, run_passes
+
+SIMPLE = """
+func helper(x: float) -> float {
+    return x * 2.0 + 1.0;
+}
+func main(rank: int, size: int) {
+    var a: float[4];
+    for (var i: int = 0; i < 4; i += 1) {
+        a[i] = helper(float(i));
+    }
+    emit(a[3]);
+}
+"""
 
 
 def make_void_main():
@@ -194,8 +209,9 @@ class TestPrinter:
         assert "demo" in format_module(m)
 
     def test_site_annotations_shown(self):
-        m, f, b = make_void_main()
-        r = b.binop("add", f.params[0], const_int(1))
-        b.block.instructions[-1].inject_site = 7
-        b.ret()
-        assert "!site7" in format_function(f)
+        m = compile_source(SIMPLE)
+        run_passes(m, pipeline_for_mode("fpm"))
+        text = format_module(m)
+        assert "!site" in text
+        assert "!sec" in text
+        assert "func [dual] " in text

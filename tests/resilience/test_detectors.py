@@ -6,7 +6,6 @@ import pytest
 from repro.inject import run_campaign
 from repro.resilience import (
     IntervalDetector,
-    SampledDetector,
     ThresholdDetector,
     measure_latency,
 )
@@ -53,24 +52,6 @@ class TestThresholdDetector:
         t_early = ThresholdDetector(5).detect(times, cml, 0)
         t_late = ThresholdDetector(500).detect(times, cml, 0)
         assert t_early < t_late
-
-
-class TestSampledDetector:
-    def test_full_coverage_equals_interval(self):
-        times, cml = ramp_trace(onset=100)
-        full = SampledDetector(period=150, hit_rate=1.0).detect(times, cml, 100)
-        assert full is not None
-
-    def test_partial_coverage_can_be_slower(self):
-        times, cml = ramp_trace(onset=50, n=400, step=10)
-        fast = SampledDetector(100, 1.0, seed=1).detect(times, cml, 50)
-        slow = SampledDetector(100, 0.05, seed=1).detect(times, cml, 50)
-        if slow is not None:
-            assert slow >= fast
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            SampledDetector(10, 0.0)
 
 
 class TestMeasureLatency:
